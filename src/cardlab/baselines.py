@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .executor import eval_predicates_on_sample
+from .executor import eval_predicates_on_sample, predicate_mask
 from .query import QuerySpec
 from .storage import Database, HashIndex, MaterializedSample
 
@@ -138,14 +138,9 @@ def ibjs_estimate(
         if key not in indexes:
             raise ValidationError(f"missing hash index on {new_table.name}.{new_col}")
         index = indexes[key]
-        pred_mask = None
-        preds = spec.predicates_of(new)
-        if preds:
-            m = np.ones(new_table.row_count, dtype=bool)
-            for p in preds:
-                v = new_table.column(p.column).values
-                m &= {"=": v == p.literal, "<": v < p.literal, ">": v > p.literal}[p.op]
-            pred_mask = m
+        pred_mask = predicate_mask(
+            lambda c: new_table.column(c).values, spec.predicates_of(new)
+        )
         probe_vals = db.column_values(spec.table_of(known), own_col)[inter[known]]
         match_lists = []
         repeats = np.zeros(probe_vals.size, dtype=np.int64)

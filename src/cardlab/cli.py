@@ -276,9 +276,6 @@ def cmd_predict(args) -> int:
     if args.samples:
         samples = storage.load_samples(args.samples, db)
     spec, _ = query.parse_query(args.query)
-    errors = query.validate(spec, db)
-    if errors:
-        raise ValidationError("; ".join(errors))
     estimate = mscn.predict(model, spec, db, samples)
     print(f"{estimate!r}")
     return 0

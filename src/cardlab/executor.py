@@ -3,9 +3,16 @@ evaluation over materialized samples, and the labeled-corpus file formats.
 
 Cardinalities are exact bag-semantics counts of the join+filter result.
 Rather than materializing intermediates, the acyclic join tree is counted
-by aggregating per-row subtree weights grouped by join key (bincount for
-dense keys, sort + searchsorted otherwise), which is order-independent and
-never blows up.
+bottom-up over full-length per-row weight vectors, one per alias: a
+predicate mask stays boolean, and each child subtree contributes its
+per-key weight sums gathered through the row's join key. Join columns are
+coded into the shared key spaces `storage.Database` precomputes per fk
+edge, so an unfiltered leaf costs one gather of its fanout vector (none
+when every row meets exactly one of its rows, as from the fk side), a
+unique (primary) key side one scatter, and anything else one bincount.
+Each weight vector carries an upper bound built from cached fanout
+maxima, so a count that could leave the int64 range raises instead of
+returning a wrapped value.
 """
 
 from __future__ import annotations
@@ -15,14 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .query import LabeledQuery, Predicate, QuerySpec, format_query, parse_query
-from .storage import Database, MaterializedSample
+from .storage import Database, JoinKey, MaterializedSample
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
+#: Join weights are int64; their bounds must stay below this.
+_INT64_LIMIT = 2**63
+#: float64 bincount sums of non-negative integers are exact below this.
+_FLOAT_EXACT_LIMIT = 2**53
 
-def _mask_for(values_of, predicates) -> np.ndarray | None:
+
+def predicate_mask(values_of, predicates) -> np.ndarray | None:
+    """Boolean conjunction of `predicates`, reading each column through
+    `values_of(column)`; None for an empty conjunction."""
     mask = None
     for p in predicates:
         m = _OPS[p.op](values_of(p.column), p.literal)
@@ -30,51 +44,43 @@ def _mask_for(values_of, predicates) -> np.ndarray | None:
     return mask
 
 
-def filter_table(db: Database, spec: QuerySpec, alias: str) -> np.ndarray:
-    """Row indices of `alias`'s base table satisfying its predicates."""
-    table = db.table(spec.table_of(alias))
-    mask = _mask_for(lambda c: table.column(c).values, spec.predicates_of(alias))
-    if mask is None:
-        return np.arange(table.row_count, dtype=np.int64)
-    return np.flatnonzero(mask)
-
-
-def _match_sums(keys: np.ndarray, weights: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Per-probe sum of weights over rows whose key equals the probe.
-
-    Dense key ranges go through bincount (no sort); anything else falls back
-    to sort + searchsorted. Both are exact: weight sums stay far below 2^53,
-    so the float64 bincount loses nothing.
-    """
-    if keys.size == 0:
-        return np.zeros(probes.shape, dtype=np.int64)
-    lo = int(min(keys.min(), probes.min()))
-    hi = int(max(keys.max(), probes.max()))
-    span = hi - lo + 1
-    if span <= 4 * (keys.size + probes.size) + 1024:
-        sums = np.bincount(keys - lo, weights=weights, minlength=span)
-        if sums.max() < 2**53:
-            return sums[probes - lo].astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    ws = weights[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    unique_keys = ks[starts]
-    grouped = np.add.reduceat(ws, starts)
-    pos = np.searchsorted(unique_keys, probes)
-    pos_c = np.minimum(pos, unique_keys.size - 1)
-    found = (pos < unique_keys.size) & (unique_keys[pos_c] == probes)
-    return np.where(found, grouped[pos_c], 0)
+def key_sums(
+    key: JoinKey, weights: np.ndarray | None, bound: int
+) -> tuple[np.ndarray, int]:
+    """Per key code, the sum of `weights` (None: all ones) over the rows
+    coded `key`, and an upper bound on those sums given `bound` on the
+    weights. Boolean weights on a unique key stay boolean. Sums are exact
+    while the returned bound stays below 2**63."""
+    if weights is None:
+        return key.fanout, key.max_fanout
+    if key.max_fanout <= 1:
+        sums = np.zeros(key.fanout.size, dtype=weights.dtype)
+        sums[key.codes] = weights
+        return sums, bound
+    bound *= key.max_fanout
+    if bound < _FLOAT_EXACT_LIMIT:
+        sums = np.bincount(key.codes, weights=weights, minlength=key.fanout.size)
+        return sums.astype(np.int64), bound
+    sums = np.zeros(key.fanout.size, dtype=np.int64)
+    np.add.at(sums, key.codes, weights)
+    return sums, bound
 
 
 def true_cardinality(db: Database, spec: QuerySpec) -> int:
-    """Exact result count of the join tree under bag semantics (no dedup)."""
-    rows = {a: filter_table(db, spec, a) for a in spec.aliases}
-    if any(r.size == 0 for r in rows.values()):
-        return 0
+    """Exact result count of the join tree under bag semantics (no dedup).
+
+    Raises ValidationError when the count could exceed the int64 range.
+    """
+    masks, counts = {}, {}
+    for a in spec.aliases:
+        table = db.table(spec.table_of(a))
+        masks[a] = predicate_mask(lambda c: table.column(c).values, spec.predicates_of(a))
+        counts[a] = table.row_count if masks[a] is None else int(np.count_nonzero(masks[a]))
+        if counts[a] == 0:
+            return 0
     if not spec.joins:
         (only,) = spec.aliases
-        return int(rows[only].size)
+        return counts[only]
 
     # alias -> [(neighbor alias, own column, neighbor column)]
     adj: dict[str, list[tuple[str, str, str]]] = {a: [] for a in spec.aliases}
@@ -83,28 +89,45 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
         adj[la].append((ra, lc, rc))
         adj[ra].append((la, rc, lc))
 
-    def subtree_weights(alias: str, parent: str | None) -> np.ndarray:
-        """Per-filtered-row result count of the subtree rooted at alias."""
-        table = db.table(spec.table_of(alias))
-        w = np.ones(rows[alias].size, dtype=np.int64)
+    def subtree_weights(alias: str, parent: str | None) -> tuple[np.ndarray | None, int]:
+        """Per-row result count of the subtree rooted at alias (None: all
+        ones, boolean: zero or one) and an upper bound on it."""
+        w, bound = masks[alias], 1
         for other, own_col, other_col in adj[alias]:
             if other == parent:
                 continue
-            child_w = subtree_weights(other, alias)
-            child_keys = db.column_values(spec.table_of(other), other_col)[rows[other]]
-            probes = table.column(own_col).values[rows[alias]]
-            w *= _match_sums(child_keys, child_w, probes)
-        return w
+            own, theirs = db.join_keys(
+                (spec.table_of(alias), own_col), (spec.table_of(other), other_col)
+            )
+            child_w, child_bound = subtree_weights(other, alias)
+            if child_w is None and own.matches_once:
+                continue  # every row meets exactly one row of `other`
+            sums, sums_bound = key_sums(theirs, child_w, child_bound)
+            bound *= sums_bound
+            matched = sums[own.codes]
+            w = matched if w is None else w * matched
+        return w, bound
 
-    root = spec.aliases[0]
-    return int(subtree_weights(root, None).sum())
+    # Rooting at the largest table keeps its rows out of the per-key sums,
+    # which cost more per row than the gathers the root does instead.
+    root = max(spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
+    w, bound = subtree_weights(root, None)
+    if w is None:
+        return counts[root]
+    # Bounds only grow towards the root, so this also covers every product
+    # formed on the way: none of them wrapped unless this raises.
+    if bound * counts[root] >= _INT64_LIMIT:
+        raise ValidationError(
+            f"join count of {format_query(spec)} may exceed the int64 range"
+        )
+    return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
 
 
 def eval_predicates_on_sample(
     sample: MaterializedSample, predicates: tuple[Predicate, ...]
 ) -> np.ndarray:
     """Boolean bitmap over the sample rows; all ones for an empty conjunction."""
-    mask = _mask_for(lambda c: sample.rows[c], predicates)
+    mask = predicate_mask(lambda c: sample.rows[c], predicates)
     if mask is None:
         return np.ones(sample.size, dtype=bool)
     return mask

@@ -1,9 +1,9 @@
 """Immutable in-memory columnar database.
 
-Covers loading/synthesis of integer tables, per-column statistics,
-materialized uniform samples, and hash indexes for join probing. After
-construction a Database (and its samples/indexes) is never mutated, so
-concurrent readers are safe.
+Covers loading/synthesis of integer tables, per-column statistics, join
+key spaces, materialized uniform samples, and hash indexes for join
+probing. After construction a Database (and its samples/indexes) is never
+mutated, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -136,11 +136,50 @@ class FkEdge:
         return f"{self.child[0]}.{self.child[1]}={self.parent[0]}.{self.parent[1]}"
 
 
+@dataclass(frozen=True)
+class JoinKey:
+    """One join column coded into a key space shared with the column it
+    joins: rows of either column with equal values carry equal codes."""
+
+    codes: np.ndarray  # per row, in [0, fanout.size)
+    fanout: np.ndarray  # rows per code
+    max_fanout: int
+    matches_once: bool  # every row equals exactly one row of the other column
+
+
+def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
+    """Code two join columns into one key space.
+
+    A dense joint value range is coded as the raw values offset by its
+    minimum; anything sparser is coded by a joint `np.unique`, so the key
+    space stays within a few times the combined row count.
+    """
+    both = np.concatenate([left, right])
+    size = int(both.max()) - int(both.min()) + 1 if both.size else 0
+    if size <= 4 * both.size + 1024:
+        lo = both.min() if both.size else 0
+        codes = (left - lo, right - lo)
+    else:
+        unique, inverse = np.unique(both, return_inverse=True)
+        size = unique.size
+        codes = (inverse[: left.size], inverse[left.size :])
+    fanouts = [np.bincount(c, minlength=size) for c in codes]
+    keys = [
+        JoinKey(c, f, int(f.max()) if size else 0, bool((other[c] == 1).all()))
+        for c, f, other in zip(codes, fanouts, reversed(fanouts))
+    ]
+    return keys[0], keys[1]
+
+
 class Database:
     """Named set of tables plus the declared fk-edge join universe.
 
     Referential integrity is verified on construction; per-column stats are
-    precomputed for all non-empty columns.
+    precomputed for all non-empty columns, and so is the join key space of
+    every declared fk edge (both columns' codes and fanouts, see
+    :func:`code_join_keys`). Any other column pair is coded per call. Nothing
+    is computed lazily or cached later: the database is never mutated after
+    construction, so threads share it without a lock.
     """
 
     def __init__(self, tables: list[Table]):
@@ -155,22 +194,28 @@ class Database:
             for c in t.columns
             if c.kind == KIND_FK
         )
-        self._check_integrity()
+        self._join_keys: dict[tuple, tuple[JoinKey, JoinKey]] = {}
+        self._code_fk_edges()
         self._stats: dict[tuple[str, str], ColumnStats] = {}
         for t in tables:
             for c in t.columns:
                 if len(c.values):
                     self._stats[(t.name, c.name)] = compute_stats(c)
 
-    def _check_integrity(self):
+    def _code_fk_edges(self):
+        """Codes each fk edge's key space, checking referential integrity:
+        every child key must meet at least one parent row."""
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or not self.tables[pt].has_column(pc):
                 raise SchemaError(f"fk edge {e.key} references unknown column")
-            child_vals = self.tables[e.child[0]].column(e.child[1]).values
-            parent_vals = self.tables[pt].column(pc).values
-            if child_vals.size and not np.isin(child_vals, parent_vals).all():
+            child, parent = code_join_keys(
+                self.column_values(*e.child), self.column_values(*e.parent)
+            )
+            if not parent.fanout[child.codes].all():
                 raise SchemaError(f"referential integrity violated on {e.key}")
+            self._join_keys[(e.child, e.parent)] = (child, parent)
+            self._join_keys[(e.parent, e.child)] = (parent, child)
 
     def table(self, name: str) -> Table:
         if name not in self.tables:
@@ -179,6 +224,16 @@ class Database:
 
     def column_values(self, table: str, column: str) -> np.ndarray:
         return self.table(table).column(column).values
+
+    def join_keys(
+        self, left: tuple[str, str], right: tuple[str, str]
+    ) -> tuple[JoinKey, JoinKey]:
+        """The (table, column) pair `left`, `right` coded into one key space:
+        precomputed for declared fk edges, built per call for any other pair."""
+        keys = self._join_keys.get((left, right))
+        if keys is None:
+            keys = code_join_keys(self.column_values(*left), self.column_values(*right))
+        return keys
 
     def stats(self, table: str, column: str) -> ColumnStats:
         key = (table, column)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from helpers import nested_loop_count
 
-from cardlab.errors import ParseError
+from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
-    _match_sums,
     bitmap_to_hex,
     eval_predicates_on_sample,
     hex_to_bitmap,
+    key_sums,
     label_workload,
     query_bitmaps,
     read_labeled_corpus,
@@ -23,10 +23,12 @@ from cardlab.query import (
     parse_query,
 )
 from cardlab.storage import (
+    KIND_ATTR,
     Column,
     Database,
     SynthConfig,
     Table,
+    code_join_keys,
     draw_all_samples,
     generate_synthetic_db,
 )
@@ -51,24 +53,47 @@ def samples(db):
     return draw_all_samples(db, 50, seed=5)
 
 
+def match_sums(keys, weights, probes, bound=9):
+    """Per-probe sum of the weights of the rows whose key equals the probe."""
+    key, probe = code_join_keys(keys, probes)
+    sums, sums_bound = key_sums(key, weights, bound)
+    assert (sums <= sums_bound).all()
+    return sums[probe.codes]
+
+
+def dict_match_sums(keys, weights, probes):
+    table = {}
+    for k, w in zip(keys.tolist(), weights.tolist()):
+        table[k] = table.get(k, 0) + w
+    return [table.get(p, 0) for p in probes.tolist()]
+
+
 class TestMatchSums:
-    @pytest.mark.parametrize("spread", [50, 10**12])  # dense and sparse key paths
+    # Dense keys are coded by offset, 10**12-spread ones by a joint unique
+    # (and, with 200 draws, hit the unique-key scatter instead of bincount);
+    # the 2000-spread keys repeat at most twice.
+    @pytest.mark.parametrize("spread", [50, 2000, 10**12])
     def test_dict_oracle(self, spread):
         rng = np.random.default_rng(spread % 97)
-        keys = rng.integers(0, spread, size=200)
+        keys = rng.integers(0, spread, size=200) - spread // 2
+        probes = rng.integers(0, spread, size=300) - spread // 2
         weights = rng.integers(0, 10, size=200)
-        probes = rng.integers(0, spread, size=300)
-        expected = np.zeros(300, dtype=np.int64)
-        table = {}
-        for k, w in zip(keys.tolist(), weights.tolist()):
-            table[k] = table.get(k, 0) + w
-        for i, p in enumerate(probes.tolist()):
-            expected[i] = table.get(p, 0)
-        np.testing.assert_array_equal(_match_sums(keys, weights, probes), expected)
+        for w in (weights, weights > 4):
+            expected = dict_match_sums(keys, w.astype(np.int64), probes)
+            assert match_sums(keys, w, probes).tolist() == expected
+        expected = dict_match_sums(keys, np.ones(200, dtype=np.int64), probes)
+        assert match_sums(keys, None, probes).tolist() == expected
 
     def test_empty_keys(self):
-        out = _match_sums(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5))
+        out = match_sums(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5))
         np.testing.assert_array_equal(out, np.zeros(5, dtype=np.int64))
+
+    def test_exact_past_float_precision(self):
+        # Sums above 2**53 leave bincount's float64 path for exact integers.
+        keys = np.array([3, 3, 3, 7, 7])
+        weights = 2**55 + np.array([1, 2, 3, 4, 5])
+        got = match_sums(keys, weights, np.array([3, 7, 5]), bound=2**56)
+        assert got.tolist() == dict_match_sums(keys, weights, np.array([3, 7, 5]))
 
 
 class TestTrueCardinality:
@@ -110,6 +135,62 @@ class TestTrueCardinality:
         assert workload
         for spec in workload:
             assert true_cardinality(db, spec) == nested_loop_count(db, spec)
+
+    @pytest.mark.parametrize("scale", [1, 10**12])
+    def test_oracle_on_offset_and_sparse_keys(self, scale):
+        """Keys shifted negative (dense offset coding) and also spread by
+        10**12 (joint unique coding), against the nested-loop oracle."""
+        rows = {name: 40 if name == "title" else 60 for name in ROWS}
+        base = generate_synthetic_db(SynthConfig(rows=rows, rho=0.6), seed=32)
+        shift = -(10**17)
+        moved = Database(
+            [
+                Table(
+                    t.name,
+                    [
+                        Column(
+                            c.name,
+                            c.kind,
+                            c.values if c.kind == KIND_ATTR else c.values * scale + shift,
+                            ref=c.ref,
+                        )
+                        for c in t.columns
+                    ],
+                )
+                for t in base.tables.values()
+            ]
+        )
+        workload = generate_workload(moved, 40, 4, seed=33)
+        assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
+        for spec in workload:
+            assert true_cardinality(moved, spec) == nested_loop_count(moved, spec)
+            assert true_cardinality(moved, spec) == true_cardinality(base, spec)
+
+    def test_int64_overflow_raises(self):
+        # One parent row and four 60k-row children: the 4-join count is
+        # 60000**4 > 2**63, the 3-join count 60000**3 fits.
+        n = 60_000
+        children = [
+            Table(
+                f"c{i}",
+                [
+                    Column("id", "pk", np.arange(n)),
+                    Column("pid", "fk", np.ones(n, dtype=np.int64), ref=("p", "id")),
+                ],
+            )
+            for i in range(4)
+        ]
+        db = Database([Table("p", [Column("id", "pk", [1])])] + children)
+
+        def star(k):
+            return QuerySpec(
+                (TableRef("p", "p"),) + tuple(TableRef(f"c{i}", f"c{i}") for i in range(k)),
+                tuple(JoinEdge((f"c{i}", "pid"), ("p", "id")) for i in range(k)),
+            )
+
+        assert true_cardinality(db, star(3)) == n**3
+        with pytest.raises(ValidationError, match="int64"):
+            true_cardinality(db, star(4))
 
     def test_adding_predicate_never_increases(self, db):
         rng = np.random.default_rng(15)
