@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .executor import eval_predicates_on_sample, predicate_mask
 from .query import QuerySpec
-from .storage import Database, HashIndex, MaterializedSample
+from .storage import Database, JoinIndex, MaterializedSample
 
 
 def _filtered_size(
@@ -70,12 +70,13 @@ def rs_estimate(
 def ibjs_estimate(
     db: Database,
     samples: dict[str, MaterializedSample],
-    indexes: dict[tuple[str, str], HashIndex],
+    indexes: dict[tuple[tuple[str, str], tuple[str, str]], JoinIndex],
     spec: QuerySpec,
 ) -> float:
     """Walk the join tree from the most selective table, probing each next
-    table's hash index with the current intermediate tuples and applying
-    that table's predicates exactly.
+    table's join index (see `storage.build_join_indexes`) with the join-key
+    codes of the current intermediate tuples, all at once, and applying
+    that table's predicates exactly to the matched rows.
 
     The final match count is scaled by the driver's inverse sampling
     fraction. Falls back to RS semantics when the driver sample is empty,
@@ -133,26 +134,22 @@ def ibjs_estimate(
         driver: driver_sample.row_indices[driver_bitmap]
     }
     for step, (known, own_col, new, new_col) in enumerate(walk):
+        own_side = (spec.table_of(known), own_col)
         new_table = db.table(spec.table_of(new))
-        key = (new_table.name, new_col)
-        if key not in indexes:
+        new_side = (new_table.name, new_col)
+        if (own_side, new_side) not in indexes:
             raise ValidationError(f"missing hash index on {new_table.name}.{new_col}")
-        index = indexes[key]
-        pred_mask = predicate_mask(
-            lambda c: new_table.column(c).values, spec.predicates_of(new)
+        own_key, _ = db.join_keys(own_side, new_side)
+        positions, matches = indexes[(own_side, new_side)].probe(
+            own_key.codes[inter[known]]
         )
-        probe_vals = db.column_values(spec.table_of(known), own_col)[inter[known]]
-        match_lists = []
-        repeats = np.zeros(probe_vals.size, dtype=np.int64)
-        for i, v in enumerate(probe_vals):
-            matches = index.lookup(int(v))
-            if pred_mask is not None and matches.size:
-                matches = matches[pred_mask[matches]]
-            match_lists.append(matches)
-            repeats[i] = matches.size
-        count_before = inter[driver].size
-        if not repeats.sum():
-            return independence_tail(count_before, set(inter), walk[step:])
-        inter = {a: np.repeat(rows, repeats) for a, rows in inter.items()}
-        inter[new] = np.concatenate(match_lists)
+        keep = predicate_mask(
+            lambda c: new_table.column(c).values[matches], spec.predicates_of(new)
+        )
+        if keep is not None:
+            positions, matches = positions[keep], matches[keep]
+        if not matches.size:
+            return independence_tail(inter[driver].size, set(inter), walk[step:])
+        inter = {a: rows[positions] for a, rows in inter.items()}
+        inter[new] = matches
     return max(inter[driver].size * scale, 1.0)

@@ -66,6 +66,31 @@ def key_sums(
     return sums, bound
 
 
+def _subtree_weights(
+    db: Database, spec: QuerySpec, masks: dict, adj: dict, alias: str, parent: str | None
+) -> tuple[np.ndarray | None, int]:
+    """Per-row result count of the join subtree rooted at alias (None: all
+    ones, boolean: zero or one) and an upper bound on it. A module-level
+    function rather than a closure: a recursive closure is a reference
+    cycle, which would keep the masks alive until the next garbage
+    collection."""
+    w, bound = masks[alias], 1
+    for other, own_col, other_col in adj[alias]:
+        if other == parent:
+            continue
+        own, theirs = db.join_keys(
+            (spec.table_of(alias), own_col), (spec.table_of(other), other_col)
+        )
+        child_w, child_bound = _subtree_weights(db, spec, masks, adj, other, alias)
+        if child_w is None and own.matches_once:
+            continue  # every row meets exactly one row of `other`
+        sums, sums_bound = key_sums(theirs, child_w, child_bound)
+        bound *= sums_bound
+        matched = sums[own.codes]
+        w = matched if w is None else w * matched
+    return w, bound
+
+
 def true_cardinality(db: Database, spec: QuerySpec) -> int:
     """Exact result count of the join tree under bag semantics (no dedup).
 
@@ -89,29 +114,10 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
         adj[la].append((ra, lc, rc))
         adj[ra].append((la, rc, lc))
 
-    def subtree_weights(alias: str, parent: str | None) -> tuple[np.ndarray | None, int]:
-        """Per-row result count of the subtree rooted at alias (None: all
-        ones, boolean: zero or one) and an upper bound on it."""
-        w, bound = masks[alias], 1
-        for other, own_col, other_col in adj[alias]:
-            if other == parent:
-                continue
-            own, theirs = db.join_keys(
-                (spec.table_of(alias), own_col), (spec.table_of(other), other_col)
-            )
-            child_w, child_bound = subtree_weights(other, alias)
-            if child_w is None and own.matches_once:
-                continue  # every row meets exactly one row of `other`
-            sums, sums_bound = key_sums(theirs, child_w, child_bound)
-            bound *= sums_bound
-            matched = sums[own.codes]
-            w = matched if w is None else w * matched
-        return w, bound
-
     # Rooting at the largest table keeps its rows out of the per-key sums,
     # which cost more per row than the gathers the root does instead.
     root = max(spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
-    w, bound = subtree_weights(root, None)
+    w, bound = _subtree_weights(db, spec, masks, adj, root, None)
     if w is None:
         return counts[root]
     # Bounds only grow towards the root, so this also covers every product

@@ -94,8 +94,14 @@ class EncodingCatalog:
     @classmethod
     def from_json(cls, text: str) -> "EncodingCatalog":
         doc = json.loads(text)
-        if doc.get("format_version") != CATALOG_FORMAT_VERSION:
+        if not isinstance(doc, dict) or doc.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValidationError("unsupported catalog format_version")
+        missing = {
+            "table_index", "join_index", "column_index", "column_bounds",
+            "sample_size", "sample_mode", "label_log_min", "label_log_max",
+        } - set(doc)
+        if missing:
+            raise ValidationError(f"catalog lacks {sorted(missing)}")
         return cls(
             table_index=doc["table_index"],
             join_index=doc["join_index"],

@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +158,8 @@ def backward(model: MscnModel, caches, d_y: np.ndarray) -> dict[str, np.ndarray]
         cache, mask = caches[name]
         d_pooled = d_merged[..., i * d : (i + 1) * d]
         d_elems = masked_mean_pool_backward(d_pooled, mask)
-        _, g = mlp2_backward(d_elems, cache, model.modules()[name])
+        # The set modules' inputs are features, so no input gradient.
+        _, g = mlp2_backward(d_elems, cache, model.modules()[name], input_grad=False)
         for field in _FIELDS:
             grads[f"{name}.{field}"] = getattr(g, field)
     return grads
@@ -310,8 +311,18 @@ def load_model(path: str | Path) -> MscnModel:
         raise ModelFormatError(
             f"{path}: format_version {header.get('format_version')} unsupported"
         )
+    missing = {"catalog", "hyperparams", "params"} - set(header)
+    if missing:
+        raise ModelFormatError(f"{path}: header lacks {sorted(missing)}")
     catalog = EncodingCatalog.from_json(json.dumps(header["catalog"]))
-    hp = Hyperparams(**header["hyperparams"])
+    raw_hp = header["hyperparams"]
+    names = {f.name for f in fields(Hyperparams)}
+    if not isinstance(raw_hp, dict) or set(raw_hp) != names:
+        raise ModelFormatError(f"{path}: hyperparams must have exactly {sorted(names)}")
+    try:
+        hp = Hyperparams(**raw_hp)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     offset = 8 + header_len
     for item in header["params"]:

@@ -108,9 +108,10 @@ def mlp2_forward(
 
 
 def mlp2_backward(
-    d_out: np.ndarray, cache: Mlp2Cache, p: Dense2
-) -> tuple[np.ndarray, Dense2]:
-    """Gradient w.r.t. input and parameters given dL/d(out)."""
+    d_out: np.ndarray, cache: Mlp2Cache, p: Dense2, input_grad: bool = True
+) -> tuple[np.ndarray | None, Dense2]:
+    """Gradient w.r.t. input and parameters given dL/d(out). The input
+    gradient is None when `input_grad` is false, as for constant inputs."""
     if cache.final == "relu":
         d_pre2 = d_out * (cache.pre2 > 0)
     else:
@@ -125,7 +126,7 @@ def mlp2_backward(
     g1 = d_pre1.reshape(-1, p.hidden)
     d_w1 = x2.T @ g1
     d_b1 = g1.sum(axis=0)
-    d_x = d_pre1 @ p.w1.T
+    d_x = d_pre1 @ p.w1.T if input_grad else None
     return d_x, Dense2(d_w1, d_b1, d_w2, d_b2)
 
 

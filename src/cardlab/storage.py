@@ -1,9 +1,10 @@
 """Immutable in-memory columnar database.
 
 Covers loading/synthesis of integer tables, per-column statistics, join
-key spaces, materialized uniform samples, and hash indexes for join
-probing. After construction a Database (and its samples/indexes) is never
-mutated, so concurrent readers are safe.
+key spaces, materialized uniform samples, and CSR join indexes (rows
+grouped by join-key code) for join probing. Distinct counts and join
+indexes cost one sort per column. After construction a Database (and its
+samples/indexes) is never mutated, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Table:
                 f"table {self.name!r} must have exactly one primary key, found {len(pks)}"
             )
         pk = pks[0]
-        if self.row_count and len(np.unique(pk.values)) != self.row_count:
+        if distinct_count(pk.values) != self.row_count:
             raise SchemaError(f"primary key {self.name}.{pk.name} has duplicates")
 
     def column(self, name: str) -> Column:
@@ -264,27 +265,25 @@ class MaterializedSample:
     seed: int
 
 
-class HashIndex:
-    """Exact value -> row indices map over one column."""
+@dataclass(frozen=True)
+class JoinIndex:
+    """Rows of one join column grouped by join-key code (CSR): the rows
+    coded c are `rows[offsets[c]:offsets[c + 1]]`, in ascending row order."""
 
-    def __init__(self, table: str, key_column: str, values: np.ndarray):
-        self.table = table
-        self.key_column = key_column
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        if sorted_vals.size:
-            starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-            bounds = np.r_[starts, sorted_vals.size]
-            self._map = {
-                int(sorted_vals[starts[i]]): order[bounds[i] : bounds[i + 1]]
-                for i in range(len(starts))
-            }
-        else:
-            self._map = {}
-        self._empty = np.empty(0, dtype=np.int64)
+    rows: np.ndarray
+    offsets: np.ndarray  # fanout cumsum, one more entry than the key space
 
-    def lookup(self, value: int) -> np.ndarray:
-        return self._map.get(int(value), self._empty)
+    def probe(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (probe position, row) pair whose codes are equal, as two
+        parallel arrays: grouped by probe position in order, rows ascending
+        within a group."""
+        starts = self.offsets[codes]
+        counts = self.offsets[codes + 1] - starts
+        positions = np.repeat(np.arange(codes.size), counts)
+        # A match's place in `rows`: its group's start plus its rank in the group.
+        group_first = np.cumsum(counts) - counts
+        at = np.arange(positions.size) + np.repeat(starts - group_first, counts)
+        return positions, self.rows[at]
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +291,21 @@ class HashIndex:
 # ---------------------------------------------------------------------------
 
 
+def distinct_count(values: np.ndarray) -> int:
+    """Number of distinct values: one sort and a count of value changes
+    (numpy's `np.unique` hashes integers, which is several times slower)."""
+    if not values.size:
+        return 0
+    s = np.sort(values)
+    return int(np.count_nonzero(s[1:] != s[:-1])) + 1
+
+
 def compute_stats(column: Column) -> ColumnStats:
     """Exact min/max/distinct-count of a non-empty column."""
     v = column.values
     if not v.size:
         raise ValueError(f"cannot compute stats of empty column {column.name!r}")
-    return ColumnStats(
-        min=int(v.min()), max=int(v.max()), distinct_count=int(np.unique(v).size)
-    )
+    return ColumnStats(min=int(v.min()), max=int(v.max()), distinct_count=distinct_count(v))
 
 
 def load_csv(path: str | Path, schema: TableSchema) -> Table:
@@ -354,15 +360,24 @@ def draw_sample(table: Table, size: int, seed: int) -> MaterializedSample:
     return MaterializedSample(table.name, size, idx, rows, seed)
 
 
-def build_index(table: Table, column: str) -> HashIndex:
-    return HashIndex(table.name, column, table.column(column).values)
+def join_index(key: JoinKey) -> JoinIndex:
+    """CSR index of the column coded `key`: its stable argsort plus the
+    fanout cumsum as offsets."""
+    offsets = np.zeros(key.fanout.size + 1, dtype=np.int64)
+    np.cumsum(key.fanout, out=offsets[1:])
+    return JoinIndex(np.argsort(key.codes, kind="stable"), offsets)
 
 
-def build_join_indexes(db: Database) -> dict[tuple[str, str], HashIndex]:
-    """Indexes on every column participating in a declared fk edge."""
-    keys = {e.child for e in db.fk_edges} | {e.parent for e in db.fk_edges}
+def build_join_indexes(
+    db: Database,
+) -> dict[tuple[tuple[str, str], tuple[str, str]], JoinIndex]:
+    """A join index on both sides of every declared fk edge, keyed by
+    (probing column, indexed column), each a (table, column) pair; probe
+    it with the probing column's codes in the edge's key space."""
     return {
-        (t, c): build_index(db.table(t), c) for t, c in sorted(keys)
+        (probing, indexed): join_index(db.join_keys(probing, indexed)[1])
+        for e in db.fk_edges
+        for probing, indexed in ((e.child, e.parent), (e.parent, e.child))
     }
 
 
@@ -557,24 +572,33 @@ def save_database(db: Database, directory: str | Path) -> None:
             writer.writerows(zip(*(c.values.tolist() for c in t.columns)))
 
 
+def _field(doc, key: str, where):
+    """`doc[key]`, or SchemaError naming `where` when doc is no JSON object
+    or lacks the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError(f"{where}: missing {key!r}")
+    return doc[key]
+
+
 def load_database(directory: str | Path) -> Database:
     directory = Path(directory)
     schema_path = directory / "schema.json"
     if not schema_path.exists():
         raise SchemaError(f"{directory}: no schema.json found")
     doc = json.loads(schema_path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
+    if _field(doc, "format_version", schema_path) != SCHEMA_FORMAT_VERSION:
         raise SchemaError(f"{schema_path}: unsupported format_version")
     tables = []
-    for tdoc in doc["tables"]:
+    for tdoc in _field(doc, "tables", schema_path):
         specs = []
-        for cdoc in tdoc["columns"]:
+        for cdoc in _field(tdoc, "columns", schema_path):
+            name, kind = _field(cdoc, "name", schema_path), _field(cdoc, "kind", schema_path)
             ref = None
             if "ref" in cdoc:
-                rt, _, rc = cdoc["ref"].partition(".")
+                rt, _, rc = str(cdoc["ref"]).partition(".")
                 ref = (rt, rc)
-            specs.append(ColumnSpec(cdoc["name"], cdoc["kind"], ref))
-        schema = TableSchema(tdoc["name"], tuple(specs))
+            specs.append(ColumnSpec(name, kind, ref))
+        schema = TableSchema(_field(tdoc, "name", schema_path), tuple(specs))
         tables.append(load_csv(directory / f"{schema.name}.csv", schema))
     return Database(tables)
 
@@ -596,14 +620,23 @@ def save_samples(samples: dict[str, MaterializedSample], path: str | Path) -> No
 
 def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != SAMPLES_FORMAT_VERSION:
+    if _field(doc, "format_version", path) != SAMPLES_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported samples format_version")
+    tables = _field(doc, "tables", path)
+    if not isinstance(tables, dict):
+        raise SchemaError(f"{path}: 'tables' must map table names to samples")
     samples = {}
-    for name, entry in doc["tables"].items():
+    for name, entry in tables.items():
         table = db.table(name)
-        idx = np.asarray(entry["row_indices"], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= table.row_count):
-            raise SchemaError(f"{path}: sample indices out of range for {name!r}")
+        where = f"{path}: sample of {name!r}"
+        idx = np.asarray(_field(entry, "row_indices", where), dtype=np.int64)
+        size, seed = int(_field(entry, "size", where)), int(_field(entry, "seed", where))
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= table.row_count)):
+            raise SchemaError(f"{where}: row_indices must be a flat list of rows in range")
+        if distinct_count(idx) != idx.size:
+            raise SchemaError(f"{where}: duplicate row indices")
+        if size != idx.size:
+            raise SchemaError(f"{where}: size {size} but {idx.size} row indices")
         rows = {c.name: c.values[idx] for c in table.columns}
-        samples[name] = MaterializedSample(name, int(entry["size"]), idx, rows, int(entry["seed"]))
+        samples[name] = MaterializedSample(name, size, idx, rows, seed)
     return samples

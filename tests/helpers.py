@@ -1,9 +1,13 @@
-"""Shared test utilities: gradient-check point selection and the
-independent nested-loop join oracle."""
+"""Shared test utilities: gradient-check point selection, the
+independent nested-loop join oracle, and the per-probe-value IBJS loop."""
 
 import numpy as np
 
+from cardlab.baselines import _filtered_size, rs_estimate
+from cardlab.executor import eval_predicates_on_sample
 from cardlab.mscn import forward
+
+_OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
 
 def nested_loop_count(db, spec):
@@ -62,6 +66,65 @@ def nested_loop_count(db, spec):
             if ok:
                 stack.append((depth + 1, {**bound, alias: r}))
     return count
+
+
+def loop_ibjs_estimate(db, samples, spec):
+    """IBJS as a Python loop over probe values: each value's matching rows
+    come from a full column scan, then the new table's full predicate mask
+    filters them. Returns (estimate, path), path being "rs" (empty driver
+    or no join), "tail" (an intermediate ran dry) or "walk"."""
+    if not spec.joins:
+        return rs_estimate(db, samples, spec), "rs"
+    filtered = {a: _filtered_size(db, samples, spec, a) for a in spec.aliases}
+    driver = min(spec.aliases, key=lambda a: (filtered[a], a))
+    driver_sample = samples[spec.table_of(driver)]
+    bitmap = eval_predicates_on_sample(driver_sample, spec.predicates_of(driver))
+    if not bitmap.any():
+        return rs_estimate(db, samples, spec), "rs"
+    scale = db.table(spec.table_of(driver)).row_count / driver_sample.size
+
+    adj = {a: [] for a in spec.aliases}
+    for j in spec.joins:
+        adj[j.left[0]].append((j.right[0], j.left[1], j.right[1]))
+        adj[j.right[0]].append((j.left[0], j.right[1], j.left[1]))
+    walk, seen, frontier = [], {driver}, [driver]
+    while frontier:
+        alias = frontier.pop(0)
+        for other, own_col, other_col in sorted(adj[alias]):
+            if other not in seen:
+                seen.add(other)
+                walk.append((alias, own_col, other, other_col))
+                frontier.append(other)
+
+    inter = {driver: driver_sample.row_indices[bitmap]}
+    for step, (known, own_col, new, new_col) in enumerate(walk):
+        table = db.table(spec.table_of(new))
+        mask = np.ones(table.row_count, dtype=bool)
+        for p in spec.predicates_of(new):
+            mask &= _OPS[p.op](table.column(p.column).values, p.literal)
+        new_vals = table.column(new_col).values
+        probe_vals = db.column_values(spec.table_of(known), own_col)[inter[known]]
+        match_lists, repeats = [], []
+        for v in probe_vals:
+            matches = np.flatnonzero(new_vals == v)
+            matches = matches[mask[matches]]
+            match_lists.append(matches)
+            repeats.append(matches.size)
+        if not sum(repeats):
+            est = float(inter[driver].size) * scale
+            for a in spec.aliases:
+                if a not in inter:
+                    est *= filtered[a]
+            for k, _, n, _ in walk[step:]:
+                edge = next(j for j in spec.joins if {j.left[0], j.right[0]} == {k, n})
+                est /= max(
+                    db.stats(spec.table_of(a), c).distinct_count
+                    for a, c in (edge.left, edge.right)
+                )
+            return max(est, 1.0), "tail"
+        inter = {a: np.repeat(rows, repeats) for a, rows in inter.items()}
+        inter[new] = np.concatenate(match_lists)
+    return max(inter[driver].size * scale, 1.0), "walk"
 
 
 def flatten_params(params):

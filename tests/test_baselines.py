@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import loop_ibjs_estimate
 
 from cardlab.baselines import ibjs_estimate, rs_estimate
 from cardlab.errors import ValidationError
@@ -159,3 +160,61 @@ class TestIndexBasedJoinSampling:
             a = ibjs_estimate(db, samples, indexes, spec)
             b = ibjs_estimate(db, samples, indexes, spec)
             assert a == b >= 1.0
+
+
+def _star_with_dry_second_step():
+    # p has two children. Driver p (a = 1: ids 1, 2) meets c1 rows
+    # 0-3 (fanouts 3 and 1), then c2 rows 0-3, none of which pass x = 7,
+    # so the walk runs dry on its second step.
+    p = Table("p", [Column("id", "pk", [1, 2, 3, 4]), Column("a", "attr", [1, 1, 2, 2])])
+    c1 = Table(
+        "c1",
+        [Column("id", "pk", np.arange(6)), Column("pid", "fk", [1, 1, 1, 2, 3, 4], ref=("p", "id"))],
+    )
+    c2 = Table(
+        "c2",
+        [
+            Column("id", "pk", np.arange(12)),
+            Column("pid", "fk", [1, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4], ref=("p", "id")),
+            Column("x", "attr", [5] * 4 + [7] * 8),
+        ],
+    )
+    db = Database([p, c1, c2])
+    samples = {t.name: draw_sample(t, t.row_count, seed=0) for t in (p, c1, c2)}
+    spec = QuerySpec(
+        (TableRef("p", "p"), TableRef("c1", "c1"), TableRef("c2", "c2")),
+        (JoinEdge(("c1", "pid"), ("p", "id")), JoinEdge(("c2", "pid"), ("p", "id"))),
+        (Predicate("p", "a", "=", 1), Predicate("c2", "x", "=", 7)),
+    )
+    return db, samples, spec
+
+
+class TestIbjsAgainstLoopOracle:
+    """The vectorised CSR probe against the per-probe-value loop it replaced."""
+
+    @pytest.mark.parametrize("max_joins", [0, 1, 2, 3, 4])
+    def test_workload_matches_loop(self, db, samples, full_samples, indexes, max_joins):
+        specs = generate_workload(db, 40, max_joins, seed=50 + max_joins)
+        paths = set()
+        for sample_set in (samples, full_samples):
+            for spec in specs:
+                want, path = loop_ibjs_estimate(db, sample_set, spec)
+                assert ibjs_estimate(db, sample_set, indexes, spec) == want
+                paths.add(path)
+        if max_joins:
+            assert "walk" in paths
+            # Some joined queries filter more than one alias, so some
+            # probed table carries predicates.
+            assert any(
+                s.joins and len({p.alias for p in s.predicates}) > 1 for s in specs
+            )
+
+    def test_dry_intermediate_takes_independence_tail(self):
+        db, samples, spec = _star_with_dry_second_step()
+        want, path = loop_ibjs_estimate(db, samples, spec)
+        assert path == "tail"
+        # 4 intermediate tuples * scale 1 * |c2 filtered| 8 / max ndv 4.
+        assert want == 8.0
+        assert ibjs_estimate(db, samples, build_join_indexes(db), spec) == want
+        # Not the RS value 2 * 6 * 8 / (4 * 4), so the walk did run.
+        assert rs_estimate(db, samples, spec) == 6.0

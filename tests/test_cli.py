@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -148,6 +150,91 @@ class TestErrorPaths:
         _, db, samples, _, corpus, model, _ = pipeline
         bad = tmp_path / "bad.bin"
         bad.write_bytes(model.read_bytes()[:-4])
+        assert main(["eval", "--model", str(bad), "--workload", str(corpus),
+                     "--db", str(db), "--samples", str(samples),
+                     "--report", str(tmp_path / "r.csv")]) == 2
+
+
+def _edit_json(src, dst, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+
+
+def _edit_model_header(src, dst, edit):
+    """Copy a model file with its JSON header edited and its checksum redone."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8 : 8 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    payload = (
+        data[:4] + struct.pack("<I", len(header_bytes)) + header_bytes
+        + data[8 + header_len : -32]
+    )
+    dst.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+class TestHostileInputs:
+    """Malformed input files fail with exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"format_version": 1},
+            {"format_version": 1, "tables": [{"name": "t"}]},
+            {"format_version": 1, "tables": [{"columns": []}]},
+            {"format_version": 1, "tables": [{"name": "t", "columns": [{"kind": "pk"}]}]},
+            {"format_version": 1, "tables": [{"name": "t", "columns": [{"name": "id"}]}]},
+        ],
+        ids=["no_tables", "no_columns", "no_table_name", "no_column_name", "no_kind"],
+    )
+    def test_schema_missing_key(self, tmp_path, schema):
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "schema.json").write_text(json.dumps(schema))
+        (db / "t.csv").write_text("id\n1\n")
+        assert main(["sample", "--db", str(db), "--size", "1", "--seed", "0",
+                     "--out", str(tmp_path / "s.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["tables"]["title"].update(size=3, row_indices=[5, 5]),
+            lambda d: d["tables"]["title"].update(size=3, row_indices=[5, 6, 6]),
+            lambda d: d["tables"]["title"].update(size=3),
+            lambda d: d.pop("tables"),
+            lambda d: d["tables"]["title"].pop("row_indices"),
+            lambda d: d["tables"]["title"].pop("size"),
+            lambda d: d["tables"]["title"].pop("seed"),
+        ],
+        ids=["duplicate_and_size", "duplicate", "size_mismatch", "no_tables",
+             "no_row_indices", "no_size", "no_seed"],
+    )
+    def test_bad_samples(self, pipeline, tmp_path, edit):
+        _, db, samples, _, corpus, *_ = pipeline
+        bad = tmp_path / "samples.json"
+        _edit_json(samples, bad, edit)
+        assert main(["eval", "--baseline", "rs", "--workload", str(corpus),
+                     "--db", str(db), "--samples", str(bad),
+                     "--report", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["hyperparams"].update(dropout=0.5),
+            lambda h: h["hyperparams"].pop("lr"),
+            lambda h: h["hyperparams"].update(d=0),
+            lambda h: h.pop("hyperparams"),
+            lambda h: h["catalog"].pop("sample_mode"),
+        ],
+        ids=["unknown_key", "missing_key", "bad_value", "no_hyperparams",
+             "catalog_missing_key"],
+    )
+    def test_bad_model_header(self, pipeline, tmp_path, edit):
+        _, db, samples, _, corpus, model, _ = pipeline
+        bad = tmp_path / "model.bin"
+        _edit_model_header(model, bad, edit)
         assert main(["eval", "--model", str(bad), "--workload", str(corpus),
                      "--db", str(db), "--samples", str(samples),
                      "--report", str(tmp_path / "r.csv")]) == 2

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from helpers import nested_loop_count
@@ -191,6 +193,20 @@ class TestTrueCardinality:
         assert true_cardinality(db, star(3)) == n**3
         with pytest.raises(ValidationError, match="int64"):
             true_cardinality(db, star(4))
+
+    def test_leaves_no_reference_cycles(self, db):
+        # Per-alias masks are full-length arrays; garbage in a reference
+        # cycle would hold them until the next collection.
+        workload = [q for q in generate_workload(db, 20, 4, seed=17) if q.joins]
+        assert workload
+        gc.collect()
+        gc.disable()
+        try:
+            for spec in workload:
+                true_cardinality(db, spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_adding_predicate_never_increases(self, db):
         rng = np.random.default_rng(15)

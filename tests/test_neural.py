@@ -93,6 +93,19 @@ class TestMlp2:
             assert (np.abs(dx - jac_fd[i]) / denom).max() <= 1e-4
 
 
+    def test_skipping_input_grad_keeps_parameter_grads(self):
+        rng = np.random.default_rng(6)
+        p = init_dense2(6, 5, 5, rng)
+        x = rng.normal(size=(7, 3, 6))
+        out, cache = mlp2_forward(x, p)
+        d_out = rng.normal(size=out.shape)
+        dx, full = mlp2_backward(d_out, cache, p)
+        none, skipped = mlp2_backward(d_out, cache, p, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        for field in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(full, field), getattr(skipped, field))
+
+
 class TestMaskedMeanPool:
     def test_hand_average(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])

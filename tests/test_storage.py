@@ -10,10 +10,13 @@ from cardlab.storage import (
     SynthConfig,
     Table,
     TableSchema,
-    build_index,
+    build_join_indexes,
+    code_join_keys,
     compute_stats,
+    distinct_count,
     draw_sample,
     generate_synthetic_db,
+    join_index,
     load_csv,
     load_database,
     load_samples,
@@ -102,6 +105,27 @@ class TestComputeStats:
                 assert s.min == min(vals)
                 assert s.max == max(vals)
                 assert s.distinct_count == len(set(vals))
+
+
+class TestDistinctCount:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [7],
+            [3] * 50,
+            [-5, -1, -5, 0, 4, -1],
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, np.iinfo(np.int64).min],
+            np.arange(1, 200_001),
+            np.random.default_rng(2).integers(-1000, 1000, size=5000),
+        ],
+        ids=["one", "all_equal", "negative", "int64_extremes", "sequential_200k", "random"],
+    )
+    def test_matches_unique(self, values):
+        v = np.asarray(values, dtype=np.int64)
+        assert distinct_count(v) == np.unique(v).size
+
+    def test_empty(self):
+        assert distinct_count(np.empty(0, dtype=np.int64)) == 0
 
 
 class TestSyntheticDb:
@@ -200,30 +224,72 @@ class TestDrawSample:
         np.testing.assert_allclose(counts / trials, 0.1, atol=0.02)
 
 
+def _lookup(values, probes):
+    """Per probe value, the rows of `values` equal to it, read from a join
+    index over the two columns' shared key space."""
+    key, probe = code_join_keys(
+        np.asarray(values, dtype=np.int64), np.asarray(probes, dtype=np.int64)
+    )
+    positions, rows = join_index(key).probe(probe.codes)
+    return [rows[positions == i] for i in range(len(probes))]
+
+
 class TestHashIndex:
+    """The CSR join index (`storage.JoinIndex`) that replaced the per-value
+    hash index, checked with the hash index's assertions."""
+
     def test_hand_check(self):
         table = Table(
             "t",
             [Column("id", "pk", [0, 1, 2]), Column("x", "attr", [1, 1, 3])],
         )
-        idx = build_index(table, "x")
-        np.testing.assert_array_equal(np.sort(idx.lookup(1)), [0, 1])
-        assert idx.lookup(2).size == 0
+        one, two = _lookup(table.column("x").values, [1, 2])
+        np.testing.assert_array_equal(np.sort(one), [0, 1])
+        assert two.size == 0
 
     def test_scan_oracle(self, small_db):
         rng = np.random.default_rng(7)
         table = small_db.table("movie_keyword")
-        idx = build_index(table, "keyword_id")
         vals = table.column("keyword_id").values
-        for v in rng.integers(0, 600, size=1000):
+        probes = rng.integers(0, 600, size=1000)
+        for v, rows in zip(probes, _lookup(vals, probes)):
             expected = np.flatnonzero(vals == v)
-            np.testing.assert_array_equal(np.sort(idx.lookup(int(v))), expected)
+            np.testing.assert_array_equal(np.sort(rows), expected)
 
     def test_posting_lists_partition_rows(self, small_db):
         table = small_db.table("movie_info")
-        idx = build_index(table, "info_type_id")
-        all_rows = np.concatenate([idx.lookup(v) for v in np.unique(table.column("info_type_id").values)])
+        vals = table.column("info_type_id").values
+        all_rows = np.concatenate(_lookup(vals, np.unique(vals)))
         np.testing.assert_array_equal(np.sort(all_rows), np.arange(table.row_count))
+
+    @pytest.mark.parametrize("scale", [1, 10**12], ids=["dense", "sparse"])
+    def test_probe_order(self, scale):
+        # Probes come back grouped in probe order, each group's rows
+        # ascending, as the per-value loop produced them; the sparse case
+        # takes the np.unique coding path.
+        rng = np.random.default_rng(8)
+        vals = rng.integers(-20, 20, size=300) * scale
+        probes = rng.integers(-25, 25, size=80) * scale
+        key, probe = code_join_keys(vals, probes)
+        positions, rows = join_index(key).probe(probe.codes)
+        expected = [np.flatnonzero(vals == v) for v in probes]
+        np.testing.assert_array_equal(
+            positions, np.repeat(np.arange(probes.size), [e.size for e in expected])
+        )
+        np.testing.assert_array_equal(rows, np.concatenate(expected))
+
+    def test_build_join_indexes_scan_oracle(self, small_db):
+        indexes = build_join_indexes(small_db)
+        assert len(indexes) == 2 * len(small_db.fk_edges)
+        for (probing, indexed), index in indexes.items():
+            probe_vals = small_db.column_values(*probing)
+            vals = small_db.column_values(*indexed)
+            own, _ = small_db.join_keys(probing, indexed)
+            picks = np.arange(0, probe_vals.size, 7)
+            positions, rows = index.probe(own.codes[picks])
+            for i, r in enumerate(picks):
+                expected = np.flatnonzero(vals == probe_vals[r])
+                np.testing.assert_array_equal(rows[positions == i], expected)
 
 
 class TestPersistence:
