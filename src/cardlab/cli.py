@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True, help="labeled corpus (bitmaps in OUT.bitmaps)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="train an estimation model on a labeled corpus")
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--zero-tuple-only", action="store_true")
     p.add_argument("--report", required=True, help="CSV report (JSON mirror at REPORT.json)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="estimate one query's cardinality")
@@ -160,7 +158,7 @@ def cmd_label(args) -> int:
         errors = query.validate(spec, db)
         if errors:
             raise ValidationError(f"{args.workload} query {i}: {'; '.join(errors)}")
-    labeled, dropped = executor.label_workload(db, specs, samples, threads=args.threads)
+    labeled, dropped = executor.label_workload(db, specs, samples)
     size = next(iter(samples.values())).size
     executor.write_labeled_corpus(
         labeled, args.out, f"{args.out}.bitmaps", sample_size=size
@@ -253,7 +251,6 @@ def cmd_eval(args) -> int:
         samples,
         indexes,
         zero_tuple_only=args.zero_tuple_only,
-        threads=args.threads,
     )
     evalkit.write_report_csv(rows, args.report)
     evalkit.write_report_json(rows, f"{args.report}.json")

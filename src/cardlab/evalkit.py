@@ -82,15 +82,6 @@ def _display_name(estimator, name: str | None) -> str:
     return "custom"
 
 
-def _map_queries(fn, workload, threads: int):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(fn, workload)))
-    return np.array([fn(q) for q in workload])
-
-
 def estimate_workload(
     estimator,
     workload: list[LabeledQuery],
@@ -98,29 +89,26 @@ def estimate_workload(
     samples,
     indexes=None,
     name: str | None = None,
-    threads: int = 1,
 ) -> tuple[np.ndarray, str]:
     """Per-query estimates plus the estimator's display name.
 
     `estimator` is an MscnModel, the string "rs" or "ibjs", or a callable
-    LabeledQuery -> float. Per-query estimators may run on a thread pool;
-    result order always matches the workload.
+    LabeledQuery -> float. Result order matches the workload.
     """
     display = _display_name(estimator, name)
     if isinstance(estimator, MscnModel):
         return predict_labeled(estimator, workload), display
     if estimator == "rs":
-        return _map_queries(lambda q: rs_estimate(db, samples, q.spec), workload, threads), display
-    if estimator == "ibjs":
+        fn = lambda q: rs_estimate(db, samples, q.spec)
+    elif estimator == "ibjs":
         if indexes is None:
             indexes = build_join_indexes(db)
-        ests = _map_queries(
-            lambda q: ibjs_estimate(db, samples, indexes, q.spec), workload, threads
-        )
-        return ests, display
-    if callable(estimator):
-        return _map_queries(estimator, workload, threads), display
-    raise ValueError(f"unknown estimator {estimator!r}")
+        fn = lambda q: ibjs_estimate(db, samples, indexes, q.spec)
+    elif callable(estimator):
+        fn = estimator
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return np.array([fn(q) for q in workload]), display
 
 
 def run_eval(
@@ -132,7 +120,6 @@ def run_eval(
     *,
     zero_tuple_only: bool = False,
     name: str | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Report rows grouped by join count plus an overall row.
 
@@ -151,7 +138,7 @@ def run_eval(
             }
         ]
     estimates, display = estimate_workload(
-        estimator, workload, db, samples, indexes, name, threads
+        estimator, workload, db, samples, indexes, name
     )
     truths = np.array([q.true_cardinality for q in workload], dtype=np.float64)
     errors = np.maximum(estimates / truths, truths / estimates)

@@ -5,14 +5,24 @@ Cardinalities are exact bag-semantics counts of the join+filter result.
 Rather than materializing intermediates, the acyclic join tree is counted
 bottom-up over full-length per-row weight vectors, one per alias: a
 predicate mask stays boolean, and each child subtree contributes its
-per-key weight sums gathered through the row's join key. Join columns are
-coded into the shared key spaces `storage.Database` precomputes per fk
-edge, so an unfiltered leaf costs one gather of its fanout vector (none
-when every row meets exactly one of its rows, as from the fk side), a
-unique (primary) key side one scatter, and anything else one bincount.
-Each weight vector carries an upper bound built from cached fanout
-maxima, so a count that could leave the int64 range raises instead of
-returning a wrapped value.
+per-key weight sums gathered through the row's join key. This message
+passing (Yannakakis, VLDB 1981) gives the same count from any root. The
+root is the largest alias that has predicates (the largest alias when none
+has): the root sends no sums, and an unfiltered alias sends only its
+precomputed fanout vector, or nothing when each of its rows meets exactly
+one row of its parent (as from the fk side).
+
+Join columns are coded into the shared key spaces `storage.Database`
+precomputes per fk edge. An identity key (codes 0..n-1 in row order over
+a key space of size n, as every synthetic primary key) needs neither a
+scatter into per-key sums nor a gather back: the weights are their own
+sums. Any other unique key scatters. On a non-unique key a boolean mask
+is counted by an integer `np.bincount` of the codes `np.compress` selects,
+and integer weights by a float64 `np.bincount`, or `np.add.at` once the
+sums could pass 2**53. Masks, fanouts and key codes are handed on without
+copies and never written in place. Each weight vector carries an upper
+bound built from cached fanout maxima, so a count that could leave the
+int64 range raises instead of returning a wrapped value.
 """
 
 from __future__ import annotations
@@ -49,15 +59,20 @@ def key_sums(
 ) -> tuple[np.ndarray, int]:
     """Per key code, the sum of `weights` (None: all ones) over the rows
     coded `key`, and an upper bound on those sums given `bound` on the
-    weights. Boolean weights on a unique key stay boolean. Sums are exact
-    while the returned bound stays below 2**63."""
+    weights. Boolean weights on a unique key stay boolean; on an identity
+    key the weights are their own sums. Sums are exact while the returned
+    bound stays below 2**63."""
     if weights is None:
         return key.fanout, key.max_fanout
+    if key.identity:
+        return weights, bound
     if key.max_fanout <= 1:
         sums = np.zeros(key.fanout.size, dtype=weights.dtype)
         sums[key.codes] = weights
         return sums, bound
     bound *= key.max_fanout
+    if weights.dtype == bool:
+        return np.bincount(np.compress(weights, key.codes), minlength=key.fanout.size), bound
     if bound < _FLOAT_EXACT_LIMIT:
         sums = np.bincount(key.codes, weights=weights, minlength=key.fanout.size)
         return sums.astype(np.int64), bound
@@ -86,7 +101,7 @@ def _subtree_weights(
             continue  # every row meets exactly one row of `other`
         sums, sums_bound = key_sums(theirs, child_w, child_bound)
         bound *= sums_bound
-        matched = sums[own.codes]
+        matched = sums if own.identity else sums[own.codes]
         w = matched if w is None else w * matched
     return w, bound
 
@@ -114,9 +129,10 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
         adj[la].append((ra, lc, rc))
         adj[ra].append((la, rc, lc))
 
-    # Rooting at the largest table keeps its rows out of the per-key sums,
-    # which cost more per row than the gathers the root does instead.
-    root = max(spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
+    # Every alias but the root sends its per-key sums, which for a filtered
+    # alias cost a pass over its rows; the largest filtered alias sends none.
+    filtered = [a for a in spec.aliases if masks[a] is not None]
+    root = max(filtered or spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
     w, bound = _subtree_weights(db, spec, masks, adj, root, None)
     if w is None:
         return counts[root]
@@ -163,17 +179,9 @@ def label_workload(
     db: Database,
     specs: list[QuerySpec],
     samples: dict[str, MaterializedSample],
-    *,
-    threads: int = 1,
 ) -> tuple[list[LabeledQuery], int]:
     """Label all queries, dropping empty results; returns (kept, dropped)."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: label_query(db, s, samples), specs))
-    else:
-        results = [label_query(db, s, samples) for s in specs]
+    results = [label_query(db, s, samples) for s in specs]
     kept = [r for r in results if r is not None]
     return kept, len(results) - len(kept)
 

@@ -200,8 +200,9 @@ def normalize_label(cardinality: float, catalog: EncodingCatalog) -> float:
     return y
 
 
-def denormalize_label(y: float, catalog: EncodingCatalog) -> float:
-    return math.exp(catalog.label_log_min + y * catalog.label_log_range)
+def denormalize_label(y, catalog: EncodingCatalog):
+    """Inverse of `normalize_label` (without its clamp), elementwise on arrays."""
+    return np.exp(catalog.label_log_min + y * catalog.label_log_range)
 
 
 def _resolve_join_key(spec, join, catalog) -> int:

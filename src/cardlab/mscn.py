@@ -29,6 +29,7 @@ from .featurizer import (
     EncodingCatalog,
     FeaturizedBatch,
     batch as make_batch,
+    denormalize_label,
     featurize,
 )
 from .neural import (
@@ -182,10 +183,6 @@ def loss_and_grad(y: np.ndarray, labels: np.ndarray, kind: str, k: float):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _denormalize_array(y: np.ndarray, catalog: EncodingCatalog) -> np.ndarray:
-    return np.exp(catalog.label_log_min + y * catalog.label_log_range)
-
-
 def predict_batch(
     model: MscnModel, batch: FeaturizedBatch, chunk: int = 4096
 ) -> np.ndarray:
@@ -195,7 +192,7 @@ def predict_batch(
         idx = np.arange(start, min(start + chunk, len(batch)))
         y, _ = forward(model, batch.slice(idx))
         outputs.append(y)
-    return _denormalize_array(np.concatenate(outputs), model.catalog)
+    return denormalize_label(np.concatenate(outputs), model.catalog)
 
 
 def validation_mean_qerror(model: MscnModel, batch: FeaturizedBatch) -> float:
@@ -203,7 +200,7 @@ def validation_mean_qerror(model: MscnModel, batch: FeaturizedBatch) -> float:
     if batch.cardinalities is not None:
         truth = batch.cardinalities
     else:
-        truth = _denormalize_array(batch.labels_norm, model.catalog)
+        truth = denormalize_label(batch.labels_norm, model.catalog)
     return float(np.maximum(est / truth, truth / est).mean())
 
 

@@ -4,7 +4,7 @@ Covers loading/synthesis of integer tables, per-column statistics, join
 key spaces, materialized uniform samples, and CSR join indexes (rows
 grouped by join-key code) for join probing. Distinct counts and join
 indexes cost one sort per column. After construction a Database (and its
-samples/indexes) is never mutated, so concurrent readers are safe.
+samples/indexes) is never mutated.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ class JoinKey:
     fanout: np.ndarray  # rows per code
     max_fanout: int
     matches_once: bool  # every row equals exactly one row of the other column
+    identity: bool  # codes are 0..n-1 in row order over a key space of size n
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
@@ -153,7 +154,8 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
 
     A dense joint value range is coded as the raw values offset by its
     minimum; anything sparser is coded by a joint `np.unique`, so the key
-    space stays within a few times the combined row count.
+    space stays within a few times the combined row count. Codes and
+    fanouts are read-only: counting hands them on without a copy.
     """
     both = np.concatenate([left, right])
     size = int(both.max()) - int(both.min()) + 1 if both.size else 0
@@ -165,8 +167,16 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
         size = unique.size
         codes = (inverse[: left.size], inverse[left.size :])
     fanouts = [np.bincount(c, minlength=size) for c in codes]
+    for a in codes + tuple(fanouts):
+        a.flags.writeable = False
     keys = [
-        JoinKey(c, f, int(f.max()) if size else 0, bool((other[c] == 1).all()))
+        JoinKey(
+            c,
+            f,
+            int(f.max()) if size else 0,
+            bool((other[c] == 1).all()),
+            c.size == size and bool((c == np.arange(size)).all()),
+        )
         for c, f, other in zip(codes, fanouts, reversed(fanouts))
     ]
     return keys[0], keys[1]
@@ -180,7 +190,7 @@ class Database:
     every declared fk edge (both columns' codes and fanouts, see
     :func:`code_join_keys`). Any other column pair is coded per call. Nothing
     is computed lazily or cached later: the database is never mutated after
-    construction, so threads share it without a lock.
+    construction.
     """
 
     def __init__(self, tables: list[Table]):
@@ -360,12 +370,23 @@ def draw_sample(table: Table, size: int, seed: int) -> MaterializedSample:
     return MaterializedSample(table.name, size, idx, rows, seed)
 
 
+def rows_by_code(codes: np.ndarray, key_space: int) -> np.ndarray:
+    """Row positions ordered by code, rows ascending within a code: the
+    stable argsort of `codes`. Sorting the unique keys `code * n + row` with
+    numpy's default sort gives that order several times faster; the stable
+    sort remains for key spaces where those keys could leave int64."""
+    n = codes.size
+    if key_space * n >= 2**63:
+        return np.argsort(codes, kind="stable")
+    return np.argsort(codes * n + np.arange(n))
+
+
 def join_index(key: JoinKey) -> JoinIndex:
-    """CSR index of the column coded `key`: its stable argsort plus the
-    fanout cumsum as offsets."""
+    """CSR index of the column coded `key`: its rows ordered by code plus
+    the fanout cumsum as offsets."""
     offsets = np.zeros(key.fanout.size + 1, dtype=np.int64)
     np.cumsum(key.fanout, out=offsets[1:])
-    return JoinIndex(np.argsort(key.codes, kind="stable"), offsets)
+    return JoinIndex(rows_by_code(key.codes, key.fanout.size), offsets)
 
 
 def build_join_indexes(

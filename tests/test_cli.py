@@ -122,6 +122,15 @@ class TestErrorPaths:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["label", "--workload", "w.txt", "--out", "o.txt"],
+        ["eval", "--baseline", "rs", "--workload", "w.txt", "--report", "r.csv"],
+    ], ids=["label", "eval"])
+    def test_threads_flag_is_gone(self, command):
+        # Labeling and evaluation run on one thread; the flag is unknown.
+        argv = command + ["--db", "db", "--samples", "s.json", "--threads", "2"]
+        assert main(argv) == 1
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["sample", "--db", str(tmp_path / "absent"), "--size", "5",
                      "--seed", "0", "--out", str(tmp_path / "s.json")]) == 2

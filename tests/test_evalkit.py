@@ -154,11 +154,6 @@ class TestRunEval:
         assert overall["mean"] == pytest.approx(np.mean(errors))
         assert overall["median"] == pytest.approx(np.median(errors))
 
-    def test_threaded_matches_sequential(self, db, samples, workload):
-        seq = run_eval("ibjs", workload, db, samples)
-        par = run_eval("ibjs", workload, db, samples, threads=4)
-        assert seq == par
-
     def test_concatenation_weighted_mean(self, db, samples, workload):
         a, b = workload[:60], workload[60:]
         ra = run_eval("rs", a, db, samples)[-1]

@@ -6,11 +6,13 @@ from helpers import nested_loop_count
 
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
+    _subtree_weights,
     bitmap_to_hex,
     eval_predicates_on_sample,
     hex_to_bitmap,
     key_sums,
     label_workload,
+    predicate_mask,
     query_bitmaps,
     read_labeled_corpus,
     true_cardinality,
@@ -21,6 +23,7 @@ from cardlab.query import (
     Predicate,
     QuerySpec,
     TableRef,
+    format_query,
     generate_workload,
     parse_query,
 )
@@ -86,6 +89,30 @@ class TestMatchSums:
         expected = dict_match_sums(keys, np.ones(200, dtype=np.int64), probes)
         assert match_sums(keys, None, probes).tolist() == expected
 
+    @pytest.mark.parametrize(
+        "keys, identity, unique",
+        [
+            (np.arange(200), True, True),
+            (np.random.default_rng(1).permutation(200), False, True),
+            (np.random.default_rng(2).integers(0, 60, size=200), False, False),
+        ],
+        ids=["identity", "unique", "repeated"],
+    )
+    def test_every_branch(self, keys, identity, unique):
+        # Probes stay inside the key range, so the arange keeps its
+        # identity coding; repeated keys take compress-and-count for a
+        # boolean mask and bincount for integer weights.
+        rng = np.random.default_rng(3)
+        probes = rng.integers(0, 60, size=300)
+        key, _ = code_join_keys(keys, probes)
+        assert (key.identity, key.max_fanout <= 1) == (identity, unique)
+        weights = rng.integers(0, 10, size=200)
+        for w in (weights, weights > 4):
+            expected = dict_match_sums(keys, w.astype(np.int64), probes)
+            assert match_sums(keys, w, probes, bound=10).tolist() == expected
+        sums, _ = key_sums(key, weights > 4, 1)
+        assert sums.dtype == (bool if unique else np.int64)
+
     def test_empty_keys(self):
         out = match_sums(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5))
         np.testing.assert_array_equal(out, np.zeros(5, dtype=np.int64))
@@ -96,6 +123,36 @@ class TestMatchSums:
         weights = 2**55 + np.array([1, 2, 3, 4, 5])
         got = match_sums(keys, weights, np.array([3, 7, 5]), bound=2**56)
         assert got.tolist() == dict_match_sums(keys, weights, np.array([3, 7, 5]))
+
+
+_OVERFLOW_N = 60_000
+
+
+def _overflow_star():
+    """One parent row and four 60k-row children all referencing it, plus
+    `star(k, filtered)`: the k-child star query, each child optionally
+    filtered by a predicate every row passes."""
+    children = [
+        Table(
+            f"c{i}",
+            [
+                Column("id", "pk", np.arange(_OVERFLOW_N)),
+                Column("pid", "fk", np.ones(_OVERFLOW_N, dtype=np.int64), ref=("p", "id")),
+                Column("x", "attr", np.zeros(_OVERFLOW_N, dtype=np.int64)),
+            ],
+        )
+        for i in range(4)
+    ]
+    db = Database([Table("p", [Column("id", "pk", [1])])] + children)
+
+    def star(k, filtered=False):
+        return QuerySpec(
+            (TableRef("p", "p"),) + tuple(TableRef(f"c{i}", f"c{i}") for i in range(k)),
+            tuple(JoinEdge((f"c{i}", "pid"), ("p", "id")) for i in range(k)),
+            tuple(Predicate(f"c{i}", "x", "<", 1) for i in range(k)) if filtered else (),
+        )
+
+    return db, star
 
 
 class TestTrueCardinality:
@@ -171,28 +228,75 @@ class TestTrueCardinality:
     def test_int64_overflow_raises(self):
         # One parent row and four 60k-row children: the 4-join count is
         # 60000**4 > 2**63, the 3-join count 60000**3 fits.
-        n = 60_000
-        children = [
-            Table(
-                f"c{i}",
-                [
-                    Column("id", "pk", np.arange(n)),
-                    Column("pid", "fk", np.ones(n, dtype=np.int64), ref=("p", "id")),
-                ],
-            )
-            for i in range(4)
-        ]
-        db = Database([Table("p", [Column("id", "pk", [1])])] + children)
-
-        def star(k):
-            return QuerySpec(
-                (TableRef("p", "p"),) + tuple(TableRef(f"c{i}", f"c{i}") for i in range(k)),
-                tuple(JoinEdge((f"c{i}", "pid"), ("p", "id")) for i in range(k)),
-            )
-
-        assert true_cardinality(db, star(3)) == n**3
+        db, star = _overflow_star()
+        assert true_cardinality(db, star(3)) == _OVERFLOW_N**3
         with pytest.raises(ValidationError, match="int64"):
             true_cardinality(db, star(4))
+
+    def test_int64_overflow_raises_filtered(self):
+        # With every child filtered (by a predicate that keeps all rows),
+        # the root is a child and the others send boolean masks through
+        # compress-and-count, whose bound must catch the same overflow.
+        db, star = _overflow_star()
+        assert true_cardinality(db, star(3, filtered=True)) == _OVERFLOW_N**3
+        with pytest.raises(ValidationError, match="int64"):
+            true_cardinality(db, star(4, filtered=True))
+
+    @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
+    def test_any_root_gives_the_count(self, db, permute_title):
+        """Rooting the join tree at any alias gives the oracle's count, with
+        title ids coded as the identity and, permuted, as dense codes in
+        another row order."""
+        if permute_title:
+            order = np.random.default_rng(34).permutation(db.table("title").row_count)
+            db = Database(
+                [
+                    Table(t.name, [Column(c.name, c.kind, c.values[order], ref=c.ref)
+                                   for c in t.columns])
+                    if t.name == "title" else t
+                    for t in db.tables.values()
+                ]
+            )
+        title_id = db.join_keys(("title", "id"), ("movie_keyword", "movie_id"))[0]
+        assert title_id.identity != permute_title
+        workload = generate_workload(db, 25, 4, seed=35)
+        assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
+        for spec in workload:
+            expected = nested_loop_count(db, spec)
+            masks = {}
+            for a in spec.aliases:
+                table = db.table(spec.table_of(a))
+                masks[a] = predicate_mask(
+                    lambda c: table.column(c).values, spec.predicates_of(a)
+                )
+            adj = {a: [] for a in spec.aliases}
+            for j in spec.joins:
+                adj[j.left[0]].append((j.right[0], j.left[1], j.right[1]))
+                adj[j.right[0]].append((j.left[0], j.right[1], j.left[1]))
+            for root in spec.aliases:
+                w, _ = _subtree_weights(db, spec, masks, adj, root, None)
+                if w is None:
+                    got = db.table(spec.table_of(root)).row_count
+                else:
+                    got = int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
+                assert got == expected, (format_query(spec), root)
+            assert true_cardinality(db, spec) == expected
+
+    def test_leaves_database_unchanged(self, db, samples):
+        # Counting hands key arrays, fanouts and masks on without copies.
+        edges = [(e.child, e.parent) for e in db.fk_edges]
+        before = [
+            [a.copy() for k in db.join_keys(*e) for a in (k.codes, k.fanout)] for e in edges
+        ]
+        values = {(t.name, c.name): c.values.copy() for t in db.tables.values()
+                  for c in t.columns}
+        label_workload(db, generate_workload(db, 60, 4, seed=36), samples)
+        for e, arrays in zip(edges, before):
+            after = [a for k in db.join_keys(*e) for a in (k.codes, k.fanout)]
+            for x, y in zip(arrays, after):
+                np.testing.assert_array_equal(x, y)
+        for (t, c), v in values.items():
+            np.testing.assert_array_equal(db.column_values(t, c), v)
 
     def test_leaves_no_reference_cycles(self, db):
         # Per-alias masks are full-length arrays; garbage in a reference
@@ -284,13 +388,6 @@ class TestLabelWorkload:
                     samples[q.spec.table_of(alias)], q.spec.predicates_of(alias)
                 )
                 np.testing.assert_array_equal(bitmap, expected)
-
-    def test_threaded_matches_sequential(self, db, samples):
-        workload = generate_workload(db, 40, 2, seed=20)
-        seq, d1 = label_workload(db, workload, samples)
-        par, d2 = label_workload(db, workload, samples, threads=4)
-        assert d1 == d2
-        assert [q.true_cardinality for q in seq] == [q.true_cardinality for q in par]
 
 
 class TestCorpusFiles:

@@ -113,10 +113,12 @@ class TestLabelNormalization:
         rng = np.random.default_rng(8)
         lo = math.exp(catalog.label_log_min)
         hi = math.exp(catalog.label_log_max)
-        for _ in range(100):
-            c = float(rng.uniform(lo, hi))
+        cards = rng.uniform(lo, hi, size=100)
+        for c in cards.tolist():
             back = denormalize_label(normalize_label(c, catalog), catalog)
             assert abs(back - c) / c <= 1e-9
+        ys = np.array([normalize_label(c, catalog) for c in cards.tolist()])
+        np.testing.assert_allclose(denormalize_label(ys, catalog), cards, rtol=1e-9)
 
     def test_clamp_counts_warnings(self, db):
         cat = _catalog_with_bounds(db, 0.0, 5.0)

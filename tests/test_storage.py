@@ -21,6 +21,7 @@ from cardlab.storage import (
     load_database,
     load_samples,
     load_synth_config,
+    rows_by_code,
     save_database,
     save_samples,
 )
@@ -278,6 +279,19 @@ class TestHashIndex:
         )
         np.testing.assert_array_equal(rows, np.concatenate(expected))
 
+    @pytest.mark.parametrize("scale", [1, 10**12], ids=["dense", "sparse"])
+    def test_rows_by_code_matches_stable_argsort(self, scale):
+        # The unique-key sort and its stable-sort fallback (taken when
+        # code * n + row could pass 2**63) give the stable argsort's order.
+        rng = np.random.default_rng(9)
+        for vals in (rng.integers(-20, 20, size=300) * scale,
+                     rng.integers(0, 5, size=1000), np.empty(0, np.int64)):
+            key, _ = code_join_keys(vals, vals[:10])
+            expected = np.argsort(key.codes, kind="stable")
+            for space in (key.fanout.size, 2**62):
+                np.testing.assert_array_equal(rows_by_code(key.codes, space), expected)
+            np.testing.assert_array_equal(join_index(key).rows, expected)
+
     def test_build_join_indexes_scan_oracle(self, small_db):
         indexes = build_join_indexes(small_db)
         assert len(indexes) == 2 * len(small_db.fk_edges)
@@ -290,6 +304,37 @@ class TestHashIndex:
             for i, r in enumerate(picks):
                 expected = np.flatnonzero(vals == probe_vals[r])
                 np.testing.assert_array_equal(rows[positions == i], expected)
+
+
+class TestJoinKeyIdentity:
+    def test_synthetic_primary_keys(self, small_db):
+        for e in small_db.fk_edges:
+            child, parent = small_db.join_keys(e.child, e.parent)
+            assert parent.identity and not child.identity
+
+    def test_sorted_sparse_ids(self):
+        # Spread ids take the joint np.unique coding, which keeps sorted
+        # ids in row order.
+        ids = np.arange(50) * 10**12
+        parent, child = code_join_keys(ids, ids[::3])
+        assert parent.identity and not child.identity
+
+    def test_permuted_ids(self):
+        ids = np.random.default_rng(10).permutation(50)
+        parent, _ = code_join_keys(ids, ids[::3])
+        assert not parent.identity
+
+    def test_key_space_larger_than_rows(self):
+        # Codes 0..2 in row order, but the other column adds a fourth key.
+        parent, _ = code_join_keys(np.arange(3), np.array([0, 3]))
+        assert parent.fanout.size == 4 and not parent.identity
+
+    def test_key_arrays_are_read_only(self, small_db):
+        e = small_db.fk_edges[0]
+        for key in small_db.join_keys(e.child, e.parent):
+            for a in (key.codes, key.fanout):
+                with pytest.raises(ValueError):
+                    a[0] = 1
 
 
 class TestPersistence:
