@@ -8,7 +8,9 @@ predicate mask stays boolean, and each child subtree contributes its
 per-key weight sums gathered through the row's join key. This message
 passing (Yannakakis, VLDB 1981) gives the same count from any root. The
 root is the largest alias that has predicates (the largest alias when none
-has): the root sends no sums, and an unfiltered alias sends only its
+has): the root sends no sums and gathers its children's sums only at the
+rows its mask selects (`np.compress` of its codes), so its other rows are
+neither gathered nor multiplied; an unfiltered alias sends only its
 precomputed fanout vector, or nothing when each of its rows meets exactly
 one row of its parent (as from the fk side).
 
@@ -85,11 +87,14 @@ def _subtree_weights(
     db: Database, spec: QuerySpec, masks: dict, adj: dict, alias: str, parent: str | None
 ) -> tuple[np.ndarray | None, int]:
     """Per-row result count of the join subtree rooted at alias (None: all
-    ones, boolean: zero or one) and an upper bound on it. A module-level
-    function rather than a closure: a recursive closure is a reference
-    cycle, which would keep the masks alive until the next garbage
-    collection."""
-    w, bound = masks[alias], 1
+    ones, boolean: zero or one) and an upper bound on it. At the root of
+    the tree (no parent) the rows are only those its mask selects, so the
+    mask is no factor and its other rows are neither gathered nor
+    multiplied. A module-level function rather than a closure: a
+    recursive closure is a reference cycle, which would keep the masks
+    alive until the next garbage collection."""
+    root_mask, w = (masks[alias], None) if parent is None else (None, masks[alias])
+    bound = 1
     for other, own_col, other_col in adj[alias]:
         if other == parent:
             continue
@@ -101,9 +106,38 @@ def _subtree_weights(
             continue  # every row meets exactly one row of `other`
         sums, sums_bound = key_sums(theirs, child_w, child_bound)
         bound *= sums_bound
-        matched = sums if own.identity else sums[own.codes]
+        if own.identity:
+            matched = sums if root_mask is None else np.compress(root_mask, sums)
+        else:
+            matched = sums[own.codes if root_mask is None else np.compress(root_mask, own.codes)]
         w = matched if w is None else w * matched
     return w, bound
+
+
+def _count_from(
+    db: Database, spec: QuerySpec, masks: dict, root: str, selected: int
+) -> int:
+    """Exact count of the join tree rooted at `root`, of whose rows
+    `selected` pass its predicates; the same from any root.
+
+    Raises ValidationError when the count could exceed the int64 range.
+    """
+    # alias -> [(neighbor alias, own column, neighbor column)]
+    adj: dict[str, list[tuple[str, str, str]]] = {a: [] for a in spec.aliases}
+    for j in spec.joins:
+        (la, lc), (ra, rc) = j.left, j.right
+        adj[la].append((ra, lc, rc))
+        adj[ra].append((la, rc, lc))
+    w, bound = _subtree_weights(db, spec, masks, adj, root, None)
+    if w is None:
+        return selected
+    # Bounds only grow towards the root, so this also covers every product
+    # formed on the way: none of them wrapped unless this raises.
+    if bound * selected >= _INT64_LIMIT:
+        raise ValidationError(
+            f"join count of {format_query(spec)} may exceed the int64 range"
+        )
+    return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
 
 
 def true_cardinality(db: Database, spec: QuerySpec) -> int:
@@ -121,28 +155,12 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
     if not spec.joins:
         (only,) = spec.aliases
         return counts[only]
-
-    # alias -> [(neighbor alias, own column, neighbor column)]
-    adj: dict[str, list[tuple[str, str, str]]] = {a: [] for a in spec.aliases}
-    for j in spec.joins:
-        (la, lc), (ra, rc) = j.left, j.right
-        adj[la].append((ra, lc, rc))
-        adj[ra].append((la, rc, lc))
-
     # Every alias but the root sends its per-key sums, which for a filtered
-    # alias cost a pass over its rows; the largest filtered alias sends none.
+    # alias cost a pass over its rows; the largest filtered alias sends none
+    # and works on its selected rows only.
     filtered = [a for a in spec.aliases if masks[a] is not None]
     root = max(filtered or spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
-    w, bound = _subtree_weights(db, spec, masks, adj, root, None)
-    if w is None:
-        return counts[root]
-    # Bounds only grow towards the root, so this also covers every product
-    # formed on the way: none of them wrapped unless this raises.
-    if bound * counts[root] >= _INT64_LIMIT:
-        raise ValidationError(
-            f"join count of {format_query(spec)} may exceed the int64 range"
-        )
-    return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
+    return _count_from(db, spec, masks, root, counts[root])
 
 
 def eval_predicates_on_sample(

@@ -67,9 +67,20 @@ class TableSchema:
     columns: tuple[ColumnSpec, ...]
 
 
+#: Storage types of attribute columns, narrowest first.
+_ATTR_DTYPES = (np.int16, np.int32, np.int64)
+
+
 @dataclass
 class Column:
-    """One named integer column. Values are always 64-bit signed."""
+    """One named integer column. Values must fit 64-bit signed integers.
+
+    Key columns (pk, fk) are stored as int64: join-key coding does
+    arithmetic on them. An attribute column is stored as the narrowest of
+    int16 / int32 / int64 that holds its values, which makes predicate
+    scans several times cheaper; it is only ever compared with Python-int
+    literals, which numpy compares exactly at any width.
+    """
 
     name: str
     kind: str
@@ -77,9 +88,16 @@ class Column:
     ref: tuple[str, str] | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.int64)
-        if self.values.ndim != 1:
+        values = np.asarray(self.values, dtype=np.int64)
+        if values.ndim != 1:
             raise SchemaError(f"column {self.name!r} must be one-dimensional")
+        if self.kind == KIND_ATTR and values.size:
+            lo, hi = int(values.min()), int(values.max())
+            dtype = next(
+                d for d in _ATTR_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
+            )
+            values = values.astype(dtype, copy=False)
+        self.values = values
 
 
 @dataclass
@@ -153,11 +171,12 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
     """Code two join columns into one key space.
 
     A dense joint value range is coded as the raw values offset by its
-    minimum; anything sparser is coded by a joint `np.unique`, so the key
-    space stays within a few times the combined row count. Codes and
+    minimum (in int64, so narrow attribute columns code without wrapping);
+    anything sparser is coded by a joint `np.unique`, so the key space
+    stays within a few times the combined row count. Codes and
     fanouts are read-only: counting hands them on without a copy.
     """
-    both = np.concatenate([left, right])
+    both = np.concatenate([left, right]).astype(np.int64, copy=False)
     size = int(both.max()) - int(both.min()) + 1 if both.size else 0
     if size <= 4 * both.size + 1024:
         lo = both.min() if both.size else 0
@@ -350,10 +369,16 @@ def load_csv(path: str | Path, schema: TableSchema) -> Table:
                     raise ParseError(
                         f"{path}:{lineno}: malformed integer {cell!r}"
                     ) from None
-    columns = [
-        Column(spec.name, spec.kind, np.array(vals, dtype=np.int64), ref=spec.ref)
-        for spec, vals in zip(schema.columns, raw)
-    ]
+    columns = []
+    for spec, vals in zip(schema.columns, raw):
+        try:
+            values = np.array(vals, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, v in enumerate(vals) if not -(2**63) <= v < 2**63)
+            raise ParseError(
+                f"{path}:{i + 2}: integer {vals[i]} outside the 64-bit range"
+            ) from None
+        columns.append(Column(spec.name, spec.kind, values, ref=spec.ref))
     return Table(schema.name, columns)
 
 
@@ -601,6 +626,11 @@ def _field(doc, key: str, where):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer (booleans are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_database(directory: str | Path) -> Database:
     directory = Path(directory)
     schema_path = directory / "schema.json"
@@ -650,10 +680,15 @@ def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample
     for name, entry in tables.items():
         table = db.table(name)
         where = f"{path}: sample of {name!r}"
-        idx = np.asarray(_field(entry, "row_indices", where), dtype=np.int64)
-        size, seed = int(_field(entry, "size", where)), int(_field(entry, "seed", where))
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= table.row_count)):
+        indices = _field(entry, "row_indices", where)
+        size, seed = _field(entry, "size", where), _field(entry, "seed", where)
+        if not (_is_int(size) and _is_int(seed)):
+            raise SchemaError(f"{where}: size and seed must be integers")
+        if not isinstance(indices, list) or not all(
+            _is_int(i) and 0 <= i < table.row_count for i in indices
+        ):
             raise SchemaError(f"{where}: row_indices must be a flat list of rows in range")
+        idx = np.array(indices, dtype=np.int64)
         if distinct_count(idx) != idx.size:
             raise SchemaError(f"{where}: duplicate row indices")
         if size != idx.size:

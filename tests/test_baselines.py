@@ -162,6 +162,31 @@ class TestIndexBasedJoinSampling:
             assert a == b >= 1.0
 
 
+@pytest.mark.parametrize("literal", [40000, -(2**40), 2**70])
+def test_literal_outside_column_dtype(db, samples, indexes, literal):
+    """A literal beyond an int16 column's range selects the same rows as
+    the literal clamped to the column's [min - 1, max + 1], so RS and IBJS
+    estimate both queries alike."""
+    rng = np.random.default_rng(47)
+    workload = generate_workload(db, 20, 3, seed=48)
+    assert {len(q.joins) for q in workload} == {0, 1, 2, 3}
+    for spec in workload:
+        alias = spec.aliases[int(rng.integers(len(spec.aliases)))]
+        table = spec.table_of(alias)
+        attrs = db.attr_columns(table)
+        col = attrs[int(rng.integers(len(attrs)))]
+        assert db.column_values(table, col).dtype == np.int16
+        s = db.stats(table, col)
+        for op in ("=", "<", ">"):
+            specs = [
+                QuerySpec(spec.tables, spec.joins, spec.predicates + (Predicate(alias, col, op, lit),))
+                for lit in (literal, min(max(literal, s.min - 1), s.max + 1))
+            ]
+            for estimate in (rs_estimate, lambda d, sm, q: ibjs_estimate(d, sm, indexes, q)):
+                wide, clamped = (estimate(db, samples, q) for q in specs)
+                assert wide == clamped
+
+
 def _star_with_dry_second_step():
     # p has two children. Driver p (a = 1: ids 1, 2) meets c1 rows
     # 0-3 (fanouts 3 and 1), then c2 rows 0-3, none of which pass x = 7,

@@ -216,9 +216,21 @@ class TestHostileInputs:
             lambda d: d["tables"]["title"].pop("row_indices"),
             lambda d: d["tables"]["title"].pop("size"),
             lambda d: d["tables"]["title"].pop("seed"),
+            lambda d: d["tables"]["title"].update(size=5, row_indices=[0.5, 1.7, 2.2, 3.9, 4.1]),
+            lambda d: d["tables"]["title"].update(size=5, row_indices=[True, False, 2, 3, 4]),
+            lambda d: d["tables"]["title"].update(size=5, row_indices=["0", "1", "2", "3", "4"]),
+            lambda d: d["tables"]["title"].update(size=5, row_indices=[0, 1, 2, 3, 2**70]),
+            lambda d: d["tables"]["title"].update(size=5.0, row_indices=[0, 1, 2, 3, 4]),
+            lambda d: d["tables"]["title"].update(size=True, row_indices=[0]),
+            lambda d: d["tables"]["title"].update(size="5", row_indices=[0, 1, 2, 3, 4]),
+            lambda d: d["tables"]["title"].update(seed=1.5),
+            lambda d: d["tables"]["title"].update(seed=True),
+            lambda d: d["tables"]["title"].update(seed="1"),
         ],
         ids=["duplicate_and_size", "duplicate", "size_mismatch", "no_tables",
-             "no_row_indices", "no_size", "no_seed"],
+             "no_row_indices", "no_size", "no_seed", "float_indices", "bool_indices",
+             "string_indices", "index_beyond_int64", "float_size", "bool_size",
+             "string_size", "float_seed", "bool_seed", "string_seed"],
     )
     def test_bad_samples(self, pipeline, tmp_path, edit):
         _, db, samples, _, corpus, *_ = pipeline
@@ -227,6 +239,23 @@ class TestHostileInputs:
         assert main(["eval", "--baseline", "rs", "--workload", str(corpus),
                      "--db", str(db), "--samples", str(bad),
                      "--report", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("cell", [2**63, 2**70, -(2**63) - 1])
+    def test_csv_cell_beyond_int64(self, pipeline, tmp_path, capsys, cell):
+        _, db, *_ = pipeline
+        bad = tmp_path / "db"
+        bad.mkdir()
+        for f in db.iterdir():
+            (bad / f.name).write_bytes(f.read_bytes())
+        lines = (bad / "title.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index("production_year")] = str(cell)
+        lines[5] = ",".join(row)
+        (bad / "title.csv").write_text("\n".join(lines) + "\n")
+        assert main(["sample", "--db", str(bad), "--size", "1", "--seed", "0",
+                     "--out", str(tmp_path / "s.json")]) == 2
+        assert "title.csv:6" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",

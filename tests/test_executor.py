@@ -1,4 +1,5 @@
 import gc
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from helpers import nested_loop_count
 
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
-    _subtree_weights,
+    _count_from,
     bitmap_to_hex,
     eval_predicates_on_sample,
     hex_to_bitmap,
@@ -123,6 +124,41 @@ class TestMatchSums:
         weights = 2**55 + np.array([1, 2, 3, 4, 5])
         got = match_sums(keys, weights, np.array([3, 7, 5]), bound=2**56)
         assert got.tolist() == dict_match_sums(keys, weights, np.array([3, 7, 5]))
+
+
+_PY_OPS = {"=": operator.eq, "<": operator.lt, ">": operator.gt}
+
+
+def _title_ids(db, permute):
+    """`db`, or with permuted title rows, so that title ids are coded as
+    dense codes in another row order rather than as the identity."""
+    if permute:
+        order = np.random.default_rng(34).permutation(db.table("title").row_count)
+        db = Database(
+            [
+                Table(t.name, [Column(c.name, c.kind, c.values[order], ref=c.ref)
+                               for c in t.columns])
+                if t.name == "title" else t
+                for t in db.tables.values()
+            ]
+        )
+    title_id = db.join_keys(("title", "id"), ("movie_keyword", "movie_id"))[0]
+    assert title_id.identity != permute
+    return db
+
+
+def _count_at(db, spec, root):
+    """The count of `spec` rooted at `root`, through the function
+    `true_cardinality` uses for its chosen root."""
+    masks = {}
+    for a in spec.aliases:
+        table = db.table(spec.table_of(a))
+        masks[a] = predicate_mask(lambda c: table.column(c).values, spec.predicates_of(a))
+    mask = masks[root]
+    selected = (
+        db.table(spec.table_of(root)).row_count if mask is None else int(np.count_nonzero(mask))
+    )
+    return _count_from(db, spec, masks, root, selected)
 
 
 _OVERFLOW_N = 60_000
@@ -247,40 +283,69 @@ class TestTrueCardinality:
         """Rooting the join tree at any alias gives the oracle's count, with
         title ids coded as the identity and, permuted, as dense codes in
         another row order."""
-        if permute_title:
-            order = np.random.default_rng(34).permutation(db.table("title").row_count)
-            db = Database(
-                [
-                    Table(t.name, [Column(c.name, c.kind, c.values[order], ref=c.ref)
-                                   for c in t.columns])
-                    if t.name == "title" else t
-                    for t in db.tables.values()
-                ]
-            )
-        title_id = db.join_keys(("title", "id"), ("movie_keyword", "movie_id"))[0]
-        assert title_id.identity != permute_title
+        db = _title_ids(db, permute_title)
         workload = generate_workload(db, 25, 4, seed=35)
         assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
         for spec in workload:
             expected = nested_loop_count(db, spec)
-            masks = {}
-            for a in spec.aliases:
-                table = db.table(spec.table_of(a))
-                masks[a] = predicate_mask(
-                    lambda c: table.column(c).values, spec.predicates_of(a)
-                )
-            adj = {a: [] for a in spec.aliases}
-            for j in spec.joins:
-                adj[j.left[0]].append((j.right[0], j.left[1], j.right[1]))
-                adj[j.right[0]].append((j.left[0], j.right[1], j.left[1]))
             for root in spec.aliases:
-                w, _ = _subtree_weights(db, spec, masks, adj, root, None)
-                if w is None:
-                    got = db.table(spec.table_of(root)).row_count
-                else:
-                    got = int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
-                assert got == expected, (format_query(spec), root)
+                assert _count_at(db, spec, root) == expected, (format_query(spec), root)
             assert true_cardinality(db, spec) == expected
+
+    @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
+    @pytest.mark.parametrize("literal, selected", [(10**6, "none"), (-1, "all")])
+    def test_root_selects_none_or_all(self, db, permute_title, literal, selected):
+        """A root whose mask selects none or all of its rows, gathering
+        through title ids (identity or dense codes) or movie_keyword's
+        movie_id codes, with the other alias filtered or not."""
+        db = _title_ids(db, permute_title)
+        column = {"t": "kind_id", "mk": "keyword_id"}
+        other_filter = {"t": Predicate("mk", "keyword_id", "<", 250),
+                        "mk": Predicate("t", "kind_id", "<", 4)}
+        for root in ("t", "mk"):
+            for other_filtered in (False, True):
+                spec = QuerySpec(
+                    (TableRef("movie_keyword", "mk"), TableRef("title", "t")),
+                    (JoinEdge(("mk", "movie_id"), ("t", "id")),),
+                    (Predicate(root, column[root], ">", literal),)
+                    + ((other_filter[root],) if other_filtered else ()),
+                )
+                expected = nested_loop_count(db, spec)
+                assert (expected == 0) == (selected == "none")
+                assert _count_at(db, spec, root) == expected, (format_query(spec), root)
+                assert true_cardinality(db, spec) == expected
+
+    @pytest.mark.parametrize("literal", [40000, -(2**40), 2**70])
+    def test_literal_outside_column_dtype(self, db, samples, literal):
+        """Literals beyond an int16 column's range compare exactly: counts
+        equal the nested-loop oracle's and those with the literal clamped
+        to [min - 1, max + 1], sample bitmaps a row-by-row evaluation in
+        Python integers."""
+        rng = np.random.default_rng(38)
+        workload = generate_workload(db, 8, 2, seed=37)
+        assert {len(q.joins) for q in workload} == {0, 1, 2}
+        for spec in workload:
+            alias = spec.aliases[int(rng.integers(len(spec.aliases)))]
+            table = spec.table_of(alias)
+            attrs = db.attr_columns(table)
+            col = attrs[int(rng.integers(len(attrs)))]
+            assert db.column_values(table, col).dtype == np.int16
+            s = db.stats(table, col)
+            for op in ("=", "<", ">"):
+                wide = QuerySpec(spec.tables, spec.joins,
+                                 spec.predicates + (Predicate(alias, col, op, literal),))
+                clamped_literal = min(max(literal, s.min - 1), s.max + 1)
+                clamped = QuerySpec(spec.tables, spec.joins,
+                                    spec.predicates + (Predicate(alias, col, op, clamped_literal),))
+                count = true_cardinality(db, wide)
+                assert count == nested_loop_count(db, wide) == true_cardinality(db, clamped)
+                sample = samples[table]
+                bitmap = query_bitmaps(wide, samples)[alias]
+                assert bitmap.tolist() == [
+                    all(_PY_OPS[p.op](int(sample.rows[p.column][i]), p.literal)
+                        for p in wide.predicates_of(alias))
+                    for i in range(sample.size)
+                ]
 
     def test_leaves_database_unchanged(self, db, samples):
         # Counting hands key arrays, fanouts and masks on without copies.

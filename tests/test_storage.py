@@ -76,6 +76,18 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv(p, schema)
 
+    @pytest.mark.parametrize(
+        "cell", [2**63, 2**70, -(2**63) - 1], ids=["int64_max_plus_1", "2**70", "below_int64"]
+    )
+    @pytest.mark.parametrize("column", ["id", "x"])
+    def test_beyond_int64(self, tmp_path, cell, column):
+        p = tmp_path / "t.csv"
+        row = f"3,{cell}" if column == "x" else f"{cell},3"
+        p.write_text(f"id,x\n1,2\n2,2\n{row}\n")
+        schema = TableSchema("t", (ColumnSpec("id", "pk"), ColumnSpec("x", "attr")))
+        with pytest.raises(ParseError, match=rf"t\.csv:4: integer {cell} outside"):
+            load_csv(p, schema)
+
     def test_header_order_independent(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,id\n7,1\n8,2\n")
@@ -306,6 +318,15 @@ class TestHashIndex:
                 np.testing.assert_array_equal(rows[positions == i], expected)
 
 
+def test_narrow_columns_code_in_int64():
+    # Two int16 columns whose dense offset coding leaves the int16 range.
+    values = np.arange(-30000, 30001).astype(np.int16)
+    left, right = code_join_keys(values, values[::-1])
+    assert left.codes.dtype == np.int64
+    np.testing.assert_array_equal(left.codes, np.arange(values.size))
+    np.testing.assert_array_equal(right.codes, np.arange(values.size)[::-1])
+
+
 class TestJoinKeyIdentity:
     def test_synthetic_primary_keys(self, small_db):
         for e in small_db.fk_edges:
@@ -370,6 +391,81 @@ class TestPersistence:
         p.write_text("nonsense\n")
         with pytest.raises(ParseError):
             load_synth_config(p)
+
+
+class TestAttributeNarrowing:
+    """Attribute columns are stored as the narrowest of int16 / int32 /
+    int64 that holds their values; key columns stay int64."""
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([-32768, 32767], np.int16),
+            ([0, 32768], np.int32),
+            ([-32769, 0], np.int32),
+            ([-(2**31), 2**31 - 1], np.int32),
+            ([0, 2**31], np.int64),
+            ([-(2**31) - 1, 0], np.int64),
+            ([-(2**63), 2**63 - 1], np.int64),
+        ],
+        ids=["int16_bounds", "above_int16", "below_int16", "int32_bounds",
+             "above_int32", "below_int32", "int64_bounds"],
+    )
+    def test_boundaries(self, values, dtype):
+        column = Column("x", "attr", values)
+        assert column.values.dtype == dtype
+        assert column.values.tolist() == values
+
+    def test_keys_stay_int64(self):
+        parent = Table("p", [Column("id", "pk", [1, 2])])
+        child = Table("c", [Column("id", "pk", [1, 2, 3]),
+                            Column("pid", "fk", [1, 1, 2], ref=("p", "id"))])
+        Database([parent, child])
+        for column in parent.columns + child.columns:
+            assert column.values.dtype == np.int64
+
+    def test_empty_table_builds(self):
+        table = Table("t", [Column("id", "pk", []), Column("x", "attr", [])])
+        assert table.row_count == 0
+        assert Database([table]).attr_columns("t") == ("x",)
+
+    def test_synthetic_columns(self, small_db):
+        for table in small_db.tables.values():
+            for column in table.columns:
+                if column.kind != "attr":
+                    assert column.values.dtype == np.int64
+                    continue
+                s = small_db.stats(table.name, column.name)
+                fits = [d for d in (np.int16, np.int32, np.int64)
+                        if np.iinfo(d).min <= s.min and s.max <= np.iinfo(d).max]
+                assert column.values.dtype == fits[0]
+
+    def test_samples_inherit_dtype(self, small_db):
+        for name in small_db.table_names():
+            sample = draw_sample(small_db.table(name), 40, seed=5)
+            for column in small_db.table(name).columns:
+                assert sample.rows[column.name].dtype == column.values.dtype
+
+    def test_save_load_is_byte_identical(self, tmp_path, small_db):
+        wide = Table(
+            "w",
+            [
+                Column("id", "pk", [1, 2, 3]),
+                Column("a16", "attr", [-32768, 0, 32767]),
+                Column("a32", "attr", [-(2**31), 32768, 2**31 - 1]),
+                Column("a64", "attr", [-(2**63), 2**31, 2**63 - 1]),
+            ],
+        )
+        db = Database(list(small_db.tables.values()) + [wide])
+        save_database(db, tmp_path / "a")
+        loaded = load_database(tmp_path / "a")
+        save_database(loaded, tmp_path / "b")
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert [c.values.dtype for c in loaded.table("w").columns] == [
+            np.int64, np.int16, np.int32, np.int64]
 
 
 class TestTableInvariants:
