@@ -7,12 +7,13 @@ bottom-up over full-length per-row weight vectors, one per alias: a
 predicate mask stays boolean, and each child subtree contributes its
 per-key weight sums gathered through the row's join key. This message
 passing (Yannakakis, VLDB 1981) gives the same count from any root. The
-root is the largest alias that has predicates (the largest alias when none
-has): the root sends no sums and gathers its children's sums only at the
-rows its mask selects (`np.compress` of its codes), so its other rows are
-neither gathered nor multiplied; an unfiltered alias sends only its
-precomputed fanout vector, or nothing when each of its rows meets exactly
-one row of its parent (as from the fk side).
+root is the largest alias that has predicates; when none has, it is the
+alias with the most joins, the largest among those. The root sends no
+sums and gathers its children's sums only at the rows its mask selects
+(`np.compress` of its codes), so its other rows are neither gathered nor
+multiplied; an unfiltered alias sends only its precomputed fanout vector,
+or nothing when each of its rows meets exactly one row of its parent (as
+from the fk side).
 
 Join columns are coded into the shared key spaces `storage.Database`
 precomputes per fk edge. An identity key (codes 0..n-1 in row order over
@@ -157,9 +158,18 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
         return counts[only]
     # Every alias but the root sends its per-key sums, which for a filtered
     # alias cost a pass over its rows; the largest filtered alias sends none
-    # and works on its selected rows only.
+    # and works on its selected rows only. With no filter, unfiltered leaves
+    # send only their fanouts, so the alias with the most joins (the centre
+    # of a star) multiplies them with no gather; ties go to the largest.
+    def size(a):
+        return db.table(spec.table_of(a)).row_count
+
     filtered = [a for a in spec.aliases if masks[a] is not None]
-    root = max(filtered or spec.aliases, key=lambda a: db.table(spec.table_of(a)).row_count)
+    if filtered:
+        root = max(filtered, key=size)
+    else:
+        ends = [j.left[0] for j in spec.joins] + [j.right[0] for j in spec.joins]
+        root = max(spec.aliases, key=lambda a: (ends.count(a), size(a)))
     return _count_from(db, spec, masks, root, counts[root])
 
 

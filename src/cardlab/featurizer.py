@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -300,10 +299,3 @@ def featurize_labeled(
         )
     return out
 
-
-def save_catalog(catalog: EncodingCatalog, path: str | Path) -> None:
-    Path(path).write_text(catalog.to_json() + "\n", encoding="utf-8")
-
-
-def load_catalog(path: str | Path) -> EncodingCatalog:
-    return EncodingCatalog.from_json(Path(path).read_text(encoding="utf-8"))

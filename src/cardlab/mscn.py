@@ -10,6 +10,17 @@ exp(k|y - t|) (algebraically the factor max(est/truth, truth/est), since
 the normalization is affine in ln c), plain MSE, or the log of the
 geometric mean q-error k|y - t|. Optimization is mini-batch Adam, fully
 deterministic per seed; the last-epoch model is kept.
+
+The set modules see padded batches but compute on the real elements: the
+products of the forward pass and the element-wise work of both passes
+run on the rows the masks mark. Three backward products keep the padded
+shape, with zeros scattered into the padding rows, because that shape
+sets how BLAS rounds them: the two weight gradients, which sum over all
+padded rows, and the gradient into the hidden layer, one product per set.
+So outputs, gradients and saved models are the same to the bit as those
+of the dense kernel that runs every padded element (kept in the tests as
+the reference). Training updates all parameters with one Adam step over
+a single flat vector that the module arrays are views of.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .featurizer import (
 from .neural import (
     AdamState,
     Dense2,
+    Mlp2Cache,
     adam_step,
     init_params,
     masked_mean_pool,
@@ -129,8 +141,84 @@ def init_model(catalog: EncodingCatalog, hp: Hyperparams) -> MscnModel:
     return MscnModel(*modules, catalog=catalog, hyperparams=hp)
 
 
+@dataclass
+class _SetCache:
+    """What `backward` needs of one set module's forward pass. On the packed
+    path `mlp` holds the real elements' activations, except `mlp.x`, which
+    keeps the padded input rows for the first-layer weight gradient."""
+
+    mlp: Mlp2Cache
+    mask: np.ndarray  # (B, L) of 0/1
+    rows: np.ndarray | None  # flat indices of the real elements; None: dense path
+    counts: np.ndarray | None  # (B,) real elements per set on the packed path
+
+
+def _set_forward(feats: np.ndarray, mask: np.ndarray, module: Dense2):
+    """Mean of the module's outputs over each set's real elements.
+
+    The products run on the real rows only. The pool scatters them into
+    zeros of the padded shape and sums slot by slot, which adds the same
+    values in the same order as the masked mean pool of the dense outputs,
+    so the result is the same to the bit. Two cases run the dense kernel on
+    the padded arrays as they are: no padding (every one-query batch built
+    on its own), where there is nothing to skip, and a single real row,
+    which numpy would multiply by gemv, rounding unlike the dense kernel's
+    gemm."""
+    b, length, width = feats.shape
+    full = (mask == 1).all()
+    if not (full or ((mask == 0) | (mask == 1)).all()):
+        raise ValueError("set masks must hold only 0 and 1")
+    if full and length > 0:
+        elems, cache = mlp2_forward(feats, module, final="relu")
+        # The masked pool's weights would all be 1 and its counts `length`.
+        return elems.sum(axis=-2) / length, _SetCache(cache, mask, None, None)
+    rows = np.flatnonzero(mask)
+    if rows.size <= 1:
+        elems, cache = mlp2_forward(feats, module, final="relu")
+        return masked_mean_pool(elems, mask), _SetCache(cache, mask, None, None)
+    counts = mask.sum(axis=-1)
+    if np.any(counts == 0):
+        raise ValueError("masked_mean_pool requires at least one unmasked element")
+    x = feats.reshape(-1, width)
+    elems, cache = mlp2_forward(x[rows], module, final="relu")
+    cache.x = x
+    padded = np.zeros((x.shape[0], module.out_dim))
+    padded[rows] = elems
+    pooled = padded.reshape(b, length, -1).sum(axis=1) / counts[:, None]
+    return pooled, _SetCache(cache, mask, rows, counts)
+
+
+def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2:
+    """Parameter gradients of one set module given dL/d(pooled).
+
+    The element-wise work runs on the real rows. Three products keep the
+    padded shape because their rounding depends on it: the weight gradients
+    `x.T @ g1` and `h.T @ g2` sum over all B * L rows (the padding rows
+    scattered in as zeros add nothing, but the row count sets how BLAS
+    splits the sum), and `d_h` is one product per set, as the dense kernel
+    computes it. The set inputs are features, so there is no input
+    gradient."""
+    if sc.rows is None:
+        d_elems = masked_mean_pool_backward(d_pooled, sc.mask)
+        return mlp2_backward(d_elems, sc.mlp, module, input_grad=False)[1]
+    cache, rows = sc.mlp, sc.rows
+    b, length = sc.mask.shape
+    n = cache.x.shape[0]
+    d_pre2 = (d_pooled / sc.counts[:, None])[rows // length] * (cache.pre2 > 0)
+    g2 = np.zeros((n, module.out_dim))
+    g2[rows] = d_pre2
+    h = np.zeros((n, module.hidden))
+    h[rows] = cache.h
+    d_h = (g2.reshape(b, length, -1) @ module.w2.T).reshape(n, -1)[rows]
+    d_pre1 = d_h * (cache.pre1 > 0)
+    g1 = np.zeros((n, module.hidden))
+    g1[rows] = d_pre1
+    return Dense2(cache.x.T @ g1, d_pre1.sum(axis=0), h.T @ g2, d_pre2.sum(axis=0))
+
+
 def forward(model: MscnModel, batch: FeaturizedBatch):
-    """Predictions in (0, 1) plus the cache needed for backward."""
+    """Predictions in (0, 1) plus the cache needed for backward. Masks must
+    hold only 0 and 1, with at least one 1 per set."""
     caches = {}
     pooled = []
     sets = (
@@ -139,9 +227,8 @@ def forward(model: MscnModel, batch: FeaturizedBatch):
         ("preds", batch.pred_feats, batch.pred_mask, model.preds_mlp),
     )
     for name, feats, mask, module in sets:
-        elems, cache = mlp2_forward(feats, module, final="relu")
-        caches[name] = (cache, mask)
-        pooled.append(masked_mean_pool(elems, mask))
+        p, caches[name] = _set_forward(feats, mask, module)
+        pooled.append(p)
     merged = np.concatenate(pooled, axis=-1)
     out, out_cache = mlp2_forward(merged, model.out_mlp, final="sigmoid")
     caches["out"] = out_cache
@@ -156,11 +243,8 @@ def backward(model: MscnModel, caches, d_y: np.ndarray) -> dict[str, np.ndarray]
         grads[f"out.{field}"] = getattr(g_out, field)
     d = model.hyperparams.d
     for i, name in enumerate(_SET_NAMES):
-        cache, mask = caches[name]
         d_pooled = d_merged[..., i * d : (i + 1) * d]
-        d_elems = masked_mean_pool_backward(d_pooled, mask)
-        # The set modules' inputs are features, so no input gradient.
-        _, g = mlp2_backward(d_elems, cache, model.modules()[name], input_grad=False)
+        g = _set_backward(d_pooled, caches[name], model.modules()[name])
         for field in _FIELDS:
             grads[f"{name}.{field}"] = getattr(g, field)
     return grads
@@ -204,6 +288,22 @@ def validation_mean_qerror(model: MscnModel, batch: FeaturizedBatch) -> float:
     return float(np.maximum(est / truth, truth / est).mean())
 
 
+def _flatten_params(model: MscnModel) -> np.ndarray:
+    """Copy the parameters into one float64 vector, in serialization order,
+    and make every module array a view into it, so that one Adam update
+    covers them all. Adam works element by element, so the update is the
+    same to the bit as one per array."""
+    flat = np.concatenate([p.ravel() for p in param_dict(model).values()])
+    offset = 0
+    for module in model.modules().values():
+        for field in _FIELDS:
+            shape = getattr(module, field).shape
+            size = int(np.prod(shape))
+            setattr(module, field, flat[offset : offset + size].reshape(shape))
+            offset += size
+    return flat
+
+
 def train(
     train_batch: FeaturizedBatch,
     val_batch: FeaturizedBatch,
@@ -215,7 +315,8 @@ def train(
     if train_batch.labels_norm is None or val_batch.labels_norm is None:
         raise ValueError("training requires normalized labels")
     model = init_model(catalog, hp)
-    params = param_dict(model)
+    names = list(param_dict(model))
+    params = {"flat": _flatten_params(model)}
     state = AdamState.init_like(params)
     shuffle_rng = np.random.default_rng([hp.seed, 1])
     k = catalog.label_log_range
@@ -230,7 +331,11 @@ def train(
             y, caches = forward(model, mb)
             loss, d_y = loss_and_grad(y, mb.labels_norm, hp.loss_kind, k)
             grads = backward(model, caches, d_y)
-            adam_step(params, grads, state, hp.lr)
+            flat_grad = np.concatenate([grads[name].ravel() for name in names])
+            if not np.isfinite(flat_grad).all():
+                bad = next(name for name in names if not np.isfinite(grads[name]).all())
+                raise ValueError(f"non-finite gradient for {bad!r}")
+            adam_step(params, {"flat": flat_grad}, state, hp.lr)
             epoch_loss += loss * idx.size
         val_q = validation_mean_qerror(model, val_batch)
         history.append(

@@ -2,6 +2,15 @@
 backpropagation, masked average pooling, Adam, and finite-difference
 gradient checking. Everything is float64; determinism beats speed at this
 model size.
+
+The modules take any leading axes, and how some products round depends
+on their shape: numpy multiplies a single row by gemv rather than gemm; a
+stacked (B, L, d) input times a transposed weight rounds differently from
+the same rows as one (B * L, d) product; and BLAS splits a weight
+gradient's sum over rows by the row count. `mscn` runs the set modules on
+real elements only where the shape leaves the rounding unchanged and keeps
+the padded shape elsewhere; the masked pool serves sets with a single real
+element.
 """
 
 from __future__ import annotations

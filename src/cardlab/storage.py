@@ -138,10 +138,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    @property
-    def primary_key(self) -> Column:
-        return next(c for c in self.columns if c.kind == KIND_PK)
-
 
 @dataclass(frozen=True)
 class FkEdge:

@@ -1,11 +1,28 @@
 """Shared test utilities: gradient-check point selection, the
-independent nested-loop join oracle, and the per-probe-value IBJS loop."""
+independent nested-loop join oracle, the per-probe-value IBJS loop, and the
+dense MSCN kernel that runs every padded set element."""
 
 import numpy as np
 
 from cardlab.baselines import _filtered_size, rs_estimate
 from cardlab.executor import eval_predicates_on_sample
-from cardlab.mscn import forward
+from cardlab.mscn import (
+    _FIELDS,
+    _SET_NAMES,
+    init_model,
+    logger,
+    loss_and_grad,
+    param_dict,
+    validation_mean_qerror,
+)
+from cardlab.neural import (
+    AdamState,
+    adam_step,
+    masked_mean_pool,
+    masked_mean_pool_backward,
+    mlp2_backward,
+    mlp2_forward,
+)
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
@@ -152,7 +169,7 @@ def pick_generic_point(model, params, mb, h, seed=0, scale=0.05):
     for _ in range(50):
         point = base + rng.normal(scale=scale, size=base.size)
         assign_params(params, point)
-        _, caches = forward(model, mb)
+        _, caches = dense_forward(model, mb)
         margins = []
         for name in ("tables", "joins", "preds"):
             cache, _ = caches[name]
@@ -162,3 +179,89 @@ def pick_generic_point(model, params, mb, h, seed=0, scale=0.05):
         if min(margins) > 20 * h:
             return point
     raise AssertionError("could not find a kink-free parameter point")
+
+
+# ---------------------------------------------------------------------------
+# The dense MSCN kernel: every set module runs on all padded elements and
+# the masked mean pool weights them by their mask. `mscn.forward`,
+# `mscn.backward` and `mscn.train` must match it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def dense_forward(model, batch):
+    """Predictions in (0, 1) plus the cache needed for backward."""
+    caches = {}
+    pooled = []
+    sets = (
+        ("tables", batch.table_feats, batch.table_mask, model.tables_mlp),
+        ("joins", batch.join_feats, batch.join_mask, model.joins_mlp),
+        ("preds", batch.pred_feats, batch.pred_mask, model.preds_mlp),
+    )
+    for name, feats, mask, module in sets:
+        elems, cache = mlp2_forward(feats, module, final="relu")
+        caches[name] = (cache, mask)
+        pooled.append(masked_mean_pool(elems, mask))
+    merged = np.concatenate(pooled, axis=-1)
+    out, out_cache = mlp2_forward(merged, model.out_mlp, final="sigmoid")
+    caches["out"] = out_cache
+    return out[..., 0], caches
+
+
+def dense_backward(model, caches, d_y):
+    """Parameter gradients given dL/dy."""
+    grads = {}
+    d_merged, g_out = mlp2_backward(d_y[..., None], caches["out"], model.out_mlp)
+    for field in _FIELDS:
+        grads[f"out.{field}"] = getattr(g_out, field)
+    d = model.hyperparams.d
+    for i, name in enumerate(_SET_NAMES):
+        cache, mask = caches[name]
+        d_pooled = d_merged[..., i * d : (i + 1) * d]
+        d_elems = masked_mean_pool_backward(d_pooled, mask)
+        # The set modules' inputs are features, so no input gradient.
+        _, g = mlp2_backward(d_elems, cache, model.modules()[name], input_grad=False)
+        for field in _FIELDS:
+            grads[f"{name}.{field}"] = getattr(g, field)
+    return grads
+
+
+def dense_train(train_batch, val_batch, catalog, hp):
+    """Mini-batch shuffled Adam for hp.epochs; returns the last-epoch model
+    and a per-epoch history of train loss and validation mean q-error."""
+    if train_batch.labels_norm is None or val_batch.labels_norm is None:
+        raise ValueError("training requires normalized labels")
+    model = init_model(catalog, hp)
+    params = param_dict(model)
+    state = AdamState.init_like(params)
+    shuffle_rng = np.random.default_rng([hp.seed, 1])
+    k = catalog.label_log_range
+    n = len(train_batch)
+    history = []
+    for epoch in range(1, hp.epochs + 1):
+        perm = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, hp.batch_size):
+            idx = perm[start : start + hp.batch_size]
+            mb = train_batch.slice(idx)
+            y, caches = dense_forward(model, mb)
+            loss, d_y = loss_and_grad(y, mb.labels_norm, hp.loss_kind, k)
+            grads = dense_backward(model, caches, d_y)
+            adam_step(params, grads, state, hp.lr)
+            epoch_loss += loss * idx.size
+        val_q = validation_mean_qerror(model, val_batch)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": epoch_loss / n,
+                "val_mean_qerror": val_q,
+            }
+        )
+        if epoch % 10 == 0 or epoch == 1:
+            logger.info(
+                "epoch %d/%d train_loss=%.4f val_mean_qerror=%.4f",
+                epoch,
+                hp.epochs,
+                history[-1]["train_loss"],
+                val_q,
+            )
+    return model, history

@@ -12,9 +12,7 @@ from cardlab.featurizer import (
     denormalize_label,
     featurize,
     featurize_labeled,
-    load_catalog,
     normalize_label,
-    save_catalog,
 )
 from cardlab.query import LabeledQuery, generate_workload, parse_query
 from cardlab.storage import SynthConfig, draw_all_samples, generate_synthetic_db
@@ -86,9 +84,8 @@ class TestCatalog:
         with pytest.raises(ValueError):
             build_catalog(db, [], S, "none")
 
-    def test_json_round_trip(self, catalog, tmp_path):
-        save_catalog(catalog, tmp_path / "cat.json")
-        assert load_catalog(tmp_path / "cat.json") == catalog
+    def test_json_round_trip(self, catalog):
+        assert EncodingCatalog.from_json(catalog.to_json()) == catalog
 
     def test_widths(self, db):
         for mode, extra in (("none", 0), ("count", 1), ("bitmap", S)):

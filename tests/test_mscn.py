@@ -13,6 +13,7 @@ from cardlab.featurizer import (
     featurize_labeled,
     normalize_label,
 )
+from cardlab import mscn
 from cardlab.mscn import (
     Hyperparams,
     forward,
@@ -22,6 +23,7 @@ from cardlab.mscn import (
     loss_and_grad,
     param_dict,
     predict,
+    predict_batch,
     predict_labeled,
     save_model,
     train,
@@ -68,7 +70,14 @@ def corpus_batch(corpus, catalog):
     return featurize_labeled(corpus, catalog)
 
 
-from helpers import assign_params, flatten_params, pick_generic_point
+from helpers import (
+    assign_params,
+    dense_backward,
+    dense_forward,
+    dense_train,
+    flatten_params,
+    pick_generic_point,
+)
 
 
 def _zeroed(model):
@@ -226,6 +235,137 @@ class TestTrain:
             hp = Hyperparams(d=8, epochs=2, batch_size=64, seed=12, loss_kind=kind)
             _, history = train(corpus_batch, val, catalog, hp)
             assert len(history) == 2
+
+
+@pytest.fixture(scope="module")
+def oracle_batches(db, samples):
+    """A larger corpus featurized in every sample mode, with its catalogs."""
+    labeled, _ = label_workload(db, generate_workload(db, 500, 2, seed=63), samples)
+    out = {}
+    for mode in ("none", "count", "bitmap"):
+        cat = build_catalog(db, [q.true_cardinality for q in labeled], S, mode)
+        out[mode] = (cat, featurize_labeled(labeled, cat))
+    return out
+
+
+def _generic_model(catalog, d, seed):
+    """A model with nonzero biases, so that padding rows would produce
+    nonzero activations in the dense kernel."""
+    model = init_model(catalog, Hyperparams(d=d, seed=seed))
+    rng = np.random.default_rng(seed)
+    for arr in param_dict(model).values():
+        arr += rng.normal(scale=0.05, size=arr.shape)
+    return model
+
+
+def _assert_matches_dense(model, mb):
+    """Outputs and all 16 gradients equal the dense kernel's, byte for byte."""
+    y, caches = forward(model, mb)
+    y_dense, caches_dense = dense_forward(model, mb)
+    assert y.tobytes() == y_dense.tobytes()
+    k = model.catalog.label_log_range
+    _, d_y = loss_and_grad(y, mb.labels_norm, "mean_qerror", k)
+    grads = backward(model, caches, d_y)
+    grads_dense = dense_backward(model, caches_dense, d_y)
+    assert list(grads) == list(grads_dense) and len(grads) == 16
+    for name, g in grads.items():
+        assert g.shape == grads_dense[name].shape, name
+        assert g.tobytes() == grads_dense[name].tobytes(), name
+
+
+class TestDenseOracle:
+    """The set modules run on real elements only; every output and
+    gradient must still equal the dense kernel's (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("mode", ["none", "count", "bitmap"])
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_full_minibatches(self, oracle_batches, mode, d):
+        catalog, full = oracle_batches[mode]
+        model = _generic_model(catalog, d, seed=20)
+        perm = np.random.default_rng(21).permutation(len(full))
+        assert len(full) >= 256
+        for start in range(0, len(full), 256):
+            _assert_matches_dense(model, full.slice(perm[start : start + 256]))
+
+    def test_extra_masked_rows(self, oracle_batches):
+        catalog, full = oracle_batches["bitmap"]
+        model = _generic_model(catalog, 16, seed=22)
+        b = full.slice(np.arange(100))
+        for feats, mask, pad in (
+            ("table_feats", "table_mask", 1),
+            ("join_feats", "join_mask", 2),
+            ("pred_feats", "pred_mask", 3),
+        ):
+            f, m = getattr(b, feats), getattr(b, mask)
+            f_pad = np.zeros((len(b), pad, f.shape[2]))
+            setattr(b, feats, np.concatenate([f, f_pad], axis=1))
+            setattr(b, mask, np.concatenate([m, np.zeros((len(b), pad))], axis=1))
+        _assert_matches_dense(model, b)
+
+    def test_single_slot_sets(self, corpus, catalog):
+        model = _generic_model(catalog, 16, seed=23)
+        simple = [
+            q for q in corpus if len(q.spec.joins) <= 1 and len(q.spec.predicates) <= 1
+        ]
+        b = featurize_labeled(simple, catalog)
+        assert b.join_mask.shape[1] == b.pred_mask.shape[1] == 1
+        _assert_matches_dense(model, b)
+
+    def test_one_query_batches(self, corpus, catalog):
+        model = _generic_model(catalog, 16, seed=24)
+        for q in corpus[:40]:
+            _assert_matches_dense(model, featurize_labeled([q], catalog))
+        padded = featurize_labeled(corpus, catalog)
+        for i in range(40):
+            _assert_matches_dense(model, padded.slice(np.array([i])))
+
+    def test_chunked_predict_batch(self, oracle_batches):
+        catalog, full = oracle_batches["bitmap"]
+        model = _generic_model(catalog, 16, seed=25)
+        b = full.slice(np.arange(7 * 20 + 1))
+        dense = [
+            dense_forward(model, b.slice(np.arange(s, min(s + 7, len(b)))))[0]
+            for s in range(0, len(b), 7)
+        ]
+        expected = denormalize_label(np.concatenate(dense), catalog)
+        assert predict_batch(model, b, chunk=7).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["mean_qerror", "mse", "geometric_qerror"])
+    @pytest.mark.parametrize("n", [200, 193])
+    def test_trained_model_bytes(self, oracle_batches, tmp_path, kind, n):
+        # 200 = 3 * 64 + 8 and 193 = 3 * 64 + 1: the last minibatch is short,
+        # down to a single query.
+        catalog, full = oracle_batches["bitmap"]
+        tb, vb = full.slice(np.arange(n)), full.slice(np.arange(n, n + 30))
+        hp = Hyperparams(d=64, epochs=3, batch_size=64, loss_kind=kind, seed=26)
+        model, history = train(tb, vb, catalog, hp)
+        dense_model, dense_history = dense_train(tb, vb, catalog, hp)
+        save_model(model, tmp_path / "packed.bin")
+        save_model(dense_model, tmp_path / "dense.bin")
+        packed_bytes = (tmp_path / "packed.bin").read_bytes()
+        assert packed_bytes == (tmp_path / "dense.bin").read_bytes()
+        assert history == dense_history
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+    def test_mask_must_be_zero_or_one(self, corpus_batch, catalog, bad):
+        model = init_model(catalog, Hyperparams(d=8, seed=27))
+        b = corpus_batch.slice(np.arange(10))
+        b.pred_mask[3, 0] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            forward(model, b)
+
+    def test_nonfinite_gradient_names_parameter(
+        self, corpus_batch, catalog, monkeypatch
+    ):
+        def poisoned(model, caches, d_y):
+            grads = backward(model, caches, d_y)
+            grads["joins.b1"] = np.full_like(grads["joins.b1"], np.nan)
+            return grads
+
+        monkeypatch.setattr(mscn, "backward", poisoned)
+        hp = Hyperparams(d=8, epochs=1, batch_size=64, seed=28)
+        with pytest.raises(ValueError, match="'joins.b1'"):
+            train(corpus_batch, corpus_batch.slice(np.arange(10)), catalog, hp)
 
 
 @pytest.fixture(scope="module")
