@@ -17,13 +17,15 @@ from .query import QuerySpec
 from .storage import Database, JoinIndex, MaterializedSample
 
 
-def _filtered_size(
+def _sample_scan(
     db: Database,
     samples: dict[str, MaterializedSample],
     spec: QuerySpec,
     alias: str,
-) -> float:
-    """Sample-extrapolated number of qualifying rows of one base table.
+) -> tuple[float, np.ndarray | None]:
+    """Sample-extrapolated number of qualifying rows of one base table, and
+    the sample bitmap it was counted from (None without predicates: every
+    sample row qualifies).
 
     Computed as popcount * |t| / S (in that order, so single-table
     extrapolations are exact); an empty conjunctive sample falls back to
@@ -32,17 +34,20 @@ def _filtered_size(
     """
     table = spec.table_of(alias)
     rows = db.table(table).row_count
-    sample = samples[table]
     preds = spec.predicates_of(alias)
-    popcount = int(eval_predicates_on_sample(sample, preds).sum())
-    if popcount > 0 or not preds:
-        return popcount * rows / sample.size
+    if not preds:
+        return float(rows), None
+    sample = samples[table]
+    bitmap = eval_predicates_on_sample(sample, preds)
+    popcount = int(np.count_nonzero(bitmap))
+    if popcount > 0:
+        return popcount * rows / sample.size, bitmap
     sel = 1.0
     for p in preds:
-        pop_c = int(eval_predicates_on_sample(sample, (p,)).sum())
+        pop_c = int(np.count_nonzero(eval_predicates_on_sample(sample, (p,))))
         fallback = 1.0 / db.stats(table, p.column).distinct_count
         sel *= max(pop_c / sample.size, fallback)
-    return sel * rows
+    return sel * rows, bitmap
 
 
 def _join_denominator(db: Database, spec: QuerySpec) -> float:
@@ -55,16 +60,22 @@ def _join_denominator(db: Database, spec: QuerySpec) -> float:
     return denom
 
 
+def _independence(db: Database, spec: QuerySpec, filtered: dict[str, float]) -> float:
+    """The RS estimate from the per-alias filtered sizes."""
+    est = 1.0
+    for alias in spec.aliases:
+        est *= filtered[alias]
+    est /= _join_denominator(db, spec)
+    return max(est, 1.0)
+
+
 def rs_estimate(
     db: Database, samples: dict[str, MaterializedSample], spec: QuerySpec
 ) -> float:
     """Product of extrapolated filtered table sizes over the independence
     join denominator (max distinct count per join edge), clamped to >= 1."""
-    est = 1.0
-    for alias in spec.aliases:
-        est *= _filtered_size(db, samples, spec, alias)
-    est /= _join_denominator(db, spec)
-    return max(est, 1.0)
+    filtered = {a: _sample_scan(db, samples, spec, a)[0] for a in spec.aliases}
+    return _independence(db, spec, filtered)
 
 
 def ibjs_estimate(
@@ -86,14 +97,18 @@ def ibjs_estimate(
     if not spec.joins:
         return rs_estimate(db, samples, spec)
 
-    filtered = {a: _filtered_size(db, samples, spec, a) for a in spec.aliases}
+    filtered, bitmaps = {}, {}
+    for a in spec.aliases:
+        filtered[a], bitmaps[a] = _sample_scan(db, samples, spec, a)
     driver = min(spec.aliases, key=lambda a: (filtered[a], a))
     driver_sample = samples[spec.table_of(driver)]
-    driver_bitmap = eval_predicates_on_sample(
-        driver_sample, spec.predicates_of(driver)
-    )
-    if not driver_bitmap.any():
-        return rs_estimate(db, samples, spec)
+    driver_bitmap = bitmaps[driver]
+    if driver_bitmap is None:
+        driver_rows = driver_sample.row_indices
+    elif driver_bitmap.any():
+        driver_rows = driver_sample.row_indices[driver_bitmap]
+    else:
+        return _independence(db, spec, filtered)
     scale = db.table(spec.table_of(driver)).row_count / driver_sample.size
 
     # Order edges so each one attaches a new alias to the walked set.
@@ -130,9 +145,7 @@ def ibjs_estimate(
         return max(est, 1.0)
 
     # Intermediate result: parallel arrays of full-table row indices.
-    inter: dict[str, np.ndarray] = {
-        driver: driver_sample.row_indices[driver_bitmap]
-    }
+    inter: dict[str, np.ndarray] = {driver: driver_rows}
     for step, (known, own_col, new, new_col) in enumerate(walk):
         own_side = (spec.table_of(known), own_col)
         new_table = db.table(spec.table_of(new))

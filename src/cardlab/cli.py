@@ -150,14 +150,27 @@ def cmd_gen_workload(args) -> int:
     return 0
 
 
+def _read_valid_workload(path, db, *, labeled: bool):
+    """The (spec, label) pairs of a workload file, each query validated
+    against `db`. With `labeled`, each must carry a cardinality of at least
+    1, where q-error is defined. Errors name the file and line."""
+    out = []
+    for lineno, spec, label in query.read_workload(path):
+        errors = query.validate(spec, db)
+        if labeled and label is None:
+            errors.append("missing cardinality")
+        elif labeled and label < 1:
+            errors.append(f"cardinality {label} is below 1, where q-error is undefined")
+        if errors:
+            raise ValidationError(f"{path}:{lineno}: {'; '.join(errors)}")
+        out.append((spec, label))
+    return out
+
+
 def cmd_label(args) -> int:
     db = storage.load_database(args.db)
     samples = storage.load_samples(args.samples, db)
-    specs = [spec for spec, _ in query.read_workload(args.workload)]
-    for i, spec in enumerate(specs, 1):
-        errors = query.validate(spec, db)
-        if errors:
-            raise ValidationError(f"{args.workload} query {i}: {'; '.join(errors)}")
+    specs = [spec for spec, _ in _read_valid_workload(args.workload, db, labeled=False)]
     labeled, dropped = executor.label_workload(db, specs, samples)
     size = next(iter(samples.values())).size
     executor.write_labeled_corpus(
@@ -223,15 +236,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     db = storage.load_database(args.db)
     samples = storage.load_samples(args.samples, db)
-    loaded = query.read_workload(args.workload)
-    specs = []
-    for i, (spec, label) in enumerate(loaded, 1):
-        if label is None:
-            raise ValidationError(f"{args.workload} query {i}: missing cardinality")
-        specs.append((spec, label))
     workload = [
         query.LabeledQuery(spec, label, executor.query_bitmaps(spec, samples))
-        for spec, label in specs
+        for spec, label in _read_valid_workload(args.workload, db, labeled=True)
     ]
     if args.model:
         estimator = mscn.load_model(args.model)

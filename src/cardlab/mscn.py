@@ -153,6 +153,22 @@ class _SetCache:
     counts: np.ndarray | None  # (B,) real elements per set on the packed path
 
 
+def _pool_unpadded(feats: np.ndarray, module: Dense2):
+    """Mean of the module's outputs over the set axis (-2) of sets without
+    padding, and the module's cache. The masked pool's weights would all be
+    1 and its counts the set length."""
+    elems, cache = mlp2_forward(feats, module, final="relu")
+    return elems.sum(axis=-2) / feats.shape[-2], cache
+
+
+def _head(model: MscnModel, pooled: list[np.ndarray]):
+    """Output module on the concatenated set means: predictions in (0, 1)
+    and the module's cache."""
+    merged = np.concatenate(pooled, axis=-1)
+    out, cache = mlp2_forward(merged, model.out_mlp, final="sigmoid")
+    return out[..., 0], cache
+
+
 def _set_forward(feats: np.ndarray, mask: np.ndarray, module: Dense2):
     """Mean of the module's outputs over each set's real elements.
 
@@ -169,9 +185,8 @@ def _set_forward(feats: np.ndarray, mask: np.ndarray, module: Dense2):
     if not (full or ((mask == 0) | (mask == 1)).all()):
         raise ValueError("set masks must hold only 0 and 1")
     if full and length > 0:
-        elems, cache = mlp2_forward(feats, module, final="relu")
-        # The masked pool's weights would all be 1 and its counts `length`.
-        return elems.sum(axis=-2) / length, _SetCache(cache, mask, None, None)
+        pooled, cache = _pool_unpadded(feats, module)
+        return pooled, _SetCache(cache, mask, None, None)
     rows = np.flatnonzero(mask)
     if rows.size <= 1:
         elems, cache = mlp2_forward(feats, module, final="relu")
@@ -229,10 +244,8 @@ def forward(model: MscnModel, batch: FeaturizedBatch):
     for name, feats, mask, module in sets:
         p, caches[name] = _set_forward(feats, mask, module)
         pooled.append(p)
-    merged = np.concatenate(pooled, axis=-1)
-    out, out_cache = mlp2_forward(merged, model.out_mlp, final="sigmoid")
-    caches["out"] = out_cache
-    return out[..., 0], caches
+    y, caches["out"] = _head(model, pooled)
+    return y, caches
 
 
 def backward(model: MscnModel, caches, d_y: np.ndarray) -> dict[str, np.ndarray]:
@@ -358,7 +371,14 @@ def train(
 
 def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
     """Featurize one query (evaluating its predicates on the materialized
-    samples when the model uses sample features) and estimate it."""
+    samples when the model uses sample features) and estimate it.
+
+    One query has no padding, so the set modules run on its element
+    matrices as they are, through the code `forward` runs for a batch
+    without padding, with no batch axis: numpy multiplies an (L, width)
+    matrix with the same kernel as the (1, L, width) stack of a one-query
+    batch, and the pooled (3d,) vector as the (1, 3d) row. So the estimate
+    is the same to the bit as `predict_batch` on the one-query batch."""
     errors = validate(spec, db)
     if errors:
         raise ValidationError("; ".join(errors))
@@ -368,7 +388,14 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
             raise ValidationError("model requires materialized samples")
         bitmaps = query_bitmaps(spec, samples)
     fq = featurize(LabeledQuery(spec, None, bitmaps), model.catalog)
-    return float(predict_batch(model, make_batch([fq]))[0])
+    sets = (
+        (fq.table_elems, model.tables_mlp),
+        (fq.join_elems, model.joins_mlp),
+        (fq.pred_elems, model.preds_mlp),
+    )
+    pooled = [_pool_unpadded(elems, module)[0] for elems, module in sets]
+    y, _ = _head(model, pooled)
+    return float(denormalize_label(y, model.catalog))
 
 
 def predict_labeled(model: MscnModel, queries: list[LabeledQuery]) -> np.ndarray:

@@ -29,13 +29,13 @@ OPS = ("=", "<", ">")
 RETRY_FACTOR = 1000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TableRef:
     table: str
     alias: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class JoinEdge:
     """Equi-join between two alias-qualified columns, fk side first for
     generated queries (parsed queries keep their written orientation)."""
@@ -47,7 +47,7 @@ class JoinEdge:
         return f"{self.left[0]}.{self.left[1]}={self.right[0]}.{self.right[1]}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Predicate:
     alias: str
     column: str
@@ -58,18 +58,24 @@ class Predicate:
         return f"{self.alias}.{self.column},{self.op},{self.literal}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuerySpec:
     """Canonicalized (tables, joins, predicates) triple.
 
     Construction sorts and deduplicates each component, so two specs that
-    are equal as sets compare (and format) equal. Structural soundness
-    against a database is checked by :func:`validate`.
+    are equal as sets compare (and format) equal. It also resolves, once,
+    the alias of each table and the predicates of each alias, in `tables`
+    order; they take no part in comparison or hashing. Structural
+    soundness against a database is checked by :func:`validate`.
     """
 
     tables: tuple[TableRef, ...]
     joins: tuple[JoinEdge, ...] = ()
     predicates: tuple[Predicate, ...] = ()
+    aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _alias_predicates: tuple[tuple[Predicate, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(sorted(set(self.tables))))
@@ -78,19 +84,26 @@ class QuerySpec:
         aliases = [t.alias for t in self.tables]
         if len(set(aliases)) != len(aliases):
             raise ParseError(f"duplicate alias in {aliases}")
-
-    @property
-    def aliases(self) -> tuple[str, ...]:
-        return tuple(t.alias for t in self.tables)
+        object.__setattr__(self, "aliases", tuple(aliases))
+        object.__setattr__(
+            self,
+            "_alias_predicates",
+            tuple([tuple([p for p in self.predicates if p.alias == a]) for a in aliases]),
+        )
 
     def table_of(self, alias: str) -> str:
-        for t in self.tables:
-            if t.alias == alias:
-                return t.table
-        raise ParseError(f"alias {alias!r} not declared")
+        try:
+            return self.tables[self.aliases.index(alias)].table
+        except ValueError:
+            raise ParseError(f"alias {alias!r} not declared") from None
 
     def predicates_of(self, alias: str) -> tuple[Predicate, ...]:
-        return tuple(p for p in self.predicates if p.alias == alias)
+        """The predicates on `alias`, also when it is not declared (which
+        :func:`validate` reports)."""
+        try:
+            return self._alias_predicates[self.aliases.index(alias)]
+        except ValueError:
+            return tuple(p for p in self.predicates if p.alias == alias)
 
 
 @dataclass(eq=False)
@@ -221,31 +234,27 @@ def validate(spec: QuerySpec, db: Database) -> list[str]:
         if t.table not in db.tables:
             errors.append(f"unknown table {t.table!r}")
         else:
-            alias_table[t.alias] = t.table
-    declared_edges = {(e.child, e.parent) for e in db.fk_edges}
+            alias_table[t.alias] = db.tables[t.table]
     for j in spec.joins:
         sides = []
         for alias, column in (j.left, j.right):
             if alias not in alias_table:
                 continue
             table = alias_table[alias]
-            if not db.table(table).has_column(column):
-                errors.append(f"unknown column {table}.{column} in join {j}")
+            if column not in table.columns_by_name:
+                errors.append(f"unknown column {table.name}.{column} in join {j}")
             else:
-                sides.append((table, column))
-        if len(sides) == 2:
-            if (sides[0], sides[1]) not in declared_edges and (
-                sides[1],
-                sides[0],
-            ) not in declared_edges:
-                errors.append(f"join {j} does not follow a declared foreign key")
+                sides.append((table.name, column))
+        if len(sides) == 2 and not db.is_fk_join(*sides):
+            errors.append(f"join {j} does not follow a declared foreign key")
     for p in spec.predicates:
         if p.alias not in alias_table:
             continue
         table = alias_table[p.alias]
-        if not db.table(table).has_column(p.column):
-            errors.append(f"unknown column {table}.{p.column} in predicate {p}")
-        elif db.table(table).column(p.column).kind != KIND_ATTR:
+        column = table.columns_by_name.get(p.column)
+        if column is None:
+            errors.append(f"unknown column {table.name}.{p.column} in predicate {p}")
+        elif column.kind != KIND_ATTR:
             errors.append(f"predicate {p} targets a key column")
     return errors
 
@@ -369,14 +378,15 @@ def generate_workload(
 # ---------------------------------------------------------------------------
 
 
-def read_workload(path: str | Path) -> list[tuple[QuerySpec, int | None]]:
-    """One query per line; blank lines and `--` comments are skipped."""
+def read_workload(path: str | Path) -> list[tuple[int, QuerySpec, int | None]]:
+    """(line number, spec, label) per query line, one query per line; blank
+    lines and `--` comments are skipped."""
     out = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("--"):
             continue
         try:
-            out.append(parse_query(line))
+            out.append((lineno, *parse_query(line)))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     return out

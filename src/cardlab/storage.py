@@ -109,13 +109,18 @@ class ColumnStats:
 
 @dataclass
 class Table:
-    """Ordered set of equal-length columns with exactly one primary key."""
+    """Ordered set of equal-length, uniquely named columns with exactly one
+    primary key."""
 
     name: str
     columns: list[Column]
     row_count: int = field(init=False)
+    columns_by_name: dict[str, Column] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.columns_by_name = {c.name: c for c in self.columns}
+        if len(self.columns_by_name) != len(self.columns):
+            raise SchemaError(f"table {self.name!r} has duplicate column names")
         lengths = {len(c.values) for c in self.columns}
         if len(lengths) > 1:
             raise SchemaError(f"table {self.name!r} has ragged columns")
@@ -130,13 +135,10 @@ class Table:
             raise SchemaError(f"primary key {self.name}.{pk.name} has duplicates")
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise SchemaError(f"unknown column {self.name}.{name}")
-
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        try:
+            return self.columns_by_name[name]
+        except KeyError:
+            raise SchemaError(f"unknown column {self.name}.{name}") from None
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,7 @@ class Database:
         every child key must meet at least one parent row."""
         for e in self.fk_edges:
             pt, pc = e.parent
-            if pt not in self.tables or not self.tables[pt].has_column(pc):
+            if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
                 raise SchemaError(f"fk edge {e.key} references unknown column")
             child, parent = code_join_keys(
                 self.column_values(*e.child), self.column_values(*e.parent)
@@ -260,6 +262,11 @@ class Database:
         if keys is None:
             keys = code_join_keys(self.column_values(*left), self.column_values(*right))
         return keys
+
+    def is_fk_join(self, left: tuple[str, str], right: tuple[str, str]) -> bool:
+        """Whether the (table, column) pair `left`, `right` is a declared fk
+        edge, in either orientation."""
+        return (left, right) in self._join_keys
 
     def stats(self, table: str, column: str) -> ColumnStats:
         key = (table, column)

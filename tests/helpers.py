@@ -1,10 +1,11 @@
 """Shared test utilities: gradient-check point selection, the
-independent nested-loop join oracle, the per-probe-value IBJS loop, and the
-dense MSCN kernel that runs every padded set element."""
+independent nested-loop join oracle, the per-probe-value IBJS loop, the
+dense MSCN kernel that runs every padded set element, and the sign-split
+sigmoid."""
 
 import numpy as np
 
-from cardlab.baselines import _filtered_size, rs_estimate
+from cardlab.baselines import _sample_scan, rs_estimate
 from cardlab.executor import eval_predicates_on_sample
 from cardlab.mscn import (
     _FIELDS,
@@ -92,7 +93,7 @@ def loop_ibjs_estimate(db, samples, spec):
     or no join), "tail" (an intermediate ran dry) or "walk"."""
     if not spec.joins:
         return rs_estimate(db, samples, spec), "rs"
-    filtered = {a: _filtered_size(db, samples, spec, a) for a in spec.aliases}
+    filtered = {a: _sample_scan(db, samples, spec, a)[0] for a in spec.aliases}
     driver = min(spec.aliases, key=lambda a: (filtered[a], a))
     driver_sample = samples[spec.table_of(driver)]
     bitmap = eval_predicates_on_sample(driver_sample, spec.predicates_of(driver))
@@ -265,3 +266,15 @@ def dense_train(train_batch, val_batch, catalog, hp):
                 val_q,
             )
     return model, history
+
+
+def masked_sigmoid(x):
+    """The sigmoid as `neural.sigmoid` computed it by scattering through
+    boolean masks; `neural.sigmoid` must match it byte for byte."""
+    # Split by sign to avoid overflow in exp.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -257,6 +257,31 @@ class TestHostileInputs:
                      "--out", str(tmp_path / "s.json")]) == 2
         assert "title.csv:6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["rs", "ibjs", "model"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nosuch n###5", "unknown table 'nosuch'"),
+            ("title t##t.nosuch,=,3#5", "unknown column title.nosuch"),
+            ("title t##t.id,=,3#5", "predicate t.id,=,3 targets a key column"),
+            ("title t###", "missing cardinality"),
+            ("title t###0", "cardinality 0 is below 1"),
+        ],
+        ids=["unknown_table", "unknown_column", "key_column", "no_label", "zero_label"],
+    )
+    def test_bad_eval_query(self, pipeline, tmp_path, capsys, estimator, line, message):
+        # Evaluation validates every query against the database, as labeling
+        # does, and fails on the bad line's number, not with a traceback or
+        # an undefined q-error.
+        _, db, samples, *_, model, _ = pipeline
+        workload = tmp_path / "w.txt"
+        workload.write_text(f"-- a comment, a good query, a blank\ntitle t###7\n\n{line}\n")
+        flags = ["--model", str(model)] if estimator == "model" else ["--baseline", estimator]
+        assert main(["eval", *flags, "--workload", str(workload),
+                     "--db", str(db), "--samples", str(samples),
+                     "--report", str(tmp_path / "r.csv")]) == 2
+        assert f"{workload}:4: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit",
         [

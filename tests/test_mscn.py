@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cardlab.errors import ModelFormatError
-from cardlab.executor import label_workload
+from cardlab.executor import label_workload, query_bitmaps
 from cardlab.featurizer import (
     batch as make_batch,
     build_catalog,
@@ -29,7 +29,7 @@ from cardlab.mscn import (
     train,
 )
 from cardlab.neural import Dense2, grad_check
-from cardlab.query import generate_workload
+from cardlab.query import LabeledQuery, format_query, generate_workload
 from cardlab.storage import SynthConfig, draw_all_samples, generate_synthetic_db
 
 ROWS = {
@@ -403,6 +403,29 @@ class TestPredict:
         bad = QuerySpec((TableRef("title", "t"),), (), (Predicate("t", "id", "=", 1),))
         with pytest.raises(ValidationError):
             predict(model, bad, db, samples)
+
+
+class TestOneQueryPath:
+    """`predict` runs one query's unpadded element matrices through the set
+    modules; its estimate equals `predict_batch` on the one-query batch and
+    the dense kernel (tests/helpers.py), byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["none", "count", "bitmap"])
+    def test_matches_batch_and_dense(self, db, samples, oracle_batches, mode):
+        catalog, _ = oracle_batches[mode]
+        model = _generic_model(catalog, 16, seed=30)
+        specs = generate_workload(db, 120, 4, seed=64)
+        assert {len(s.joins) for s in specs} == {0, 1, 2, 3, 4}
+        assert any(not s.predicates for s in specs)
+        assert any(not s.joins and not s.predicates for s in specs)
+        for spec in specs:
+            est = predict(model, spec, db, samples)
+            fq = featurize(LabeledQuery(spec, None, query_bitmaps(spec, samples)), catalog)
+            one = make_batch([fq])
+            want = predict_batch(model, one)
+            assert np.float64(est).tobytes() == want.tobytes(), format_query(spec)
+            dense = denormalize_label(dense_forward(model, one)[0], catalog)
+            assert want.tobytes() == dense.tobytes(), format_query(spec)
 
 
 class TestPersistence:

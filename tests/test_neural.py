@@ -14,7 +14,10 @@ from cardlab.neural import (
     masked_mean_pool_backward,
     mlp2_backward,
     mlp2_forward,
+    sigmoid,
 )
+
+from helpers import masked_sigmoid
 
 
 class TestInit:
@@ -104,6 +107,33 @@ class TestMlp2:
         assert dx.shape == x.shape and none is None
         for field in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(full, field), getattr(skipped, field))
+
+
+class TestSigmoid:
+    """`sigmoid` equals the sign-split reference (tests/helpers.py) byte for
+    byte."""
+
+    def test_every_size_up_to_4097(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 4098):
+            x = rng.normal(scale=8.0, size=n)
+            assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes(), n
+
+    def test_extreme_values(self):
+        x = np.array(
+            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0]
+        )
+        y = sigmoid(x)
+        assert y.tobytes() == masked_sigmoid(x).tobytes()
+        assert y[0] == y[1] == 0.5 and y[2] == 1.0 and y[3] == 0.0
+        assert np.isfinite(y).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 256, 1001])
+    def test_column_shapes(self, n):
+        x = np.random.default_rng(n).normal(scale=3.0, size=(n, 1))
+        y = sigmoid(x)
+        assert y.shape == (n, 1)
+        assert y.tobytes() == masked_sigmoid(x).tobytes()
 
 
 class TestMaskedMeanPool:

@@ -96,24 +96,52 @@ class TestFormat:
             assert label is None
 
     def test_insertion_order_irrelevant(self):
+        kind = Predicate("t", "kind_id", "=", 3)
+        year = Predicate("t", "production_year", ">", 2000)
+        company = Predicate("mc", "company_id", "<", 9)
         a = QuerySpec(
             (TableRef("title", "t"), TableRef("movie_companies", "mc")),
             (JoinEdge(("mc", "movie_id"), ("t", "id")),),
-            (Predicate("t", "kind_id", "=", 3), Predicate("t", "production_year", ">", 2000)),
+            (kind, year, company),
         )
         b = QuerySpec(
             (TableRef("movie_companies", "mc"), TableRef("title", "t")),
             (JoinEdge(("mc", "movie_id"), ("t", "id")),),
-            (Predicate("t", "production_year", ">", 2000), Predicate("t", "kind_id", "=", 3)),
+            (year, company, kind, year),
         )
         assert a == b
         assert format_query(a) == format_query(b)
+        assert hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.aliases == b.aliases == ("mc", "t")
+        for spec in (a, b):
+            assert spec.table_of("t") == "title" and spec.table_of("mc") == "movie_companies"
+            assert spec.predicates_of("t") == (kind, year)
+            assert spec.predicates_of("mc") == (company,)
 
     @given(label=st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=50, deadline=None)
     def test_label_round_trip(self, label):
         spec, parsed = parse_query(format_query(QuerySpec((TableRef("title", "t"),)), label))
         assert parsed == label
+
+
+class TestQuerySpecLookups:
+    """QuerySpec resolves its aliases and per-alias predicates once, on
+    construction; lookups of undeclared aliases keep their meaning."""
+
+    def test_table_of_undeclared_alias_raises(self):
+        spec = QuerySpec((TableRef("title", "t"),))
+        assert spec.table_of("t") == "title"
+        with pytest.raises(ParseError, match="alias 'x' not declared"):
+            spec.table_of("x")
+
+    def test_predicates_of_undeclared_alias(self, db):
+        p = Predicate("x", "kind_id", "=", 1)
+        spec = QuerySpec((TableRef("title", "t"),), (), (p, Predicate("t", "kind_id", "<", 2)))
+        assert spec.predicates_of("x") == (p,)
+        assert spec.predicates_of("t") == (Predicate("t", "kind_id", "<", 2),)
+        assert spec.predicates_of("nobody") == ()
+        assert validate(spec, db) == ["predicate x.kind_id,=,1 uses undeclared alias 'x'"]
 
 
 class TestGenerator:
@@ -194,12 +222,14 @@ class TestWorkload:
         path = tmp_path / "w.txt"
         write_workload(path, w)
         loaded = read_workload(path)
-        assert [q for q, _ in loaded] == w
+        assert [q for _, q, _ in loaded] == w
+        assert [lineno for lineno, _, _ in loaded] == list(range(1, 51))
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("-- a comment\n\ntitle t###\n")
         assert len(read_workload(path)) == 1
+        assert read_workload(path)[0][0] == 3
 
 
 class TestValidate:
@@ -225,3 +255,33 @@ class TestValidate:
     def test_unknown_column(self, db):
         spec = QuerySpec((TableRef("title", "t"),), (), (Predicate("t", "zz", "=", 1),))
         assert any("unknown column" in e for e in validate(spec, db))
+
+    def test_messages_and_their_order(self, db):
+        spec = QuerySpec(
+            (
+                TableRef("title", "t"),
+                TableRef("movie_companies", "mc"),
+                TableRef("movie_info", "mi"),
+                TableRef("nope", "n"),
+            ),
+            (
+                JoinEdge(("mc", "movie_id"), ("t", "id")),
+                JoinEdge(("mi", "movie_id"), ("mc", "movie_id")),
+                JoinEdge(("n", "x"), ("t", "zz")),
+            ),
+            (
+                Predicate("t", "id", "=", 1),
+                Predicate("t", "zz", "<", 2),
+                Predicate("mc", "company_id", ">", 3),
+                Predicate("n", "x", "=", 4),
+                Predicate("q", "y", "=", 5),
+            ),
+        )
+        assert validate(spec, db) == [
+            "predicate q.y,=,5 uses undeclared alias 'q'",
+            "unknown table 'nope'",
+            "join mi.movie_id=mc.movie_id does not follow a declared foreign key",
+            "unknown column title.zz in join n.x=t.zz",
+            "predicate t.id,=,1 targets a key column",
+            "unknown column title.zz in predicate t.zz,<,2",
+        ]

@@ -327,6 +327,26 @@ def test_narrow_columns_code_in_int64():
     np.testing.assert_array_equal(right.codes, np.arange(values.size)[::-1])
 
 
+class TestColumnLookup:
+    def test_by_name(self, small_db):
+        title = small_db.table("title")
+        assert all(title.column(c.name) is c for c in title.columns)
+        with pytest.raises(SchemaError, match="unknown column title.nosuch"):
+            title.column("nosuch")
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(SchemaError, match="duplicate column names"):
+            Table("t", [Column("id", "pk", [1, 2]), Column("id", "attr", [3, 4])])
+
+    def test_declared_fk_joins(self, small_db):
+        for e in small_db.fk_edges:
+            assert small_db.is_fk_join(e.child, e.parent)
+            assert small_db.is_fk_join(e.parent, e.child)
+        assert not small_db.is_fk_join(
+            ("movie_companies", "movie_id"), ("movie_info", "movie_id")
+        )
+
+
 class TestJoinKeyIdentity:
     def test_synthetic_primary_keys(self, small_db):
         for e in small_db.fk_edges:
