@@ -182,6 +182,8 @@ def cmd_label(args) -> int:
 
 def _load_training_batches(args):
     """Shared by train/tune: corpus -> (train batch, val batch, catalog)."""
+    if not 0 < args.val_frac < 1:
+        raise ValidationError(f"validation fraction {args.val_frac} must lie in (0, 1)")
     db = storage.load_database(args.db)
     bitmaps_path = Path(f"{args.corpus}.bitmaps")
     if args.mode != "none" and not bitmaps_path.exists():

@@ -184,6 +184,9 @@ def read_report_csv(path: str | Path) -> list[dict]:
         return [dict(row) for row in csv.DictReader(f)]
 
 
+_GRID_KEYS = ("epochs", "batch_size", "d")
+
+
 def grid_search(
     space: dict,
     lr: float,
@@ -196,10 +199,24 @@ def grid_search(
     loss_kind: str = "mean_qerror",
 ) -> list[dict]:
     """Train `repeats` models per (epochs, batch_size, d) configuration with
-    derived seeds and rank configurations by mean final validation q-error."""
-    for key in ("epochs", "batch_size", "d"):
-        if not space.get(key):
-            raise ValueError(f"grid space needs a nonempty {key!r} list")
+    derived seeds and rank configurations by mean final validation q-error.
+    `space` maps each of the three names to a nonempty list of positive
+    integers (booleans are not integers here) and names nothing else."""
+    if not isinstance(space, dict):
+        raise ValueError("grid space must be an object of epochs/batch_size/d lists")
+    unknown = sorted(set(space) - set(_GRID_KEYS))
+    if unknown:
+        raise ValueError(f"grid space has unknown keys {unknown}")
+    for key in _GRID_KEYS:
+        values = space.get(key)
+        if not (
+            isinstance(values, list)
+            and values
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values)
+        ):
+            raise ValueError(f"grid space needs a nonempty {key!r} list of positive integers")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     configs = list(
         itertools.product(space["epochs"], space["batch_size"], space["d"])
     )

@@ -1,8 +1,9 @@
 """Immutable in-memory columnar database.
 
 Covers loading/synthesis of integer tables, per-column statistics, join
-key spaces, materialized uniform samples, and CSR join indexes (rows
-grouped by join-key code) for join probing. Distinct counts and join
+key spaces, materialized uniform samples, CSR join indexes (rows grouped
+by join-key code) for join probing, and CSR value indexes (rows grouped by
+value) on attribute columns for selective predicates. Distinct counts and
 indexes cost one sort per column. After construction a Database (and its
 samples/indexes) is never mutated.
 """
@@ -70,6 +71,72 @@ class TableSchema:
 #: Storage types of attribute columns, narrowest first.
 _ATTR_DTYPES = (np.int16, np.int32, np.int64)
 
+#: Key spaces up to this size are grouped by numpy's stable sort of uint16
+#: codes, a radix sort.
+_RADIX_SPACE = 2**16
+
+
+@dataclass(frozen=True)
+class ValueIndex:
+    """Rows of one attribute column grouped by value (CSR, as `JoinIndex`):
+    the rows holding `values[i]` are `rows[offsets[i]:offsets[i + 1]]`, in
+    ascending row order. Row ids are int32, half the memory of int64."""
+
+    values: np.ndarray  # distinct values, ascending, int64
+    rows: np.ndarray
+    offsets: np.ndarray  # one more entry than `values`
+    lo: int | None = field(init=False)  # values[0] and values[-1] as Python ints
+    hi: int | None = field(init=False)
+
+    def __post_init__(self):
+        size = self.values.size
+        object.__setattr__(self, "lo", int(self.values[0]) if size else None)
+        object.__setattr__(self, "hi", int(self.values[-1]) if size else None)
+
+    def _below(self, literal: int, inclusive: bool) -> int:
+        """Number of distinct values `< literal` (`<=` if inclusive). Python
+        ints compare exactly at any size, so only a literal inside the
+        column's range reaches `searchsorted`, as an int64."""
+        if self.lo is None or literal < self.lo or (literal == self.lo and not inclusive):
+            return 0
+        if literal > self.hi or (literal == self.hi and inclusive):
+            return self.values.size
+        return int(self.values.searchsorted(literal, "right" if inclusive else "left"))
+
+    def rows_where(self, op: str, literal: int) -> np.ndarray:
+        """Row ids whose value satisfies `value op literal`, grouped by value:
+        a view of `rows`, never to be written."""
+        if op == "<":
+            start, stop = 0, self._below(literal, False)
+        elif op == ">":
+            start, stop = self._below(literal, True), self.values.size
+        else:
+            start, stop = self._below(literal, False), self._below(literal, True)
+        return self.rows[self.offsets[start] : self.offsets[stop]]
+
+
+def value_index(values: np.ndarray) -> ValueIndex:
+    """CSR value index of one column. Values spanning at most 2**16 are
+    coded as their offset from the minimum, so `rows_by_code` groups them
+    with a radix sort; wider ones are coded by `np.unique`."""
+    n = values.size
+    if n and int(values.max()) - int(values.min()) < _RADIX_SPACE:
+        # Offsets computed at the column's width wrap modulo 2**16, so
+        # their low 16 bits are exact: every offset is below 2**16.
+        codes, key_space = (values - values.min()).astype(np.uint16), _RADIX_SPACE
+    else:
+        codes, key_space = np.unique(values, return_inverse=True)[1], n
+    rows = rows_by_code(codes, key_space).astype(np.int32)
+    ordered = values.take(rows)
+    first = np.ones(n, dtype=bool)  # where each value's group starts
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    distinct = ordered.take(starts).astype(np.int64)
+    offsets = np.append(starts, n)
+    for a in (distinct, rows, offsets):
+        a.flags.writeable = False
+    return ValueIndex(distinct, rows, offsets)
+
 
 @dataclass
 class Column:
@@ -79,24 +146,29 @@ class Column:
     arithmetic on them. An attribute column is stored as the narrowest of
     int16 / int32 / int64 that holds its values, which makes predicate
     scans several times cheaper; it is only ever compared with Python-int
-    literals, which numpy compares exactly at any width.
+    literals, which numpy compares exactly at any width. An attribute
+    column also carries its `ValueIndex`, built here once, so a selective
+    predicate reads its rows instead of scanning the column.
     """
 
     name: str
     kind: str
     values: np.ndarray
     ref: tuple[str, str] | None = None
+    index: ValueIndex | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 1:
             raise SchemaError(f"column {self.name!r} must be one-dimensional")
-        if self.kind == KIND_ATTR and values.size:
-            lo, hi = int(values.min()), int(values.max())
-            dtype = next(
-                d for d in _ATTR_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
-            )
-            values = values.astype(dtype, copy=False)
+        if self.kind == KIND_ATTR:
+            if values.size:
+                lo, hi = int(values.min()), int(values.max())
+                dtype = next(
+                    d for d in _ATTR_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
+                )
+                values = values.astype(dtype, copy=False)
+            self.index = value_index(values)
         self.values = values
 
 
@@ -203,11 +275,12 @@ class Database:
     """Named set of tables plus the declared fk-edge join universe.
 
     Referential integrity is verified on construction; per-column stats are
-    precomputed for all non-empty columns, and so is the join key space of
-    every declared fk edge (both columns' codes and fanouts, see
-    :func:`code_join_keys`). Any other column pair is coded per call. Nothing
-    is computed lazily or cached later: the database is never mutated after
-    construction.
+    precomputed for all non-empty columns (an attribute column's from the
+    value index its `Column` built), and so is the join key space of every
+    declared fk edge (both columns' codes and fanouts, see
+    :func:`code_join_keys`). Any other column pair is coded per call.
+    Nothing is computed lazily or cached later: the database is never
+    mutated after construction, and its indexes live and die with it.
     """
 
     def __init__(self, tables: list[Table]):
@@ -333,10 +406,14 @@ def distinct_count(values: np.ndarray) -> int:
 
 
 def compute_stats(column: Column) -> ColumnStats:
-    """Exact min/max/distinct-count of a non-empty column."""
+    """Exact min/max/distinct-count of a non-empty column; an attribute
+    column reads them from its value index."""
     v = column.values
     if not v.size:
         raise ValueError(f"cannot compute stats of empty column {column.name!r}")
+    if column.index is not None:
+        distinct = column.index.values
+        return ColumnStats(int(distinct[0]), int(distinct[-1]), distinct.size)
     return ColumnStats(min=int(v.min()), max=int(v.max()), distinct_count=distinct_count(v))
 
 
@@ -400,12 +477,16 @@ def draw_sample(table: Table, size: int, seed: int) -> MaterializedSample:
 
 def rows_by_code(codes: np.ndarray, key_space: int) -> np.ndarray:
     """Row positions ordered by code, rows ascending within a code: the
-    stable argsort of `codes`. Sorting the unique keys `code * n + row` with
-    numpy's default sort gives that order several times faster; the stable
-    sort remains for key spaces where those keys could leave int64."""
+    stable argsort of `codes`, which lie in [0, key_space). Codes that fit
+    16 bits take numpy's stable sort of uint16, a radix sort. Wider codes
+    sort the unique keys `code * n + row` with numpy's default sort, several
+    times faster than a stable sort of int64."""
     n = codes.size
-    if key_space * n >= 2**63:
-        return np.argsort(codes, kind="stable")
+    if key_space <= _RADIX_SPACE:
+        return np.argsort(codes.astype(np.uint16, copy=False), kind="stable")
+    # Join key spaces stay below 4 * rows + 1024 (`code_join_keys`) and
+    # value codes below the row count, so this needs about 1.5e9 rows.
+    assert key_space * n < 2**63, f"code * n + row leaves int64: {key_space} codes x {n} rows"
     return np.argsort(codes * n + np.arange(n))
 
 

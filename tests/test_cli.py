@@ -283,6 +283,49 @@ class TestHostileInputs:
         assert f"{workload}:4: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([1], "must be an object"),
+            ({"epochs": [1.5], "batch_size": [64], "d": [4]}, "'epochs' list of positive"),
+            ({"epochs": "ab", "batch_size": [64], "d": [4]}, "'epochs' list of positive"),
+            ({"epochs": [1], "batch_size": [64], "d": [True]}, "'d' list of positive"),
+            ({"epochs": [1], "batch_size": [[64]], "d": [4]}, "'batch_size' list of positive"),
+            ({"epochs": [1], "batch_size": [64], "d": [4], "lr": [0.1]}, "unknown keys ['lr']"),
+        ],
+        ids=["list", "float_epochs", "string_epochs", "bool_d", "nested_batch", "unknown_key"],
+    )
+    def test_bad_tune_grid(self, pipeline, tmp_path, capsys, grid, message):
+        _, db, _, _, corpus, *_ = pipeline
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["tune", "--grid", str(path), "--corpus", str(corpus), "--db", str(db),
+                     "--repeats", "1", "--out", str(tmp_path / "t.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tune_zero_repeats(self, pipeline, tmp_path, capsys):
+        # Zero repeats used to rank every configuration by the mean of no
+        # runs, a nan.
+        _, db, _, _, corpus, *_ = pipeline
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"epochs": [1], "batch_size": [64], "d": [4]}))
+        assert main(["tune", "--grid", str(path), "--corpus", str(corpus), "--db", str(db),
+                     "--repeats", "0", "--out", str(tmp_path / "t.csv")]) == 2
+        assert "repeats must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize("frac", ["-1", "0"])
+    def test_bad_val_frac(self, pipeline, tmp_path, capsys, command, frac):
+        # A fraction outside (0, 1) used to train on a one-query
+        # validation set without a word.
+        _, db, _, _, corpus, *_ = pipeline
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"epochs": [1], "batch_size": [64], "d": [4]}))
+        extra = ["--epochs", "1"] if command == "train" else ["--grid", str(path)]
+        assert main([command, "--corpus", str(corpus), "--db", str(db), "--val-frac", frac,
+                     *extra, "--out", str(tmp_path / "out")]) == 2
+        assert f"validation fraction {float(frac)} must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda h: h["hyperparams"].update(dropout=0.5),

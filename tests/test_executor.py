@@ -1,13 +1,18 @@
 import gc
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import nested_loop_count
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardlab import executor
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
     _count_from,
+    _selected,
     bitmap_to_hex,
     eval_predicates_on_sample,
     hex_to_bitmap,
@@ -16,6 +21,7 @@ from cardlab.executor import (
     predicate_mask,
     query_bitmaps,
     read_labeled_corpus,
+    select_rows,
     true_cardinality,
     write_labeled_corpus,
 )
@@ -147,18 +153,27 @@ def _title_ids(db, permute):
     return db
 
 
-def _count_at(db, spec, root):
+#: `_ROW_ID_SHARE` values under which every selection is a mask (unless
+#: empty) or every selection is row ids.
+MASKS, ROW_IDS = 0.0, 1.0
+
+
+def _count_at(db, spec, root, share):
     """The count of `spec` rooted at `root`, through the function
-    `true_cardinality` uses for its chosen root."""
-    masks = {}
-    for a in spec.aliases:
-        table = db.table(spec.table_of(a))
-        masks[a] = predicate_mask(lambda c: table.column(c).values, spec.predicates_of(a))
-    mask = masks[root]
-    selected = (
-        db.table(spec.table_of(root)).row_count if mask is None else int(np.count_nonzero(mask))
-    )
-    return _count_from(db, spec, masks, root, selected)
+    `true_cardinality` uses for its chosen root, with every alias selected
+    under the row-id share `share`."""
+    with mock.patch.object(executor, "_ROW_ID_SHARE", share):
+        sels = {
+            a: select_rows(db.table(spec.table_of(a)), spec.predicates_of(a))
+            for a in spec.aliases
+        }
+    for sel in sels.values():
+        if sel is not None and share == ROW_IDS:
+            assert sel.dtype != bool
+        elif sel is not None and share == MASKS:  # an empty range gives row ids
+            assert sel.dtype == bool or not sel.size
+    selected = _selected(db.table(spec.table_of(root)), sels[root])
+    return _count_from(db, spec, sels, root, selected)
 
 
 _OVERFLOW_N = 60_000
@@ -278,18 +293,39 @@ class TestTrueCardinality:
         with pytest.raises(ValidationError, match="int64"):
             true_cardinality(db, star(4, filtered=True))
 
+    def test_int64_overflow_raises_row_ids(self):
+        # Every child selected as row ids: the root is a child, the other
+        # children send bincounts of their selected rows' codes, and the
+        # same bound must raise.
+        db, star = _overflow_star()
+        with mock.patch.object(executor, "_ROW_ID_SHARE", ROW_IDS):
+            assert true_cardinality(db, star(3, filtered=True)) == _OVERFLOW_N**3
+            with pytest.raises(ValidationError, match="int64"):
+                true_cardinality(db, star(4, filtered=True))
+
+    @pytest.mark.parametrize("root", ["p", "c0"], ids=["row_id_leaves", "row_id_root"])
+    def test_int64_overflow_raises_filtered_row_ids(self, root):
+        # Row-id children as the leaves under the unfiltered parent, and
+        # one of them as the root gathering at its selected rows.
+        db, star = _overflow_star()
+        assert _count_at(db, star(3, filtered=True), root, ROW_IDS) == _OVERFLOW_N**3
+        with pytest.raises(ValidationError, match="int64"):
+            _count_at(db, star(4, filtered=True), root, ROW_IDS)
+
     @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
     def test_any_root_gives_the_count(self, db, permute_title):
         """Rooting the join tree at any alias gives the oracle's count, with
         title ids coded as the identity and, permuted, as dense codes in
-        another row order."""
+        another row order, and with every selection a mask or row ids."""
         db = _title_ids(db, permute_title)
         workload = generate_workload(db, 25, 4, seed=35)
         assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
         for spec in workload:
             expected = nested_loop_count(db, spec)
             for root in spec.aliases:
-                assert _count_at(db, spec, root) == expected, (format_query(spec), root)
+                for share in (MASKS, ROW_IDS):
+                    assert _count_at(db, spec, root, share) == expected, (
+                        format_query(spec), root, share)
             assert true_cardinality(db, spec) == expected
 
     @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
@@ -312,7 +348,9 @@ class TestTrueCardinality:
                 )
                 expected = nested_loop_count(db, spec)
                 assert (expected == 0) == (selected == "none")
-                assert _count_at(db, spec, root) == expected, (format_query(spec), root)
+                for share in (MASKS, ROW_IDS):
+                    assert _count_at(db, spec, root, share) == expected, (
+                        format_query(spec), root, share)
                 assert true_cardinality(db, spec) == expected
 
     @pytest.mark.parametrize("literal", [40000, -(2**40), 2**70])
@@ -390,6 +428,95 @@ class TestTrueCardinality:
             extra = Predicate(alias, col, "<", int(vals[rng.integers(vals.size)]))
             tightened = QuerySpec(spec.tables, spec.joins, spec.predicates + (extra,))
             assert true_cardinality(db, tightened) <= base
+
+
+_INT16 = np.iinfo(np.int16)
+_EDGE_LITERALS = (int(_INT16.min) - 1, int(_INT16.min), int(_INT16.min) + 1,
+                  int(_INT16.max) - 1, int(_INT16.max), int(_INT16.max) + 1,
+                  -(2**40), 2**70, -(2**63) - 1, 2**63)
+
+
+@pytest.fixture(scope="module")
+def edge_db():
+    """A small star whose title.production_year takes int16 boundary
+    values and whose cast_info.person_id spans more than 2**16 (an int32
+    column, value-indexed through `np.unique` codes)."""
+    rows = {name: 30 if name == "title" else 45 for name in ROWS}
+    base = generate_synthetic_db(SynthConfig(rows=rows, rho=0.6), seed=39)
+    rng = np.random.default_rng(40)
+    edges = np.array([_INT16.min, _INT16.min + 1, -1, 0, 1, _INT16.max - 1, _INT16.max])
+    replace = {
+        ("title", "production_year"): lambda v: rng.choice(edges, size=v.size),
+        ("cast_info", "person_id"): lambda v: v.astype(np.int64) * 100,
+    }
+    db = Database([
+        Table(t.name, [
+            Column(c.name, c.kind, replace.get((t.name, c.name), lambda v: v)(c.values),
+                   ref=c.ref)
+            for c in t.columns
+        ])
+        for t in base.tables.values()
+    ])
+    assert db.column_values("title", "production_year").dtype == np.int16
+    assert db.column_values("cast_info", "person_id").dtype == np.int32
+    return db
+
+
+@st.composite
+def edge_queries(draw, db):
+    """0-4 joins around title, 0-3 predicates per alias whose literals
+    lie at, inside and outside the column's range and at int16 bounds."""
+    children = [n for n in sorted(ROWS) if n != "title"]
+    k = draw(st.integers(0, 4))
+    if k:
+        tables = ["title"] + draw(st.permutations(children))[:k]
+    else:
+        tables = [draw(st.sampled_from(sorted(ROWS)))]
+    refs = tuple(TableRef(t, f"a{i}") for i, t in enumerate(tables))
+    joins = tuple(JoinEdge((r.alias, "movie_id"), ("a0", "id")) for r in refs[1:])
+    preds = []
+    for r in refs:
+        for _ in range(draw(st.integers(0, 3))):
+            column = draw(st.sampled_from(db.attr_columns(r.table)))
+            s = db.stats(r.table, column)
+            literal = draw(st.one_of(
+                st.sampled_from((s.min - 1, s.min, s.min + 1, s.max - 1, s.max, s.max + 1)),
+                st.integers(s.min, s.max),
+                st.sampled_from(_EDGE_LITERALS),
+            ))
+            preds.append(Predicate(r.alias, column, draw(st.sampled_from("=<>")), literal))
+    return QuerySpec(refs, joins, tuple(preds))
+
+
+class TestSelectionPaths:
+    """Row-id and mask selections, mixed as the row-id share picks them,
+    count as the nested-loop oracle does."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), share=st.sampled_from([MASKS, executor._ROW_ID_SHARE, ROW_IDS]))
+    def test_matches_nested_loop(self, edge_db, data, share):
+        spec = data.draw(edge_queries(edge_db))
+        expected = nested_loop_count(edge_db, spec)
+        with mock.patch.object(executor, "_ROW_ID_SHARE", share):
+            assert true_cardinality(edge_db, spec) == expected, format_query(spec)
+        for root in spec.aliases:
+            assert _count_at(edge_db, spec, root, share) == expected, (format_query(spec), root)
+
+    @pytest.mark.parametrize("share", [MASKS, ROW_IDS])
+    def test_selects_as_a_scan(self, edge_db, share):
+        # Every operator at every boundary literal of every attribute
+        # column selects the rows a Python scan does, empty or not.
+        for t in edge_db.tables.values():
+            for name in edge_db.attr_columns(t.name):
+                values = t.column(name).values.tolist()
+                s = edge_db.stats(t.name, name)
+                for literal in (s.min - 1, s.min, s.max, s.max + 1) + _EDGE_LITERALS:
+                    for op in "=<>":
+                        with mock.patch.object(executor, "_ROW_ID_SHARE", share):
+                            sel = select_rows(t, (Predicate("x", name, op, literal),))
+                        got = np.flatnonzero(sel) if sel.dtype == bool else np.sort(sel)
+                        want = [i for i, v in enumerate(values) if _PY_OPS[op](v, literal)]
+                        assert got.tolist() == want, (t.name, name, op, literal)
 
 
 class TestSampleBitmaps:

@@ -21,6 +21,7 @@ from cardlab.storage import (
     load_database,
     load_samples,
     load_synth_config,
+    _RADIX_SPACE,
     rows_by_code,
     save_database,
     save_samples,
@@ -293,16 +294,25 @@ class TestHashIndex:
 
     @pytest.mark.parametrize("scale", [1, 10**12], ids=["dense", "sparse"])
     def test_rows_by_code_matches_stable_argsort(self, scale):
-        # The unique-key sort and its stable-sort fallback (taken when
-        # code * n + row could pass 2**63) give the stable argsort's order.
+        # The radix sort of 16-bit codes and the unique-key sort (any key
+        # space past 2**16, forced here on small codes too) give the stable
+        # argsort's order; the dense 70000-wide keys take the unique-key
+        # sort through `join_index`.
         rng = np.random.default_rng(9)
         for vals in (rng.integers(-20, 20, size=300) * scale,
-                     rng.integers(0, 5, size=1000), np.empty(0, np.int64)):
+                     rng.integers(0, 5, size=1000), np.empty(0, np.int64),
+                     rng.integers(0, 70_000, size=20_000) * scale):
             key, _ = code_join_keys(vals, vals[:10])
             expected = np.argsort(key.codes, kind="stable")
-            for space in (key.fanout.size, 2**62):
+            for space in (key.fanout.size, _RADIX_SPACE + 1):
                 np.testing.assert_array_equal(rows_by_code(key.codes, space), expected)
             np.testing.assert_array_equal(join_index(key).rows, expected)
+
+    def test_rows_by_code_bound_asserted(self):
+        # code * n + row must stay inside int64, which no in-memory table
+        # reaches; past it the sort would be wrong, so it is asserted.
+        with pytest.raises(AssertionError, match="leaves int64"):
+            rows_by_code(np.zeros(300, dtype=np.int64), 2**62)
 
     def test_build_join_indexes_scan_oracle(self, small_db):
         indexes = build_join_indexes(small_db)
