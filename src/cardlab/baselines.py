@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .executor import eval_predicates_on_sample, predicate_mask
 from .query import QuerySpec
-from .storage import Database, JoinIndex, MaterializedSample
+from .storage import Database, Groups, MaterializedSample
 
 
 def _sample_scan(
@@ -45,18 +45,24 @@ def _sample_scan(
     sel = 1.0
     for p in preds:
         pop_c = int(np.count_nonzero(eval_predicates_on_sample(sample, (p,))))
-        fallback = 1.0 / db.stats(table, p.column).distinct_count
+        fallback = 1.0 / db.table(table).column(p.column).distinct_count
         sel *= max(pop_c / sample.size, fallback)
     return sel * rows, bitmap
+
+
+def _edge_distinct(db: Database, spec: QuerySpec, left, right) -> int:
+    """The independence denominator of one join edge between the (alias,
+    column) pairs `left` and `right`: the larger distinct count."""
+    return max(
+        db.table(spec.table_of(alias)).column(column).distinct_count
+        for alias, column in (left, right)
+    )
 
 
 def _join_denominator(db: Database, spec: QuerySpec) -> float:
     denom = 1.0
     for j in spec.joins:
-        dvs = []
-        for alias, column in (j.left, j.right):
-            dvs.append(db.stats(spec.table_of(alias), column).distinct_count)
-        denom *= max(dvs)
+        denom *= _edge_distinct(db, spec, j.left, j.right)
     return denom
 
 
@@ -81,7 +87,7 @@ def rs_estimate(
 def ibjs_estimate(
     db: Database,
     samples: dict[str, MaterializedSample],
-    indexes: dict[tuple[tuple[str, str], tuple[str, str]], JoinIndex],
+    indexes: dict[tuple[tuple[str, str], tuple[str, str]], Groups],
     spec: QuerySpec,
 ) -> float:
     """Walk the join tree from the most selective table, probing each next
@@ -133,15 +139,8 @@ def ibjs_estimate(
         for a in spec.aliases:
             if a not in joined:
                 est *= filtered[a]
-        for known, _, new, _ in remaining:
-            edge = next(
-                j for j in spec.joins if {j.left[0], j.right[0]} == {known, new}
-            )
-            dvs = [
-                db.stats(spec.table_of(alias), column).distinct_count
-                for alias, column in (edge.left, edge.right)
-            ]
-            est /= max(dvs)
+        for known, known_col, new, new_col in remaining:
+            est /= _edge_distinct(db, spec, (known, known_col), (new, new_col))
         return max(est, 1.0)
 
     # Intermediate result: parallel arrays of full-table row indices.

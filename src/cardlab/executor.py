@@ -3,8 +3,9 @@ evaluation over materialized samples, and the labeled-corpus file formats.
 
 Cardinalities are exact bag-semantics counts of the join+filter result.
 Each alias's predicates first select its rows (`select_rows`). Every
-attribute column carries a value index (`storage.ValueIndex`, rows grouped
-by value), so each predicate's range of rows is known from offsets alone.
+attribute column carries a value index (`storage.ValueIndex`: the sorted
+keys of its code space over a `storage.Groups` of its rows grouped by
+key), so each predicate's range of rows is known from offsets alone.
 When the narrowest range holds at most a quarter of the table, the
 selection is that range's row ids, with the other predicates checked at
 those rows only; otherwise it is the boolean mask of a scan of every
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .query import LabeledQuery, Predicate, QuerySpec, format_query, parse_query
+from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload
 from .storage import Database, JoinKey, MaterializedSample, Table
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
@@ -303,7 +304,10 @@ def bitmap_to_hex(bitmap: np.ndarray) -> str:
 
 
 def hex_to_bitmap(text: str, size: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    except ValueError:
+        raise ParseError(f"malformed hex bitmap {text!r}") from None
     bits = np.unpackbits(raw, bitorder="little")
     if bits.size < size:
         raise ParseError(f"bitmap holds {bits.size} bits, expected {size}")
@@ -335,12 +339,7 @@ def read_labeled_corpus(
 ) -> tuple[list[LabeledQuery], int | None]:
     """Returns (queries, sample_size). Bitmaps are empty without a sidecar."""
     queries: list[LabeledQuery] = []
-    for lineno, line in enumerate(
-        Path(corpus_path).read_text(encoding="utf-8").splitlines(), 1
-    ):
-        if not line.strip() or line.startswith("--"):
-            continue
-        spec, label = parse_query(line)
+    for lineno, spec, label in read_workload(corpus_path):
         if label is None:
             raise ParseError(f"{corpus_path}:{lineno}: missing cardinality label")
         queries.append(LabeledQuery(spec, label, {}))
@@ -352,21 +351,25 @@ def read_labeled_corpus(
     if not m:
         raise ParseError(f"{bitmaps_path}: missing '-- sample_size=N' header")
     size = int(m.group(1))
-    data_lines = [l for l in text if l.strip() and not l.startswith("--")]
+    data_lines = [
+        (lineno, l) for lineno, l in enumerate(text, 1) if l.strip() and not l.startswith("--")
+    ]
     if len(data_lines) != len(queries):
         raise ParseError(
             f"{bitmaps_path}: {len(data_lines)} bitmap lines for {len(queries)} queries"
         )
-    for q, line in zip(queries, data_lines):
+    for q, (lineno, line) in zip(queries, data_lines):
+        where = f"{bitmaps_path}:{lineno}"
         bitmaps = {}
         for token in line.split(","):
             alias, _, hexpart = token.partition(":")
             if not hexpart:
-                raise ParseError(f"{bitmaps_path}: malformed bitmap token {token!r}")
-            bitmaps[alias] = hex_to_bitmap(hexpart, size)
+                raise ParseError(f"{where}: malformed bitmap token {token!r}")
+            try:
+                bitmaps[alias] = hex_to_bitmap(hexpart, size)
+            except ParseError as exc:
+                raise ParseError(f"{where}: {exc}") from None
         if set(bitmaps) != set(q.spec.aliases):
-            raise ParseError(
-                f"{bitmaps_path}: bitmap aliases {sorted(bitmaps)} do not match query"
-            )
+            raise ParseError(f"{where}: bitmap aliases {sorted(bitmaps)} do not match query")
         q.bitmaps = bitmaps
     return queries, size

@@ -174,8 +174,10 @@ def build_catalog(
     bounds = {}
     for qc in columns:
         t, _, c = qc.partition(".")
-        s = db.stats(t, c)
-        bounds[qc] = (s.min, s.max)
+        column = db.table(t).column(c)
+        if column.lo is None:
+            raise ValueError(f"no bounds for empty column {qc}")
+        bounds[qc] = (column.lo, column.hi)
     return EncodingCatalog(
         table_index=table_index,
         join_index=join_index,

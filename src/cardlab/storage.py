@@ -1,11 +1,13 @@
 """Immutable in-memory columnar database.
 
-Covers loading/synthesis of integer tables, per-column statistics, join
-key spaces, materialized uniform samples, CSR join indexes (rows grouped
-by join-key code) for join probing, and CSR value indexes (rows grouped by
-value) on attribute columns for selective predicates. Distinct counts and
-indexes cost one sort per column. After construction a Database (and its
-samples/indexes) is never mutated.
+Covers loading/synthesis of integer tables, per-column facts (bounds and
+distinct count, kept on each `Column`), join key spaces, materialized
+uniform samples, and rows grouped by key (`Groups`, a CSR grouping with
+int32 row ids). One builder, `group_rows`, makes every grouping: the join
+indexes (rows grouped by join-key code) for join probing, and the value
+indexes (rows grouped by value) of attribute columns for selective
+predicates. Each column's distinct count and index cost one sort. After
+construction a Database (and its samples/indexes) is never mutated.
 """
 
 from __future__ import annotations
@@ -77,65 +79,81 @@ _RADIX_SPACE = 2**16
 
 
 @dataclass(frozen=True)
-class ValueIndex:
-    """Rows of one attribute column grouped by value (CSR, as `JoinIndex`):
-    the rows holding `values[i]` are `rows[offsets[i]:offsets[i + 1]]`, in
-    ascending row order. Row ids are int32, half the memory of int64."""
+class Groups:
+    """Rows grouped by code (CSR): the rows coded c are
+    `rows[offsets[c]:offsets[c + 1]]`, in ascending row order. Row ids are
+    int32, half the memory of int64."""
 
-    values: np.ndarray  # distinct values, ascending, int64
     rows: np.ndarray
-    offsets: np.ndarray  # one more entry than `values`
-    lo: int | None = field(init=False)  # values[0] and values[-1] as Python ints
+    offsets: np.ndarray  # fanout cumsum, one more entry than the key space
+
+    def probe(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (probe position, row) pair whose codes are equal, as two
+        parallel arrays: grouped by probe position in order, rows ascending
+        within a group."""
+        starts = self.offsets[codes]
+        counts = self.offsets[codes + 1] - starts
+        positions = np.repeat(np.arange(codes.size), counts)
+        # A match's place in `rows`: its group's start plus its rank in the group.
+        group_first = np.cumsum(counts) - counts
+        at = np.arange(positions.size) + np.repeat(starts - group_first, counts)
+        return positions, self.rows[at]
+
+
+@dataclass(frozen=True)
+class ValueIndex:
+    """Rows of one attribute column grouped by value: the rows holding
+    `keys[i]` are group i of `groups`. The keys are the column's code
+    space, ascending; a key no row holds has an empty group."""
+
+    keys: np.ndarray  # int64
+    groups: Groups
+    lo: int | None = field(init=False)  # keys[0] and keys[-1] as Python ints
     hi: int | None = field(init=False)
 
     def __post_init__(self):
-        size = self.values.size
-        object.__setattr__(self, "lo", int(self.values[0]) if size else None)
-        object.__setattr__(self, "hi", int(self.values[-1]) if size else None)
+        size = self.keys.size
+        object.__setattr__(self, "lo", int(self.keys[0]) if size else None)
+        object.__setattr__(self, "hi", int(self.keys[-1]) if size else None)
 
     def _below(self, literal: int, inclusive: bool) -> int:
-        """Number of distinct values `< literal` (`<=` if inclusive). Python
-        ints compare exactly at any size, so only a literal inside the
-        column's range reaches `searchsorted`, as an int64."""
+        """Number of keys `< literal` (`<=` if inclusive). Python ints
+        compare exactly at any size, so only a literal inside the column's
+        range reaches `searchsorted`, as an int64."""
         if self.lo is None or literal < self.lo or (literal == self.lo and not inclusive):
             return 0
         if literal > self.hi or (literal == self.hi and inclusive):
-            return self.values.size
-        return int(self.values.searchsorted(literal, "right" if inclusive else "left"))
+            return self.keys.size
+        return int(self.keys.searchsorted(literal, "right" if inclusive else "left"))
 
     def rows_where(self, op: str, literal: int) -> np.ndarray:
         """Row ids whose value satisfies `value op literal`, grouped by value:
-        a view of `rows`, never to be written."""
+        a view of the grouped rows, never to be written."""
         if op == "<":
             start, stop = 0, self._below(literal, False)
         elif op == ">":
-            start, stop = self._below(literal, True), self.values.size
+            start, stop = self._below(literal, True), self.keys.size
         else:
             start, stop = self._below(literal, False), self._below(literal, True)
-        return self.rows[self.offsets[start] : self.offsets[stop]]
+        offsets = self.groups.offsets
+        return self.groups.rows[offsets[start] : offsets[stop]]
 
 
 def value_index(values: np.ndarray) -> ValueIndex:
-    """CSR value index of one column. Values spanning at most 2**16 are
-    coded as their offset from the minimum, so `rows_by_code` groups them
-    with a radix sort; wider ones are coded by `np.unique`."""
-    n = values.size
-    if n and int(values.max()) - int(values.min()) < _RADIX_SPACE:
+    """Value index of one column. Values spanning at most 2**16 are coded
+    as their offset from the minimum, every value of the span a key, so
+    `group_rows` groups them with a radix sort; wider ones are coded by
+    `np.unique`, its values the keys."""
+    if values.size and int(values.max()) - int(values.min()) < _RADIX_SPACE:
+        keys = np.arange(int(values.min()), int(values.max()) + 1, dtype=np.int64)
         # Offsets computed at the column's width wrap modulo 2**16, so
         # their low 16 bits are exact: every offset is below 2**16.
-        codes, key_space = (values - values.min()).astype(np.uint16), _RADIX_SPACE
+        codes = (values - values.min()).astype(np.uint16)
     else:
-        codes, key_space = np.unique(values, return_inverse=True)[1], n
-    rows = rows_by_code(codes, key_space).astype(np.int32)
-    ordered = values.take(rows)
-    first = np.ones(n, dtype=bool)  # where each value's group starts
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    distinct = ordered.take(starts).astype(np.int64)
-    offsets = np.append(starts, n)
-    for a in (distinct, rows, offsets):
-        a.flags.writeable = False
-    return ValueIndex(distinct, rows, offsets)
+        keys, codes = np.unique(values, return_inverse=True)
+        keys = keys.astype(np.int64)
+    keys.flags.writeable = False
+    return ValueIndex(keys, group_rows(codes, np.bincount(codes, minlength=keys.size)))
 
 
 @dataclass
@@ -149,6 +167,11 @@ class Column:
     literals, which numpy compares exactly at any width. An attribute
     column also carries its `ValueIndex`, built here once, so a selective
     predicate reads its rows instead of scanning the column.
+
+    The column's facts are recorded here too: its least and greatest
+    value (None when empty) and its distinct count, which is the number of
+    nonempty groups of an attribute column's value index, and one sort of
+    a key column (`Table` reads it to check a primary key).
     """
 
     name: str
@@ -156,27 +179,28 @@ class Column:
     values: np.ndarray
     ref: tuple[str, str] | None = None
     index: ValueIndex | None = field(init=False, default=None, repr=False, compare=False)
+    lo: int | None = field(init=False, default=None, compare=False)
+    hi: int | None = field(init=False, default=None, compare=False)
+    distinct_count: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 1:
             raise SchemaError(f"column {self.name!r} must be one-dimensional")
+        if values.size:
+            self.lo, self.hi = int(values.min()), int(values.max())
         if self.kind == KIND_ATTR:
             if values.size:
-                lo, hi = int(values.min()), int(values.max())
                 dtype = next(
-                    d for d in _ATTR_DTYPES if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max
+                    d for d in _ATTR_DTYPES
+                    if np.iinfo(d).min <= self.lo and self.hi <= np.iinfo(d).max
                 )
                 values = values.astype(dtype, copy=False)
             self.index = value_index(values)
+            self.distinct_count = int(np.count_nonzero(np.diff(self.index.groups.offsets)))
+        else:
+            self.distinct_count = distinct_count(values)
         self.values = values
-
-
-@dataclass
-class ColumnStats:
-    min: int
-    max: int
-    distinct_count: int
 
 
 @dataclass
@@ -203,7 +227,7 @@ class Table:
                 f"table {self.name!r} must have exactly one primary key, found {len(pks)}"
             )
         pk = pks[0]
-        if distinct_count(pk.values) != self.row_count:
+        if pk.distinct_count != self.row_count:
             raise SchemaError(f"primary key {self.name}.{pk.name} has duplicates")
 
     def column(self, name: str) -> Column:
@@ -274,11 +298,10 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
 class Database:
     """Named set of tables plus the declared fk-edge join universe.
 
-    Referential integrity is verified on construction; per-column stats are
-    precomputed for all non-empty columns (an attribute column's from the
-    value index its `Column` built), and so is the join key space of every
-    declared fk edge (both columns' codes and fanouts, see
-    :func:`code_join_keys`). Any other column pair is coded per call.
+    Referential integrity is verified on construction, and the join key
+    space of every declared fk edge (both columns' codes and fanouts, see
+    :func:`code_join_keys`) is precomputed. Any other column pair is coded
+    per call. Per-column facts live on each `Column`.
     Nothing is computed lazily or cached later: the database is never
     mutated after construction, and its indexes live and die with it.
     """
@@ -297,11 +320,6 @@ class Database:
         )
         self._join_keys: dict[tuple, tuple[JoinKey, JoinKey]] = {}
         self._code_fk_edges()
-        self._stats: dict[tuple[str, str], ColumnStats] = {}
-        for t in tables:
-            for c in t.columns:
-                if len(c.values):
-                    self._stats[(t.name, c.name)] = compute_stats(c)
 
     def _code_fk_edges(self):
         """Codes each fk edge's key space, checking referential integrity:
@@ -341,14 +359,6 @@ class Database:
         edge, in either orientation."""
         return (left, right) in self._join_keys
 
-    def stats(self, table: str, column: str) -> ColumnStats:
-        key = (table, column)
-        if key not in self._stats:
-            # Either the column does not exist or it is empty.
-            self.table(table).column(column)
-            raise ValueError(f"no stats for empty column {table}.{column}")
-        return self._stats[key]
-
     def attr_columns(self, table: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.table(table).columns if c.kind == KIND_ATTR)
 
@@ -370,27 +380,6 @@ class MaterializedSample:
     seed: int
 
 
-@dataclass(frozen=True)
-class JoinIndex:
-    """Rows of one join column grouped by join-key code (CSR): the rows
-    coded c are `rows[offsets[c]:offsets[c + 1]]`, in ascending row order."""
-
-    rows: np.ndarray
-    offsets: np.ndarray  # fanout cumsum, one more entry than the key space
-
-    def probe(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (probe position, row) pair whose codes are equal, as two
-        parallel arrays: grouped by probe position in order, rows ascending
-        within a group."""
-        starts = self.offsets[codes]
-        counts = self.offsets[codes + 1] - starts
-        positions = np.repeat(np.arange(codes.size), counts)
-        # A match's place in `rows`: its group's start plus its rank in the group.
-        group_first = np.cumsum(counts) - counts
-        at = np.arange(positions.size) + np.repeat(starts - group_first, counts)
-        return positions, self.rows[at]
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -403,18 +392,6 @@ def distinct_count(values: np.ndarray) -> int:
         return 0
     s = np.sort(values)
     return int(np.count_nonzero(s[1:] != s[:-1])) + 1
-
-
-def compute_stats(column: Column) -> ColumnStats:
-    """Exact min/max/distinct-count of a non-empty column; an attribute
-    column reads them from its value index."""
-    v = column.values
-    if not v.size:
-        raise ValueError(f"cannot compute stats of empty column {column.name!r}")
-    if column.index is not None:
-        distinct = column.index.values
-        return ColumnStats(int(distinct[0]), int(distinct[-1]), distinct.size)
-    return ColumnStats(min=int(v.min()), max=int(v.max()), distinct_count=distinct_count(v))
 
 
 def load_csv(path: str | Path, schema: TableSchema) -> Table:
@@ -490,25 +467,30 @@ def rows_by_code(codes: np.ndarray, key_space: int) -> np.ndarray:
     return np.argsort(codes * n + np.arange(n))
 
 
-def join_index(key: JoinKey) -> JoinIndex:
-    """CSR index of the column coded `key`: its rows ordered by code plus
-    the fanout cumsum as offsets."""
-    offsets = np.zeros(key.fanout.size + 1, dtype=np.int64)
-    np.cumsum(key.fanout, out=offsets[1:])
-    return JoinIndex(rows_by_code(key.codes, key.fanout.size), offsets)
+def group_rows(codes: np.ndarray, fanout: np.ndarray) -> Groups:
+    """Rows grouped by code, `fanout` rows per code: the rows ordered by
+    code as int32 ids, and the fanout cumsum as offsets."""
+    offsets = np.zeros(fanout.size + 1, dtype=np.int64)
+    np.cumsum(fanout, out=offsets[1:])
+    rows = rows_by_code(codes, fanout.size).astype(np.int32)
+    for a in (rows, offsets):
+        a.flags.writeable = False
+    return Groups(rows, offsets)
 
 
 def build_join_indexes(
     db: Database,
-) -> dict[tuple[tuple[str, str], tuple[str, str]], JoinIndex]:
-    """A join index on both sides of every declared fk edge, keyed by
-    (probing column, indexed column), each a (table, column) pair; probe
-    it with the probing column's codes in the edge's key space."""
-    return {
-        (probing, indexed): join_index(db.join_keys(probing, indexed)[1])
-        for e in db.fk_edges
-        for probing, indexed in ((e.child, e.parent), (e.parent, e.child))
-    }
+) -> dict[tuple[tuple[str, str], tuple[str, str]], Groups]:
+    """A join index (the indexed column's rows grouped by join-key code) on
+    both sides of every declared fk edge, keyed by (probing column, indexed
+    column), each a (table, column) pair; probe it with the probing
+    column's codes in the edge's key space."""
+    indexes = {}
+    for e in db.fk_edges:
+        for probing, indexed in ((e.child, e.parent), (e.parent, e.child)):
+            key = db.join_keys(probing, indexed)[1]
+            indexes[(probing, indexed)] = group_rows(key.codes, key.fanout)
+    return indexes
 
 
 def draw_all_samples(
@@ -754,6 +736,7 @@ def save_samples(samples: dict[str, MaterializedSample], path: str | Path) -> No
 
 
 def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample]:
+    """The samples saved at `path`: one per table of `db`, all of one size."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if _field(doc, "format_version", path) != SAMPLES_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported samples format_version")
@@ -779,4 +762,10 @@ def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample
             raise SchemaError(f"{where}: size {size} but {idx.size} row indices")
         rows = {c.name: c.values[idx] for c in table.columns}
         samples[name] = MaterializedSample(name, size, idx, rows, seed)
+    missing = sorted(set(db.tables) - set(samples))
+    if missing:
+        raise SchemaError(f"{path}: no sample of table(s) {missing}")
+    if len({s.size for s in samples.values()}) > 1:
+        sizes = {name: s.size for name, s in sorted(samples.items())}
+        raise SchemaError(f"{path}: samples differ in size {sizes}")
     return samples

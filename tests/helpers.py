@@ -136,7 +136,7 @@ def loop_ibjs_estimate(db, samples, spec):
             for k, _, n, _ in walk[step:]:
                 edge = next(j for j in spec.joins if {j.left[0], j.right[0]} == {k, n})
                 est /= max(
-                    db.stats(spec.table_of(a), c).distinct_count
+                    db.table(spec.table_of(a)).column(c).distinct_count
                     for a, c in (edge.left, edge.right)
                 )
             return max(est, 1.0), "tail"

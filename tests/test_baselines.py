@@ -176,11 +176,11 @@ def test_literal_outside_column_dtype(db, samples, indexes, literal):
         attrs = db.attr_columns(table)
         col = attrs[int(rng.integers(len(attrs)))]
         assert db.column_values(table, col).dtype == np.int16
-        s = db.stats(table, col)
+        s = db.table(table).column(col)
         for op in ("=", "<", ">"):
             specs = [
                 QuerySpec(spec.tables, spec.joins, spec.predicates + (Predicate(alias, col, op, lit),))
-                for lit in (literal, min(max(literal, s.min - 1), s.max + 1))
+                for lit in (literal, min(max(literal, s.lo - 1), s.hi + 1))
             ]
             for estimate in (rs_estimate, lambda d, sm, q: ibjs_estimate(d, sm, indexes, q)):
                 wide, clamped = (estimate(db, samples, q) for q in specs)

@@ -184,6 +184,14 @@ def _edit_model_header(src, dst, edit):
     dst.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
+def _missing_table(doc):
+    doc["tables"].pop("title")
+
+
+def _mixed_sizes(doc):
+    doc["tables"]["title"].update(size=10, row_indices=list(range(10)))
+
+
 class TestHostileInputs:
     """Malformed input files fail with exit code 2, never a traceback."""
 
@@ -226,11 +234,14 @@ class TestHostileInputs:
             lambda d: d["tables"]["title"].update(seed=1.5),
             lambda d: d["tables"]["title"].update(seed=True),
             lambda d: d["tables"]["title"].update(seed="1"),
+            _missing_table,
+            _mixed_sizes,
         ],
         ids=["duplicate_and_size", "duplicate", "size_mismatch", "no_tables",
              "no_row_indices", "no_size", "no_seed", "float_indices", "bool_indices",
              "string_indices", "index_beyond_int64", "float_size", "bool_size",
-             "string_size", "float_seed", "bool_seed", "string_seed"],
+             "string_size", "float_seed", "bool_seed", "string_seed",
+             "missing_table", "mixed_sizes"],
     )
     def test_bad_samples(self, pipeline, tmp_path, edit):
         _, db, samples, _, corpus, *_ = pipeline
@@ -239,6 +250,50 @@ class TestHostileInputs:
         assert main(["eval", "--baseline", "rs", "--workload", str(corpus),
                      "--db", str(db), "--samples", str(bad),
                      "--report", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(_missing_table, "no sample of table(s) ['title']"),
+         (_mixed_sizes, "samples differ in size")],
+        ids=["missing_table", "mixed_sizes"],
+    )
+    def test_label_rejects_bad_samples(self, pipeline, tmp_path, capsys, edit, message):
+        # A missing table used to end `label` in a KeyError traceback, and
+        # mixed sizes in a sidecar headed by the first table's size.
+        _, db, samples, workload, *_ = pipeline
+        bad = tmp_path / "samples.json"
+        _edit_json(samples, bad, edit)
+        out = tmp_path / "c.txt"
+        assert main(["label", "--db", str(db), "--workload", str(workload),
+                     "--samples", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_corpus_line(self, pipeline, tmp_path, capsys):
+        _, db, *_ = pipeline
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("title t###5\ntitle t#t.id=t.id##5\n")
+        assert main(["train", "--corpus", str(corpus), "--db", str(db), "--mode", "none",
+                     "--epochs", "1", "--out", str(tmp_path / "m.bin")]) == 2
+        assert f"{corpus}:2: 1 joins over 1 tables is not a join tree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "hexpart, message",
+        [("zz", "malformed hex bitmap 'zz'"), ("ff", "bitmap holds 8 bits, expected 25")],
+        ids=["not_hex", "short"],
+    )
+    def test_bad_sidecar_bitmap(self, pipeline, tmp_path, capsys, hexpart, message):
+        _, db, _, _, corpus, *_ = pipeline
+        bad = tmp_path / "c.txt"
+        bad.write_bytes(corpus.read_bytes())
+        lines = (corpus.parent / "corpus.txt.bitmaps").read_text().splitlines()
+        alias, _, _ = lines[2].split(",")[0].partition(":")
+        lines[2] = ",".join([f"{alias}:{hexpart}"] + lines[2].split(",")[1:])
+        sidecar = tmp_path / "c.txt.bitmaps"
+        sidecar.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--corpus", str(bad), "--db", str(db), "--mode", "bitmap",
+                     "--epochs", "1", "--out", str(tmp_path / "m.bin")]) == 2
+        assert f"{sidecar}:3: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", [2**63, 2**70, -(2**63) - 1])
     def test_csv_cell_beyond_int64(self, pipeline, tmp_path, capsys, cell):

@@ -368,11 +368,11 @@ class TestTrueCardinality:
             attrs = db.attr_columns(table)
             col = attrs[int(rng.integers(len(attrs)))]
             assert db.column_values(table, col).dtype == np.int16
-            s = db.stats(table, col)
+            s = db.table(table).column(col)
             for op in ("=", "<", ">"):
                 wide = QuerySpec(spec.tables, spec.joins,
                                  spec.predicates + (Predicate(alias, col, op, literal),))
-                clamped_literal = min(max(literal, s.min - 1), s.max + 1)
+                clamped_literal = min(max(literal, s.lo - 1), s.hi + 1)
                 clamped = QuerySpec(spec.tables, spec.joins,
                                     spec.predicates + (Predicate(alias, col, op, clamped_literal),))
                 count = true_cardinality(db, wide)
@@ -478,10 +478,10 @@ def edge_queries(draw, db):
     for r in refs:
         for _ in range(draw(st.integers(0, 3))):
             column = draw(st.sampled_from(db.attr_columns(r.table)))
-            s = db.stats(r.table, column)
+            s = db.table(r.table).column(column)
             literal = draw(st.one_of(
-                st.sampled_from((s.min - 1, s.min, s.min + 1, s.max - 1, s.max, s.max + 1)),
-                st.integers(s.min, s.max),
+                st.sampled_from((s.lo - 1, s.lo, s.lo + 1, s.hi - 1, s.hi, s.hi + 1)),
+                st.integers(s.lo, s.hi),
                 st.sampled_from(_EDGE_LITERALS),
             ))
             preds.append(Predicate(r.alias, column, draw(st.sampled_from("=<>")), literal))
@@ -508,9 +508,9 @@ class TestSelectionPaths:
         # column selects the rows a Python scan does, empty or not.
         for t in edge_db.tables.values():
             for name in edge_db.attr_columns(t.name):
-                values = t.column(name).values.tolist()
-                s = edge_db.stats(t.name, name)
-                for literal in (s.min - 1, s.min, s.max, s.max + 1) + _EDGE_LITERALS:
+                s = t.column(name)
+                values = s.values.tolist()
+                for literal in (s.lo - 1, s.lo, s.hi, s.hi + 1) + _EDGE_LITERALS:
                     for op in "=<>":
                         with mock.patch.object(executor, "_ROW_ID_SHARE", share):
                             sel = select_rows(t, (Predicate("x", name, op, literal),))

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from cardlab.errors import ParseError, SchemaError
+from cardlab.featurizer import build_catalog
 from cardlab.storage import (
     Column,
     ColumnSpec,
@@ -12,11 +13,10 @@ from cardlab.storage import (
     TableSchema,
     build_join_indexes,
     code_join_keys,
-    compute_stats,
     distinct_count,
     draw_sample,
     generate_synthetic_db,
-    join_index,
+    group_rows,
     load_csv,
     load_database,
     load_samples,
@@ -98,27 +98,44 @@ class TestLoadCsv:
         np.testing.assert_array_equal(table.column("x").values, [7, 8])
 
 
+def _facts(column):
+    return column.lo, column.hi, column.distinct_count
+
+
 class TestComputeStats:
+    """The facts each `Column` records when it is built: least and
+    greatest value and distinct count, from the value index of an
+    attribute column and from one sort of a key column."""
+
     def test_hand_counts(self):
-        s = compute_stats(Column("c", "attr", [5, 1, 5]))
-        assert (s.min, s.max, s.distinct_count) == (1, 5, 2)
+        assert _facts(Column("c", "attr", [5, 1, 5])) == (1, 5, 2)
+        assert _facts(Column("c", "fk", [5, 1, 5], ref=("p", "id"))) == (1, 5, 2)
+        assert _facts(Column("c", "pk", [5, 1, 3])) == (1, 5, 3)
 
     def test_singleton(self):
-        s = compute_stats(Column("c", "attr", [7]))
-        assert (s.min, s.max, s.distinct_count) == (7, 7, 1)
+        assert _facts(Column("c", "attr", [7])) == (7, 7, 1)
 
     def test_empty_column_errors(self):
-        with pytest.raises(ValueError):
-            compute_stats(Column("c", "attr", []))
+        # An empty column has no bounds, and the featurizer cannot
+        # normalize literals of a column without them.
+        assert _facts(Column("c", "attr", [])) == (None, None, 0)
+        assert _facts(Column("c", "pk", [])) == (None, None, 0)
+        db = Database([Table("t", [Column("id", "pk", []), Column("x", "attr", [])])])
+        with pytest.raises(ValueError, match="empty column t.x"):
+            build_catalog(db, [1.0], 10, "bitmap")
 
     def test_full_scan_oracle(self, small_db):
-        for tname in small_db.table_names():
-            for col in small_db.table(tname).columns:
-                s = small_db.stats(tname, col.name)
-                vals = [int(v) for v in col.values]
-                assert s.min == min(vals)
-                assert s.max == max(vals)
-                assert s.distinct_count == len(set(vals))
+        rng = np.random.default_rng(12)
+        extra = [
+            Column("absent", "attr", rng.choice([0, 7, 65535], size=300)),
+            Column("wide", "attr", rng.integers(-(10**6), 10**6, size=3000)),
+            Column("extremes", "attr", [-(2**63), 2**63 - 1, 0, 0]),
+            Column("key", "fk", rng.integers(0, 50, size=300), ref=("p", "id")),
+        ]
+        columns = [c for t in small_db.tables.values() for c in t.columns] + extra
+        for col in columns:
+            vals = [int(v) for v in col.values]
+            assert _facts(col) == (min(vals), max(vals), len(set(vals))), col.name
 
 
 class TestDistinctCount:
@@ -239,17 +256,17 @@ class TestDrawSample:
 
 
 def _lookup(values, probes):
-    """Per probe value, the rows of `values` equal to it, read from a join
-    index over the two columns' shared key space."""
+    """Per probe value, the rows of `values` equal to it, read from the rows
+    grouped by code in the two columns' shared key space."""
     key, probe = code_join_keys(
         np.asarray(values, dtype=np.int64), np.asarray(probes, dtype=np.int64)
     )
-    positions, rows = join_index(key).probe(probe.codes)
+    positions, rows = group_rows(key.codes, key.fanout).probe(probe.codes)
     return [rows[positions == i] for i in range(len(probes))]
 
 
 class TestHashIndex:
-    """The CSR join index (`storage.JoinIndex`) that replaced the per-value
+    """The CSR grouping (`storage.group_rows`) that replaced the per-value
     hash index, checked with the hash index's assertions."""
 
     def test_hand_check(self):
@@ -285,7 +302,7 @@ class TestHashIndex:
         vals = rng.integers(-20, 20, size=300) * scale
         probes = rng.integers(-25, 25, size=80) * scale
         key, probe = code_join_keys(vals, probes)
-        positions, rows = join_index(key).probe(probe.codes)
+        positions, rows = group_rows(key.codes, key.fanout).probe(probe.codes)
         expected = [np.flatnonzero(vals == v) for v in probes]
         np.testing.assert_array_equal(
             positions, np.repeat(np.arange(probes.size), [e.size for e in expected])
@@ -297,7 +314,7 @@ class TestHashIndex:
         # The radix sort of 16-bit codes and the unique-key sort (any key
         # space past 2**16, forced here on small codes too) give the stable
         # argsort's order; the dense 70000-wide keys take the unique-key
-        # sort through `join_index`.
+        # sort through `group_rows`, which keeps the order in int32 ids.
         rng = np.random.default_rng(9)
         for vals in (rng.integers(-20, 20, size=300) * scale,
                      rng.integers(0, 5, size=1000), np.empty(0, np.int64),
@@ -306,7 +323,10 @@ class TestHashIndex:
             expected = np.argsort(key.codes, kind="stable")
             for space in (key.fanout.size, _RADIX_SPACE + 1):
                 np.testing.assert_array_equal(rows_by_code(key.codes, space), expected)
-            np.testing.assert_array_equal(join_index(key).rows, expected)
+            groups = group_rows(key.codes, key.fanout)
+            assert groups.rows.dtype == np.int32
+            np.testing.assert_array_equal(groups.rows, expected)
+            np.testing.assert_array_equal(np.diff(groups.offsets), key.fanout)
 
     def test_rows_by_code_bound_asserted(self):
         # code * n + row must stay inside int64, which no in-memory table
@@ -318,6 +338,7 @@ class TestHashIndex:
         indexes = build_join_indexes(small_db)
         assert len(indexes) == 2 * len(small_db.fk_edges)
         for (probing, indexed), index in indexes.items():
+            assert index.rows.dtype == np.int32
             probe_vals = small_db.column_values(*probing)
             vals = small_db.column_values(*indexed)
             own, _ = small_db.join_keys(probing, indexed)
@@ -326,6 +347,48 @@ class TestHashIndex:
             for i, r in enumerate(picks):
                 expected = np.flatnonzero(vals == probe_vals[r])
                 np.testing.assert_array_equal(rows[positions == i], expected)
+
+
+_PY_OPS = {"=": lambda v, x: v == x, "<": lambda v, x: v < x, ">": lambda v, x: v > x}
+
+
+class TestValueIndex:
+    """`ValueIndex.rows_where` selects the rows a Python scan does, grouped
+    by value in ascending row order, for literals at, between and outside
+    the keys. Spans of at most 2**16 key every value of the span, held or
+    not; wider columns key their distinct values."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(13).choice([0, 7, 65535], size=400),
+            np.random.default_rng(14).integers(-(10**6), 10**6, size=3000),
+            np.random.default_rng(15).integers(-40, 40, size=500),
+            [-(2**63), 2**63 - 1, 0, 0, -(2**63)],
+            [5],
+            [],
+        ],
+        ids=["absent_inside_span", "wider_than_2_16", "negative", "int64_extremes",
+             "one", "empty"],
+    )
+    def test_rows_where_matches_scan(self, values):
+        column = Column("x", "attr", values)
+        index, vals = column.index, [int(v) for v in column.values]
+        assert index.groups.rows.dtype == np.int32
+        distinct = sorted(set(vals))
+        if vals and distinct[-1] - distinct[0] < _RADIX_SPACE:
+            assert index.keys.tolist() == list(range(distinct[0], distinct[-1] + 1))
+        else:
+            assert index.keys.tolist() == distinct
+        literals = {-(2**70), 2**70, -(2**63) - 1, 2**63}
+        for v in distinct:
+            literals |= {v - 1, v, v + 1}
+        order = np.argsort(column.values, kind="stable").tolist()
+        for op in "=<>":
+            for literal in sorted(literals):
+                want = [i for i in order if _PY_OPS[op](vals[i], literal)]
+                got = index.rows_where(op, literal)
+                assert got.tolist() == want, (op, literal)
 
 
 def test_narrow_columns_code_in_int64():
@@ -465,9 +528,8 @@ class TestAttributeNarrowing:
                 if column.kind != "attr":
                     assert column.values.dtype == np.int64
                     continue
-                s = small_db.stats(table.name, column.name)
                 fits = [d for d in (np.int16, np.int32, np.int64)
-                        if np.iinfo(d).min <= s.min and s.max <= np.iinfo(d).max]
+                        if np.iinfo(d).min <= column.lo and column.hi <= np.iinfo(d).max]
                 assert column.values.dtype == fits[0]
 
     def test_samples_inherit_dtype(self, small_db):
