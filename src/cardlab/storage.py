@@ -1,13 +1,15 @@
 """Immutable in-memory columnar database.
 
 Covers loading/synthesis of integer tables, per-column facts (bounds and
-distinct count, kept on each `Column`), join key spaces, materialized
+distinct count, kept on each `Column`), join key spaces (one copy of a
+referenced column's codes for all the fk edges into it), materialized
 uniform samples, and rows grouped by key (`Groups`, a CSR grouping with
 int32 row ids). One builder, `group_rows`, makes every grouping: the join
-indexes (rows grouped by join-key code) for join probing, and the value
-indexes (rows grouped by value) of attribute columns for selective
-predicates. Each column's distinct count and index cost one sort. After
-construction a Database (and its samples/indexes) is never mutated.
+indexes (rows grouped by join-key code, one per key space) for join
+probing, and the value indexes (rows grouped by value) of attribute
+columns for selective predicates. Each column's distinct count and index
+cost one sort. After construction a Database (and its samples/indexes)
+is never mutated.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,8 @@ class Groups:
 class ValueIndex:
     """Rows of one attribute column grouped by value: the rows holding
     `keys[i]` are group i of `groups`. The keys are the column's code
-    space, ascending; a key no row holds has an empty group."""
+    space, ascending; a key no row holds (inside a dense span, see
+    `value_index`) has an empty group."""
 
     keys: np.ndarray  # int64
     groups: Groups
@@ -139,12 +142,19 @@ class ValueIndex:
         return self.groups.rows[offsets[start] : offsets[stop]]
 
 
+def _dense_span(span: int, rows: int) -> bool:
+    """Whether `span` consecutive values are few enough for `rows` rows to
+    key every one of them: within a few times the row count."""
+    return span <= 4 * rows + 1024
+
+
 def value_index(values: np.ndarray) -> ValueIndex:
-    """Value index of one column. Values spanning at most 2**16 are coded
-    as their offset from the minimum, every value of the span a key, so
-    `group_rows` groups them with a radix sort; wider ones are coded by
-    `np.unique`, its values the keys."""
-    if values.size and int(values.max()) - int(values.min()) < _RADIX_SPACE:
+    """Value index of one column. Values spanning at most 2**16, a span
+    dense for the row count, are coded as their offset from the minimum,
+    every value of the span a key, so `group_rows` groups them with a radix
+    sort; other columns are coded by `np.unique`, its values the keys."""
+    span = int(values.max()) - int(values.min()) + 1 if values.size else 0
+    if values.size and span <= _RADIX_SPACE and _dense_span(span, values.size):
         keys = np.arange(int(values.min()), int(values.max()) + 1, dtype=np.int64)
         # Offsets computed at the column's width wrap modulo 2**16, so
         # their low 16 bits are exact: every offset is below 2**16.
@@ -272,7 +282,7 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
     """
     both = np.concatenate([left, right]).astype(np.int64, copy=False)
     size = int(both.max()) - int(both.min()) + 1 if both.size else 0
-    if size <= 4 * both.size + 1024:
+    if _dense_span(size, both.size):
         lo = both.min() if both.size else 0
         codes = (left - lo, right - lo)
     else:
@@ -300,8 +310,9 @@ class Database:
 
     Referential integrity is verified on construction, and the join key
     space of every declared fk edge (both columns' codes and fanouts, see
-    :func:`code_join_keys`) is precomputed. Any other column pair is coded
-    per call. Per-column facts live on each `Column`.
+    :func:`code_join_keys`) is precomputed; the edges into one column
+    share its codes and fanout arrays. Any other column pair is coded per
+    call. Per-column facts live on each `Column`.
     Nothing is computed lazily or cached later: the database is never
     mutated after construction, and its indexes live and die with it.
     """
@@ -323,7 +334,15 @@ class Database:
 
     def _code_fk_edges(self):
         """Codes each fk edge's key space, checking referential integrity:
-        every child key must meet at least one parent row."""
+        every child key must meet at least one parent row.
+
+        Referential integrity puts every child value among the parent's
+        values, so edges into one column usually code its rows alike. The
+        first edge's parent codes and fanout are kept, and a later edge
+        into the same column reuses them when they are equal (checked:
+        the coding also depends on the child's row count), so the column's
+        key space is held once. `matches_once` stays per edge."""
+        first: dict[tuple[str, str], JoinKey] = {}
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
@@ -333,6 +352,11 @@ class Database:
             )
             if not parent.fanout[child.codes].all():
                 raise SchemaError(f"referential integrity violated on {e.key}")
+            kept = first.setdefault(e.parent, parent)
+            if np.array_equal(kept.codes, parent.codes) and np.array_equal(
+                kept.fanout, parent.fanout
+            ):
+                parent = replace(parent, codes=kept.codes, fanout=kept.fanout)
             self._join_keys[(e.child, e.parent)] = (child, parent)
             self._join_keys[(e.parent, e.child)] = (parent, child)
 
@@ -486,10 +510,16 @@ def build_join_indexes(
     column), each a (table, column) pair; probe it with the probing
     column's codes in the edge's key space."""
     indexes = {}
+    # Edges into one column share its codes (`Database._code_fk_edges`),
+    # and so share one grouping, found by the codes array's identity.
+    by_codes: dict[int, Groups] = {}
     for e in db.fk_edges:
         for probing, indexed in ((e.child, e.parent), (e.parent, e.child)):
             key = db.join_keys(probing, indexed)[1]
-            indexes[(probing, indexed)] = group_rows(key.codes, key.fanout)
+            groups = by_codes.get(id(key.codes))
+            if groups is None:
+                groups = by_codes[id(key.codes)] = group_rows(key.codes, key.fanout)
+            indexes[(probing, indexed)] = groups
     return indexes
 
 
@@ -589,6 +619,14 @@ def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> D
     join estimates are systematically off on multi-child joins.
     """
     cfg = config if config is not None else SynthConfig()
+    # The generator's arrays (latent classes, popularity, the last child's
+    # parent positions) are freed when `_synthetic_tables` returns, before
+    # the join key spaces are coded.
+    return Database(_synthetic_tables(cfg, seed))
+
+
+def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
+    """The tables of `generate_synthetic_db`."""
     rng = np.random.default_rng(seed)
     n_title = cfg.rows["title"]
     latent = rng.integers(0, LATENT_CLASSES, size=n_title)
@@ -619,7 +657,7 @@ def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> D
                 values = _correlated_values(rng, cfg.rho, parent_latent, lo, hi)
             columns.append(Column(spec.name, spec.kind, values, ref=spec.ref))
         tables.append(Table(schema.name, columns))
-    return Database(tables)
+    return tables
 
 
 def load_synth_config(path: str | Path) -> tuple[SynthConfig, int | None]:
@@ -692,6 +730,22 @@ def _field(doc, key: str, where):
     return doc[key]
 
 
+def _list(doc, key: str, where) -> list:
+    """`doc[key]`, which must be a JSON array."""
+    value = _field(doc, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: {key!r} must be a list")
+    return value
+
+
+def _name(doc, where) -> str:
+    """`doc["name"]`, a table or column name: a nonempty string."""
+    name = _field(doc, "name", where)
+    if not isinstance(name, str) or not name:
+        raise SchemaError(f"{where}: name {name!r} must be a nonempty string")
+    return name
+
+
 def _is_int(value) -> bool:
     """Whether a parsed JSON value is an integer (booleans are not)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -706,16 +760,19 @@ def load_database(directory: str | Path) -> Database:
     if _field(doc, "format_version", schema_path) != SCHEMA_FORMAT_VERSION:
         raise SchemaError(f"{schema_path}: unsupported format_version")
     tables = []
-    for tdoc in _field(doc, "tables", schema_path):
+    for tdoc in _list(doc, "tables", schema_path):
         specs = []
-        for cdoc in _field(tdoc, "columns", schema_path):
-            name, kind = _field(cdoc, "name", schema_path), _field(cdoc, "kind", schema_path)
+        for cdoc in _list(tdoc, "columns", schema_path):
+            name, kind = _name(cdoc, schema_path), _field(cdoc, "kind", schema_path)
             ref = None
             if "ref" in cdoc:
                 rt, _, rc = str(cdoc["ref"]).partition(".")
                 ref = (rt, rc)
             specs.append(ColumnSpec(name, kind, ref))
-        schema = TableSchema(_field(tdoc, "name", schema_path), tuple(specs))
+        table = _name(tdoc, schema_path)
+        if table in (".", "..") or "/" in table or "\\" in table:
+            raise SchemaError(f"{schema_path}: table name {table!r} is not a file name")
+        schema = TableSchema(table, tuple(specs))
         tables.append(load_csv(directory / f"{schema.name}.csv", schema))
     return Database(tables)
 

@@ -203,14 +203,47 @@ class TestHostileInputs:
             {"format_version": 1, "tables": [{"columns": []}]},
             {"format_version": 1, "tables": [{"name": "t", "columns": [{"kind": "pk"}]}]},
             {"format_version": 1, "tables": [{"name": "t", "columns": [{"name": "id"}]}]},
+            {"format_version": 1, "tables": 5},
+            {"format_version": 1, "tables": [{"name": "t", "columns": 3}]},
         ],
-        ids=["no_tables", "no_columns", "no_table_name", "no_column_name", "no_kind"],
+        ids=["no_tables", "no_columns", "no_table_name", "no_column_name", "no_kind",
+             "tables_not_list", "columns_not_list"],
     )
     def test_schema_missing_key(self, tmp_path, schema):
         db = tmp_path / "db"
         db.mkdir()
         (db / "schema.json").write_text(json.dumps(schema))
         (db / "t.csv").write_text("id\n1\n")
+        assert main(["sample", "--db", str(db), "--size", "1", "--seed", "0",
+                     "--out", str(tmp_path / "s.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "table, columns, csv",
+        [
+            (7, ["id"], "db/7.csv"),
+            ("", ["id"], "db/.csv"),
+            ("../x", ["id"], "x.csv"),
+            ("sub/t", ["id"], "db/sub/t.csv"),
+            ("..", ["id"], "db/...csv"),
+            ("t", ["id", 7], "db/t.csv"),
+            ("t", ["id", ""], "db/t.csv"),
+        ],
+        ids=["int_table", "empty_table", "parent_dir_table", "subdir_table",
+             "dotdot_table", "int_column", "empty_column"],
+    )
+    def test_schema_bad_name(self, tmp_path, table, columns, csv):
+        # The file each name would be read from exists, so only the
+        # name check stands between it and a traceback or a read
+        # outside the database directory.
+        db = tmp_path / "db"
+        db.mkdir()
+        schema = {"format_version": 1, "tables": [{"name": table, "columns": [
+            {"name": c, "kind": "pk" if i == 0 else "attr"} for i, c in enumerate(columns)
+        ]}]}
+        (db / "schema.json").write_text(json.dumps(schema))
+        (tmp_path / csv).parent.mkdir(exist_ok=True)
+        header = ",".join(map(str, columns))
+        (tmp_path / csv).write_text(f"{header}\n{','.join(['1'] * len(columns))}\n")
         assert main(["sample", "--db", str(db), "--size", "1", "--seed", "0",
                      "--out", str(tmp_path / "s.json")]) == 2
 

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from helpers import nested_loop_count
 from scipy import stats
 
 from cardlab.errors import ParseError, SchemaError
+from cardlab.executor import true_cardinality
 from cardlab.featurizer import build_catalog
+from cardlab.query import parse_query
 from cardlab.storage import (
     Column,
     ColumnSpec,
@@ -167,6 +172,19 @@ class TestSyntheticDb:
         for tname in a.table_names():
             for ca, cb in zip(a.table(tname).columns, b.table(tname).columns):
                 np.testing.assert_array_equal(ca.values, cb.values)
+
+    def test_columns_pinned(self, small_db):
+        # SHA-256 of every column's name, dtype and bytes, recorded before
+        # the generator's arrays were freed ahead of join coding: the RNG
+        # draws, their order and the stored columns are unchanged.
+        digest = hashlib.sha256()
+        for name in small_db.table_names():
+            for c in small_db.table(name).columns:
+                digest.update(f"{name}.{c.name}:{c.values.dtype.str}:".encode())
+                digest.update(c.values.tobytes())
+        assert digest.hexdigest() == (
+            "7c2cf40cc85667113df5f184c1df5aae6f4c55e74ceda43183ad0a4b96e31aa3"
+        )
 
     def test_referential_integrity_full_scan(self, small_db):
         for edge in small_db.fk_edges:
@@ -355,28 +373,31 @@ _PY_OPS = {"=": lambda v, x: v == x, "<": lambda v, x: v < x, ">": lambda v, x: 
 class TestValueIndex:
     """`ValueIndex.rows_where` selects the rows a Python scan does, grouped
     by value in ascending row order, for literals at, between and outside
-    the keys. Spans of at most 2**16 key every value of the span, held or
-    not; wider columns key their distinct values."""
+    the keys. Spans of at most 2**16 that are dense for the row count (at
+    most 4 * rows + 1024) key every value of the span, held or not; other
+    columns key their distinct values."""
 
     @pytest.mark.parametrize(
         "values",
         [
             np.random.default_rng(13).choice([0, 7, 65535], size=400),
+            np.random.default_rng(16).choice([0, 7, 2000], size=400),
             np.random.default_rng(14).integers(-(10**6), 10**6, size=3000),
             np.random.default_rng(15).integers(-40, 40, size=500),
             [-(2**63), 2**63 - 1, 0, 0, -(2**63)],
             [5],
             [],
         ],
-        ids=["absent_inside_span", "wider_than_2_16", "negative", "int64_extremes",
-             "one", "empty"],
+        ids=["absent_inside_span", "absent_inside_dense_span", "wider_than_2_16",
+             "negative", "int64_extremes", "one", "empty"],
     )
     def test_rows_where_matches_scan(self, values):
         column = Column("x", "attr", values)
         index, vals = column.index, [int(v) for v in column.values]
         assert index.groups.rows.dtype == np.int32
         distinct = sorted(set(vals))
-        if vals and distinct[-1] - distinct[0] < _RADIX_SPACE:
+        span = distinct[-1] - distinct[0] + 1 if vals else 0
+        if vals and span <= min(_RADIX_SPACE, 4 * len(vals) + 1024):
             assert index.keys.tolist() == list(range(distinct[0], distinct[-1] + 1))
         else:
             assert index.keys.tolist() == distinct
@@ -389,6 +410,13 @@ class TestValueIndex:
                 want = [i for i in order if _PY_OPS[op](vals[i], literal)]
                 got = index.rows_where(op, literal)
                 assert got.tolist() == want, (op, literal)
+
+    def test_sparse_narrow_span_is_small(self):
+        # Three values 65535 apart are keyed as three values: 68 bytes of
+        # keys, offsets and rows, not one key per value of the span (1 MB).
+        index = Column("x", "attr", [0, 7, 65535]).index
+        assert index.keys.tolist() == [0, 7, 65535]
+        assert index.keys.nbytes + index.groups.offsets.nbytes + index.groups.rows.nbytes <= 100
 
 
 def test_narrow_columns_code_in_int64():
@@ -449,6 +477,116 @@ class TestJoinKeyIdentity:
             for a in (key.codes, key.fanout):
                 with pytest.raises(ValueError):
                     a[0] = 1
+
+
+def _hand_star():
+    """Two parents and the children of their ids. `p.id` (dense) has `a`,
+    holding each parent id once, and `b`, skipping ids 2 and 4 and
+    repeating others. `s.id` (0 and 3000) has `x`, one row, and `y`, 600
+    rows: the joint span 3001 is sparse for x's 3 rows and dense for y's
+    602, so the two edges code `s.id` differently."""
+    def child(name, ref, fks, attr):
+        return Table(name, [Column("id", "pk", np.arange(len(fks))),
+                            Column("fk", "fk", fks, ref=(ref, "id")),
+                            Column("v", "attr", attr)])
+
+    return Database([
+        Table("p", [Column("id", "pk", [1, 2, 3, 4, 5]), Column("k", "attr", [1, 2, 1, 2, 3])]),
+        child("a", "p", [5, 3, 1, 2, 4], [1, 2, 3, 1, 2]),
+        child("b", "p", [1, 1, 3, 5, 3, 1], [2, 2, 1, 3, 1, 1]),
+        Table("s", [Column("id", "pk", [0, 3000]), Column("k", "attr", [7, 8])]),
+        child("x", "s", [0], [1]),
+        child("y", "s", [0, 3000] * 300, np.arange(600) % 3),
+    ])
+
+
+def _unique_bytes(arrays):
+    """Bytes of the buffers under `arrays`, a buffer seen through several
+    arrays or views counted once."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
+class TestSharedKeySpaces:
+    """Fk edges into one column share that column's codes, fanout and join
+    index when their codings agree, and keep their own per-edge facts."""
+
+    def test_synthetic_edges_share(self, small_db):
+        assert {e.parent for e in small_db.fk_edges} == {("title", "id")}
+        first, *rest = [small_db.join_keys(e.child, e.parent)[1] for e in small_db.fk_edges]
+        for key in rest:
+            assert np.shares_memory(key.codes, first.codes)
+            assert np.shares_memory(key.fanout, first.fanout)
+        indexes = build_join_indexes(small_db)
+        assert len({id(indexes[(e.child, e.parent)]) for e in small_db.fk_edges}) == 1
+        assert len({id(indexes[(e.parent, e.child)]) for e in small_db.fk_edges}) == 5
+
+    def test_shared_only_when_equal(self):
+        db = _hand_star()
+        keys = {e.child[0]: db.join_keys(e.child, e.parent) for e in db.fk_edges}
+        assert np.shares_memory(keys["a"][1].codes, keys["b"][1].codes)
+        assert np.shares_memory(keys["a"][1].fanout, keys["b"][1].fanout)
+        assert keys["x"][1].fanout.size == 2 and keys["y"][1].fanout.size == 3001
+        assert not np.shares_memory(keys["x"][1].codes, keys["y"][1].codes)
+        indexes = build_join_indexes(db)
+        parent_side = {e.child[0]: indexes[(e.child, e.parent)] for e in db.fk_edges}
+        assert parent_side["a"] is parent_side["b"]
+        assert parent_side["x"] is not parent_side["y"]
+
+    def test_per_edge_facts_as_coded_alone(self):
+        db = _hand_star()
+        for e in db.fk_edges:
+            alone = code_join_keys(db.column_values(*e.child), db.column_values(*e.parent))
+            for got, want in zip(db.join_keys(e.child, e.parent), alone):
+                assert (got.matches_once, got.identity, got.max_fanout) == (
+                    want.matches_once, want.identity, want.max_fanout), e.key
+                np.testing.assert_array_equal(got.codes, want.codes)
+                np.testing.assert_array_equal(got.fanout, want.fanout)
+            assert db.join_keys(e.parent, e.child) == db.join_keys(e.child, e.parent)[::-1]
+        # The shared parent side still tells the edges apart.
+        assert db.join_keys(("a", "fk"), ("p", "id"))[1].matches_once
+        assert not db.join_keys(("b", "fk"), ("p", "id"))[1].matches_once
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p p,a a#a.fk=p.id#",
+            "p p,b b#b.fk=p.id#p.k,<,3",
+            "p p,a a,b b#a.fk=p.id,b.fk=p.id#",
+            "p p,a a,b b#a.fk=p.id,b.fk=p.id#a.v,>,1,b.v,<,3",
+            "a a,b b,p p#a.fk=p.id,b.fk=p.id#p.k,=,1",
+            "s s,x x,y y#x.fk=s.id,y.fk=s.id#",
+            "s s,y y#y.fk=s.id#y.v,=,2,s.k,>,7",
+            "s s,x x,y y#x.fk=s.id,y.fk=s.id#s.k,=,8",
+        ],
+    )
+    def test_counts_match_nested_loop(self, text):
+        db = _hand_star()
+        spec, _ = parse_query(text)
+        assert true_cardinality(db, spec) == nested_loop_count(db, spec)
+
+    def test_reference_byte_budget(self):
+        # Unique buffers of the reference database (columns, value indexes,
+        # join key spaces) and of its join indexes: 38.18 MiB and 8.77 MiB;
+        # with a copy of `title.id`'s key space and join index per edge
+        # they were 44.28 MiB and 13.35 MiB.
+        db = generate_synthetic_db()
+        arrays = []
+        for table in db.tables.values():
+            for c in table.columns:
+                arrays.append(c.values)
+                if c.index is not None:
+                    arrays += [c.index.keys, c.index.groups.rows, c.index.groups.offsets]
+        for e in db.fk_edges:
+            for key in db.join_keys(e.child, e.parent):
+                arrays += [key.codes, key.fanout]
+        assert _unique_bytes(arrays) <= 39 * 2**20
+        groups = build_join_indexes(db).values()
+        assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 9 * 2**20
 
 
 class TestPersistence:
