@@ -156,7 +156,7 @@ def ibjs_estimate(
             own_key.codes[inter[known]]
         )
         keep = predicate_mask(
-            lambda c: new_table.column(c).values[matches], spec.predicates_of(new)
+            lambda c: new_table.column(c).take(matches), spec.predicates_of(new)
         )
         if keep is not None:
             positions, matches = positions[keep], matches[keep]

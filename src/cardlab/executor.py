@@ -204,7 +204,7 @@ def select_rows(table: Table, predicates) -> np.ndarray | None:
         return mask()
     for p in predicates:
         if p is not first:
-            values = table.column(p.column).values.take(rows)
+            values = table.column(p.column).take(rows)
             rows = np.compress(_OPS[p.op](values, p.literal), rows)
     return rows
 

@@ -25,7 +25,8 @@ from .storage import KIND_ATTR, Database
 
 OPS = ("=", "<", ">")
 
-#: Retry bound for the unique-workload generator, per requested query.
+#: Retry bound for the unique-workload generator: failed attempts per
+#: requested query, and duplicates in a row.
 RETRY_FACTOR = 1000
 
 
@@ -351,23 +352,34 @@ def generate_workload(
     db: Database, n: int, max_joins: int, seed: int, **kwargs
 ) -> list[QuerySpec]:
     """n pairwise-distinct queries (unique canonical strings), deterministic
-    per seed. Raises after RETRY_FACTOR * n failed attempts."""
+    per seed. Raises after RETRY_FACTOR * n failed attempts, or after
+    RETRY_FACTOR duplicates in a row: the distinct queries the database
+    allows are then most likely used up, and the total bound alone would
+    take hours to reach."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     seen: set[str] = set()
     out: list[QuerySpec] = []
-    attempts = 0
+    attempts = duplicates = 0
     limit = RETRY_FACTOR * n
     while len(out) < n:
         if attempts >= limit:
             raise GenerationError(
                 f"could not find {n} unique queries in {limit} attempts"
             )
+        if duplicates >= RETRY_FACTOR:
+            raise GenerationError(
+                f"found only {len(out)} of {n} unique queries:"
+                f" the last {duplicates} attempts were all duplicates"
+            )
         attempts += 1
         spec = generate_query(db, max_joins, rng, **kwargs)
         key = format_query(spec)
-        if key not in seen:
+        if key in seen:
+            duplicates += 1
+        else:
+            duplicates = 0
             seen.add(key)
             out.append(spec)
     return out

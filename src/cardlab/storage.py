@@ -2,8 +2,9 @@
 
 Covers loading/synthesis of integer tables, per-column facts (bounds and
 distinct count, kept on each `Column`), join key spaces (one copy of a
-referenced column's codes for all the fk edges into it), materialized
-uniform samples, and rows grouped by key (`Groups`, a CSR grouping with
+referenced column's codes for all the fk edges into it, and each densely
+coded key column stored only as its codes), materialized uniform
+samples, and rows grouped by key (`Groups`, a CSR grouping with
 int32 row ids). One builder, `group_rows`, makes every grouping: the join
 indexes (rows grouped by join-key code, one per key space) for join
 probing, and the value indexes (rows grouped by value) of attribute
@@ -166,7 +167,6 @@ def value_index(values: np.ndarray) -> ValueIndex:
     return ValueIndex(keys, group_rows(codes, np.bincount(codes, minlength=keys.size)))
 
 
-@dataclass
 class Column:
     """One named integer column. Values must fit 64-bit signed integers.
 
@@ -178,23 +178,26 @@ class Column:
     column also carries its `ValueIndex`, built here once, so a selective
     predicate reads its rows instead of scanning the column.
 
+    `data` is the one stored buffer. It holds the values, except for a key
+    column of a dense-coded fk edge: from the `Database`'s construction on,
+    that column is held only as the edge's int64 join-key codes, and its
+    values are `data + base` (`base` stays None while `data` holds the
+    values). `values` and `take` derive the values from the codes where
+    they are read, so the column is never stored twice.
+
     The column's facts are recorded here too: its least and greatest
     value (None when empty) and its distinct count, which is the number of
     nonempty groups of an attribute column's value index, and one sort of
     a key column (`Table` reads it to check a primary key).
     """
 
-    name: str
-    kind: str
-    values: np.ndarray
-    ref: tuple[str, str] | None = None
-    index: ValueIndex | None = field(init=False, default=None, repr=False, compare=False)
-    lo: int | None = field(init=False, default=None, compare=False)
-    hi: int | None = field(init=False, default=None, compare=False)
-    distinct_count: int = field(init=False, default=0, compare=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int64)
+    def __init__(self, name: str, kind: str, values, ref: tuple[str, str] | None = None):
+        self.name, self.kind, self.ref = name, kind, ref
+        self.index: ValueIndex | None = None
+        self.lo: int | None = None
+        self.hi: int | None = None
+        self.base: int | None = None
+        values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1:
             raise SchemaError(f"column {self.name!r} must be one-dimensional")
         if values.size:
@@ -210,7 +213,36 @@ class Column:
             self.distinct_count = int(np.count_nonzero(np.diff(self.index.groups.offsets)))
         else:
             self.distinct_count = distinct_count(values)
-        self.values = values
+        self.data: np.ndarray = values
+
+    def __repr__(self):
+        ref = f", ref={self.ref!r}" if self.ref else ""
+        return f"Column({self.name!r}, {self.kind!r}, rows={self.data.size}{ref})"
+
+    @property
+    def values(self) -> np.ndarray:
+        """The column's values: the stored buffer, or a new array derived
+        from the held codes."""
+        return self.data if self.base is None else self.data + self.base
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The values at row ids `rows` (integers), derived at those rows only."""
+        taken = self.data.take(rows)
+        if self.base is not None:
+            taken += self.base
+        return taken
+
+    def _hold(self, key: JoinKey) -> JoinKey:
+        """`key`, a join key coding this column, with the codes this column
+        holds. A key column coded densely (`key.base` set) is held as
+        `key.codes` from now on; a column already held so with the same
+        base hands its buffer to `key`. Attribute columns, sparse codings
+        and a second base keep the key as it is."""
+        if key.base is None or self.kind == KIND_ATTR:
+            return key
+        if self.base is None:
+            self.data, self.base = key.codes, key.base
+        return replace(key, codes=self.data) if self.base == key.base else key
 
 
 @dataclass
@@ -227,7 +259,7 @@ class Table:
         self.columns_by_name = {c.name: c for c in self.columns}
         if len(self.columns_by_name) != len(self.columns):
             raise SchemaError(f"table {self.name!r} has duplicate column names")
-        lengths = {len(c.values) for c in self.columns}
+        lengths = {c.data.size for c in self.columns}
         if len(lengths) > 1:
             raise SchemaError(f"table {self.name!r} has ragged columns")
         self.row_count = lengths.pop() if lengths else 0
@@ -269,24 +301,26 @@ class JoinKey:
     max_fanout: int
     matches_once: bool  # every row equals exactly one row of the other column
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
+    base: int | None  # codes + base are the values (dense coding), None after np.unique
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
     """Code two join columns into one key space.
 
     A dense joint value range is coded as the raw values offset by its
-    minimum (in int64, so narrow attribute columns code without wrapping);
-    anything sparser is coded by a joint `np.unique`, so the key space
-    stays within a few times the combined row count. Codes and
-    fanouts are read-only: counting hands them on without a copy.
+    minimum, the keys' `base` (in int64, so narrow attribute columns code
+    without wrapping); anything sparser is coded by a joint `np.unique`, so
+    the key space stays within a few times the combined row count. Codes
+    and fanouts are read-only: counting hands them on without a copy.
     """
-    both = np.concatenate([left, right]).astype(np.int64, copy=False)
-    size = int(both.max()) - int(both.min()) + 1 if both.size else 0
-    if _dense_span(size, both.size):
-        lo = both.min() if both.size else 0
-        codes = (left - lo, right - lo)
+    sides = [a for a in (left, right) if a.size]
+    lo = min((int(a.min()) for a in sides), default=0)
+    size = max((int(a.max()) for a in sides), default=lo - 1) - lo + 1
+    base = lo if _dense_span(size, left.size + right.size) else None
+    if base is not None:
+        codes = tuple(a.astype(np.int64, copy=False) - base for a in (left, right))
     else:
-        unique, inverse = np.unique(both, return_inverse=True)
+        unique, inverse = np.unique(np.concatenate([left, right]), return_inverse=True)
         size = unique.size
         codes = (inverse[: left.size], inverse[left.size :])
     fanouts = [np.bincount(c, minlength=size) for c in codes]
@@ -297,8 +331,11 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
             c,
             f,
             int(f.max()) if size else 0,
-            bool((other[c] == 1).all()),
-            c.size == size and bool((c == np.arange(size)).all()),
+            bool((other == 1)[c].all()),
+            # Strictly increasing codes, as many as the key space, in
+            # [0, size), are exactly 0..size-1.
+            c.size == size and bool((c[1:] > c[:-1]).all()),
+            base,
         )
         for c, f, other in zip(codes, fanouts, reversed(fanouts))
     ]
@@ -311,8 +348,10 @@ class Database:
     Referential integrity is verified on construction, and the join key
     space of every declared fk edge (both columns' codes and fanouts, see
     :func:`code_join_keys`) is precomputed; the edges into one column
-    share its codes and fanout arrays. Any other column pair is coded per
-    call. Per-column facts live on each `Column`.
+    share its codes and fanout arrays. The key columns of a dense-coded
+    edge are held only as those codes (see `Column`), so each is stored
+    once. Any other column pair is coded per call, from values derived
+    where needed. Per-column facts live on each `Column`.
     Nothing is computed lazily or cached later: the database is never
     mutated after construction, and its indexes live and die with it.
     """
@@ -337,21 +376,24 @@ class Database:
         every child key must meet at least one parent row.
 
         Referential integrity puts every child value among the parent's
-        values, so edges into one column usually code its rows alike. The
-        first edge's parent codes and fanout are kept, and a later edge
-        into the same column reuses them when they are equal (checked:
-        the coding also depends on the child's row count), so the column's
-        key space is held once. `matches_once` stays per edge."""
+        values, so a dense coding's base is the parent column's minimum and
+        edges into one column usually code its rows alike. Each key column
+        of a dense-coded edge is then held as its codes (`Column._hold`),
+        which the edge's keys share. The first edge's parent fanout is kept,
+        and a later edge into the same column reuses it and the codes when
+        they are equal (checked: the coding also depends on the child's row
+        count), so the column's key space is held once. `matches_once`
+        stays per edge."""
         first: dict[tuple[str, str], JoinKey] = {}
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
                 raise SchemaError(f"fk edge {e.key} references unknown column")
-            child, parent = code_join_keys(
-                self.column_values(*e.child), self.column_values(*e.parent)
-            )
-            if not parent.fanout[child.codes].all():
+            columns = [self.table(t).column(c) for t, c in (e.child, e.parent)]
+            child, parent = code_join_keys(*(c.values for c in columns))
+            if not (parent.fanout > 0)[child.codes].all():
                 raise SchemaError(f"referential integrity violated on {e.key}")
+            child, parent = (c._hold(k) for c, k in zip(columns, (child, parent)))
             kept = first.setdefault(e.parent, parent)
             if np.array_equal(kept.codes, parent.codes) and np.array_equal(
                 kept.fanout, parent.fanout
@@ -472,7 +514,7 @@ def draw_sample(table: Table, size: int, seed: int) -> MaterializedSample:
     ss = np.random.SeedSequence([seed, size, zlib.crc32(table.name.encode())])
     rng = np.random.default_rng(ss)
     idx = np.sort(rng.choice(table.row_count, size=size, replace=False))
-    rows = {c.name: c.values[idx] for c in table.columns}
+    rows = {c.name: c.take(idx) for c in table.columns}
     return MaterializedSample(table.name, size, idx, rows, seed)
 
 
@@ -603,10 +645,16 @@ def _correlated_values(rng, rho, latent, lo, hi):
     domain = hi - lo + 1
     block = max(1, domain // LATENT_CLASSES)
     within = rng.integers(0, block, size=latent.size)
-    correlated = lo + (latent * block + within) % domain
+    # lo + (latent * block + within) % domain, in place.
+    correlated = latent * block
+    correlated += within
+    del within
+    correlated %= domain
+    correlated += lo
     independent = rng.integers(lo, hi + 1, size=latent.size)
     take = rng.random(latent.size) < rho
-    return np.where(take, correlated, independent).astype(np.int64)
+    np.copyto(independent, correlated, where=take)
+    return independent
 
 
 def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> Database:
@@ -626,37 +674,41 @@ def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> D
 
 
 def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
-    """The tables of `generate_synthetic_db`."""
+    """The tables of `generate_synthetic_db`. Each temporary is dropped as
+    soon as it is used, so the build's allocation peak stays low."""
     rng = np.random.default_rng(seed)
     n_title = cfg.rows["title"]
     latent = rng.integers(0, LATENT_CLASSES, size=n_title)
     centered = (latent - (LATENT_CLASSES - 1) / 2.0) / LATENT_CLASSES
     log_popularity = 0.8 * rng.standard_normal(n_title) + centered
+    del centered
     popularity = np.exp(log_popularity)
+    del log_popularity
     popularity /= popularity.sum()
 
     tables: list[Table] = []
     for schema in SYNTHETIC_SCHEMA:
         n = cfg.rows[schema.name]
+        keys = {"id": np.arange(1, n + 1, dtype=np.int64)}
         if schema.name == "title":
             parent_latent = latent
-            base = {"id": np.arange(1, n + 1, dtype=np.int64)}
         else:
             parent_pos = rng.choice(n_title, size=n, p=popularity)
             parent_latent = latent[parent_pos]
-            base = {
-                "id": np.arange(1, n + 1, dtype=np.int64),
-                "movie_id": (parent_pos + 1).astype(np.int64),
-            }
+            parent_pos += 1  # a position is the title id minus one
+            keys["movie_id"] = parent_pos
+            del parent_pos
         columns = []
         for spec in schema.columns:
-            if spec.name in base:
-                values = base[spec.name]
+            if spec.name in keys:
+                values = keys.pop(spec.name)
             else:
                 lo, hi = _ATTR_DOMAINS[(schema.name, spec.name)]
                 values = _correlated_values(rng, cfg.rho, parent_latent, lo, hi)
             columns.append(Column(spec.name, spec.kind, values, ref=spec.ref))
+            del values
         tables.append(Table(schema.name, columns))
+        del parent_latent, columns
     return tables
 
 
@@ -817,7 +869,7 @@ def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample
             raise SchemaError(f"{where}: duplicate row indices")
         if size != idx.size:
             raise SchemaError(f"{where}: size {size} but {idx.size} row indices")
-        rows = {c.name: c.values[idx] for c in table.columns}
+        rows = {c.name: c.take(idx) for c in table.columns}
         samples[name] = MaterializedSample(name, size, idx, rows, seed)
     missing = sorted(set(db.tables) - set(samples))
     if missing:

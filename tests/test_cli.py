@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import time
 
 import pytest
 
@@ -130,6 +131,21 @@ class TestErrorPaths:
         # Labeling and evaluation run on one thread; the flag is unknown.
         argv = command + ["--db", "db", "--samples", "s.json", "--threads", "2"]
         assert main(argv) == 1
+
+    def test_unmeetable_workload_stops_early(self, tmp_path, capsys):
+        # Two rows per table allow a few hundred distinct 0-join queries.
+        # The generator stops after RETRY_FACTOR duplicates in a row; the
+        # bound of RETRY_FACTOR attempts per requested query alone would
+        # run 10**8 attempts.
+        db = tmp_path / "db"
+        rows = [f"--rows.{t}=2" for t in ("title", "movie_companies", "movie_info",
+                                          "movie_info_idx", "movie_keyword", "cast_info")]
+        assert main(["synth-db", "--out", str(db), *rows, "--seed", "3"]) == 0
+        start = time.monotonic()
+        assert main(["gen-workload", "--db", str(db), "--n", "100000", "--max-joins", "0",
+                     "--seed", "5", "--out", str(tmp_path / "w.txt")]) == 2
+        assert time.monotonic() - start < 10
+        assert "duplicates" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["sample", "--db", str(tmp_path / "absent"), "--size", "5",

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,10 +405,16 @@ class TestValueIndex:
         literals = {-(2**70), 2**70, -(2**63) - 1, 2**63}
         for v in distinct:
             literals |= {v - 1, v, v + 1}
-        order = np.argsort(column.values, kind="stable").tolist()
+        order = np.argsort(column.values, kind="stable")
+        ordered = np.array(vals, dtype=np.int64)[order]
         for op in "=<>":
             for literal in sorted(literals):
-                want = [i for i in order if _PY_OPS[op](vals[i], literal)]
+                if -(2**63) <= literal < 2**63:
+                    # numpy compares int64 with a literal inside int64
+                    # exactly: the scan below, one comparison per row.
+                    want = order[_PY_OPS[op](ordered, literal)].tolist()
+                else:
+                    want = [i for i in order.tolist() if _PY_OPS[op](vals[i], literal)]
                 got = index.rows_where(op, literal)
                 assert got.tolist() == want, (op, literal)
 
@@ -570,23 +577,106 @@ class TestSharedKeySpaces:
         assert true_cardinality(db, spec) == nested_loop_count(db, spec)
 
     def test_reference_byte_budget(self):
-        # Unique buffers of the reference database (columns, value indexes,
-        # join key spaces) and of its join indexes: 38.18 MiB and 8.77 MiB;
-        # with a copy of `title.id`'s key space and join index per edge
-        # they were 44.28 MiB and 13.35 MiB.
+        # Unique stored buffers of the reference database (columns, value
+        # indexes, join key spaces) and of its join indexes: 29.79 MiB and
+        # 8.77 MiB. With each key column stored as values and as codes
+        # they were 38.18 MiB, and with a copy of `title.id`'s key space
+        # and join index per edge 44.28 MiB and 13.35 MiB.
         db = generate_synthetic_db()
         arrays = []
         for table in db.tables.values():
             for c in table.columns:
-                arrays.append(c.values)
+                arrays.append(c.data)
                 if c.index is not None:
                     arrays += [c.index.keys, c.index.groups.rows, c.index.groups.offsets]
         for e in db.fk_edges:
             for key in db.join_keys(e.child, e.parent):
                 arrays += [key.codes, key.fanout]
-        assert _unique_bytes(arrays) <= 39 * 2**20
+        assert _unique_bytes(arrays) <= 31 * 2**20
         groups = build_join_indexes(db).values()
         assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 9 * 2**20
+
+
+class TestKeyColumnsHeldOnce:
+    """A key column of a dense-coded fk edge is stored only as the edge's
+    codes, its values derived where they are read; they read as before."""
+
+    def test_dense_edges_hold_codes(self, small_db):
+        for e in small_db.fk_edges:
+            child, parent = small_db.join_keys(e.child, e.parent)
+            for key, (t, c) in ((child, e.child), (parent, e.parent)):
+                column = small_db.table(t).column(c)
+                assert key.base == column.base == 1
+                assert key.codes is column.data
+                assert column.data.dtype == column.values.dtype == np.int64
+
+    def test_sparse_edge_keeps_its_arrays(self):
+        db = _hand_star()
+        x_fk, s_id = db.table("x").column("fk"), db.table("s").column("id")
+        assert x_fk.base is None and x_fk.data.tolist() == [0]
+        child, parent = db.join_keys(("x", "fk"), ("s", "id"))
+        assert child.base is parent.base is None
+        assert not np.shares_memory(child.codes, x_fk.data)
+        assert not np.shares_memory(parent.codes, s_id.data)
+        # The dense edge from y holds s.id as its codes, base 0.
+        assert s_id.base == 0 and db.join_keys(("y", "fk"), ("s", "id"))[1].codes is s_id.data
+        assert s_id.values.tolist() == [0, 3000]
+
+    def test_values_samples_and_files_as_stored(self, tmp_path, small_db):
+        # Digests recorded while every column was stored as its values.
+        digest = hashlib.sha256()
+        for name in small_db.table_names():
+            sample = draw_sample(small_db.table(name), 40, seed=5)
+            for c, v in sample.rows.items():
+                np.testing.assert_array_equal(
+                    v, small_db.column_values(name, c)[sample.row_indices])
+                digest.update(f"{name}.{c}:{v.dtype.str}:".encode())
+                digest.update(v.tobytes())
+        assert digest.hexdigest() == (
+            "32db5f2b19d2a30c66c41321747d9a8e51665efda417b260b02ea1b83099944b"
+        )
+        save_database(small_db, tmp_path / "db")
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "db").iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "f8dc7a9a37428e4f9e73d6473b4023296495d9286cd95f1d5e133de19a22e967"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "title t##t.id,<,17",
+            "movie_keyword mk,title t#mk.movie_id=t.id#t.id,>,480,mk.movie_id,<,495",
+            "movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#mi.movie_id,<,40",
+        ],
+        ids=["pk_predicate", "fk_predicates", "undeclared_pair"],
+    )
+    def test_key_columns_read_as_values(self, small_db, text):
+        spec, _ = parse_query(text)
+        assert true_cardinality(small_db, spec) == nested_loop_count(small_db, spec)
+
+    def test_second_database_same_keys(self, small_db):
+        again = Database(list(small_db.tables.values()))
+        for e in small_db.fk_edges:
+            for got, want in zip(again.join_keys(e.child, e.parent),
+                                 small_db.join_keys(e.child, e.parent)):
+                assert got.codes is want.codes
+                np.testing.assert_array_equal(got.fanout, want.fanout)
+                assert (got.base, got.matches_once, got.identity, got.max_fanout) == (
+                    want.base, want.matches_once, want.identity, want.max_fanout)
+
+    def test_build_peak_budget(self):
+        # tracemalloc peak of building the reference database: 34.6 MiB;
+        # 44.4 MiB with every key column stored as values and as codes and
+        # the generator's temporaries kept to the end of their functions.
+        tracemalloc.start()
+        try:
+            generate_synthetic_db()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 37 * 2**20
 
 
 class TestPersistence:
