@@ -9,8 +9,9 @@ int32 row ids). One builder, `group_rows`, makes every grouping: the join
 indexes (rows grouped by join-key code, one per key space) for join
 probing, and the value indexes (rows grouped by value) of attribute
 columns for selective predicates. Each column's distinct count and index
-cost one sort. After construction a Database (and its samples/indexes)
-is never mutated.
+cost one sort. Building a Database rewrites the storage of its tables'
+dense-coded key columns as codes; after construction a Database (and its
+samples/indexes) is never mutated.
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ class Column:
     that column is held only as the edge's int64 join-key codes, and its
     values are `data + base` (`base` stays None while `data` holds the
     values). `values` and `take` derive the values from the codes where
-    they are read, so the column is never stored twice.
+    they are read, so the column is never stored twice. On a held column
+    `values` allocates a new array at every call: hot paths read the codes
+    or `take` the rows they need.
 
     The column's facts are recorded here too: its least and greatest
     value (None when empty) and its distinct count, which is the number of
@@ -221,8 +224,8 @@ class Column:
 
     @property
     def values(self) -> np.ndarray:
-        """The column's values: the stored buffer, or a new array derived
-        from the held codes."""
+        """The column's values: the stored buffer, or, on a held column, a
+        new array derived from the codes at every call."""
         return self.data if self.base is None else self.data + self.base
 
     def take(self, rows: np.ndarray) -> np.ndarray:
@@ -352,8 +355,11 @@ class Database:
     edge are held only as those codes (see `Column`), so each is stored
     once. Any other column pair is coded per call, from values derived
     where needed. Per-column facts live on each `Column`.
-    Nothing is computed lazily or cached later: the database is never
-    mutated after construction, and its indexes live and die with it.
+    Construction rewrites the storage of those key columns in the given
+    `Table` objects (`Column._hold`); a second Database built from the same
+    tables finds them held already and codes the same keys. Nothing is
+    computed lazily or cached later: the database is never mutated after
+    construction, and its indexes live and die with it.
     """
 
     def __init__(self, tables: list[Table]):

@@ -134,9 +134,8 @@ class TestErrorPaths:
 
     def test_unmeetable_workload_stops_early(self, tmp_path, capsys):
         # Two rows per table allow a few hundred distinct 0-join queries.
-        # The generator stops after RETRY_FACTOR duplicates in a row; the
-        # bound of RETRY_FACTOR attempts per requested query alone would
-        # run 10**8 attempts.
+        # The generator stops after RETRY_FACTOR duplicates in a row instead
+        # of drawing until it has 100000.
         db = tmp_path / "db"
         rows = [f"--rows.{t}=2" for t in ("title", "movie_companies", "movie_info",
                                           "movie_info_idx", "movie_keyword", "cast_info")]
