@@ -114,8 +114,9 @@ def key_sums(
 
 
 def _take(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`values` at `rows`: the rows a boolean mask selects, or row ids
-    (`take`, unlike fancy indexing, does not first copy int32 ids to intp)."""
+    """`values` at `rows`: the rows a boolean mask selects, or row ids.
+    `take` copies int32 ids to intp first, as fancy indexing does, but it
+    still gathers in about two thirds of fancy indexing's time."""
     return np.compress(rows, values) if rows.dtype == bool else values.take(rows)
 
 

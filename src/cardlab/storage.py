@@ -316,18 +316,31 @@ def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKe
     the key space stays within a few times the combined row count. Codes
     and fanouts are read-only: counting hands them on without a copy.
     """
-    sides = [a for a in (left, right) if a.size]
-    lo = min((int(a.min()) for a in sides), default=0)
-    size = max((int(a.max()) for a in sides), default=lo - 1) - lo + 1
-    base = lo if _dense_span(size, left.size + right.size) else None
+    size, base = _key_space(
+        [(int(a.min()), int(a.max())) for a in (left, right) if a.size], left.size + right.size
+    )
     if base is not None:
         codes = tuple(a.astype(np.int64, copy=False) - base for a in (left, right))
     else:
         unique, inverse = np.unique(np.concatenate([left, right]), return_inverse=True)
         size = unique.size
         codes = (inverse[: left.size], inverse[left.size :])
-    fanouts = [np.bincount(c, minlength=size) for c in codes]
-    for a in codes + tuple(fanouts):
+    return _key_pair(codes, [np.bincount(c, minlength=size) for c in codes], size, base)
+
+
+def _key_space(bounds: list[tuple[int, int]], rows: int) -> tuple[int, int | None]:
+    """The span of two join columns with the given (least, greatest)
+    values, `rows` rows between them, and the dense base `code_join_keys`
+    codes them with (None: the span is too sparse for the rows)."""
+    lo = min((b[0] for b in bounds), default=0)
+    size = max((b[1] for b in bounds), default=lo - 1) - lo + 1
+    return size, (lo if _dense_span(size, rows) else None)
+
+
+def _key_pair(codes, fanouts, size: int, base: int | None) -> tuple[JoinKey, JoinKey]:
+    """The two `JoinKey`s of two columns' codes and fanouts in a key space
+    of `size` codes."""
+    for a in tuple(codes) + tuple(fanouts):
         a.flags.writeable = False
     keys = [
         JoinKey(
@@ -385,24 +398,42 @@ class Database:
         values, so a dense coding's base is the parent column's minimum and
         edges into one column usually code its rows alike. Each key column
         of a dense-coded edge is then held as its codes (`Column._hold`),
-        which the edge's keys share. The first edge's parent fanout is kept,
-        and a later edge into the same column reuses it and the codes when
-        they are equal (checked: the coding also depends on the child's row
-        count), so the column's key space is held once. `matches_once`
-        stays per edge."""
+        which the edge's keys share. The first edge's parent codes and
+        fanout are kept. A later edge into the same column whose joint span
+        (from the columns' bounds and row counts) gets the kept key's dense
+        base and key space codes the parent's rows alike, so it reuses them
+        and codes only its child; any other later edge is coded from values
+        and reuses them when they are equal (checked), so the column's key
+        space is held once. `matches_once` stays per edge."""
         first: dict[tuple[str, str], JoinKey] = {}
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
                 raise SchemaError(f"fk edge {e.key} references unknown column")
             columns = [self.table(t).column(c) for t, c in (e.child, e.parent)]
-            child, parent = code_join_keys(*(c.values for c in columns))
+            kept = first.get(e.parent)
+            size, base = _key_space(
+                [(c.lo, c.hi) for c in columns if c.lo is not None],
+                sum(c.data.size for c in columns),
+            )
+            if (
+                kept is not None
+                and base is not None
+                and (base, size) == (kept.base, kept.fanout.size)
+            ):
+                codes = columns[0].values - base
+                fanout = np.bincount(codes, minlength=size)
+                child, parent = _key_pair((codes, kept.codes), (fanout, kept.fanout), size, base)
+            else:
+                child, parent = code_join_keys(*(c.values for c in columns))
             if not (parent.fanout > 0)[child.codes].all():
                 raise SchemaError(f"referential integrity violated on {e.key}")
             child, parent = (c._hold(k) for c, k in zip(columns, (child, parent)))
             kept = first.setdefault(e.parent, parent)
-            if np.array_equal(kept.codes, parent.codes) and np.array_equal(
-                kept.fanout, parent.fanout
+            shared = parent.codes is kept.codes and parent.fanout is kept.fanout
+            if not shared and (
+                np.array_equal(kept.codes, parent.codes)
+                and np.array_equal(kept.fanout, parent.fanout)
             ):
                 parent = replace(parent, codes=kept.codes, fanout=kept.fanout)
             self._join_keys[(e.child, e.parent)] = (child, parent)
@@ -673,15 +704,41 @@ def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> D
     join estimates are systematically off on multi-child joins.
     """
     cfg = config if config is not None else SynthConfig()
-    # The generator's arrays (latent classes, popularity, the last child's
-    # parent positions) are freed when `_synthetic_tables` returns, before
-    # the join key spaces are coded.
+    # The generator's arrays (latent classes, the popularity cdf, the last
+    # child's parent positions) are freed when `_synthetic_tables` returns,
+    # before the join key spaces are coded.
     return Database(_synthetic_tables(cfg, seed))
+
+
+def _draw_positions(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """`n` positions drawn with the probabilities `p` whose normalized
+    cumsum is `cdf`: the draws of `rng.choice(cdf.size, size=n, p=p)`,
+    which takes `rng.random(n)` and searches each in that cdf, and so the
+    same stream of draws after it. The uniforms are searched in ascending
+    order, where each search starts at the last one's result and reads
+    memory the last one read, and the results are scattered back to their
+    rows."""
+    u = rng.random(n)
+    order = np.argsort(u)
+    u = u[order]
+    found = cdf.searchsorted(u, side="right")
+    del u
+    positions = np.empty_like(found)
+    positions[order] = found
+    return positions
 
 
 def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
     """The tables of `generate_synthetic_db`. Each temporary is dropped as
-    soon as it is used, so the build's allocation peak stays low."""
+    soon as it is used, so the build's allocation peak stays low.
+
+    A child's parent positions are the draws of `rng.choice(n_title,
+    size=n, p=popularity)`, made by `_draw_positions` from the cdf `choice`
+    would compute, once per database: the same positions and the same
+    stream of draws after them, so every column is as `choice` made it.
+    Searched in ascending order, the draws cost about a third of
+    `choice`'s random-order binary searches, which miss the cache at every
+    step of a 100k-entry cdf."""
     rng = np.random.default_rng(seed)
     n_title = cfg.rows["title"]
     latent = rng.integers(0, LATENT_CLASSES, size=n_title)
@@ -691,6 +748,10 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
     popularity = np.exp(log_popularity)
     del log_popularity
     popularity /= popularity.sum()
+    # The cdf `Generator.choice(p=popularity)` searches, computed as it does.
+    cdf = popularity.cumsum()
+    del popularity
+    cdf /= cdf[-1]
 
     tables: list[Table] = []
     for schema in SYNTHETIC_SCHEMA:
@@ -699,7 +760,7 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
         if schema.name == "title":
             parent_latent = latent
         else:
-            parent_pos = rng.choice(n_title, size=n, p=popularity)
+            parent_pos = _draw_positions(rng, cdf, n)
             parent_latent = latent[parent_pos]
             parent_pos += 1  # a position is the title id minus one
             keys["movie_id"] = parent_pos

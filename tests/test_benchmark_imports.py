@@ -1,7 +1,8 @@
 """The benchmark under `perfbench/` imports names from the package. A
 refactor that drops or renames one of them fails here, not only when the
 benchmark runs. The test session also runs OpenBLAS on one thread, as the
-benchmark does."""
+benchmark does, and every Hypothesis property under one reproducible
+profile."""
 
 import importlib
 import sys
@@ -30,3 +31,13 @@ def test_blas_pinned_to_one_thread(monkeypatch):
     if threads is None:
         pytest.skip("numpy did not load OpenBLAS")
     assert threads == 1
+
+
+def test_hypothesis_profile_reproducible():
+    # `conftest.py` loads a profile that tries the same examples on every
+    # run and keeps no example database.
+    from hypothesis import settings
+
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.deadline is None

@@ -4,8 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import nested_loop_count
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from cardlab import storage
 from cardlab.errors import ParseError, SchemaError
 from cardlab.executor import true_cardinality
 from cardlab.featurizer import build_catalog
@@ -28,6 +31,7 @@ from cardlab.storage import (
     load_samples,
     load_synth_config,
     _RADIX_SPACE,
+    _draw_positions,
     rows_by_code,
     save_database,
     save_samples,
@@ -174,18 +178,61 @@ class TestSyntheticDb:
             for ca, cb in zip(a.table(tname).columns, b.table(tname).columns):
                 np.testing.assert_array_equal(ca.values, cb.values)
 
-    def test_columns_pinned(self, small_db):
-        # SHA-256 of every column's name, dtype and bytes, recorded before
-        # the generator's arrays were freed ahead of join coding: the RNG
-        # draws, their order and the stored columns are unchanged.
+    @staticmethod
+    def _columns_digest(db):
+        """SHA-256 of every column's name, dtype and bytes."""
         digest = hashlib.sha256()
-        for name in small_db.table_names():
-            for c in small_db.table(name).columns:
+        for name in db.table_names():
+            for c in db.table(name).columns:
                 digest.update(f"{name}.{c.name}:{c.values.dtype.str}:".encode())
                 digest.update(c.values.tobytes())
-        assert digest.hexdigest() == (
+        return digest.hexdigest()
+
+    def test_columns_pinned(self, small_db):
+        # Recorded before the generator's arrays were freed ahead of join
+        # coding: the RNG draws, their order and the stored columns are
+        # unchanged.
+        assert self._columns_digest(small_db) == (
             "7c2cf40cc85667113df5f184c1df5aae6f4c55e74ceda43183ad0a4b96e31aa3"
         )
+
+    def test_reference_columns_pinned(self):
+        # The reference-size database (default rows, rho 0.8, seed 101),
+        # recorded while child rows drew their parents by `rng.choice`.
+        db = generate_synthetic_db(SynthConfig(rho=0.8), seed=101)
+        assert self._columns_digest(db) == (
+            "75204dbdc7c45836f48e14fd6284b0a3f339a08a680f2b150d368ac536922353"
+        )
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 500),
+        weights=st.one_of(
+            st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=60)
+            .filter(lambda w: sum(w) > 0),
+            st.just([1.0]),
+            st.builds(
+                lambda s, k: np.random.default_rng(s).lognormal(0.0, 2.0, k),
+                st.integers(0, 2**32 - 1),
+                st.integers(1, 3000),
+            ),
+        ),
+    )
+    def test_draws_equal_choice(self, seed, size, weights):
+        # The parent draws are `Generator.choice`'s, searched in sorted
+        # order, and leave the stream where `choice` leaves it: zero
+        # weights, a single entry and skewed log-normal weights alike.
+        p = np.asarray(weights, dtype=np.float64)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_positions(ours, cdf, size)
+        want = numpys.choice(p.size, size=size, p=p)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert ours.random() == numpys.random()
 
     def test_referential_integrity_full_scan(self, small_db):
         for edge in small_db.fk_edges:
@@ -486,12 +533,13 @@ class TestJoinKeyIdentity:
                     a[0] = 1
 
 
-def _hand_star():
+def _hand_star(reverse=False):
     """Two parents and the children of their ids. `p.id` (dense) has `a`,
     holding each parent id once, and `b`, skipping ids 2 and 4 and
     repeating others. `s.id` (0 and 3000) has `x`, one row, and `y`, 600
     rows: the joint span 3001 is sparse for x's 3 rows and dense for y's
-    602, so the two edges code `s.id` differently."""
+    602, so the two edges code `s.id` differently. `reverse` lists the
+    tables, and so the edges, in reverse order: `y` and `b` come first."""
     def child(name, ref, fks, attr):
         return Table(name, [Column("id", "pk", np.arange(len(fks))),
                             Column("fk", "fk", fks, ref=(ref, "id")),
@@ -504,7 +552,7 @@ def _hand_star():
         Table("s", [Column("id", "pk", [0, 3000]), Column("k", "attr", [7, 8])]),
         child("x", "s", [0], [1]),
         child("y", "s", [0, 3000] * 300, np.arange(600) % 3),
-    ])
+    ][:: -1 if reverse else 1])
 
 
 def _unique_bytes(arrays):
@@ -544,19 +592,60 @@ class TestSharedKeySpaces:
         assert parent_side["a"] is parent_side["b"]
         assert parent_side["x"] is not parent_side["y"]
 
-    def test_per_edge_facts_as_coded_alone(self):
-        db = _hand_star()
+    @staticmethod
+    def _assert_keys_as_coded_alone(db):
+        """Every field of every fk edge's keys equals what `code_join_keys`
+        gives on the edge's values."""
         for e in db.fk_edges:
             alone = code_join_keys(db.column_values(*e.child), db.column_values(*e.parent))
             for got, want in zip(db.join_keys(e.child, e.parent), alone):
-                assert (got.matches_once, got.identity, got.max_fanout) == (
-                    want.matches_once, want.identity, want.max_fanout), e.key
+                assert (got.matches_once, got.identity, got.max_fanout, got.base) == (
+                    want.matches_once, want.identity, want.max_fanout, want.base), e.key
                 np.testing.assert_array_equal(got.codes, want.codes)
                 np.testing.assert_array_equal(got.fanout, want.fanout)
             assert db.join_keys(e.parent, e.child) == db.join_keys(e.child, e.parent)[::-1]
+
+    def test_sparse_edges_share_when_equal(self):
+        # Sparse codings are compared, not reused: both edges into q.id code
+        # it as [0, 1], so the second edge takes the first's arrays.
+        def child(name, fks):
+            return Table(name, [Column("id", "pk", np.arange(len(fks))),
+                                Column("fk", "fk", fks, ref=("q", "id"))])
+
+        db = Database([Table("q", [Column("id", "pk", [0, 10**6])]),
+                       child("c", [0, 10**6, 0]), child("d", [10**6, 0])])
+        (_, c), (_, d) = (db.join_keys((t, "fk"), ("q", "id")) for t in "cd")
+        assert c.base is d.base is None
+        assert d.codes is c.codes and d.fanout is c.fanout
+        assert not c.matches_once and d.matches_once
+
+    def test_per_edge_facts_as_coded_alone(self):
+        db = _hand_star()
+        self._assert_keys_as_coded_alone(db)
         # The shared parent side still tells the edges apart.
         assert db.join_keys(("a", "fk"), ("p", "id"))[1].matches_once
         assert not db.join_keys(("b", "fk"), ("p", "id"))[1].matches_once
+
+    def test_later_edges_code_only_their_child(self, small_db, monkeypatch):
+        # An edge into a column whose kept key has the edge's dense base and
+        # key space codes only its child; the others go through
+        # `code_join_keys`. Every field is as coded alone either way.
+        self._assert_keys_as_coded_alone(small_db)
+        calls = []
+        monkeypatch.setattr(
+            storage, "code_join_keys",
+            lambda *a: calls.append(a) or code_join_keys(*a),
+        )
+        tables = storage._synthetic_tables(SynthConfig(rows=SMALL_ROWS, rho=0.5), 11)
+        Database(tables)
+        assert len(calls) == 1  # the first of the five edges into title.id
+        calls.clear()
+        db = _hand_star(reverse=True)
+        # y (first into s.id), x (sparse for its rows) and b (first into p.id).
+        assert [a[0].size for a in calls] == [600, 1, 6]
+        self._assert_keys_as_coded_alone(db)
+        assert db.join_keys(("a", "fk"), ("p", "id"))[1].codes is (
+            db.join_keys(("b", "fk"), ("p", "id"))[1].codes)
 
     @pytest.mark.parametrize(
         "text",
@@ -667,16 +756,18 @@ class TestKeyColumnsHeldOnce:
                     want.base, want.matches_once, want.identity, want.max_fanout)
 
     def test_build_peak_budget(self):
-        # tracemalloc peak of building the reference database: 34.6 MiB;
-        # 44.4 MiB with every key column stored as values and as codes and
-        # the generator's temporaries kept to the end of their functions.
+        # tracemalloc peak of building the reference database: 32.6 MiB, in
+        # the generator, with join coding's at 32.3 MiB; 34.6 MiB while each
+        # later edge into `title.id` recoded its values, and 44.4 MiB with
+        # every key column stored as values and as codes and the generator's
+        # temporaries kept to the end of their functions.
         tracemalloc.start()
         try:
             generate_synthetic_db()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 37 * 2**20
+        assert peak <= 35 * 2**20
 
 
 class TestPersistence:
@@ -812,3 +903,15 @@ class TestTableInvariants:
         )
         with pytest.raises(SchemaError):
             Database([parent, child])
+
+    @pytest.mark.parametrize("bad", [0, 3, 9], ids=["below", "hole", "above"])
+    def test_integrity_enforced_on_later_edges(self, bad):
+        # The second edge into p.id codes only its child when its span
+        # matches the first edge's; a key outside the parent's ids still fails.
+        def child(name, fks):
+            return Table(name, [Column("id", "pk", np.arange(len(fks))),
+                                Column("pid", "fk", fks, ref=("p", "id"))])
+
+        parent = Table("p", [Column("id", "pk", [1, 2, 4])])
+        with pytest.raises(SchemaError, match="c2.pid"):
+            Database([parent, child("c1", [1, 4, 2]), child("c2", [2, bad, 1])])
