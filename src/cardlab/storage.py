@@ -430,10 +430,8 @@ class Database:
                 raise SchemaError(f"referential integrity violated on {e.key}")
             child, parent = (c._hold(k) for c, k in zip(columns, (child, parent)))
             kept = first.setdefault(e.parent, parent)
-            shared = parent.codes is kept.codes and parent.fanout is kept.fanout
-            if not shared and (
-                np.array_equal(kept.codes, parent.codes)
-                and np.array_equal(kept.fanout, parent.fanout)
+            if np.array_equal(kept.codes, parent.codes) and np.array_equal(
+                kept.fanout, parent.fanout
             ):
                 parent = replace(parent, codes=kept.codes, fanout=kept.fanout)
             self._join_keys[(e.child, e.parent)] = (child, parent)
@@ -734,10 +732,10 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
 
     A child's parent positions are the draws of `rng.choice(n_title,
     size=n, p=popularity)`, made by `_draw_positions` from the cdf `choice`
-    would compute, once per database: the same positions and the same
+    computes, computed once per database: the same positions and the same
     stream of draws after them, so every column is as `choice` made it.
-    Searched in ascending order, the draws cost about a third of
-    `choice`'s random-order binary searches, which miss the cache at every
+    They are searched in ascending order, which costs about a third of
+    `choice`'s random-order binary searches: those miss the cache at every
     step of a 100k-entry cdf."""
     rng = np.random.default_rng(seed)
     n_title = cfg.rows["title"]
