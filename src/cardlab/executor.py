@@ -5,50 +5,71 @@ Cardinalities are exact bag-semantics counts of the join+filter result.
 Each alias's predicates first select its rows (`select_rows`). Every
 attribute column carries a value index (`storage.ValueIndex`: the sorted
 keys of its code space over a `storage.Groups` of its rows grouped by
-key), so each predicate's range of rows is known from offsets alone.
-When the narrowest range holds at most a quarter of the table, the
-selection is that range's row ids, with the other predicates checked at
-those rows only; otherwise it is the boolean mask of a scan of every
-predicate (sorted projections, as in Stonebraker et al., "C-Store", VLDB
-2005).
+key), so each predicate's range of rows is known from offsets alone
+(sorted projections, as in Stonebraker et al., "C-Store", VLDB 2005).
+A selection takes one of three forms:
+- a single predicate selects its value-index range (`IndexRange`): the
+  kept rows, or, when they are more than half the table, the excluded
+  rows around them, one range for `<` and `>` and two for `=`. Their row
+  ids are slices of the index, and so are their codes on any join key:
+  `storage.Database` keeps each non-identity key's codes permuted into
+  each attribute column's value-index row order (`JoinKey.grouped`);
+- several predicates select row ids when the narrowest one's range holds
+  at most a quarter of the table, with the others checked at those rows
+  only, and otherwise the boolean mask of a scan of every predicate;
+- a predicate on a key column, which carries no value index, selects a
+  mask.
 
 Rather than materializing intermediates, the acyclic join tree is then
-counted bottom-up, one weight vector per alias: over its row ids, or over
-every row, with a mask as a boolean weight. Each child subtree
+counted bottom-up, one weight vector per alias: over its selected rows,
+or over every row, with a mask as a boolean weight. Each child subtree
 contributes its per-key weight sums gathered through the row's join key.
 This message passing (Yannakakis, VLDB 1981) gives the same count from
 any root. The root is the largest alias that has predicates; when none
-has, it is the alias with the most joins, the largest among those. The
-root sends no sums and gathers its children's sums only at its selected
-rows (row ids, or `np.compress` of its codes by its mask), so its other
-rows are neither gathered nor multiplied. An unfiltered alias sends only
-its precomputed fanout vector, or nothing when each of its rows meets
-exactly one row of its parent (as from the fk side).
+has, it is the alias with the most joins, the largest among those.
+- A leaf with an index range sends the `np.bincount` of its kept rows'
+  codes, or its fanout less the bincount of its excluded rows' codes: a
+  slice of the grouped codes either way, with no scan, `compress` or
+  gather. An inner alias weights the kept rows of its range, or scans its
+  predicate into a mask when it excludes. An alias that sends through an
+  identity key scans its predicate into a mask, which is its sums there.
+- The root sends no sums and gathers its children's sums only at its
+  selected rows (row ids, slices, or `np.compress` of its codes by its
+  mask), so its other rows are neither gathered nor multiplied. A root
+  that excludes sums over all of its rows and subtracts the excluded
+  rows' share, where that all-rows sum needs no gather: the fanout-
+  weighted sum of its one child's sums, or the product over every row
+  through identity keys. Otherwise, or when that sum could reach 2**63,
+  it counts its kept rows.
+- An unfiltered alias sends only its precomputed fanout vector, or
+  nothing when each of its rows meets exactly one row of its parent (as
+  from the fk side).
 
 Join columns are coded into the shared key spaces `storage.Database`
 precomputes per fk edge. An identity key (codes 0..n-1 in row order over
 a key space of size n, as every synthetic primary key) needs neither a
 scatter into per-key sums nor a gather back: the weights are their own
 sums, and row ids are their own codes. Any other unique key scatters. On
-a non-unique key, row ids and a boolean mask are counted by an integer
-`np.bincount` of the codes they select, and integer weights by a float64
-`np.bincount`, or `np.add.at` once the sums could pass 2**53. Masks, row
-ids, fanouts and key codes are handed on without copies and never
-written in place. Each weight vector carries an upper bound built from
-cached fanout maxima, so a count that could leave the int64 range raises
-instead of returning a wrapped value.
+a non-unique key, selected rows and a boolean mask are counted by an
+integer `np.bincount` of the codes they select, and integer weights by a
+float64 `np.bincount`, or `np.add.at` once the sums could pass 2**53.
+Masks, row ids, fanouts and key codes are handed on without copies and
+never written in place. Each weight vector carries an upper bound built
+from cached fanout maxima, so a count that could leave the int64 range
+raises instead of returning a wrapped value.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload
-from .storage import Database, JoinKey, MaterializedSample, Table
+from .storage import Column, Database, JoinKey, MaterializedSample, Table
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
@@ -56,15 +77,21 @@ _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 _INT64_LIMIT = 2**63
 #: float64 bincount sums of non-negative integers are exact below this.
 _FLOAT_EXACT_LIMIT = 2**53
-#: A selection is kept as row ids when its narrowest predicate holds at
-#: most this share of the table's rows, and as a boolean mask otherwise.
+#: A selection of several predicates is kept as row ids when its
+#: narrowest predicate holds at most this share of the table's rows, and
+#: as a boolean mask otherwise (a single predicate is an `IndexRange`).
 #: A gather by row id costs about 20 times a scanned row, but the rows of
-#: a mask must still be compressed out for counting. Exact counts of 500
-#: 0-2-join queries on the reference database (each query timed once per
-#: pass, best of six or eight passes, summed over six query seeds) took
-#: 932 ms at a share of 1/8 and 872 ms at 1/4, against 1084 ms counting
-#: by masks alone, as before value indexes; on two more seeds 1/4 took
-#: 417 ms, 3/8 427 ms and 1/2 426 ms.
+#: a mask must still be compressed out for counting. Exact counts of the
+#: generated 0-2-join queries on the reference database that hold an
+#: alias with two or more predicates (about 1,470 of 3,000 per seed, each
+#: timed once per pass, best of six passes, shares interleaved) took, at
+#: shares 1/8, 1/4, 3/8, 1/2 and 3/4, 394, 375, 380, 404 and 450 ms (seed
+#: 5), 370, 355, 367, 387 and 437 ms (seed 6) and 369, 351, 358, 375 and
+#: 421 ms (seed 7). The codes of those row ids are gathered by
+#: `codes.take(rows)`: narrowing the grouped codes' slice by the same
+#: boolean (`np.compress`) was slower except for a 50k-row range that
+#: keeps 90% (cast_info, 2k / 10k / 50k-row ranges keeping 10%, 50% or
+#: 90%: 1.6-196 us against 5.0-133 us).
 _ROW_ID_SHARE = 1 / 4
 
 
@@ -78,18 +105,87 @@ def predicate_mask(values_of, predicates) -> np.ndarray | None:
     return mask
 
 
+@dataclass(slots=True)
+class IndexRange:
+    """A single predicate's selection, read from its column's value index:
+    the rows at positions [start, stop) of `index.groups.rows`, one run of
+    values. When `excluded`, the selection is read as the rows around the
+    run, which the predicate leaves out (`select_rows` excludes when fewer
+    are left out than kept). Those rows' ids, and their codes on any join
+    key with grouped codes (`storage.JoinKey`), are slices: the run, or
+    the one or two around it. Never modified (not frozen, which would
+    cost a microsecond per selection)."""
+
+    predicate: Predicate
+    column: Column
+    start: int
+    stop: int
+    excluded: bool
+
+    @property
+    def size(self) -> int:
+        """Number of selected rows."""
+        return self.stop - self.start
+
+    def kept(self) -> IndexRange:
+        """The same selection, as the selected rows."""
+        if not self.excluded:
+            return self
+        return IndexRange(self.predicate, self.column, self.start, self.stop, False)
+
+    def mask(self) -> np.ndarray:
+        """The same selection, as the boolean mask of a scan."""
+        return _OPS[self.predicate.op](self.column.values, self.predicate.literal)
+
+    def slice(self, grouped: np.ndarray) -> np.ndarray:
+        """`grouped`, one entry per row in value-index order, at the run's
+        rows, or at the rows around it when excluded."""
+        if not self.excluded:
+            return grouped[self.start : self.stop]
+        if not self.start or self.stop == grouped.size:
+            return grouped[: self.start] if self.start else grouped[self.stop :]
+        return np.concatenate((grouped[: self.start], grouped[self.stop :]))
+
+    def codes(self, key: JoinKey) -> np.ndarray:
+        """The codes of `key`, a join key of the column's table, at the rows
+        `slice` reads: a slice of its grouped codes, or of the row ids on
+        an identity key; gathered by row id on a key coded per call."""
+        grouped = key.grouped.get(self.column.name)
+        if grouped is not None:
+            return self.slice(grouped)
+        rows = self.slice(self.column.index.groups.rows)
+        return rows if key.identity else key.codes.take(rows)
+
+
+def _codes(key: JoinKey, rows) -> np.ndarray:
+    """The codes of `key` at `rows`: row ids or an `IndexRange`."""
+    if isinstance(rows, IndexRange):
+        return rows.codes(key)
+    return rows if key.identity else key.codes.take(rows)
+
+
 def key_sums(
-    key: JoinKey, weights: np.ndarray | None, bound: int, rows: np.ndarray | None = None
+    key: JoinKey, weights: np.ndarray | None, bound: int, rows=None
 ) -> tuple[np.ndarray, int]:
     """Per key code, the sum of `weights` (None: all ones) over the rows
     coded `key`, and an upper bound on those sums given `bound` on the
-    weights. The weights belong to `rows` (row ids), or to every row when
-    `rows` is None. Boolean weights and row ids without weights on a unique
-    key give boolean sums; on an identity key, weights on every row are
-    their own sums. Sums are exact while the returned bound stays below
-    2**63."""
+    weights. The weights belong to `rows` (row ids or an `IndexRange`), or
+    to every row when `rows` is None. Boolean weights and row ids without
+    weights on a unique key give boolean sums; on an identity key, weights
+    on every row are their own sums. An excluded range, which carries no
+    weights, counts as the fanout less the excluded rows' counts. Sums are
+    exact while the returned bound stays below 2**63."""
+    if isinstance(rows, IndexRange) and rows.excluded:
+        assert weights is None, "only an unweighted selection is sent as its complement"
+        codes = rows.codes(key)
+        if key.max_fanout <= 1:
+            sums = key.fanout.astype(bool)
+            sums[codes] = False
+            return sums, bound
+        sums = key.fanout - np.bincount(codes, minlength=key.fanout.size)
+        return sums, bound * key.max_fanout
     if rows is not None:
-        codes = rows if key.identity else key.codes.take(rows)
+        codes = _codes(key, rows)
     elif weights is None:
         return key.fanout, key.max_fanout
     elif key.identity:
@@ -113,46 +209,93 @@ def key_sums(
     return sums, bound
 
 
-def _take(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`values` at `rows`: the rows a boolean mask selects, or row ids.
-    `take` copies int32 ids to intp first, as fancy indexing does, but it
-    still gathers in about two thirds of fancy indexing's time."""
-    return np.compress(rows, values) if rows.dtype == bool else values.take(rows)
+def _is_mask(sel) -> bool:
+    return isinstance(sel, np.ndarray) and sel.dtype == bool
 
 
-def _subtree_weights(
+def _product(factors: list, sel, w: np.ndarray | None = None) -> np.ndarray | None:
+    """`w` (None: all ones) times each factor, a child's per-key sums
+    `(own key, sums)` gathered through the own key at the rows of `sel`:
+    every row (None), the rows of a boolean mask, row ids or an
+    `IndexRange`."""
+    for own, sums in factors:
+        if sel is None:
+            matched = sums if own.identity else sums.take(own.codes)
+        elif _is_mask(sel) and own.identity:
+            matched = np.compress(sel, sums)
+        elif _is_mask(sel):
+            matched = sums.take(np.compress(sel, own.codes))
+        else:
+            matched = sums.take(_codes(own, sel))
+        w = matched if w is None else w * matched
+    return w
+
+
+def _total(w: np.ndarray) -> int:
+    return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
+
+
+def _child_sums(
     db: Database, spec: QuerySpec, sels: dict, adj: dict, alias: str, parent: str | None
-) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Result counts of the join subtree rooted at alias, per row of
-    `rows`, the alias's selected rows (None: every row). Returns (rows,
-    weights, bound): weights None are all ones, boolean ones zero or one,
-    and `bound` caps them. Row ids stay the rows. A mask is a boolean
-    weight on every row, except at the root of the tree (no parent), where
-    it stays the rows, so that the root's other rows are neither gathered
-    nor multiplied. A module-level function rather than a closure: a
-    recursive closure is a reference cycle, which would keep the
-    selections alive until the next garbage collection."""
-    rows, w = sels[alias], None
-    if parent is not None and rows is not None and rows.dtype == bool:
-        rows, w = None, rows
-    bound = 1
+) -> tuple[list, int]:
+    """The factors `(own key, sums)` of alias's child subtrees (every
+    neighbor but `parent`): each child's result counts summed per code of
+    the join key they share, and a bound on their product. A child that is
+    unfiltered and meets exactly one row of alias per row sends nothing."""
+    factors, bound = [], 1
     for other, own_col, other_col in adj[alias]:
         if other == parent:
             continue
         own, theirs = db.join_keys(
             (spec.table_of(alias), own_col), (spec.table_of(other), other_col)
         )
-        child_rows, child_w, child_bound = _subtree_weights(db, spec, sels, adj, other, alias)
+        child_rows, child_w, child_bound = _subtree_weights(
+            db, spec, sels, adj, other, alias, theirs
+        )
         if child_rows is None and child_w is None and own.matches_once:
             continue  # every row meets exactly one row of `other`
         sums, sums_bound = key_sums(theirs, child_w, child_bound, child_rows)
         bound *= sums_bound
-        if own.identity:
-            matched = sums if rows is None else _take(sums, rows)
-        else:
-            matched = sums.take(own.codes if rows is None else _take(own.codes, rows))
-        w = matched if w is None else w * matched
-    return rows, w, bound
+        factors.append((own, sums))
+    return factors, bound
+
+
+def _subtree_weights(
+    db: Database, spec: QuerySpec, sels: dict, adj: dict, alias: str, parent: str, up: JoinKey
+) -> tuple[np.ndarray | IndexRange | None, np.ndarray | None, int]:
+    """Result counts of the join subtree rooted at alias, a child of
+    `parent`, per row of `rows`, the alias's selected rows (None: every
+    row). Returns (rows, weights, bound): weights None are all ones,
+    boolean ones zero or one, and `bound` caps them. Row ids stay the
+    rows, and so does an index range, as its kept rows if alias weights
+    them. A mask is a boolean weight on every row. An index range becomes
+    a scanned mask when alias weights its excluded rows, and when alias
+    sends through `up`, its join key to `parent`, being an identity key:
+    there, a mask on every row is its own sums, where the range's rows
+    would be scattered (a scan of 100k int16 values takes about 10 us,
+    a scatter of 10k rows about 50 us). A module-level function rather
+    than a closure: a recursive closure is a reference cycle, which would
+    keep the selections alive until the next garbage collection."""
+    rows = sels[alias]
+    factors, bound = _child_sums(db, spec, sels, adj, alias, parent)
+    if isinstance(rows, IndexRange) and (up.identity or (factors and rows.excluded)):
+        rows = rows.mask()
+    if _is_mask(rows):
+        return None, _product(factors, None, rows), bound
+    return rows, _product(factors, rows), bound
+
+
+def _all_rows_total(factors: list) -> int | None:
+    """The sum over every row of the root of its factors' product, when
+    that needs no gather: the product over every row when each own key is
+    an identity key, or the fanout-weighted sum of one factor's sums. None
+    otherwise."""
+    if all(own.identity for own, _ in factors):
+        return _total(_product(factors, None))
+    if len(factors) == 1:
+        own, sums = factors[0]
+        return int(np.dot(own.fanout, sums))
+    return None
 
 
 def _count_from(
@@ -162,6 +305,12 @@ def _count_from(
     `selected` pass its predicates; the same from any root. `sels` maps
     each alias to its selection (see `select_rows`).
 
+    The root sends no sums: it multiplies its children's sums gathered at
+    its selected rows only. An excluded range counts as the total over
+    every row less the excluded rows' share, when that total needs no
+    gather (`_all_rows_total`) and cannot reach 2**63; otherwise as its
+    kept rows.
+
     Raises ValidationError when the count could exceed the int64 range.
     """
     # alias -> [(neighbor alias, own column, neighbor column)]
@@ -170,8 +319,8 @@ def _count_from(
         (la, lc), (ra, rc) = j.left, j.right
         adj[la].append((ra, lc, rc))
         adj[ra].append((la, rc, lc))
-    _, w, bound = _subtree_weights(db, spec, sels, adj, root, None)
-    if w is None:
+    factors, bound = _child_sums(db, spec, sels, adj, root, None)
+    if not factors:
         return selected
     # Bounds only grow towards the root, so this also covers every product
     # formed on the way: none of them wrapped unless this raises.
@@ -179,17 +328,33 @@ def _count_from(
         raise ValidationError(
             f"join count of {format_query(spec)} may exceed the int64 range"
         )
-    return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
+    sel = sels[root]
+    if isinstance(sel, IndexRange) and sel.excluded:
+        total = _all_rows_total(factors) if bound * sel.column.size < _INT64_LIMIT else None
+        if total is not None:
+            return total - _total(_product(factors, sel))
+        sel = sel.kept()
+    return _total(_product(factors, sel))
 
 
-def select_rows(table: Table, predicates) -> np.ndarray | None:
-    """The rows of `table` passing the conjunction `predicates`: None for no
-    predicate, row ids when the narrowest predicate's value-index range
-    holds at most `_ROW_ID_SHARE` of the rows (the other predicates are
-    checked at those rows only), a boolean mask otherwise."""
+def select_rows(table: Table, predicates):
+    """The rows of `table` passing the conjunction `predicates`: None for
+    no predicate. A single predicate on an attribute column selects its
+    value-index range as an `IndexRange`, excluded when it keeps more than
+    half the rows. Several predicates select row ids when the narrowest
+    one's range holds at most `_ROW_ID_SHARE` of the rows (the other
+    predicates are checked at those rows only), a boolean mask otherwise,
+    as does a predicate on a key column, which carries no value index."""
     def mask():
         return predicate_mask(lambda c: table.column(c).values, predicates)
 
+    if len(predicates) == 1:
+        (p,) = predicates
+        column = table.column(p.column)
+        if column.index is None:
+            return mask()
+        start, stop = column.index.span_where(p.op, p.literal)
+        return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count)
     narrowest = None
     for p in predicates:
         index = table.column(p.column).index
@@ -210,10 +375,12 @@ def select_rows(table: Table, predicates) -> np.ndarray | None:
     return rows
 
 
-def _selected(table: Table, sel: np.ndarray | None) -> int:
+def _selected(table: Table, sel) -> int:
     """Number of rows a `select_rows` selection holds."""
     if sel is None:
         return table.row_count
+    if isinstance(sel, IndexRange):
+        return sel.size
     return int(np.count_nonzero(sel)) if sel.dtype == bool else sel.size
 
 

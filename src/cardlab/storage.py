@@ -9,9 +9,14 @@ int32 row ids). One builder, `group_rows`, makes every grouping: the join
 indexes (rows grouped by join-key code, one per key space) for join
 probing, and the value indexes (rows grouped by value) of attribute
 columns for selective predicates. Each column's distinct count and index
-cost one sort. Building a Database rewrites the storage of its tables'
-dense-coded key columns as codes; after construction a Database (and its
-samples/indexes) is never mutated.
+cost one sort. A primary key whose values are a run of consecutive
+integers in row order is held as that range, with no buffer. Each
+non-identity join key also keeps its codes in the value-index row order
+of every attribute column of its table (`JoinKey.grouped`), so the codes
+of a predicate's rows are a slice. Building a Database rewrites the
+storage of its tables' dense-coded key columns as codes; after
+construction a Database (and its samples/indexes) is never mutated, and
+nothing in it is computed lazily.
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ _ATTR_DTYPES = (np.int16, np.int32, np.int64)
 #: codes, a radix sort.
 _RADIX_SPACE = 2**16
 
+#: Row ids per `take` when gathering grouped join codes.
+_GATHER_CHUNK = 2**15
+
 
 @dataclass(frozen=True)
 class Groups:
@@ -131,9 +139,9 @@ class ValueIndex:
             return self.keys.size
         return int(self.keys.searchsorted(literal, "right" if inclusive else "left"))
 
-    def rows_where(self, op: str, literal: int) -> np.ndarray:
-        """Row ids whose value satisfies `value op literal`, grouped by value:
-        a view of the grouped rows, never to be written."""
+    def span_where(self, op: str, literal: int) -> tuple[int, int]:
+        """The positions [start, stop) in `groups.rows` of the rows whose
+        value satisfies `value op literal`: one contiguous run of values."""
         if op == "<":
             start, stop = 0, self._below(literal, False)
         elif op == ">":
@@ -141,7 +149,18 @@ class ValueIndex:
         else:
             start, stop = self._below(literal, False), self._below(literal, True)
         offsets = self.groups.offsets
-        return self.groups.rows[offsets[start] : offsets[stop]]
+        return int(offsets[start]), int(offsets[stop])
+
+    def rows_where(self, op: str, literal: int) -> np.ndarray:
+        """Row ids whose value satisfies `value op literal`, grouped by value:
+        a view of the grouped rows, never to be written."""
+        start, stop = self.span_where(op, literal)
+        return self.groups.rows[start:stop]
+
+
+def _is_range(values: np.ndarray, lo: int | None, hi: int | None) -> bool:
+    """Whether `values`, two or more, are `lo..hi` in ascending row order."""
+    return values.size > 1 and hi - lo == values.size - 1 and bool((np.diff(values) == 1).all())
 
 
 def _dense_span(span: int, rows: int) -> bool:
@@ -179,19 +198,24 @@ class Column:
     column also carries its `ValueIndex`, built here once, so a selective
     predicate reads its rows instead of scanning the column.
 
-    `data` is the one stored buffer. It holds the values, except for a key
-    column of a dense-coded fk edge: from the `Database`'s construction on,
-    that column is held only as the edge's int64 join-key codes, and its
-    values are `data + base` (`base` stays None while `data` holds the
-    values). `values` and `take` derive the values from the codes where
-    they are read, so the column is never stored twice. On a held column
+    `data` is the one stored buffer. It holds the values, with two
+    exceptions, whose values `values` and `take` derive where they are
+    read, so the column is never stored twice:
+    - a key column of a dense-coded fk edge: from the `Database`'s
+      construction on, it is held only as the edge's int64 join-key codes,
+      and its values are `data + base`;
+    - a primary key whose values are `lo..lo + size - 1` in row order (two
+      rows or more) is held as that range: `data` is None and `base` is
+      `lo`, until a dense-coded fk edge holds it as codes.
+    `base` stays None while `data` holds the values. On a held column
     `values` allocates a new array at every call: hot paths read the codes
     or `take` the rows they need.
 
-    The column's facts are recorded here too: its least and greatest
-    value (None when empty) and its distinct count, which is the number of
-    nonempty groups of an attribute column's value index, and one sort of
-    a key column (`Table` reads it to check a primary key).
+    The column's facts are recorded here too: its row count (`size`), its
+    least and greatest value (None when empty) and its distinct count,
+    which is the number of nonempty groups of an attribute column's value
+    index, the row count of a range, and one sort of any other key column
+    (`Table` reads it to check a primary key).
     """
 
     def __init__(self, name: str, kind: str, values, ref: tuple[str, str] | None = None):
@@ -203,6 +227,7 @@ class Column:
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1:
             raise SchemaError(f"column {self.name!r} must be one-dimensional")
+        self.size = values.size
         if values.size:
             self.lo, self.hi = int(values.min()), int(values.max())
         if self.kind == KIND_ATTR:
@@ -214,23 +239,28 @@ class Column:
                 values = values.astype(dtype, copy=False)
             self.index = value_index(values)
             self.distinct_count = int(np.count_nonzero(np.diff(self.index.groups.offsets)))
+        elif self.kind == KIND_PK and _is_range(values, self.lo, self.hi):
+            self.distinct_count, self.base = values.size, self.lo
+            values = None
         else:
             self.distinct_count = distinct_count(values)
-        self.data: np.ndarray = values
+        self.data: np.ndarray | None = values
 
     def __repr__(self):
         ref = f", ref={self.ref!r}" if self.ref else ""
-        return f"Column({self.name!r}, {self.kind!r}, rows={self.data.size}{ref})"
+        return f"Column({self.name!r}, {self.kind!r}, rows={self.size}{ref})"
 
     @property
     def values(self) -> np.ndarray:
         """The column's values: the stored buffer, or, on a held column, a
-        new array derived from the codes at every call."""
+        new array derived from the codes or the range at every call."""
+        if self.data is None:
+            return np.arange(self.base, self.base + self.size, dtype=np.int64)
         return self.data if self.base is None else self.data + self.base
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The values at row ids `rows` (integers), derived at those rows only."""
-        taken = self.data.take(rows)
+        taken = np.array(rows, dtype=np.int64) if self.data is None else self.data.take(rows)
         if self.base is not None:
             taken += self.base
         return taken
@@ -238,12 +268,12 @@ class Column:
     def _hold(self, key: JoinKey) -> JoinKey:
         """`key`, a join key coding this column, with the codes this column
         holds. A key column coded densely (`key.base` set) is held as
-        `key.codes` from now on; a column already held so with the same
-        base hands its buffer to `key`. Attribute columns, sparse codings
-        and a second base keep the key as it is."""
+        `key.codes` from now on, a range too; a column already held as
+        codes with the same base hands its buffer to `key`. Attribute
+        columns, sparse codings and a second base keep the key as it is."""
         if key.base is None or self.kind == KIND_ATTR:
             return key
-        if self.base is None:
+        if self.base is None or self.data is None:
             self.data, self.base = key.codes, key.base
         return replace(key, codes=self.data) if self.base == key.base else key
 
@@ -262,7 +292,7 @@ class Table:
         self.columns_by_name = {c.name: c for c in self.columns}
         if len(self.columns_by_name) != len(self.columns):
             raise SchemaError(f"table {self.name!r} has duplicate column names")
-        lengths = {c.data.size for c in self.columns}
+        lengths = {c.size for c in self.columns}
         if len(lengths) > 1:
             raise SchemaError(f"table {self.name!r} has ragged columns")
         self.row_count = lengths.pop() if lengths else 0
@@ -297,7 +327,14 @@ class FkEdge:
 @dataclass(frozen=True)
 class JoinKey:
     """One join column coded into a key space shared with the column it
-    joins: rows of either column with equal values carry equal codes."""
+    joins: rows of either column with equal values carry equal codes.
+
+    `grouped` maps each attribute column of the key's table to the codes
+    permuted into that column's value-index row order, int32 and
+    read-only: `codes[index.groups.rows]`. The codes of a predicate's
+    rows are then a slice of them. `Database` fills it for the keys of
+    its declared fk edges, except identity keys, whose row ids are their
+    codes; a key coded per call has none."""
 
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
@@ -305,6 +342,7 @@ class JoinKey:
     matches_once: bool  # every row equals exactly one row of the other column
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
     base: int | None  # codes + base are the values (dense coding), None after np.unique
+    grouped: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
@@ -366,13 +404,15 @@ class Database:
     :func:`code_join_keys`) is precomputed; the edges into one column
     share its codes and fanout arrays. The key columns of a dense-coded
     edge are held only as those codes (see `Column`), so each is stored
-    once. Any other column pair is coded per call, from values derived
-    where needed. Per-column facts live on each `Column`.
-    Construction rewrites the storage of those key columns in the given
-    `Table` objects (`Column._hold`); a second Database built from the same
-    tables finds them held already and codes the same keys. Nothing is
-    computed lazily or cached later: the database is never mutated after
-    construction, and its indexes live and die with it.
+    once. Each non-identity key of a declared edge gets its grouped codes
+    (see `JoinKey`), built here, int32; edges sharing a parent key share
+    them. Any other column pair is coded per call, from values derived
+    where needed, with no grouped codes. Per-column facts live on each
+    `Column`. Construction rewrites the storage of those key columns in
+    the given `Table` objects (`Column._hold`); a second Database built
+    from the same tables finds them held already and codes the same keys.
+    Nothing is computed lazily or cached later: the database is never
+    mutated after construction, and its indexes live and die with it.
     """
 
     def __init__(self, tables: list[Table]):
@@ -414,7 +454,7 @@ class Database:
             kept = first.get(e.parent)
             size, base = _key_space(
                 [(c.lo, c.hi) for c in columns if c.lo is not None],
-                sum(c.data.size for c in columns),
+                sum(c.size for c in columns),
             )
             if (
                 kept is not None
@@ -429,13 +469,38 @@ class Database:
             if not (parent.fanout > 0)[child.codes].all():
                 raise SchemaError(f"referential integrity violated on {e.key}")
             child, parent = (c._hold(k) for c, k in zip(columns, (child, parent)))
-            kept = first.setdefault(e.parent, parent)
-            if np.array_equal(kept.codes, parent.codes) and np.array_equal(
+            if kept is not None and np.array_equal(kept.codes, parent.codes) and np.array_equal(
                 kept.fanout, parent.fanout
             ):
-                parent = replace(parent, codes=kept.codes, fanout=kept.fanout)
+                parent = replace(
+                    parent, codes=kept.codes, fanout=kept.fanout, grouped=kept.grouped
+                )
+            else:
+                parent = self._grouped(pt, parent)
+                first.setdefault(e.parent, parent)
+            child = self._grouped(e.child[0], child)
             self._join_keys[(e.child, e.parent)] = (child, parent)
             self._join_keys[(e.parent, e.child)] = (parent, child)
+
+    def _grouped(self, table: str, key: JoinKey) -> JoinKey:
+        """`key`, a join key of `table`, with its grouped codes (see
+        `JoinKey`): none for an identity key. The codes are cast to int32
+        once, so each column's gather makes its int32 result directly, and
+        gathered in chunks, so `take`'s intp copy of the row ids stays
+        small (gathering a whole column at once raised the label
+        benchmark's set-up peak RSS by about 1.6 MB)."""
+        columns = [c for c in self.table(table).columns if c.index is not None]
+        if key.identity or not columns or key.fanout.size > np.iinfo(np.int32).max:
+            return key
+        codes = key.codes.astype(np.int32)
+        grouped = {}
+        for c in columns:
+            rows = c.index.groups.rows
+            out = grouped[c.name] = np.empty(rows.size, dtype=np.int32)
+            for i in range(0, rows.size, _GATHER_CHUNK):
+                np.take(codes, rows[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK])
+            out.flags.writeable = False
+        return replace(key, grouped=grouped)
 
     def table(self, name: str) -> Table:
         if name not in self.tables:

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import operator
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from cardlab import executor
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
+    IndexRange,
     _count_from,
     _selected,
     bitmap_to_hex,
@@ -40,6 +43,7 @@ from cardlab.storage import (
     Database,
     SynthConfig,
     Table,
+    DEFAULT_SAMPLE_SIZE,
     code_join_keys,
     draw_all_samples,
     generate_synthetic_db,
@@ -167,8 +171,14 @@ def _count_at(db, spec, root, share):
             a: select_rows(db.table(spec.table_of(a)), spec.predicates_of(a))
             for a in spec.aliases
         }
-    for sel in sels.values():
-        if sel is not None and share == ROW_IDS:
+    for a, sel in sels.items():
+        table, predicates = db.table(spec.table_of(a)), spec.predicates_of(a)
+        if len(predicates) == 1 and table.column(predicates[0].column).index is not None:
+            # A single predicate selects its value-index range, whatever
+            # the share, excluded when it keeps more than half the rows.
+            assert isinstance(sel, IndexRange)
+            assert sel.excluded == (2 * sel.size > table.row_count)
+        elif sel is not None and share == ROW_IDS:
             assert sel.dtype != bool
         elif sel is not None and share == MASKS:  # an empty range gives row ids
             assert sel.dtype == bool or not sel.size
@@ -181,8 +191,9 @@ _OVERFLOW_N = 60_000
 
 def _overflow_star():
     """One parent row and four 60k-row children all referencing it, plus
-    `star(k, filtered)`: the k-child star query, each child optionally
-    filtered by a predicate every row passes."""
+    `star(k, filtered)`: the k-child star query, each child filtered by
+    `filtered` predicates (none, one or two) that every row passes. One
+    predicate selects a value-index range, two a mask or row ids."""
     children = [
         Table(
             f"c{i}",
@@ -196,11 +207,12 @@ def _overflow_star():
     ]
     db = Database([Table("p", [Column("id", "pk", [1])])] + children)
 
-    def star(k, filtered=False):
+    def star(k, filtered=0):
+        passing = (("<", 1), (">", -1))[:filtered]
         return QuerySpec(
             (TableRef("p", "p"),) + tuple(TableRef(f"c{i}", f"c{i}") for i in range(k)),
             tuple(JoinEdge((f"c{i}", "pid"), ("p", "id")) for i in range(k)),
-            tuple(Predicate(f"c{i}", "x", "<", 1) for i in range(k)) if filtered else (),
+            tuple(Predicate(f"c{i}", "x", op, v) for i in range(k) for op, v in passing),
         )
 
     return db, star
@@ -285,13 +297,17 @@ class TestTrueCardinality:
             true_cardinality(db, star(4))
 
     def test_int64_overflow_raises_filtered(self):
-        # With every child filtered (by a predicate that keeps all rows),
-        # the root is a child and the others send boolean masks through
-        # compress-and-count, whose bound must catch the same overflow.
+        # With every child filtered (by predicates that keep all rows), the
+        # root is a child. Under one predicate the others send their
+        # fanouts less their (empty) excluded ranges, and the root's
+        # all-rows bound passes 2**63, so it counts its kept rows; under two
+        # they send boolean masks through compress-and-count. The bound
+        # must catch the same overflow either way.
         db, star = _overflow_star()
-        assert true_cardinality(db, star(3, filtered=True)) == _OVERFLOW_N**3
-        with pytest.raises(ValidationError, match="int64"):
-            true_cardinality(db, star(4, filtered=True))
+        for filtered in (1, 2):
+            assert true_cardinality(db, star(3, filtered)) == _OVERFLOW_N**3
+            with pytest.raises(ValidationError, match="int64"):
+                true_cardinality(db, star(4, filtered))
 
     def test_int64_overflow_raises_row_ids(self):
         # Every child selected as row ids: the root is a child, the other
@@ -299,18 +315,41 @@ class TestTrueCardinality:
         # same bound must raise.
         db, star = _overflow_star()
         with mock.patch.object(executor, "_ROW_ID_SHARE", ROW_IDS):
-            assert true_cardinality(db, star(3, filtered=True)) == _OVERFLOW_N**3
+            assert true_cardinality(db, star(3, filtered=2)) == _OVERFLOW_N**3
             with pytest.raises(ValidationError, match="int64"):
-                true_cardinality(db, star(4, filtered=True))
+                true_cardinality(db, star(4, filtered=2))
 
     @pytest.mark.parametrize("root", ["p", "c0"], ids=["row_id_leaves", "row_id_root"])
     def test_int64_overflow_raises_filtered_row_ids(self, root):
         # Row-id children as the leaves under the unfiltered parent, and
         # one of them as the root gathering at its selected rows.
         db, star = _overflow_star()
-        assert _count_at(db, star(3, filtered=True), root, ROW_IDS) == _OVERFLOW_N**3
+        assert _count_at(db, star(3, filtered=2), root, ROW_IDS) == _OVERFLOW_N**3
         with pytest.raises(ValidationError, match="int64"):
-            _count_at(db, star(4, filtered=True), root, ROW_IDS)
+            _count_at(db, star(4, filtered=2), root, ROW_IDS)
+
+    def test_complement_root_past_int64_bound(self):
+        # The root c0 keeps 36000 of its 60000 rows, more than half, so it
+        # selects its excluded range. Its all-rows total, 60000**4, would
+        # pass 2**63, but its count, 36000 * 60000**3, fits: it counts its
+        # kept rows and returns the exact count. Keeping 48000 rows raises.
+        db, star = _overflow_star()
+        x = np.arange(_OVERFLOW_N) % 5
+        db = Database([
+            Table(t.name, [Column("x", "attr", x) if c.name == "x" and t.name == "c0" else c
+                           for c in t.columns])
+            for t in db.tables.values()
+        ])
+        for literal, kept in ((3, 36_000), (4, 48_000)):
+            spec = replace(star(4), predicates=(Predicate("c0", "x", "<", literal),))
+            sel = select_rows(db.table("c0"), spec.predicates)
+            assert isinstance(sel, IndexRange) and sel.excluded and sel.size == kept
+            if kept * _OVERFLOW_N**3 < 2**63:
+                assert true_cardinality(db, spec) == kept * _OVERFLOW_N**3
+                assert _count_at(db, spec, "c0", MASKS) == kept * _OVERFLOW_N**3
+            else:
+                with pytest.raises(ValidationError, match="int64"):
+                    true_cardinality(db, spec)
 
     @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
     def test_any_root_gives_the_count(self, db, permute_title):
@@ -505,7 +544,9 @@ class TestSelectionPaths:
     @pytest.mark.parametrize("share", [MASKS, ROW_IDS])
     def test_selects_as_a_scan(self, edge_db, share):
         # Every operator at every boundary literal of every attribute
-        # column selects the rows a Python scan does, empty or not.
+        # column selects the rows a Python scan does, empty or not: alone,
+        # as an index range whatever the share, and with a predicate that
+        # every row passes, as the row ids or mask the share picks.
         for t in edge_db.tables.values():
             for name in edge_db.attr_columns(t.name):
                 s = t.column(name)
@@ -514,10 +555,121 @@ class TestSelectionPaths:
                     for op in "=<>":
                         with mock.patch.object(executor, "_ROW_ID_SHARE", share):
                             sel = select_rows(t, (Predicate("x", name, op, literal),))
-                        got = np.flatnonzero(sel) if sel.dtype == bool else np.sort(sel)
+                        # Its value-index run holds the selected rows, and
+                        # the rows around it the others.
+                        assert isinstance(sel, IndexRange)
+                        assert sel.excluded == (2 * sel.size > t.row_count)
+                        rows = s.index.groups.rows
+                        got = np.sort(sel.kept().slice(rows))
+                        left_out = np.sort(replace(sel, excluded=True).slice(rows))
                         want = [i for i, v in enumerate(values) if _PY_OPS[op](v, literal)]
                         assert got.tolist() == want, (t.name, name, op, literal)
+                        assert left_out.tolist() == sorted(set(range(t.row_count)) - set(want))
+                        passing = Predicate("x", name, ">", s.lo - 1)
+                        with mock.patch.object(executor, "_ROW_ID_SHARE", share):
+                            sel = select_rows(t, (Predicate("x", name, op, literal), passing))
+                        assert (sel.dtype == bool) == (share == MASKS and bool(want))
+                        got = np.flatnonzero(sel) if sel.dtype == bool else np.sort(sel)
+                        assert got.tolist() == want, (t.name, name, op, literal)
 
+    @pytest.mark.parametrize("literals", ["shares", "outside", "equal"])
+    def test_single_predicate_forms(self, share_db, literals):
+        """One predicate on one alias at a time, at kept shares of 0, just
+        under, at and just over one half, and 1 (`<`, `>`), at literals
+        outside the column's range, and at `=` keeping most rows (its
+        excluded rows two ranges around the run), then on two aliases at
+        once; every alias as root against the nested-loop oracle."""
+        cases = _share_cases(share_db, literals)
+        for tables, joins in _SHARE_SHAPES:
+            refs = tuple(TableRef(t, t) for t in tables)
+            edges = tuple(JoinEdge((a, ac), (b, bc)) for (a, ac), (b, bc) in joins)
+            singles = [(Predicate(t, column, op, v),)
+                       for t in tables for column, op, v in cases[t]]
+            pairs = [a + b for a, b in zip(singles, singles[len(singles) // 2:])
+                     if a[0].alias != b[0].alias]
+            for predicates in singles + pairs:
+                spec = QuerySpec(refs, edges, predicates)
+                expected = nested_loop_count(share_db, spec)
+                assert true_cardinality(share_db, spec) == expected, format_query(spec)
+                for root in spec.aliases:
+                    for share in (MASKS, ROW_IDS):
+                        assert _count_at(share_db, spec, root, share) == expected, (
+                            format_query(spec), root, share)
+
+    def test_unique_key_excluded_leaf(self):
+        # b, a leaf whose predicate keeps most of its rows, sends its
+        # complement through a unique key with codes no b row holds (the
+        # ids a and b do not share, joined outside a declared fk edge):
+        # they must send zero, not one.
+        a = Table("a", [Column("id", "pk", np.arange(12)),
+                        Column("v", "attr", np.arange(12) % 3)])
+        b = Table("b", [Column("id", "pk", np.arange(5, 15)),
+                        Column("v", "attr", np.arange(10))])
+        db = Database([a, b])
+        for literal in (0, 3, 8):
+            spec = QuerySpec((TableRef("a", "a"), TableRef("b", "b")),
+                             (JoinEdge(("a", "id"), ("b", "id")),),
+                             (Predicate("a", "v", "<", 3), Predicate("b", "v", ">", literal)))
+            assert select_rows(b, spec.predicates_of("b")).excluded == (literal < 5)
+            assert true_cardinality(db, spec) == nested_loop_count(db, spec) == max(0, 6 - literal)
+
+
+@pytest.fixture(scope="module")
+def share_db():
+    """Two parents, `t` (ids 1..12, an identity key) and `q` (ids 10, 20,
+    ..., 80, densely coded but not the identity), and two children: `c`
+    (20 rows) joins both, through two non-identity keys, and `d` (21 rows)
+    joins `t`. Every table has `v`, its distinct row positions in a
+    shuffled order, so `v < k` keeps k rows, and `m`, 5 in three rows of
+    four and 1, 2, 8 or 9 elsewhere."""
+    rng = np.random.default_rng(41)
+
+    def table(name, n, ids=None, fks=()):
+        m = rng.choice([1, 2, 8, 9], size=n)
+        m[rng.permutation(n)[: 3 * n // 4]] = 5
+        return Table(name, [
+            Column("id", "pk", np.arange(1, n + 1) if ids is None else ids),
+            *(Column(f"{ref}id", "fk", rng.choice(vals, size=n), ref=(ref, "id"))
+              for ref, vals in fks),
+            Column("v", "attr", rng.permutation(n)),
+            Column("m", "attr", m),
+        ])
+
+    t_ids, q_ids = np.arange(1, 13), np.arange(10, 90, 10)
+    return Database([
+        table("t", 12), table("q", 8, ids=q_ids),
+        table("c", 20, fks=(("t", t_ids), ("q", q_ids))),
+        table("d", 21, fks=(("t", t_ids),)),
+    ])
+
+
+#: Query shapes over `share_db`: tables (each its own alias) and joins.
+_SHARE_SHAPES = (
+    (("t",), ()),
+    (("c",), ()),
+    (("t", "d"), ((("d", "tid"), ("t", "id")),)),
+    (("c", "q"), ((("c", "qid"), ("q", "id")),)),
+    (("c", "d", "t"), ((("d", "tid"), ("t", "id")), (("c", "tid"), ("t", "id")))),
+    (("c", "q", "t"), ((("c", "tid"), ("t", "id")), (("c", "qid"), ("q", "id")))),
+    (("c", "d", "q", "t"), ((("d", "tid"), ("t", "id")), (("c", "tid"), ("t", "id")),
+                            (("c", "qid"), ("q", "id")))),
+)
+
+
+def _share_cases(db, literals):
+    """Per table, (column, op, literal) cases of one kind."""
+    cases = {}
+    for name, t in db.tables.items():
+        n = t.row_count
+        if literals == "shares":
+            # `v < k` keeps k rows and `v > k` keeps n - 1 - k.
+            kept = (0, (n - 1) // 2, n // 2, n // 2 + 1, n)
+            cases[name] = [("v", "<", k) for k in kept] + [("v", ">", n - 1 - k) for k in kept]
+        elif literals == "outside":
+            cases[name] = [("v", op, v) for op in "=<>" for v in (-1, n, -(2**40), 2**70)]
+        else:
+            cases[name] = [("m", "=", 5), ("m", "<", 6), ("m", ">", 1), ("m", "=", 1)]
+    return cases
 
 class TestSampleBitmaps:
     def test_no_predicates_all_ones(self, samples):
@@ -613,6 +765,22 @@ class TestCorpusFiles:
         p.write_text("title t###\n")
         with pytest.raises(ParseError):
             read_labeled_corpus(p)
+
+    def test_reference_corpus_pinned(self, tmp_path):
+        # 300 generated 0-4-join queries on the reference database (default
+        # rows, rho 0.8, seed 101), labeled and written with their bitmap
+        # sidecar; recorded while single-predicate selections were counted
+        # through row-id gathers and masks.
+        db = generate_synthetic_db(SynthConfig(rho=0.8), seed=101)
+        samples = draw_all_samples(db, DEFAULT_SAMPLE_SIZE, seed=101)
+        workload = generate_workload(db, 300, 4, seed=13)
+        assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
+        labeled, dropped = label_workload(db, workload, samples)
+        assert (len(labeled), dropped) == (247, 53)
+        cp, bp = tmp_path / "c.txt", tmp_path / "c.txt.bitmaps"
+        write_labeled_corpus(labeled, cp, bp, sample_size=DEFAULT_SAMPLE_SIZE)
+        digest = hashlib.sha256(cp.read_bytes() + b"\0" + bp.read_bytes()).hexdigest()
+        assert digest == "8bf64bc96102ef1e43cc42a2495c68b42a33ad6b6ff553a03ede40f47aa8effe"
 
     def test_sidecar_length_mismatch(self, db, samples, tmp_path):
         workload = generate_workload(db, 5, 1, seed=22)

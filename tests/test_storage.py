@@ -667,23 +667,150 @@ class TestSharedKeySpaces:
 
     def test_reference_byte_budget(self):
         # Unique stored buffers of the reference database (columns, value
-        # indexes, join key spaces) and of its join indexes: 29.79 MiB and
-        # 8.77 MiB. With each key column stored as values and as codes
-        # they were 38.18 MiB, and with a copy of `title.id`'s key space
-        # and join index per edge 44.28 MiB and 13.35 MiB.
+        # indexes, join key spaces and their grouped codes) and of its join
+        # indexes: 27.50 MiB and 8.77 MiB. The grouped codes take 5.34 MiB;
+        # the five child ids, held as ranges, no longer take 7.63 MiB. With
+        # each child id stored and no grouped codes they were 29.79 MiB,
+        # with each key column stored as values and as codes 38.18 MiB,
+        # and with a copy of `title.id`'s key space and join index per edge
+        # 44.28 MiB and 13.35 MiB.
         db = generate_synthetic_db()
         arrays = []
         for table in db.tables.values():
             for c in table.columns:
-                arrays.append(c.data)
+                if c.data is not None:
+                    arrays.append(c.data)
                 if c.index is not None:
                     arrays += [c.index.keys, c.index.groups.rows, c.index.groups.offsets]
         for e in db.fk_edges:
             for key in db.join_keys(e.child, e.parent):
-                arrays += [key.codes, key.fanout]
-        assert _unique_bytes(arrays) <= 31 * 2**20
+                arrays += [key.codes, key.fanout, *key.grouped.values()]
+        assert _unique_bytes(arrays) <= 28 * 2**20
         groups = build_join_indexes(db).values()
         assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 9 * 2**20
+
+
+def _offset_keys(db, scale):
+    """`db` with every key shifted by -10**17, and spread by `scale`: dense
+    offset codings at scale 1, joint unique codings at 10**12."""
+    return Database([
+        Table(t.name, [
+            Column(c.name, c.kind, c.values if c.kind == "attr" else c.values * scale - 10**17,
+                   ref=c.ref)
+            for c in t.columns
+        ])
+        for t in db.tables.values()
+    ])
+
+
+class TestGroupedCodes:
+    """Each non-identity key of a declared fk edge carries its codes in the
+    value-index row order of every attribute column of its table."""
+
+    @pytest.fixture(params=["synthetic", "hand_star", "hand_star_reversed", "offset",
+                            "sparse", "csv"])
+    def any_db(self, request, small_db, tmp_path):
+        kind = request.param
+        if kind.startswith("hand_star"):
+            return _hand_star(reverse=kind.endswith("reversed"))
+        if kind in ("offset", "sparse"):
+            return _offset_keys(small_db, 1 if kind == "offset" else 10**12)
+        if kind == "csv":
+            save_database(small_db, tmp_path / "db")
+            return load_database(tmp_path / "db")
+        return small_db
+
+    def test_equal_to_gathered_codes(self, any_db):
+        seen = 0
+        for e in any_db.fk_edges:
+            for key, (t, _) in zip(any_db.join_keys(e.child, e.parent), (e.child, e.parent)):
+                attrs = [c for c in any_db.table(t).columns if c.index is not None]
+                if key.identity:
+                    assert key.grouped == {}
+                    continue
+                assert sorted(key.grouped) == sorted(c.name for c in attrs)
+                for c in attrs:
+                    grouped = key.grouped[c.name]
+                    assert grouped.dtype == np.int32 and not grouped.flags.writeable
+                    np.testing.assert_array_equal(grouped, key.codes[c.index.groups.rows])
+                    seen += 1
+        assert seen
+
+    def test_shared_parent_key_shares_them(self):
+        # q.id (10, 20, 30: dense codes 0, 10, 20, not the identity) is
+        # coded alike by both edges, which share its codes and grouped codes.
+        def child(name, fks):
+            return Table(name, [Column("id", "pk", np.arange(len(fks))),
+                                Column("fk", "fk", fks, ref=("q", "id"))])
+
+        db = Database([Table("q", [Column("id", "pk", [10, 20, 30]),
+                                   Column("k", "attr", [3, 1, 2])]),
+                       child("c", [10, 30, 30]), child("d", [20, 10])])
+        (_, c), (_, d) = (db.join_keys((t, "fk"), ("q", "id")) for t in "cd")
+        assert not c.identity and d.codes is c.codes and d.grouped is c.grouped
+        assert c.grouped["k"].tolist() == [10, 20, 0]
+
+    def test_keys_coded_per_call_have_none(self, small_db):
+        keys = small_db.join_keys(("movie_info", "movie_id"), ("movie_keyword", "movie_id"))
+        assert all(k.grouped == {} for k in keys)
+
+
+class TestRangePrimaryKeys:
+    """A primary key whose values are lo..lo+n-1 in row order is held as
+    that range, with no buffer, and reads as a stored one."""
+
+    @pytest.mark.parametrize("lo", [0, 1, -(2**40), 2**62])
+    def test_reads_as_stored(self, lo, tmp_path, monkeypatch):
+        def build():
+            values = np.arange(lo, lo + 50, dtype=np.int64)
+            return Database([Table("t", [Column("id", "pk", values),
+                                         Column("v", "attr", values % 7)])])
+
+        held = build()
+        with monkeypatch.context() as m:
+            m.setattr(storage, "_is_range", lambda *a: False)
+            stored = build()
+        h, s = held.table("t").column("id"), stored.table("t").column("id")
+        assert h.data is None and h.base == lo and s.data is not None
+        assert (h.lo, h.hi, h.distinct_count, h.size) == (s.lo, s.hi, s.distinct_count, s.size)
+        assert h.values.dtype == np.int64
+        np.testing.assert_array_equal(h.values, s.values)
+        for rows in (np.array([0, 49, 7, 7], dtype=np.int32), np.arange(50)[::-3]):
+            before = rows.copy()
+            got = h.take(rows)
+            assert got.dtype == np.int64 and not np.shares_memory(got, rows)
+            np.testing.assert_array_equal(got, s.take(rows))
+            np.testing.assert_array_equal(rows, before)
+        a, b = (draw_sample(db.table("t"), 20, seed=3) for db in (held, stored))
+        np.testing.assert_array_equal(a.row_indices, b.row_indices)
+        for name in a.rows:
+            assert a.rows[name].dtype == b.rows[name].dtype
+            np.testing.assert_array_equal(a.rows[name], b.rows[name])
+        for db, name in ((held, "held"), (stored, "stored")):
+            save_database(db, tmp_path / name)
+        for f in ("schema.json", "t.csv"):
+            assert (tmp_path / "held" / f).read_bytes() == (tmp_path / "stored" / f).read_bytes()
+
+    @pytest.mark.parametrize(
+        "values", [[1, 2, 4], [2, 1, 3], [0, 1, 2, 3, 5, 4], [7], []],
+        ids=["gap", "out_of_order", "swapped_tail", "single_row", "empty"])
+    def test_others_stay_stored(self, values):
+        column = Column("id", "pk", np.array(values, dtype=np.int64))
+        assert column.data is not None and column.base is None
+        assert column.values.tolist() == values
+
+    def test_synthetic_ids(self, small_db):
+        # The children's ids are ranges; `title.id`, a dense fk edge's
+        # parent, is held as the edge's codes.
+        for name in small_db.table_names():
+            column = small_db.table(name).column("id")
+            assert column.base == 1
+            if name == "title":
+                assert column.data is small_db.join_keys(
+                    ("title", "id"), ("cast_info", "movie_id"))[0].codes
+            else:
+                assert column.data is None
+            np.testing.assert_array_equal(column.values, np.arange(1, column.size + 1))
 
 
 class TestKeyColumnsHeldOnce:
@@ -756,9 +883,13 @@ class TestKeyColumnsHeldOnce:
                     want.base, want.matches_once, want.identity, want.max_fanout)
 
     def test_build_peak_budget(self):
-        # tracemalloc peak of building the reference database: 32.6 MiB, in
-        # the generator, with join coding's at 32.3 MiB; 34.6 MiB while each
-        # later edge into `title.id` recoded its values, and 44.4 MiB with
+        # tracemalloc peak of building the reference database: 28.7 MiB, in
+        # join coding and grouping (the generator's is 24.2 MiB), with the
+        # child ids held as ranges and the grouped codes gathered in chunks
+        # from one int32 copy of each key's codes; 32.6 MiB with the ids stored
+        # and no grouped codes, in the generator, with join coding's at
+        # 32.3 MiB; 34.6 MiB while each later edge into `title.id` recoded
+        # its values, and 44.4 MiB with
         # every key column stored as values and as codes and the generator's
         # temporaries kept to the end of their functions.
         tracemalloc.start()
