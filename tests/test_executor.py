@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardlab import executor
+from cardlab.baselines import ibjs_estimate, rs_estimate
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
     IndexRange,
@@ -44,6 +45,7 @@ from cardlab.storage import (
     SynthConfig,
     Table,
     DEFAULT_SAMPLE_SIZE,
+    build_join_indexes,
     code_join_keys,
     draw_all_samples,
     generate_synthetic_db,
@@ -734,6 +736,17 @@ class TestLabelWorkload:
                 np.testing.assert_array_equal(bitmap, expected)
 
 
+@pytest.fixture(scope="module")
+def reference():
+    """300 generated 0-4-join queries on the reference database (default
+    rows, rho 0.8, seed 101) and its default-size samples."""
+    db = generate_synthetic_db(SynthConfig(rho=0.8), seed=101)
+    samples = draw_all_samples(db, DEFAULT_SAMPLE_SIZE, seed=101)
+    workload = generate_workload(db, 300, 4, seed=13)
+    assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
+    return db, samples, workload
+
+
 class TestCorpusFiles:
     def test_hex_round_trip(self):
         rng = np.random.default_rng(0)
@@ -766,21 +779,29 @@ class TestCorpusFiles:
         with pytest.raises(ParseError):
             read_labeled_corpus(p)
 
-    def test_reference_corpus_pinned(self, tmp_path):
-        # 300 generated 0-4-join queries on the reference database (default
-        # rows, rho 0.8, seed 101), labeled and written with their bitmap
-        # sidecar; recorded while single-predicate selections were counted
-        # through row-id gathers and masks.
-        db = generate_synthetic_db(SynthConfig(rho=0.8), seed=101)
-        samples = draw_all_samples(db, DEFAULT_SAMPLE_SIZE, seed=101)
-        workload = generate_workload(db, 300, 4, seed=13)
-        assert {len(q.joins) for q in workload} == {0, 1, 2, 3, 4}
+    def test_reference_corpus_pinned(self, reference, tmp_path):
+        # Labeled and written with their bitmap sidecar; recorded while
+        # single-predicate selections were counted through row-id gathers
+        # and masks.
+        db, samples, workload = reference
         labeled, dropped = label_workload(db, workload, samples)
         assert (len(labeled), dropped) == (247, 53)
         cp, bp = tmp_path / "c.txt", tmp_path / "c.txt.bitmaps"
         write_labeled_corpus(labeled, cp, bp, sample_size=DEFAULT_SAMPLE_SIZE)
         digest = hashlib.sha256(cp.read_bytes() + b"\0" + bp.read_bytes()).hexdigest()
         assert digest == "8bf64bc96102ef1e43cc42a2495c68b42a33ad6b6ff553a03ede40f47aa8effe"
+
+    def test_reference_estimates_pinned(self, reference):
+        # The RS and IBJS estimates of every query, as float64 bytes;
+        # recorded while IBJS built its own adjacency for its walk.
+        db, samples, workload = reference
+        indexes = build_join_indexes(db)
+        estimates = []
+        for spec in workload:
+            estimates += [rs_estimate(db, samples, spec),
+                          ibjs_estimate(db, samples, indexes, spec)]
+        digest = hashlib.sha256(np.array(estimates, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "98d2feaa5021e9443c407b87530e7c52b1dd6b63f8a6791bc9b87f40269ef8a1"
 
     def test_sidecar_length_mismatch(self, db, samples, tmp_path):
         workload = generate_workload(db, 5, 1, seed=22)

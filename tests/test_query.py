@@ -73,6 +73,29 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_query("title t,movie_companies mc,movie_info mi#mc.movie_id=t.id##")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # A swapped duplicate of one edge leaves mi isolated.
+            "title t,movie_companies mc,movie_info mi#mc.movie_id=t.id,t.id=mc.movie_id##",
+            # A self-join edge leaves mc isolated.
+            "title t,movie_companies mc#t.id=t.kind_id##",
+        ],
+    )
+    def test_tree_edge_count_but_disconnected(self, db, line):
+        # Both pass the join-count check, so only connectivity rejects them.
+        with pytest.raises(ParseError, match=r"^join graph is disconnected$"):
+            parse_query(line)
+        tables, joins, _ = line.split("#", 2)
+        spec = QuerySpec(
+            tuple(TableRef(*t.split()) for t in tables.split(",")),
+            tuple(
+                JoinEdge(*(tuple(side.split(".")) for side in j.split("=")))
+                for j in joins.split(",")
+            ),
+        )
+        assert validate(spec, db)[0] == "join graph is disconnected"
+
     def test_cross_product_rejected(self):
         with pytest.raises(ParseError):
             parse_query("title t,movie_companies mc###")
