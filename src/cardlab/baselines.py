@@ -117,21 +117,7 @@ def ibjs_estimate(
         return _independence(db, spec, filtered)
     scale = db.table(spec.table_of(driver)).row_count / driver_sample.size
 
-    # Order edges so each one attaches a new alias to the walked set.
-    adj: dict[str, list] = {a: [] for a in spec.aliases}
-    for j in spec.joins:
-        adj[j.left[0]].append((j.right[0], j.left[1], j.right[1]))
-        adj[j.right[0]].append((j.left[0], j.right[1], j.left[1]))
-    walk = []
-    seen = {driver}
-    frontier = [driver]
-    while frontier:
-        alias = frontier.pop(0)
-        for other, own_col, other_col in sorted(adj[alias]):
-            if other not in seen:
-                seen.add(other)
-                walk.append((alias, own_col, other, other_col))
-                frontier.append(other)
+    walk = spec.walk(driver)
 
     def independence_tail(count: int, joined: set[str], remaining: list) -> float:
         """Partial-walk extrapolation times RS factors for what is left."""

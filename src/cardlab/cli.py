@@ -252,14 +252,8 @@ def cmd_eval(args) -> int:
                 )
     else:
         estimator = args.baseline
-    indexes = storage.build_join_indexes(db) if args.baseline == "ibjs" else None
     rows = evalkit.run_eval(
-        estimator,
-        workload,
-        db,
-        samples,
-        indexes,
-        zero_tuple_only=args.zero_tuple_only,
+        estimator, workload, db, samples, zero_tuple_only=args.zero_tuple_only
     )
     evalkit.write_report_csv(rows, args.report)
     evalkit.write_report_json(rows, f"{args.report}.json")

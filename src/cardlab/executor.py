@@ -25,8 +25,10 @@ counted bottom-up, one weight vector per alias: over its selected rows,
 or over every row, with a mask as a boolean weight. Each child subtree
 contributes its per-key weight sums gathered through the row's join key.
 This message passing (Yannakakis, VLDB 1981) gives the same count from
-any root. The root is the largest alias that has predicates; when none
-has, it is the alias with the most joins, the largest among those.
+any root, and needs no recursion: one loop over the edges of
+`QuerySpec.walk(root)` in reverse, which visits children before parents.
+The root is the largest alias that has predicates; when none has, it is
+the alias with the most joins, the largest among those.
 - A leaf with an index range sends the `np.bincount` of its kept rows'
   codes, or its fanout less the bincount of its excluded rows' codes: a
   slice of the grouped codes either way, with no scan, `compress` or
@@ -177,12 +179,7 @@ def key_sums(
     exact while the returned bound stays below 2**63."""
     if isinstance(rows, IndexRange) and rows.excluded:
         assert weights is None, "only an unweighted selection is sent as its complement"
-        codes = rows.codes(key)
-        if key.max_fanout <= 1:
-            sums = key.fanout.astype(bool)
-            sums[codes] = False
-            return sums, bound
-        sums = key.fanout - np.bincount(codes, minlength=key.fanout.size)
+        sums = key.fanout - np.bincount(rows.codes(key), minlength=key.fanout.size)
         return sums, bound * key.max_fanout
     if rows is not None:
         codes = _codes(key, rows)
@@ -235,56 +232,6 @@ def _total(w: np.ndarray) -> int:
     return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
 
 
-def _child_sums(
-    db: Database, spec: QuerySpec, sels: dict, adj: dict, alias: str, parent: str | None
-) -> tuple[list, int]:
-    """The factors `(own key, sums)` of alias's child subtrees (every
-    neighbor but `parent`): each child's result counts summed per code of
-    the join key they share, and a bound on their product. A child that is
-    unfiltered and meets exactly one row of alias per row sends nothing."""
-    factors, bound = [], 1
-    for other, own_col, other_col in adj[alias]:
-        if other == parent:
-            continue
-        own, theirs = db.join_keys(
-            (spec.table_of(alias), own_col), (spec.table_of(other), other_col)
-        )
-        child_rows, child_w, child_bound = _subtree_weights(
-            db, spec, sels, adj, other, alias, theirs
-        )
-        if child_rows is None and child_w is None and own.matches_once:
-            continue  # every row meets exactly one row of `other`
-        sums, sums_bound = key_sums(theirs, child_w, child_bound, child_rows)
-        bound *= sums_bound
-        factors.append((own, sums))
-    return factors, bound
-
-
-def _subtree_weights(
-    db: Database, spec: QuerySpec, sels: dict, adj: dict, alias: str, parent: str, up: JoinKey
-) -> tuple[np.ndarray | IndexRange | None, np.ndarray | None, int]:
-    """Result counts of the join subtree rooted at alias, a child of
-    `parent`, per row of `rows`, the alias's selected rows (None: every
-    row). Returns (rows, weights, bound): weights None are all ones,
-    boolean ones zero or one, and `bound` caps them. Row ids stay the
-    rows, and so does an index range, as its kept rows if alias weights
-    them. A mask is a boolean weight on every row. An index range becomes
-    a scanned mask when alias weights its excluded rows, and when alias
-    sends through `up`, its join key to `parent`, being an identity key:
-    there, a mask on every row is its own sums, where the range's rows
-    would be scattered (a scan of 100k int16 values takes about 10 us,
-    a scatter of 10k rows about 50 us). A module-level function rather
-    than a closure: a recursive closure is a reference cycle, which would
-    keep the selections alive until the next garbage collection."""
-    rows = sels[alias]
-    factors, bound = _child_sums(db, spec, sels, adj, alias, parent)
-    if isinstance(rows, IndexRange) and (up.identity or (factors and rows.excluded)):
-        rows = rows.mask()
-    if _is_mask(rows):
-        return None, _product(factors, None, rows), bound
-    return rows, _product(factors, rows), bound
-
-
 def _all_rows_total(factors: list) -> int | None:
     """The sum over every row of the root of its factors' product, when
     that needs no gather: the product over every row when each own key is
@@ -296,6 +243,32 @@ def _all_rows_total(factors: list) -> int | None:
         own, sums = factors[0]
         return int(np.dot(own.fanout, sums))
     return None
+
+
+def _sums_up(
+    rows, kids: list, bound: int, own: JoinKey, up: JoinKey
+) -> tuple[np.ndarray, int] | None:
+    """The result counts of an alias's subtree summed per code of `up`,
+    its join key to its parent (`own` on the parent's side), and their
+    bound (`key_sums`): its selected rows `rows` (see `select_rows`)
+    weighted by its children's factors `kids`, whose product `bound`
+    caps. Row ids and an index range stay the rows; a mask is a boolean
+    weight on every row. An index range becomes a scanned mask when its
+    excluded rows are weighted, and when it sends through an identity
+    key: there, a mask on every row is its own sums, where the range's
+    rows would be scattered (a scan of 100k int16 values takes about
+    10 us, a scatter of 10k rows about 50 us). None when an unfiltered
+    leaf meets exactly one row of each parent row. A function of its
+    own, so that the weights die before the parent's product is formed."""
+    if isinstance(rows, IndexRange) and (up.identity or (kids and rows.excluded)):
+        rows = rows.mask()
+    if _is_mask(rows):
+        rows, w = None, _product(kids, None, rows)
+    else:
+        w = _product(kids, rows)
+    if rows is None and w is None and own.matches_once:
+        return None
+    return key_sums(up, w, bound, rows)
 
 
 def _count_from(
@@ -311,15 +284,23 @@ def _count_from(
     gather (`_all_rows_total`) and cannot reach 2**63; otherwise as its
     kept rows.
 
+    Every other alias sends its sums (`_sums_up`), children before
+    parents: one loop over the reversed walk from the root.
+
     Raises ValidationError when the count could exceed the int64 range.
     """
-    # alias -> [(neighbor alias, own column, neighbor column)]
-    adj: dict[str, list[tuple[str, str, str]]] = {a: [] for a in spec.aliases}
-    for j in spec.joins:
-        (la, lc), (ra, rc) = j.left, j.right
-        adj[la].append((ra, lc, rc))
-        adj[ra].append((la, rc, lc))
-    factors, bound = _child_sums(db, spec, sels, adj, root, None)
+    # alias -> its children's factors (own key, sums), and their bound
+    factors = {a: [] for a in spec.aliases}
+    bounds = dict.fromkeys(spec.aliases, 1)
+    for parent, own_col, alias, up_col in reversed(spec.walk(root)):
+        own, up = db.join_keys(
+            (spec.table_of(parent), own_col), (spec.table_of(alias), up_col)
+        )
+        sent = _sums_up(sels[alias], factors.pop(alias), bounds.pop(alias), own, up)
+        if sent is not None:
+            factors[parent].append((own, sent[0]))
+            bounds[parent] *= sent[1]
+    factors, bound = factors[root], bounds[root]
     if not factors:
         return selected
     # Bounds only grow towards the root, so this also covers every product
@@ -414,8 +395,7 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
     if filtered:
         root = max(filtered, key=size)
     else:
-        ends = [j.left[0] for j in spec.joins] + [j.right[0] for j in spec.joins]
-        root = max(spec.aliases, key=lambda a: (ends.count(a), size(a)))
+        root = max(spec.aliases, key=lambda a: (len(spec.joins_of(a)), size(a)))
     return _count_from(db, spec, sels, root, counts[root])
 
 

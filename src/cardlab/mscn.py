@@ -39,9 +39,9 @@ from .executor import query_bitmaps
 from .featurizer import (
     EncodingCatalog,
     FeaturizedBatch,
-    batch as make_batch,
     denormalize_label,
     featurize,
+    featurize_labeled,
 )
 from .neural import (
     AdamState,
@@ -400,9 +400,7 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
 
 def predict_labeled(model: MscnModel, queries: list[LabeledQuery]) -> np.ndarray:
     """Estimates for already-labeled queries, reusing their bitmaps."""
-    return predict_batch(
-        model, make_batch([featurize(q, model.catalog) for q in queries])
-    )
+    return predict_batch(model, featurize_labeled(queries, model.catalog))
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,10 @@ class QuerySpec:
 
     Construction sorts and deduplicates each component, so two specs that
     are equal as sets compare (and format) equal. It also resolves, once,
-    the alias of each table and the predicates of each alias, in `tables`
-    order; they take no part in comparison or hashing. Structural
-    soundness against a database is checked by :func:`validate`.
+    the alias of each table, and the predicates and the joins of each
+    alias, in `tables` order; they take no part in comparison or hashing.
+    Structural soundness against a database is checked by
+    :func:`validate`.
     """
 
     tables: tuple[TableRef, ...]
@@ -75,6 +76,9 @@ class QuerySpec:
     predicates: tuple[Predicate, ...] = ()
     aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _alias_predicates: tuple[tuple[Predicate, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _alias_joins: tuple[tuple[JoinEdge, ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -91,6 +95,13 @@ class QuerySpec:
             "_alias_predicates",
             tuple([tuple([p for p in self.predicates if p.alias == a]) for a in aliases]),
         )
+        alias_joins = []
+        for a in aliases:
+            joins = [j for j in self.joins if a in (j.left[0], j.right[0])]
+            if len(joins) > 1:
+                joins.sort(key=lambda j: _neighbour(j, a))
+            alias_joins.append(tuple(joins))
+        object.__setattr__(self, "_alias_joins", tuple(alias_joins))
 
     def table_of(self, alias: str) -> str:
         try:
@@ -105,6 +116,35 @@ class QuerySpec:
             return self._alias_predicates[self.aliases.index(alias)]
         except ValueError:
             return tuple(p for p in self.predicates if p.alias == alias)
+
+    def joins_of(self, alias: str) -> tuple[JoinEdge, ...]:
+        """The joins at `alias`, a declared alias, sorted by (other alias,
+        own column, other column)."""
+        return self._alias_joins[self.aliases.index(alias)]
+
+    def walk(self, root: str) -> list[tuple[str, str, str, str]]:
+        """The join edges reachable from `root`, breadth-first, each as
+        (known alias, its column, new alias, its column): every edge
+        attaches an alias not seen before, each alias's joins taken in
+        `joins_of` order. An edge back to a seen alias is left out, so a
+        join tree yields all of its edges, and `reversed` visits children
+        before parents. Every alias reached must be declared."""
+        edges, seen, frontier = [], {root}, [root]
+        for alias in frontier:  # grows as the walk reaches new aliases
+            for j in self._alias_joins[self.aliases.index(alias)]:
+                other, own_col, other_col = _neighbour(j, alias)
+                if other not in seen:
+                    seen.add(other)
+                    edges.append((alias, own_col, other, other_col))
+                    frontier.append(other)
+        return edges
+
+
+def _neighbour(join: JoinEdge, alias: str) -> tuple[str, str, str]:
+    """(other alias, own column, other column) of `join` at `alias`."""
+    if join.left[0] == alias:
+        return join.right[0], join.left[1], join.right[1]
+    return join.left[0], join.right[1], join.left[1]
 
 
 @dataclass(eq=False)
@@ -158,20 +198,8 @@ def _structural_errors(spec: QuerySpec) -> list[str]:
         errors.append(
             f"{len(spec.joins)} joins over {len(spec.tables)} tables is not a join tree"
         )
-    elif spec.tables and not errors:
-        # Connectivity via union-find over aliases.
-        parent = {a: a for a in declared}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for j in spec.joins:
-            parent[find(j.left[0])] = find(j.right[0])
-        if len({find(a) for a in declared}) != 1:
-            errors.append("join graph is disconnected")
+    elif spec.tables and not errors and len(spec.walk(spec.aliases[0])) < len(spec.joins):
+        errors.append("join graph is disconnected")
     return errors
 
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import operator
 from dataclasses import replace
 from unittest import mock
@@ -352,6 +353,51 @@ class TestTrueCardinality:
             else:
                 with pytest.raises(ValidationError, match="int64"):
                     true_cardinality(db, spec)
+
+    def test_snowflake_chain_from_every_root(self):
+        # d -> c -> b -> a, each table's `fk` referencing the next table's
+        # id, except d's, which references c's `fk`: a key that repeats on
+        # both sides. Rooted at a, d's sums pass three levels up, and c
+        # sends integer weights through a non-unique key.
+        rng = np.random.default_rng(43)
+
+        def table(name, n, fk=None):
+            columns = [Column("id", "pk", np.arange(1, n + 1)),
+                       Column("v", "attr", rng.permutation(n)),
+                       Column("m", "attr", rng.integers(0, 3, n))]
+            if fk is not None:
+                ref, values = fk
+                columns.append(Column("fk", "fk", rng.choice(values, n), ref=ref))
+            return Table(name, columns)
+
+        a = table("a", 6)
+        b = table("b", 10, (("a", "id"), np.arange(1, 7)))
+        c = table("c", 14, (("b", "id"), np.arange(1, 11)))
+        d = table("d", 18, (("c", "fk"), c.column("fk").values))
+        db = Database([a, b, c, d])
+        joins = (JoinEdge(("b", "fk"), ("a", "id")), JoinEdge(("c", "fk"), ("b", "id")),
+                 JoinEdge(("d", "fk"), ("c", "fk")))
+        refs = tuple(TableRef(t, t) for t in "abcd")
+        # Per alias: none, kept rows, excluded rows, several predicates.
+        options = ((), (("v", "<", 2),), (("v", ">", 1),), (("v", ">", 0), ("m", "<", 2)))
+        sent = []
+
+        def spy(key, weights, bound, rows=None):
+            sent.append(key.max_fanout > 1 and weights is not None and weights.dtype != bool)
+            return key_sums(key, weights, bound, rows)
+
+        with mock.patch.object(executor, "key_sums", spy):
+            for chosen in itertools.product(options, repeat=4):
+                predicates = tuple(Predicate(alias, *p) for alias, ps in zip("abcd", chosen)
+                                   for p in ps)
+                spec = QuerySpec(refs, joins, predicates)
+                expected = nested_loop_count(db, spec)
+                assert true_cardinality(db, spec) == expected, format_query(spec)
+                for root in "abcd":
+                    for share in (MASKS, ROW_IDS):
+                        assert _count_at(db, spec, root, share) == expected, (
+                            format_query(spec), root, share)
+        assert any(sent)
 
     @pytest.mark.parametrize("permute_title", [False, True], ids=["identity", "permuted"])
     def test_any_root_gives_the_count(self, db, permute_title):

@@ -167,6 +167,81 @@ class TestQuerySpecLookups:
         assert validate(spec, db) == ["predicate x.kind_id,=,1 uses undeclared alias 'x'"]
 
 
+@st.composite
+def join_trees(draw):
+    """A join tree over 1-7 aliases: each alias after the first joins an
+    earlier one, through columns named from a small pool (so an alias
+    often joins several neighbours through one column), written either
+    way round."""
+    n = draw(st.integers(1, 7))
+    aliases = [f"a{i}" for i in draw(st.permutations(range(n)))]
+    columns = st.sampled_from(["id", "x", "y"])
+    joins = []
+    for i in range(1, n):
+        ends = [(aliases[draw(st.integers(0, i - 1))], draw(columns)), (aliases[i], draw(columns))]
+        joins.append(JoinEdge(*(ends if draw(st.booleans()) else ends[::-1])))
+    return QuerySpec(tuple(TableRef("t", a) for a in aliases), tuple(joins))
+
+
+def neighbours(spec, alias):
+    """(neighbour alias, own column, neighbour column) per join at alias,
+    in `joins_of` order."""
+    out = []
+    for j in spec.joins_of(alias):
+        own, other = (j.left, j.right) if j.left[0] == alias else (j.right, j.left)
+        out.append((other[0], own[1], other[1]))
+    return out
+
+
+class TestWalk:
+    @given(spec=join_trees())
+    @settings(max_examples=200)
+    def test_reaches_every_alias_once_from_any_root(self, spec):
+        for alias in spec.aliases:
+            ends = neighbours(spec, alias)
+            assert ends == sorted(ends)
+            assert set(spec.joins_of(alias)) == {
+                j for j in spec.joins if alias in (j.left[0], j.right[0])
+            }
+        for root in spec.aliases:
+            walk = spec.walk(root)
+            assert len(walk) == len(spec.joins)
+            seen, previous = [root], None
+            for known, known_col, new, new_col in walk:
+                # Each edge attaches a new alias to one already reached,
+                # through one of the spec's joins. Breadth-first: aliases
+                # are expanded in the order they were reached, each one's
+                # neighbours in sorted order.
+                assert known in seen and new not in seen
+                end = (new, known_col, new_col)
+                assert end in neighbours(spec, known)
+                step = (seen.index(known), end)
+                assert previous is None or step > previous
+                previous = step
+                seen.append(new)
+            assert sorted(seen) == sorted(spec.aliases)
+
+    def test_breadth_first_in_sorted_order(self):
+        spec, _ = parse_query(
+            "title t,movie_companies mc,movie_info mi,company_name cn"
+            "#mc.movie_id=t.id,mi.movie_id=t.id,mc.company_id=cn.id##"
+        )
+        assert spec.joins_of("t") == (
+            JoinEdge(("mc", "movie_id"), ("t", "id")),
+            JoinEdge(("mi", "movie_id"), ("t", "id")),
+        )
+        assert spec.walk("cn") == [
+            ("cn", "id", "mc", "company_id"),
+            ("mc", "movie_id", "t", "id"),
+            ("t", "id", "mi", "movie_id"),
+        ]
+        assert spec.walk("mi") == [
+            ("mi", "movie_id", "t", "id"),
+            ("t", "id", "mc", "movie_id"),
+            ("mc", "company_id", "cn", "id"),
+        ]
+
+
 class TestGenerator:
     def test_zero_joins_forced(self, db):
         rng = np.random.default_rng(1)
