@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,12 @@ ROWS = {
 @pytest.fixture(scope="module")
 def db():
     return generate_synthetic_db(SynthConfig(rows=ROWS, rho=0.5), seed=21)
+
+
+@pytest.fixture(scope="module")
+def reference_db():
+    """The reference database: default rows, rho 0.8, seed 101."""
+    return generate_synthetic_db(SynthConfig(rho=0.8), seed=101)
 
 
 class TestParse:
@@ -322,6 +330,24 @@ class TestWorkload:
         loaded = read_workload(path)
         assert [q for _, q, _ in loaded] == w
         assert [lineno for lineno, _, _ in loaded] == list(range(1, 51))
+
+    @pytest.mark.parametrize(
+        "referenced_only_seed, digest",
+        [
+            (False, "5eb2c1efa0f4f354ef7164933cc4a86ce3a183020b98a2d3e7cfba08ecfce2a7"),
+            (True, "3d5941a2e23a9fc4cd461c237ac28f263ea93af991a7497bae2dc6f0bae07086"),
+        ],
+    )
+    def test_reference_workload_pinned(self, reference_db, referenced_only_seed, digest):
+        # SHA-256 of the formatted lines of 400 0-4-join queries on the
+        # reference database, recorded while every draw re-derived the
+        # aliases, the fk frontier and the column values from the database.
+        w = generate_workload(
+            reference_db, 400, 4, seed=15, referenced_only_seed=referenced_only_seed
+        )
+        assert {len(q.joins) for q in w} == {0, 1, 2, 3, 4}
+        text = "\n".join(format_query(q) for q in w)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "w.txt"
