@@ -152,11 +152,12 @@ def cmd_gen_workload(args) -> int:
 
 def _read_valid_workload(path, db, *, labeled: bool):
     """The (spec, label) pairs of a workload file, each query validated
-    against `db`. With `labeled`, each must carry a cardinality of at least
-    1, where q-error is defined. Errors name the file and line."""
+    against `db` (`read_workload` has run its structural checks). With
+    `labeled`, each must carry a cardinality of at least 1, where q-error
+    is defined. Errors name the file and line."""
     out = []
     for lineno, spec, label in query.read_workload(path):
-        errors = query.validate(spec, db)
+        errors = query.database_errors(spec, db)
         if labeled and label is None:
             errors.append("missing cardinality")
         elif labeled and label < 1:

@@ -350,6 +350,9 @@ def train(
                 raise ValueError(f"non-finite gradient for {bad!r}")
             adam_step(params, {"flat": flat_grad}, state, hp.lr)
             epoch_loss += loss * idx.size
+            # Freed here, not when the next step rebinds the names, so the
+            # next forward's caches never live beside this step's.
+            del mb, y, caches, d_y, grads, flat_grad
         val_q = validation_mean_qerror(model, val_batch)
         history.append(
             {

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, ParseError
-from .storage import KIND_ATTR, Database
+from .storage import KIND_ATTR, Column, Database
 
 OPS = ("=", "<", ">")
 
@@ -256,8 +256,16 @@ def parse_query(text: str) -> tuple[QuerySpec, int | None]:
 
 
 def validate(spec: QuerySpec, db: Database) -> list[str]:
-    """All QuerySpec invariants against a concrete database; [] means ok."""
-    errors = list(_structural_errors(spec))
+    """All QuerySpec invariants against a concrete database; [] means ok:
+    the structural checks `parse_query` runs, then `database_errors`."""
+    return _structural_errors(spec) + database_errors(spec, db)
+
+
+def database_errors(spec: QuerySpec, db: Database) -> list[str]:
+    """The checks of `validate` that need the database: tables, columns,
+    declared fk joins and attribute predicates. A spec that `parse_query`
+    returned has passed the others."""
+    errors = []
     alias_table = {}
     for t in spec.tables:
         if t.table not in db.tables:
@@ -309,6 +317,50 @@ def default_aliases(db: Database) -> dict[str, str]:
     return aliases
 
 
+class _GenerationPlan:
+    """The schema facts the generator draws from, each resolved once per
+    database, when a draw first needs it: the aliases and the seed
+    candidates; per table its `TableRef` and its attribute `Column`s,
+    which hold their value arrays; and per set of joined tables the fk
+    frontier, the tables one fk edge away, sorted, each with its edges as
+    `JoinEdge`s in `db.fk_edges` order, fk side first."""
+
+    def __init__(self, db: Database):
+        self._db = db
+        self._aliases = default_aliases(db)
+        self.tables = db.table_names()
+        self.referenced = db.referenced_tables()
+        self._tables: dict[str, tuple[TableRef, tuple]] = {}
+        self._frontiers: dict[frozenset, tuple[tuple, tuple]] = {}
+
+    def table(self, name: str) -> tuple[TableRef, tuple[Column, ...]]:
+        """(`name`'s `TableRef`, its attribute columns in schema order)."""
+        found = self._tables.get(name)
+        if found is None:
+            attrs = tuple(c for c in self._db.table(name).columns if c.kind == KIND_ATTR)
+            found = self._tables[name] = TableRef(name, self._aliases[name]), attrs
+        return found
+
+    def frontier(self, current: list[str]) -> tuple[tuple, tuple]:
+        """(the tables one fk edge from the tables `current`, sorted; the
+        tuple of `JoinEdge`s to each)."""
+        key = frozenset(current)
+        found = self._frontiers.get(key)
+        if found is None:
+            aliases = self._aliases
+            options: dict[str, list[JoinEdge]] = {}
+            for e in self._db.fk_edges:
+                (child, child_col), (parent, parent_col) = e.child, e.parent
+                if (child in key) == (parent in key):
+                    continue
+                edge = JoinEdge((aliases[child], child_col), (aliases[parent], parent_col))
+                options.setdefault(parent if child in key else child, []).append(edge)
+            new_tables = tuple(sorted(options))
+            found = new_tables, tuple(tuple(options[t]) for t in new_tables)
+            self._frontiers[key] = found
+        return found
+
+
 def generate_query(
     db: Database,
     max_joins: int,
@@ -323,44 +375,37 @@ def generate_query(
     With `referenced_only_seed` the 0-join seed table is restricted to
     tables referenced by at least one fk edge (as for joining queries).
     """
+    return _draw_query(_GenerationPlan(db), max_joins, rng, referenced_only_seed)
+
+
+def _draw_query(
+    plan: _GenerationPlan, max_joins: int, rng: np.random.Generator, referenced_only_seed: bool
+) -> QuerySpec:
+    """`generate_query` on the database `plan` was resolved from."""
     if max_joins < 0:
         raise ValueError("max_joins must be >= 0")
-    aliases = default_aliases(db)
     num_joins = int(rng.integers(0, max_joins + 1))
     if num_joins == 0 and not referenced_only_seed:
-        candidates = db.table_names()
+        candidates = plan.tables
     else:
-        candidates = db.referenced_tables()
+        candidates = plan.referenced
         if not candidates:
             raise GenerationError("database declares no joinable tables")
-    current = [str(candidates[rng.integers(len(candidates))])]
+    current = [candidates[rng.integers(len(candidates))]]
     edges: list[JoinEdge] = []
     for _ in range(num_joins):
-        frontier: dict[str, list] = {}
-        for e in db.fk_edges:
-            ct, pt = e.child[0], e.parent[0]
-            if ct in current and pt not in current:
-                frontier.setdefault(pt, []).append(e)
-            elif pt in current and ct not in current:
-                frontier.setdefault(ct, []).append(e)
-        if not frontier:
+        new_tables, options = plan.frontier(current)
+        if not new_tables:
             raise GenerationError(
                 f"cannot extend join tree beyond {len(current)} tables"
             )
-        new_table = sorted(frontier)[rng.integers(len(frontier))]
-        options = frontier[new_table]
-        edge = options[rng.integers(len(options))]
-        edges.append(
-            JoinEdge(
-                (aliases[edge.child[0]], edge.child[1]),
-                (aliases[edge.parent[0]], edge.parent[1]),
-            )
-        )
-        current.append(new_table)
+        i = rng.integers(len(new_tables))
+        edges.append(options[i][rng.integers(len(options[i]))])
+        current.append(new_tables[i])
     predicates: list[Predicate] = []
-    refs = sorted(TableRef(t, aliases[t]) for t in current)
-    for ref in refs:
-        attrs = db.attr_columns(ref.table)
+    # By table name, which is `TableRef` order: `current` holds each table once.
+    tables = [plan.table(t) for t in sorted(current)]
+    for ref, attrs in tables:
         if not attrs:
             continue
         k = int(rng.integers(0, len(attrs) + 1))
@@ -370,20 +415,21 @@ def generate_query(
         for ci in chosen:
             column = attrs[int(ci)]
             op = OPS[int(rng.integers(len(OPS)))]
-            values = db.column_values(ref.table, column)
-            literal = int(values[rng.integers(len(values))])
-            predicates.append(Predicate(ref.alias, column, op, literal))
-    return QuerySpec(tuple(refs), tuple(edges), tuple(predicates))
+            literal = int(column.values[rng.integers(column.size)])
+            predicates.append(Predicate(ref.alias, column.name, op, literal))
+    return QuerySpec(tuple(ref for ref, _ in tables), tuple(edges), tuple(predicates))
 
 
 def generate_workload(
-    db: Database, n: int, max_joins: int, seed: int, **kwargs
+    db: Database, n: int, max_joins: int, seed: int, *, referenced_only_seed: bool = False
 ) -> list[QuerySpec]:
     """n pairwise-distinct queries (unique canonical strings), deterministic
-    per seed. Raises after RETRY_FACTOR duplicates in a row: the distinct
-    queries the database allows are then most likely used up."""
+    per seed, drawn as `generate_query` draws them from one plan of `db`.
+    Raises after RETRY_FACTOR duplicates in a row: the distinct queries the
+    database allows are then most likely used up."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    plan = _GenerationPlan(db)
     rng = np.random.default_rng(seed)
     seen: set[str] = set()
     out: list[QuerySpec] = []
@@ -394,7 +440,7 @@ def generate_workload(
                 f"found only {len(out)} of {n} unique queries:"
                 f" the last {duplicates} attempts were all duplicates"
             )
-        spec = generate_query(db, max_joins, rng, **kwargs)
+        spec = _draw_query(plan, max_joins, rng, referenced_only_seed)
         key = format_query(spec)
         if key in seen:
             duplicates += 1

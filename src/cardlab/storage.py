@@ -552,10 +552,16 @@ class MaterializedSample:
 
 
 def distinct_count(values: np.ndarray) -> int:
-    """Number of distinct values: one sort and a count of value changes
+    """Number of distinct values. Values whose span is dense for their row
+    count (`_dense_span`, as an fk column's span of parent keys is) are
+    counted as the nonzero bins of a `bincount` of their offsets from the
+    least value; any other column by one sort and a count of value changes
     (numpy's `np.unique` hashes integers, which is several times slower)."""
     if not values.size:
         return 0
+    lo, hi = int(values.min()), int(values.max())
+    if _dense_span(hi - lo + 1, values.size):
+        return int(np.count_nonzero(np.bincount(np.subtract(values, lo, dtype=np.int64))))
     s = np.sort(values)
     return int(np.count_nonzero(s[1:] != s[:-1])) + 1
 
@@ -745,11 +751,14 @@ def _correlated_values(rng, rho, latent, lo, hi):
     domain = hi - lo + 1
     block = max(1, domain // LATENT_CLASSES)
     within = rng.integers(0, block, size=latent.size)
-    # lo + (latent * block + within) % domain, in place.
+    # lo + (latent * block + within) % domain, in place; the sum is below
+    # LATENT_CLASSES * block, so the modulo is the identity unless the
+    # domain has fewer values than there are latent classes.
     correlated = latent * block
     correlated += within
     del within
-    correlated %= domain
+    if LATENT_CLASSES * block > domain:
+        correlated %= domain
     correlated += lo
     independent = rng.integers(lo, hi + 1, size=latent.size)
     take = rng.random(latent.size) < rho
@@ -767,28 +776,46 @@ def generate_synthetic_db(config: SynthConfig | None = None, seed: int = 0) -> D
     join estimates are systematically off on multi-child joins.
     """
     cfg = config if config is not None else SynthConfig()
-    # The generator's arrays (latent classes, the popularity cdf, the last
-    # child's parent positions) are freed when `_synthetic_tables` returns,
-    # before the join key spaces are coded.
+    # The generator's arrays (latent classes, the popularity cdf and its
+    # guide table, the last child's parent positions) are freed when
+    # `_synthetic_tables` returns, before the join key spaces are coded.
     return Database(_synthetic_tables(cfg, seed))
 
 
-def _draw_positions(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
-    """`n` positions drawn with the probabilities `p` whose normalized
-    cumsum is `cdf`: the draws of `rng.choice(cdf.size, size=n, p=p)`,
-    which takes `rng.random(n)` and searches each in that cdf, and so the
-    same stream of draws after it. The uniforms are searched in ascending
-    order, where each search starts at the last one's result and reads
-    memory the last one read, and the results are scattered back to their
-    rows."""
-    u = rng.random(n)
-    order = np.argsort(u)
-    u = u[order]
-    found = cdf.searchsorted(u, side="right")
-    del u
-    positions = np.empty_like(found)
-    positions[order] = found
-    return positions
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a cdf that ends at 1 (Chen & Asau, 1974; Devroye,
+    *Non-Uniform Random Variate Generation*, III.2.4): m = 2**k >= 2 *
+    `cdf.size` buckets, bucket b holding the number of cdf entries <= b/m
+    as int32. Since m is a power of two, `cdf * m` is exact, so an entry is
+    <= b/m exactly when its `ceil(cdf * m)` is <= b: the counts are the
+    cumsum of the bincount of those ceilings."""
+    m = 1 << (2 * cdf.size - 1).bit_length()
+    ceilings = np.ceil(cdf * m).astype(np.intp)
+    counts = np.bincount(ceilings, minlength=m + 1)[:m]
+    del ceilings
+    return counts.cumsum(dtype=np.int32)
+
+
+def _draw_positions(cdf: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The positions `cdf.searchsorted(u, side="right")` of uniforms `u` in
+    [0, 1), as int64, found through `starts`, the `_guide_table` of `cdf`.
+    With `u = rng.random(n)` they are the draws of `rng.choice(cdf.size,
+    size=n, p=p)`, `p` the probabilities whose normalized cumsum is `cdf`:
+    `choice` draws those uniforms and searches them so, and leaves the
+    stream where this leaves it.
+
+    Each `u` starts past the entries below its bucket, at
+    `starts[floor(u * m)]`, and steps forward while `cdf[pos] <= u`, which
+    stops before the last entry, 1. A uniform reads at most 1 +
+    `cdf.size` / m <= 1.5 cdf entries on average (Devroye, III.2.4), next
+    to where its bucket points, so no sort is needed to keep the reads
+    local."""
+    pos = starts[(u * starts.size).astype(np.intp)].astype(np.int64)
+    active = np.flatnonzero(cdf[pos] <= u)
+    while active.size:
+        pos[active] += 1
+        active = active[cdf[pos[active]] <= u[active]]
+    return pos
 
 
 def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
@@ -796,12 +823,12 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
     soon as it is used, so the build's allocation peak stays low.
 
     A child's parent positions are the draws of `rng.choice(n_title,
-    size=n, p=popularity)`, made by `_draw_positions` from the cdf `choice`
-    computes, computed once per database: the same positions and the same
-    stream of draws after them, so every column is as `choice` made it.
-    They are searched in ascending order, which costs about a third of
-    `choice`'s random-order binary searches: those miss the cache at every
-    step of a 100k-entry cdf."""
+    size=n, p=popularity)`, made by `_draw_positions` from `rng.random(n)`,
+    the cdf `choice` computes and that cdf's guide table, the last two
+    computed once per database: the same positions and the same stream of
+    draws after them, so every column is as `choice` made it. The guide
+    table replaces `choice`'s binary searches, which miss the cache at
+    every step of a 100k-entry cdf, and needs no sort of the uniforms."""
     rng = np.random.default_rng(seed)
     n_title = cfg.rows["title"]
     latent = rng.integers(0, LATENT_CLASSES, size=n_title)
@@ -815,6 +842,7 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
     cdf = popularity.cumsum()
     del popularity
     cdf /= cdf[-1]
+    starts = _guide_table(cdf)
 
     tables: list[Table] = []
     for schema in SYNTHETIC_SCHEMA:
@@ -823,7 +851,7 @@ def _synthetic_tables(cfg: SynthConfig, seed: int) -> list[Table]:
         if schema.name == "title":
             parent_latent = latent
         else:
-            parent_pos = _draw_positions(rng, cdf, n)
+            parent_pos = _draw_positions(cdf, starts, rng.random(n))
             parent_latent = latent[parent_pos]
             parent_pos += 1  # a position is the title id minus one
             keys["movie_id"] = parent_pos

@@ -11,6 +11,7 @@ from cardlab.query import (
     Predicate,
     QuerySpec,
     TableRef,
+    database_errors,
     default_aliases,
     format_query,
     generate_query,
@@ -379,6 +380,15 @@ class TestValidate:
     def test_unknown_column(self, db):
         spec = QuerySpec((TableRef("title", "t"),), (), (Predicate("t", "zz", "=", 1),))
         assert any("unknown column" in e for e in validate(spec, db))
+
+    def test_database_errors_of_a_parsed_spec_are_validate(self, db):
+        # The CLI checks parsed specs with `database_errors` alone.
+        spec, _ = parse_query("title t,movie_companies mc#mc.company_id=t.id#t.id,=,1,mc.zz,<,2#")
+        assert database_errors(spec, db) == validate(spec, db) == [
+            "join mc.company_id=t.id does not follow a declared foreign key",
+            "unknown column movie_companies.zz in predicate mc.zz,<,2",
+            "predicate t.id,=,1 targets a key column",
+        ]
 
     def test_messages_and_their_order(self, db):
         spec = QuerySpec(

@@ -31,7 +31,9 @@ from cardlab.storage import (
     load_samples,
     load_synth_config,
     _RADIX_SPACE,
+    _dense_span,
     _draw_positions,
+    _guide_table,
     rows_by_code,
     save_database,
     save_samples,
@@ -168,6 +170,28 @@ class TestDistinctCount:
     def test_empty(self):
         assert distinct_count(np.empty(0, dtype=np.int64)) == 0
 
+    @staticmethod
+    @st.composite
+    def _spans(draw):
+        """Key-like int64 values whose span is dense or sparse for their
+        row count, its least and greatest value both present."""
+        rows = draw(st.integers(1, 300))
+        limit = 4 * rows + 1024
+        dense = draw(st.booleans())
+        span = draw(st.integers(1, limit) if dense else st.integers(limit + 1, 2**62))
+        lo = draw(st.integers(-(2**62), 2**62 - span))
+        values = lo + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+            0, span, size=rows
+        )
+        values[0], values[-1] = lo, lo + span - 1
+        assert _dense_span(span, rows) == dense
+        return values
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(values=_spans())
+    def test_matches_unique_over_dense_and_sparse_spans(self, values):
+        assert distinct_count(values) == np.unique(values).size
+
 
 class TestSyntheticDb:
     def test_deterministic(self):
@@ -220,19 +244,68 @@ class TestSyntheticDb:
         ),
     )
     def test_draws_equal_choice(self, seed, size, weights):
-        # The parent draws are `Generator.choice`'s, searched in sorted
-        # order, and leave the stream where `choice` leaves it: zero
+        # The parent draws are `Generator.choice`'s, found through a guide
+        # table, and leave the stream where `choice` leaves it: zero
         # weights, a single entry and skewed log-normal weights alike.
         p = np.asarray(weights, dtype=np.float64)
         p /= p.sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
         ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_positions(ours, cdf, size)
+        got = _draw_positions(cdf, _guide_table(cdf), ours.random(size))
         want = numpys.choice(p.size, size=size, p=p)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         assert ours.random() == numpys.random()
+
+    @staticmethod
+    def _cdf(weights):
+        """The cdf `Generator.choice` searches for weights `weights`."""
+        p = np.asarray(weights, dtype=np.float64)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    @pytest.mark.parametrize(
+        "weights, crowd",
+        [
+            ([1.0], 0),
+            (np.ones(1024), 0),  # every cdf entry a bucket edge
+            (np.ones(1000), 0),
+            ([0.0] * 300 + [1.0] + [0.0] * 2000 + [2.0] + [0.0] * 700 + [0.5], 2000),
+            (np.random.default_rng(4).lognormal(0.0, 4.0, 5000), 40),
+            (np.random.default_rng(5).lognormal(0.0, 6.0, 20_000), 100),
+        ],
+        ids=["single", "edges_1024", "uniform_1000", "zero_runs", "lognormal_4", "lognormal_6"],
+    )
+    def test_guide_table_search_equals_searchsorted(self, weights, crowd):
+        # Uniforms at 0, at every cdf value, at its neighbours and at every
+        # bucket edge, and random ones; in the crowded cases one bucket
+        # holds at least `crowd` entries, so a search steps that far.
+        cdf = self._cdf(weights)
+        starts = _guide_table(cdf)
+        m = starts.size
+        assert starts.dtype == np.int32
+        assert m & (m - 1) == 0 and m >= 2 * cdf.size
+        assert np.diff(starts, append=cdf.size).max() >= crowd
+        edges = np.arange(m) / m
+        u = np.concatenate(
+            [
+                [0.0],
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 1.0),
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+                np.random.default_rng(6).random(10_000),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = _draw_positions(cdf, starts, u)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
 
     def test_referential_integrity_full_scan(self, small_db):
         for edge in small_db.fk_edges:
@@ -884,7 +957,8 @@ class TestKeyColumnsHeldOnce:
 
     def test_build_peak_budget(self):
         # tracemalloc peak of building the reference database: 28.7 MiB, in
-        # join coding and grouping (the generator's is 24.2 MiB), with the
+        # join coding and grouping (the generator's is 25.2 MiB, 1 MiB of it
+        # the guide table of the parent draws; 24.2 MiB without it), with the
         # child ids held as ranges and the grouped codes gathered in chunks
         # from one int32 copy of each key's codes; 32.6 MiB with the ids stored
         # and no grouped codes, in the generator, with join coding's at
