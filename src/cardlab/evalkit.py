@@ -72,45 +72,6 @@ def is_zero_tuple(query: LabeledQuery) -> bool:
     return False
 
 
-def _display_name(estimator, name: str | None) -> str:
-    if name:
-        return name
-    if isinstance(estimator, MscnModel):
-        return "mscn"
-    if isinstance(estimator, str):
-        return estimator
-    return "custom"
-
-
-def estimate_workload(
-    estimator,
-    workload: list[LabeledQuery],
-    db: Database,
-    samples,
-    indexes=None,
-    name: str | None = None,
-) -> tuple[np.ndarray, str]:
-    """Per-query estimates plus the estimator's display name.
-
-    `estimator` is an MscnModel, the string "rs" or "ibjs", or a callable
-    LabeledQuery -> float. Result order matches the workload.
-    """
-    display = _display_name(estimator, name)
-    if isinstance(estimator, MscnModel):
-        return predict_labeled(estimator, workload), display
-    if estimator == "rs":
-        fn = lambda q: rs_estimate(db, samples, q.spec)
-    elif estimator == "ibjs":
-        if indexes is None:
-            indexes = build_join_indexes(db)
-        fn = lambda q: ibjs_estimate(db, samples, indexes, q.spec)
-    elif callable(estimator):
-        fn = estimator
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return np.array([fn(q) for q in workload]), display
-
-
 def run_eval(
     estimator,
     workload: list[LabeledQuery],
@@ -123,23 +84,33 @@ def run_eval(
 ) -> list[dict]:
     """Report rows grouped by join count plus an overall row.
 
-    With `zero_tuple_only` the workload is first restricted to queries
-    whose predicated base tables all miss the sample; an empty subset
-    yields a single overall row with n=0.
+    `estimator` is an MscnModel, the string "rs" or "ibjs", or a callable
+    LabeledQuery -> float. The rows name it `name`, or else "mscn", the
+    string itself, or "custom". With `zero_tuple_only` the workload is
+    first restricted to queries whose predicated base tables all miss the
+    sample; an empty subset yields a single overall row with n=0.
     """
+    if not name:
+        if isinstance(estimator, MscnModel):
+            name = "mscn"
+        else:
+            name = estimator if isinstance(estimator, str) else "custom"
     if zero_tuple_only:
         workload = [q for q in workload if is_zero_tuple(q)]
     if not workload:
-        return [
-            {
-                "estimator": _display_name(estimator, name),
-                "join_count": "overall",
-                "n": 0,
-            }
-        ]
-    estimates, display = estimate_workload(
-        estimator, workload, db, samples, indexes, name
-    )
+        return [{"estimator": name, "join_count": "overall", "n": 0}]
+    if isinstance(estimator, MscnModel):
+        estimates = predict_labeled(estimator, workload)
+    elif estimator == "rs":
+        estimates = np.array([rs_estimate(db, samples, q.spec) for q in workload])
+    elif estimator == "ibjs":
+        if indexes is None:
+            indexes = build_join_indexes(db)
+        estimates = np.array([ibjs_estimate(db, samples, indexes, q.spec) for q in workload])
+    elif callable(estimator):
+        estimates = np.array([estimator(q) for q in workload])
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
     truths = np.array([q.true_cardinality for q in workload], dtype=np.float64)
     errors = np.maximum(estimates / truths, truths / estimates)
     join_counts = np.array([len(q.spec.joins) for q in workload])
@@ -147,11 +118,11 @@ def run_eval(
     for jc in sorted(set(join_counts.tolist())):
         mask = join_counts == jc
         rows.append(
-            {"estimator": display, "join_count": str(jc), "n": int(mask.sum())}
+            {"estimator": name, "join_count": str(jc), "n": int(mask.sum())}
             | report(errors[mask])
         )
     rows.append(
-        {"estimator": display, "join_count": "overall", "n": len(workload)}
+        {"estimator": name, "join_count": "overall", "n": len(workload)}
         | report(errors)
     )
     return rows

@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload
+from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload, write_workload
 from .storage import Column, Database, JoinKey, MaterializedSample, Table
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
@@ -465,15 +465,11 @@ def hex_to_bitmap(text: str, size: int) -> np.ndarray:
 def write_labeled_corpus(
     labeled: list[LabeledQuery],
     corpus_path: str | Path,
-    bitmaps_path: str | Path | None = None,
-    sample_size: int | None = None,
+    bitmaps_path: str | Path,
+    sample_size: int,
 ) -> None:
-    lines = [format_query(q.spec, q.true_cardinality) for q in labeled]
-    Path(corpus_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if bitmaps_path is None:
-        return
-    if sample_size is None:
-        raise ValueError("sample_size is required when writing a bitmap sidecar")
+    """The corpus as workload lines with cardinalities, and its sidecar."""
+    write_workload(corpus_path, [(q.spec, q.true_cardinality) for q in labeled])
     rows = [f"-- sample_size={sample_size}"]
     for q in labeled:
         rows.append(

@@ -95,17 +95,20 @@ class EncodingCatalog:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValidationError("unsupported catalog format_version")
-        missing = {
-            "table_index", "join_index", "column_index", "column_bounds",
-            "sample_size", "sample_mode", "label_log_min", "label_log_max",
-        } - set(doc)
+        missing = {*_CATALOG_CHECKS, "sample_mode"} - set(doc)
         if missing:
             raise ValidationError(f"catalog lacks {sorted(missing)}")
+        bad = [key for key, ok in _CATALOG_CHECKS.items() if not ok(doc[key])]
+        if bad:
+            raise ValidationError(f"catalog has malformed {bad}")
+        bounds = doc["column_bounds"]
+        if bounds.keys() != doc["column_index"].keys():
+            raise ValidationError("catalog column_bounds do not match its column_index")
         return cls(
             table_index=doc["table_index"],
             join_index=doc["join_index"],
             column_index=doc["column_index"],
-            column_bounds={k: (v[0], v[1]) for k, v in doc["column_bounds"].items()},
+            column_bounds={k: (v[0], v[1]) for k, v in bounds.items()},
             sample_size=doc["sample_size"],
             sample_mode=doc["sample_mode"],
             label_log_min=doc["label_log_min"],
@@ -113,14 +116,50 @@ class EncodingCatalog:
         )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (`bool` is an `int` in Python, but not here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number."""
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _is_index(value) -> bool:
+    """A one-hot dictionary: its values number its keys 0..n-1."""
+    return (
+        isinstance(value, dict)
+        and all(map(_is_int, value.values()))
+        and sorted(value.values()) == list(range(len(value)))
+    )
+
+
+#: The type and value checks of the serialized catalog fields besides
+#: `sample_mode`, which `EncodingCatalog` checks itself.
+_CATALOG_CHECKS = {
+    "table_index": _is_index,
+    "join_index": _is_index,
+    "column_index": _is_index,
+    "column_bounds": lambda v: isinstance(v, dict) and all(
+        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in v.values()
+    ),
+    "sample_size": lambda v: _is_int(v) and v >= 0,
+    "label_log_min": _is_number,
+    "label_log_max": _is_number,
+}
+
+
 @dataclass
 class FeaturizedQuery:
-    """The three per-set element matrices plus the normalized label."""
+    """The three per-set element matrices plus the normalized label and the
+    true count it was normalized from."""
 
     table_elems: np.ndarray  # (n_tables, table_width)
     join_elems: np.ndarray  # (max(n_joins, 1), join_width)
     pred_elems: np.ndarray  # (max(n_preds, 1), pred_width)
     label_norm: float | None = None
+    cardinality: int | None = None
 
 
 @dataclass
@@ -134,7 +173,7 @@ class FeaturizedBatch:
     pred_feats: np.ndarray
     pred_mask: np.ndarray
     labels_norm: np.ndarray | None = None  # (batch,)
-    cardinalities: np.ndarray | None = None  # (batch,) true counts when known
+    cardinalities: np.ndarray | None = None  # (batch,) true counts, with the labels
 
     def __len__(self) -> int:
         return self.table_feats.shape[0]
@@ -263,11 +302,12 @@ def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
     label = None
     if query.true_cardinality is not None:
         label = normalize_label(query.true_cardinality, catalog)
-    return FeaturizedQuery(table_elems, join_elems, pred_elems, label)
+    return FeaturizedQuery(table_elems, join_elems, pred_elems, label, query.true_cardinality)
 
 
 def batch(queries: list[FeaturizedQuery]) -> FeaturizedBatch:
-    """Pad per-set element matrices to the batch maximum and build masks."""
+    """Pad per-set element matrices to the batch maximum and build masks.
+    The labels and true counts are carried when every query has them."""
     if not queries:
         raise ValueError("cannot batch zero queries")
     arrays = []
@@ -284,20 +324,16 @@ def batch(queries: list[FeaturizedQuery]) -> FeaturizedBatch:
             feats[i, : e.shape[0]] = e
             mask[i, : e.shape[0]] = 1.0
         arrays.extend([feats, mask])
-    labels = None
+    labels = cards = None
     if all(q.label_norm is not None for q in queries):
         labels = np.array([q.label_norm for q in queries])
-    return FeaturizedBatch(*arrays, labels_norm=labels)
+        cards = np.array([q.cardinality for q in queries], dtype=np.float64)
+    return FeaturizedBatch(*arrays, labels_norm=labels, cardinalities=cards)
 
 
 def featurize_labeled(
     queries: list[LabeledQuery], catalog: EncodingCatalog
 ) -> FeaturizedBatch:
-    """One padded batch for a whole labeled corpus, carrying true counts."""
-    out = batch([featurize(q, catalog) for q in queries])
-    if all(q.true_cardinality is not None for q in queries):
-        out.cardinalities = np.array(
-            [q.true_cardinality for q in queries], dtype=np.float64
-        )
-    return out
+    """One padded batch for a whole labeled corpus."""
+    return batch([featurize(q, catalog) for q in queries])
 

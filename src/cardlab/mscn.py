@@ -66,6 +66,9 @@ MODEL_FORMAT_VERSION = 1
 _SET_NAMES = ("tables", "joins", "preds")
 _FIELDS = ("w1", "b1", "w2", "b2")
 
+# JSON types of a model header's `Hyperparams` fields, by annotation.
+_HEADER_TYPES = {"int": int, "float": (int, float), "str": str}
+
 
 @dataclass
 class Hyperparams:
@@ -79,7 +82,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d, self.epochs, self.batch_size) < 1 or self.lr <= 0:
+        if min(self.d, self.epochs, self.batch_size) < 1 or not self.lr > 0:
             raise ValueError("hyperparameters must be positive")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
@@ -100,19 +103,6 @@ class MscnModel:
     catalog: EncodingCatalog
     hyperparams: Hyperparams
 
-    def __post_init__(self):
-        widths = {
-            "tables": (self.tables_mlp.in_dim, self.catalog.table_width),
-            "joins": (self.joins_mlp.in_dim, self.catalog.join_width),
-            "preds": (self.preds_mlp.in_dim, self.catalog.pred_width),
-            "out": (self.out_mlp.in_dim, 3 * self.hyperparams.d),
-        }
-        for name, (got, want) in widths.items():
-            if got != want:
-                raise ValueError(f"{name} module width {got} != expected {want}")
-        if self.out_mlp.out_dim != 1:
-            raise ValueError("output module must produce a scalar")
-
     def modules(self) -> dict[str, Dense2]:
         return {
             "tables": self.tables_mlp,
@@ -128,6 +118,17 @@ def param_dict(model: MscnModel) -> dict[str, np.ndarray]:
         f"{name}.{field}": getattr(module, field)
         for name, module in model.modules().items()
         for field in _FIELDS
+    }
+
+
+def _param_shapes(catalog: EncodingCatalog, hp: Hyperparams) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter `init_model` makes, in serialization
+    order; `load_model` accepts only these."""
+    d, widths = hp.d, (catalog.table_width, catalog.join_width, catalog.pred_width, 3 * hp.d)
+    return {
+        f"{name}.{field}": shape
+        for name, w, o in zip(("tables", "joins", "preds", "out"), widths, (d, d, d, 1))
+        for field, shape in zip(_FIELDS, ((w, d), (d,), (d, o), (o,)))
     }
 
 
@@ -293,11 +294,11 @@ def predict_batch(
 
 
 def validation_mean_qerror(model: MscnModel, batch: FeaturizedBatch) -> float:
+    """Mean q-error of the estimates against the batch's true counts."""
+    if batch.cardinalities is None:
+        raise ValueError("validation needs the true counts of its queries")
     est = predict_batch(model, batch)
-    if batch.cardinalities is not None:
-        truth = batch.cardinalities
-    else:
-        truth = denormalize_label(batch.labels_norm, model.catalog)
+    truth = batch.cardinalities
     return float(np.maximum(est / truth, truth / est).mean())
 
 
@@ -437,6 +438,8 @@ def load_model(path: str | Path) -> MscnModel:
         raise ModelFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
     (header_len,) = struct.unpack("<I", payload[4:8])
     header = json.loads(payload[8 : 8 + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
     if header.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: format_version {header.get('format_version')} unsupported"
@@ -444,38 +447,32 @@ def load_model(path: str | Path) -> MscnModel:
     missing = {"catalog", "hyperparams", "params"} - set(header)
     if missing:
         raise ModelFormatError(f"{path}: header lacks {sorted(missing)}")
-    catalog = EncodingCatalog.from_json(json.dumps(header["catalog"]))
+    try:
+        catalog = EncodingCatalog.from_json(json.dumps(header["catalog"]))
+    except (ValidationError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     raw_hp = header["hyperparams"]
     names = {f.name for f in fields(Hyperparams)}
     if not isinstance(raw_hp, dict) or set(raw_hp) != names:
         raise ModelFormatError(f"{path}: hyperparams must have exactly {sorted(names)}")
+    for f in fields(Hyperparams):
+        value = raw_hp[f.name]
+        if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[f.type]):
+            raise ModelFormatError(f"{path}: hyperparams.{f.name} must be {f.type}, not {value!r}")
     try:
         hp = Hyperparams(**raw_hp)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    arrays: dict[str, np.ndarray] = {}
+    shapes = _param_shapes(catalog, hp)
+    if header["params"] != [{"name": k, "shape": list(v)} for k, v in shapes.items()]:
+        raise ModelFormatError(f"{path}: params do not match the catalog and hyperparams")
+    arrays = []
     offset = 8 + header_len
-    for item in header["params"]:
-        shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    for shape in shapes.values():
+        end = offset + 8 * int(np.prod(shape))
         if end > len(payload):
             raise ModelFormatError(f"{path}: parameter blob shorter than manifest")
-        arrays[item["name"]] = (
-            np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy()
-        )
+        arrays.append(np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape).copy())
         offset = end
-    modules = {}
-    for name in ("tables", "joins", "preds", "out"):
-        try:
-            modules[name] = Dense2(*(arrays[f"{name}.{f}"] for f in _FIELDS))
-        except KeyError as missing:
-            raise ModelFormatError(f"{path}: missing parameter {missing}") from None
-    return MscnModel(
-        modules["tables"],
-        modules["joins"],
-        modules["preds"],
-        modules["out"],
-        catalog=catalog,
-        hyperparams=hp,
-    )
+    modules = [Dense2(*arrays[i : i + len(_FIELDS)]) for i in range(0, len(arrays), len(_FIELDS))]
+    return MscnModel(*modules, catalog=catalog, hyperparams=hp)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, ParseError
-from .storage import KIND_ATTR, Column, Database
+from .storage import KIND_ATTR, Database
 
 OPS = ("=", "<", ">")
 
@@ -318,28 +318,31 @@ def default_aliases(db: Database) -> dict[str, str]:
 
 
 class _GenerationPlan:
-    """The schema facts the generator draws from, each resolved once per
-    database, when a draw first needs it: the aliases and the seed
-    candidates; per table its `TableRef` and its attribute `Column`s,
-    which hold their value arrays; and per set of joined tables the fk
-    frontier, the tables one fk edge away, sorted, each with its edges as
-    `JoinEdge`s in `db.fk_edges` order, fk side first."""
+    """The schema facts the generator draws from, resolved once per
+    database: the aliases and the seed candidates; per table its
+    `TableRef` and its attribute `Column`s, which hold their value arrays;
+    and each fk edge as a `JoinEdge`, fk side first. The fk frontier of a
+    set of joined tables, the tables one fk edge away, sorted, each with
+    its edges in `db.fk_edges` order, is memoised when a draw first
+    reaches that set."""
 
     def __init__(self, db: Database):
-        self._db = db
-        self._aliases = default_aliases(db)
+        aliases = default_aliases(db)
         self.tables = db.table_names()
         self.referenced = db.referenced_tables()
-        self._tables: dict[str, tuple[TableRef, tuple]] = {}
+        self._tables = {
+            name: (
+                TableRef(name, aliases[name]),
+                tuple(c for c in db.table(name).columns if c.kind == KIND_ATTR),
+            )
+            for name in self.tables
+        }
+        self._edges = []
+        for e in db.fk_edges:
+            (child, child_col), (parent, parent_col) = e.child, e.parent
+            edge = JoinEdge((aliases[child], child_col), (aliases[parent], parent_col))
+            self._edges.append((child, parent, edge))
         self._frontiers: dict[frozenset, tuple[tuple, tuple]] = {}
-
-    def table(self, name: str) -> tuple[TableRef, tuple[Column, ...]]:
-        """(`name`'s `TableRef`, its attribute columns in schema order)."""
-        found = self._tables.get(name)
-        if found is None:
-            attrs = tuple(c for c in self._db.table(name).columns if c.kind == KIND_ATTR)
-            found = self._tables[name] = TableRef(name, self._aliases[name]), attrs
-        return found
 
     def frontier(self, current: list[str]) -> tuple[tuple, tuple]:
         """(the tables one fk edge from the tables `current`, sorted; the
@@ -347,84 +350,68 @@ class _GenerationPlan:
         key = frozenset(current)
         found = self._frontiers.get(key)
         if found is None:
-            aliases = self._aliases
             options: dict[str, list[JoinEdge]] = {}
-            for e in self._db.fk_edges:
-                (child, child_col), (parent, parent_col) = e.child, e.parent
-                if (child in key) == (parent in key):
-                    continue
-                edge = JoinEdge((aliases[child], child_col), (aliases[parent], parent_col))
-                options.setdefault(parent if child in key else child, []).append(edge)
+            for child, parent, edge in self._edges:
+                if (child in key) != (parent in key):
+                    options.setdefault(parent if child in key else child, []).append(edge)
             new_tables = tuple(sorted(options))
             found = new_tables, tuple(tuple(options[t]) for t in new_tables)
             self._frontiers[key] = found
         return found
 
+    def draw(
+        self, max_joins: int, rng: np.random.Generator, referenced_only_seed: bool = False
+    ) -> QuerySpec:
+        """One random query: join count ~ U{0..max_joins}, join tree grown
+        by uniform extension, per-table predicate count ~ U{0..#non-key
+        columns}, uniform operator, literal drawn from actual column values.
 
-def generate_query(
-    db: Database,
-    max_joins: int,
-    rng: np.random.Generator,
-    *,
-    referenced_only_seed: bool = False,
-) -> QuerySpec:
-    """One random query: join count ~ U{0..max_joins}, join tree grown by
-    uniform extension, per-table predicate count ~ U{0..#non-key columns},
-    uniform operator, literal drawn from actual column values.
-
-    With `referenced_only_seed` the 0-join seed table is restricted to
-    tables referenced by at least one fk edge (as for joining queries).
-    """
-    return _draw_query(_GenerationPlan(db), max_joins, rng, referenced_only_seed)
-
-
-def _draw_query(
-    plan: _GenerationPlan, max_joins: int, rng: np.random.Generator, referenced_only_seed: bool
-) -> QuerySpec:
-    """`generate_query` on the database `plan` was resolved from."""
-    if max_joins < 0:
-        raise ValueError("max_joins must be >= 0")
-    num_joins = int(rng.integers(0, max_joins + 1))
-    if num_joins == 0 and not referenced_only_seed:
-        candidates = plan.tables
-    else:
-        candidates = plan.referenced
-        if not candidates:
-            raise GenerationError("database declares no joinable tables")
-    current = [candidates[rng.integers(len(candidates))]]
-    edges: list[JoinEdge] = []
-    for _ in range(num_joins):
-        new_tables, options = plan.frontier(current)
-        if not new_tables:
-            raise GenerationError(
-                f"cannot extend join tree beyond {len(current)} tables"
-            )
-        i = rng.integers(len(new_tables))
-        edges.append(options[i][rng.integers(len(options[i]))])
-        current.append(new_tables[i])
-    predicates: list[Predicate] = []
-    # By table name, which is `TableRef` order: `current` holds each table once.
-    tables = [plan.table(t) for t in sorted(current)]
-    for ref, attrs in tables:
-        if not attrs:
-            continue
-        k = int(rng.integers(0, len(attrs) + 1))
-        if not k:
-            continue
-        chosen = rng.choice(len(attrs), size=k, replace=False)
-        for ci in chosen:
-            column = attrs[int(ci)]
-            op = OPS[int(rng.integers(len(OPS)))]
-            literal = int(column.values[rng.integers(column.size)])
-            predicates.append(Predicate(ref.alias, column.name, op, literal))
-    return QuerySpec(tuple(ref for ref, _ in tables), tuple(edges), tuple(predicates))
+        With `referenced_only_seed` the 0-join seed table is restricted to
+        tables referenced by at least one fk edge (as for joining queries).
+        """
+        if max_joins < 0:
+            raise ValueError("max_joins must be >= 0")
+        num_joins = int(rng.integers(0, max_joins + 1))
+        if num_joins == 0 and not referenced_only_seed:
+            candidates = self.tables
+        else:
+            candidates = self.referenced
+            if not candidates:
+                raise GenerationError("database declares no joinable tables")
+        current = [candidates[rng.integers(len(candidates))]]
+        edges: list[JoinEdge] = []
+        for _ in range(num_joins):
+            new_tables, options = self.frontier(current)
+            if not new_tables:
+                raise GenerationError(
+                    f"cannot extend join tree beyond {len(current)} tables"
+                )
+            i = rng.integers(len(new_tables))
+            edges.append(options[i][rng.integers(len(options[i]))])
+            current.append(new_tables[i])
+        predicates: list[Predicate] = []
+        # By table name, which is `TableRef` order: `current` holds each table once.
+        tables = [self._tables[t] for t in sorted(current)]
+        for ref, attrs in tables:
+            if not attrs:
+                continue
+            k = int(rng.integers(0, len(attrs) + 1))
+            if not k:
+                continue
+            chosen = rng.choice(len(attrs), size=k, replace=False)
+            for ci in chosen:
+                column = attrs[int(ci)]
+                op = OPS[int(rng.integers(len(OPS)))]
+                literal = int(column.values[rng.integers(column.size)])
+                predicates.append(Predicate(ref.alias, column.name, op, literal))
+        return QuerySpec(tuple(ref for ref, _ in tables), tuple(edges), tuple(predicates))
 
 
 def generate_workload(
     db: Database, n: int, max_joins: int, seed: int, *, referenced_only_seed: bool = False
 ) -> list[QuerySpec]:
     """n pairwise-distinct queries (unique canonical strings), deterministic
-    per seed, drawn as `generate_query` draws them from one plan of `db`.
+    per seed, each drawn by `_GenerationPlan.draw` from one plan of `db`.
     Raises after RETRY_FACTOR duplicates in a row: the distinct queries the
     database allows are then most likely used up."""
     if n < 1:
@@ -440,7 +427,7 @@ def generate_workload(
                 f"found only {len(out)} of {n} unique queries:"
                 f" the last {duplicates} attempts were all duplicates"
             )
-        spec = _draw_query(plan, max_joins, rng, referenced_only_seed)
+        spec = plan.draw(max_joins, rng, referenced_only_seed)
         key = format_query(spec)
         if key in seen:
             duplicates += 1

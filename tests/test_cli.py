@@ -186,11 +186,14 @@ def _edit_json(src, dst, edit):
 
 
 def _edit_model_header(src, dst, edit):
-    """Copy a model file with its JSON header edited and its checksum redone."""
+    """Copy a model file with its JSON header edited and its checksum redone.
+    `edit` changes the header in place, or returns a list to write instead."""
     data = src.read_bytes()
     (header_len,) = struct.unpack("<I", data[4:8])
     header = json.loads(data[8 : 8 + header_len])
-    edit(header)
+    replaced = edit(header)
+    if isinstance(replaced, list):
+        header = replaced
     header_bytes = json.dumps(header, sort_keys=True).encode()
     payload = (
         data[:4] + struct.pack("<I", len(header_bytes)) + header_bytes
@@ -436,14 +439,34 @@ class TestHostileInputs:
             lambda h: h["hyperparams"].update(d=0),
             lambda h: h.pop("hyperparams"),
             lambda h: h["catalog"].pop("sample_mode"),
+            lambda h: h["catalog"].update(sample_size="25"),
+            lambda h: h["catalog"].update(label_log_min="0"),
+            lambda h: h["catalog"]["column_bounds"].update({"title.kind_id": [1]}),
+            lambda h: h["catalog"].update(
+                join_index={k: str(v) for k, v in h["catalog"]["join_index"].items()}
+            ),
+            lambda h: [h],
+            lambda h: h.update(params=5),
+            lambda h: h["params"][0].update(shape="ab"),
+            lambda h: h["hyperparams"].update(d="8"),
         ],
         ids=["unknown_key", "missing_key", "bad_value", "no_hyperparams",
-             "catalog_missing_key"],
+             "catalog_missing_key", "string_sample_size", "string_label_log_min",
+             "short_column_bounds", "string_join_index", "header_list", "params_int",
+             "string_shape", "string_d"],
     )
-    def test_bad_model_header(self, pipeline, tmp_path, edit):
+    def test_bad_model_header(self, pipeline, tmp_path, capsys, edit):
+        # The eight edits from string_sample_size on once escaped `eval` and
+        # `predict` as tracebacks.
         _, db, samples, _, corpus, model, _ = pipeline
         bad = tmp_path / "model.bin"
         _edit_model_header(model, bad, edit)
-        assert main(["eval", "--model", str(bad), "--workload", str(corpus),
-                     "--db", str(db), "--samples", str(samples),
-                     "--report", str(tmp_path / "r.csv")]) == 2
+        query = corpus.read_text().splitlines()[0].rpartition("#")[0] + "#"
+        for command in (
+            ["eval", "--workload", str(corpus), "--report", str(tmp_path / "r.csv")],
+            ["predict", "--query", query],
+        ):
+            assert main([*command, "--model", str(bad), "--db", str(db),
+                         "--samples", str(samples)]) == 2
+            err = capsys.readouterr().err
+            assert any(line.startswith("error: ") for line in err.splitlines())

@@ -143,6 +143,16 @@ class TestRunEval:
         rows = run_eval("rs", no_pred, db, samples, zero_tuple_only=True)
         assert rows == [{"estimator": "rs", "join_count": "overall", "n": 0}]
 
+    def test_estimator_names(self, db, samples, workload):
+        # A full run and an empty subset name their rows alike.
+        oracle = lambda q: float(q.true_cardinality)  # noqa: E731
+        for subset in (workload[:20], []):
+            for estimator, name, shown in (
+                (oracle, None, "custom"), (oracle, "oracle", "oracle"), ("ibjs", None, "ibjs"),
+            ):
+                rows = run_eval(estimator, subset, db, samples, name=name)
+                assert {r["estimator"] for r in rows} == {shown}
+
     def test_rs_report_matches_recomputation(self, db, samples, workload):
         singles = [q for q in workload if not q.spec.joins]
         rows = run_eval("rs", singles, db, samples)

@@ -236,10 +236,19 @@ class TestBatch:
             batch([featurize(corpus[0], cat_a), featurize(corpus[1], cat_b)])
 
     def test_labels_and_cards_carried(self, corpus, catalog):
-        b = featurize_labeled(corpus, catalog)
-        assert b.labels_norm is not None and b.cardinalities is not None
-        assert len(b) == len(corpus)
-        np.testing.assert_allclose(
-            b.labels_norm[:5],
-            [normalize_label(q.true_cardinality, catalog) for q in corpus[:5]],
-        )
+        for b in (
+            featurize_labeled(corpus, catalog),
+            batch([featurize(q, catalog) for q in corpus]),
+        ):
+            assert b.labels_norm is not None and b.cardinalities is not None
+            assert len(b) == len(corpus)
+            np.testing.assert_allclose(
+                b.labels_norm[:5],
+                [normalize_label(q.true_cardinality, catalog) for q in corpus[:5]],
+            )
+            np.testing.assert_array_equal(
+                b.cardinalities, [q.true_cardinality for q in corpus]
+            )
+        unlabeled = batch([featurize(LabeledQuery(q.spec, None, q.bitmaps), catalog)
+                           for q in corpus[:3]])
+        assert unlabeled.labels_norm is None and unlabeled.cardinalities is None

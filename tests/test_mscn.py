@@ -236,6 +236,24 @@ class TestTrain:
             _, history = train(corpus_batch, val, catalog, hp)
             assert len(history) == 2
 
+    def test_validation_scores_true_counts(self, db, corpus):
+        # Labels above this catalog's range clamp to 1, which denormalizes
+        # to 2; the validation q-error is against the true counts.
+        narrow = build_catalog(db, [1, 2], S, "bitmap")
+        model = init_model(narrow, Hyperparams(d=8, seed=29))
+        b = featurize_labeled(corpus, narrow)
+        est = predict_batch(model, b)
+        truth = np.array([q.true_cardinality for q in corpus], dtype=np.float64)
+        assert (truth > 2).any()
+        assert mscn.validation_mean_qerror(model, b) == float(
+            np.maximum(est / truth, truth / est).mean()
+        )
+        unlabeled = make_batch(
+            [featurize(LabeledQuery(q.spec, None, q.bitmaps), narrow) for q in corpus[:3]]
+        )
+        with pytest.raises(ValueError, match="true counts"):
+            mscn.validation_mean_qerror(model, unlabeled)
+
 
 @pytest.fixture(scope="module")
 def oracle_batches(db, samples):

@@ -11,10 +11,10 @@ from cardlab.query import (
     Predicate,
     QuerySpec,
     TableRef,
+    _GenerationPlan,
     database_errors,
     default_aliases,
     format_query,
-    generate_query,
     generate_workload,
     parse_query,
     read_workload,
@@ -121,8 +121,9 @@ class TestFormat:
 
     def test_round_trip_of_generated(self, db):
         rng = np.random.default_rng(0)
+        plan = _GenerationPlan(db)
         for _ in range(100):
-            spec = generate_query(db, 2, rng)
+            spec = plan.draw(2, rng)
             again, label = parse_query(format_query(spec))
             assert again == spec
             assert label is None
@@ -254,61 +255,69 @@ class TestWalk:
 class TestGenerator:
     def test_zero_joins_forced(self, db):
         rng = np.random.default_rng(1)
+        plan = _GenerationPlan(db)
         for _ in range(50):
-            spec = generate_query(db, 0, rng)
+            spec = plan.draw(0, rng)
             assert spec.joins == ()
             assert len(spec.tables) == 1
 
     def test_join_count_uniform(self, db):
         rng = np.random.default_rng(2)
+        plan = _GenerationPlan(db)
         counts = np.zeros(3)
         trials = 10_000
         for _ in range(trials):
-            counts[len(generate_query(db, 2, rng).joins)] += 1
+            counts[len(plan.draw(2, rng).joins)] += 1
         np.testing.assert_allclose(counts / trials, 1 / 3, atol=0.02)
 
     def test_literal_membership(self, db):
         rng = np.random.default_rng(3)
+        plan = _GenerationPlan(db)
         for _ in range(200):
-            spec = generate_query(db, 2, rng)
+            spec = plan.draw(2, rng)
             for p in spec.predicates:
                 values = db.column_values(spec.table_of(p.alias), p.column)
                 assert p.literal in values
 
     def test_generated_queries_validate(self, db):
         rng = np.random.default_rng(4)
+        plan = _GenerationPlan(db)
         for _ in range(200):
-            assert validate(generate_query(db, 3, rng), db) == []
+            assert validate(plan.draw(3, rng), db) == []
 
     def test_generator_uses_canonical_fk_orientation(self, db):
         rng = np.random.default_rng(5)
+        plan = _GenerationPlan(db)
         child_cols = {(e.child[0], e.child[1]) for e in db.fk_edges}
         aliases = default_aliases(db)
         table_of_alias = {v: k for k, v in aliases.items()}
         for _ in range(100):
-            for j in generate_query(db, 2, rng).joins:
+            for j in plan.draw(2, rng).joins:
                 assert (table_of_alias[j.left[0]], j.left[1]) in child_cols
 
     def test_referenced_only_seed_policy(self, db):
         rng = np.random.default_rng(60)
+        plan = _GenerationPlan(db)
         tables = {
-            generate_query(db, 0, rng, referenced_only_seed=True).tables[0].table
+            plan.draw(0, rng, referenced_only_seed=True).tables[0].table
             for _ in range(30)
         }
         assert tables == {"title"}
 
     def test_any_table_seeds_zero_join_queries(self, db):
         rng = np.random.default_rng(61)
+        plan = _GenerationPlan(db)
         tables = {
-            generate_query(db, 0, rng).tables[0].table for _ in range(200)
+            plan.draw(0, rng).tables[0].table for _ in range(200)
         }
         assert len(tables) == 6
 
     def test_max_joins_beyond_schema_errors(self, db):
         rng = np.random.default_rng(6)
+        plan = _GenerationPlan(db)
         with pytest.raises(GenerationError):
             for _ in range(200):  # at some point a 6-join draw appears
-                generate_query(db, 6, rng)
+                plan.draw(6, rng)
 
 
 class TestWorkload:
