@@ -19,8 +19,13 @@ sets how BLAS rounds them: the two weight gradients, which sum over all
 padded rows, and the gradient into the hidden layer, one product per set.
 So outputs, gradients and saved models are the same to the bit as those
 of the dense kernel that runs every padded element (kept in the tests as
-the reference). Training updates all parameters with one Adam step over
-a single flat vector that the module arrays are views of.
+the reference). Backward forms each padded product as soon as its operands
+exist and drops the operands after their last product: the padded output
+gradient g2 and hidden activations h give the second-layer weight gradient,
+h goes, g2 gives the padded hidden gradient, g2 goes, and only then is the
+padded first-layer gradient g1 built, so at most two of the (B * L, d)
+scratch arrays live at once. Training updates all parameters with one
+Adam step over a single flat vector that the module arrays are views of.
 """
 
 from __future__ import annotations
@@ -220,16 +225,25 @@ def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2
     cache, rows = sc.mlp, sc.rows
     b, length = sc.mask.shape
     n = cache.x.shape[0]
-    d_pre2 = (d_pooled / sc.counts[:, None])[rows // length] * (cache.pre2 > 0)
+    # Each array goes right after its last use, so at most two of the
+    # padded scratch arrays live at once (module docstring).
+    d_pre2 = (d_pooled / sc.counts[:, None])[rows // length] * (cache.out > 0)
+    d_b2 = d_pre2.sum(axis=0)
     g2 = np.zeros((n, module.out_dim))
     g2[rows] = d_pre2
+    del d_pre2
     h = np.zeros((n, module.hidden))
     h[rows] = cache.h
-    d_h = (g2.reshape(b, length, -1) @ module.w2.T).reshape(n, -1)[rows]
-    d_pre1 = d_h * (cache.pre1 > 0)
+    d_w2 = h.T @ g2
+    del h
+    d_pre1 = (g2.reshape(b, length, -1) @ module.w2.T).reshape(n, -1)[rows]
+    del g2
+    d_pre1 *= cache.h > 0
+    d_b1 = d_pre1.sum(axis=0)
     g1 = np.zeros((n, module.hidden))
     g1[rows] = d_pre1
-    return Dense2(cache.x.T @ g1, d_pre1.sum(axis=0), h.T @ g2, d_pre2.sum(axis=0))
+    del d_pre1
+    return Dense2(cache.x.T @ g1, d_b1, d_w2, d_b2)
 
 
 def forward(model: MscnModel, batch: FeaturizedBatch):
@@ -288,7 +302,8 @@ def predict_batch(
     outputs = []
     for start in range(0, len(batch), chunk):
         idx = np.arange(start, min(start + chunk, len(batch)))
-        y, _ = forward(model, batch.slice(idx))
+        # One chunk is the batch itself; slicing it would only copy it.
+        y, _ = forward(model, batch if idx.size == len(batch) else batch.slice(idx))
         outputs.append(y)
     return denormalize_label(np.concatenate(outputs), model.catalog)
 

@@ -11,6 +11,12 @@ gradient's sum over rows by the row count. `mscn` runs the set modules on
 real elements only where the shape leaves the rounding unchanged and keeps
 the padded shape elsewhere; the masked pool serves sets with a single real
 element.
+
+A module's forward pass adds each bias and applies each ReLU in place, and
+its cache holds only the input, the hidden activations and the output.
+Backward reads each ReLU's derivative from that ReLU's output, since
+max(v, 0) > 0 exactly when v > 0, so no pre-activation is kept; it writes
+into no cache array, so one cache can be differentiated more than once.
 """
 
 from __future__ import annotations
@@ -73,23 +79,17 @@ def init_params(in_dims, d: int, seed, out_dims=None) -> list[Dense2]:
     ]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive value cannot overflow: 1 / (1 + e^-x) for x >= 0
-    # and e^x / (1 + e^x) below, from the one exponential.
+    # and e^x / (1 + e^x) below, from the one exponential and one division.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
 class Mlp2Cache:
     x: np.ndarray
-    pre1: np.ndarray
     h: np.ndarray
-    pre2: np.ndarray
     out: np.ndarray
     final: str
 
@@ -101,16 +101,18 @@ def mlp2_forward(
     ("relu" or "sigmoid"). Leading axes are arbitrary."""
     if x.shape[-1] != p.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != {p.in_dim}")
-    pre1 = x @ p.w1 + p.b1
-    h = relu(pre1)
-    pre2 = h @ p.w2 + p.b2
+    h = x @ p.w1
+    h += p.b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ p.w2
+    out += p.b2
     if final == "relu":
-        out = relu(pre2)
+        np.maximum(out, 0.0, out=out)
     elif final == "sigmoid":
-        out = sigmoid(pre2)
+        out = sigmoid(out)
     else:
         raise ValueError(f"unknown final activation {final!r}")
-    return out, Mlp2Cache(x, pre1, h, pre2, out, final)
+    return out, Mlp2Cache(x, h, out, final)
 
 
 def mlp2_backward(
@@ -119,15 +121,15 @@ def mlp2_backward(
     """Gradient w.r.t. input and parameters given dL/d(out). The input
     gradient is None when `input_grad` is false, as for constant inputs."""
     if cache.final == "relu":
-        d_pre2 = d_out * (cache.pre2 > 0)
+        d_pre2 = d_out * (cache.out > 0)
     else:
         d_pre2 = d_out * cache.out * (1.0 - cache.out)
     h2 = cache.h.reshape(-1, p.hidden)
     g2 = d_pre2.reshape(-1, p.out_dim)
     d_w2 = h2.T @ g2
     d_b2 = g2.sum(axis=0)
-    d_h = d_pre2 @ p.w2.T
-    d_pre1 = d_h * (cache.pre1 > 0)
+    d_pre1 = d_pre2 @ p.w2.T
+    d_pre1 *= cache.h > 0
     x2 = cache.x.reshape(-1, p.in_dim)
     g1 = d_pre1.reshape(-1, p.hidden)
     d_w1 = x2.T @ g1

@@ -172,11 +172,14 @@ def pick_generic_point(model, params, mb, h, seed=0, scale=0.05):
         assign_params(params, point)
         _, caches = dense_forward(model, mb)
         margins = []
+        # The caches keep no pre-activations; recompute them from the inputs.
         for name in ("tables", "joins", "preds"):
             cache, _ = caches[name]
-            margins.append(np.abs(cache.pre1).min())
-            margins.append(np.abs(cache.pre2).min())
-        margins.append(np.abs(caches["out"].pre1).min())
+            p = model.modules()[name]
+            margins.append(np.abs(cache.x @ p.w1 + p.b1).min())
+            margins.append(np.abs(cache.h @ p.w2 + p.b2).min())
+        p = model.out_mlp
+        margins.append(np.abs(caches["out"].x @ p.w1 + p.b1).min())
         if min(margins) > 20 * h:
             return point
     raise AssertionError("could not find a kink-free parameter point")

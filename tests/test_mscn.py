@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="true counts"):
             mscn.validation_mean_qerror(model, unlabeled)
 
+    def test_epoch_peak_budget(self, db):
+        # The shapes of the reference training run: 1530 training and 170
+        # validation queries with 0-2 joins and at most 5 predicates, 100-bit
+        # sample bitmaps, d=64, batch 256. tracemalloc peak of one epoch:
+        # 5.53 MiB, reached in a training step (3.88 MiB of it the step's
+        # own: the minibatch, caches without pre-activations, at most two
+        # padded backward scratch arrays at once); 8.09 MiB with the
+        # pre-activations cached, three padded scratch arrays alive together
+        # and validation copying its batch. The budget is the measured peak
+        # plus 0.72 MiB (13%).
+        samples = draw_all_samples(db, 100, seed=9)
+        specs = generate_workload(db, 2400, 2, seed=64)
+        specs = [s for s in specs if len(s.predicates) <= 5]
+        labeled = label_workload(db, specs, samples)[0][:1700]
+        catalog = build_catalog(db, [q.true_cardinality for q in labeled], 100, "bitmap")
+        full = featurize_labeled(labeled, catalog)
+        assert full.pred_feats.shape[:2] == (1700, 5)
+        tb, vb = full.slice(np.arange(170, 1700)), full.slice(np.arange(170))
+        hp = Hyperparams(epochs=1, seed=5)
+        tracemalloc.start()
+        try:
+            train(tb, vb, catalog, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * 2**20
+
 
 @pytest.fixture(scope="module")
 def oracle_batches(db, samples):
@@ -341,12 +369,24 @@ class TestDenseOracle:
         catalog, full = oracle_batches["bitmap"]
         model = _generic_model(catalog, 16, seed=25)
         b = full.slice(np.arange(7 * 20 + 1))
-        dense = [
-            dense_forward(model, b.slice(np.arange(s, min(s + 7, len(b)))))[0]
-            for s in range(0, len(b), 7)
-        ]
-        expected = denormalize_label(np.concatenate(dense), catalog)
-        assert predict_batch(model, b, chunk=7).tobytes() == expected.tobytes()
+        # 141 and 4096: one chunk, which runs on the batch itself.
+        for chunk in (7, 141, 4096):
+            dense = [
+                dense_forward(model, b.slice(np.arange(s, min(s + chunk, len(b)))))[0]
+                for s in range(0, len(b), chunk)
+            ]
+            expected = denormalize_label(np.concatenate(dense), catalog)
+            assert predict_batch(model, b, chunk=chunk).tobytes() == expected.tobytes()
+
+    def test_backward_twice_on_one_cache(self, oracle_batches):
+        catalog, full = oracle_batches["bitmap"]
+        model = _generic_model(catalog, 16, seed=26)
+        mb = full.slice(np.arange(64))
+        y, caches = forward(model, mb)
+        _, d_y = loss_and_grad(y, mb.labels_norm, "mean_qerror", catalog.label_log_range)
+        first = backward(model, caches, d_y)
+        second = backward(model, caches, d_y)
+        assert all(first[k].tobytes() == second[k].tobytes() for k in first)
 
     @pytest.mark.parametrize("kind", ["mean_qerror", "mse", "geometric_qerror"])
     @pytest.mark.parametrize("n", [200, 193])

@@ -108,6 +108,23 @@ class TestMlp2:
         for field in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(full, field), getattr(skipped, field))
 
+    @pytest.mark.parametrize("final", ["relu", "sigmoid"])
+    def test_backward_leaves_cache_unchanged(self, final):
+        # Forward and backward work in place; backward must write into no
+        # cache array, so a second call on the same cache gives the same bytes.
+        rng = np.random.default_rng(7)
+        p = init_dense2(6, 5, 4, rng)
+        out, cache = mlp2_forward(rng.normal(size=(7, 3, 6)), p, final=final)
+        d_out = rng.normal(size=out.shape)
+        arrays = {"x": cache.x, "h": cache.h, "out": cache.out, "d_out": d_out}
+        before = {k: a.tobytes() for k, a in arrays.items()}
+        dx1, g1 = mlp2_backward(d_out, cache, p)
+        dx2, g2 = mlp2_backward(d_out, cache, p)
+        assert {k: a.tobytes() for k, a in arrays.items()} == before
+        assert dx1.tobytes() == dx2.tobytes()
+        for field in ("w1", "b1", "w2", "b2"):
+            assert getattr(g1, field).tobytes() == getattr(g2, field).tobytes()
+
 
 class TestSigmoid:
     """`sigmoid` equals the sign-split reference (tests/helpers.py) byte for
