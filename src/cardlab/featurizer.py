@@ -178,7 +178,7 @@ class FeaturizedBatch:
     def __len__(self) -> int:
         return self.table_feats.shape[0]
 
-    def slice(self, idx: np.ndarray) -> "FeaturizedBatch":
+    def slice(self, idx: np.ndarray | slice) -> "FeaturizedBatch":
         return FeaturizedBatch(
             self.table_feats[idx],
             self.table_mask[idx],

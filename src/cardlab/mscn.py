@@ -216,9 +216,9 @@ def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2
     padded shape because their rounding depends on it: the weight gradients
     `x.T @ g1` and `h.T @ g2` sum over all B * L rows (the padding rows
     scattered in as zeros add nothing, but the row count sets how BLAS
-    splits the sum), and `d_h` is one product per set, as the dense kernel
-    computes it. The set inputs are features, so there is no input
-    gradient."""
+    splits the sum), and the padded hidden gradient (`d_pre1` before its
+    ReLU mask) is one product per set, as the dense kernel computes it. The
+    set inputs are features, so there is no input gradient."""
     if sc.rows is None:
         d_elems = masked_mean_pool_backward(d_pooled, sc.mask)
         return mlp2_backward(d_elems, sc.mlp, module, input_grad=False)[1]
@@ -301,9 +301,9 @@ def predict_batch(
     """Denormalized cardinality estimates for a featurized batch."""
     outputs = []
     for start in range(0, len(batch), chunk):
-        idx = np.arange(start, min(start + chunk, len(batch)))
-        # One chunk is the batch itself; slicing it would only copy it.
-        y, _ = forward(model, batch if idx.size == len(batch) else batch.slice(idx))
+        # A basic slice gives views, C-contiguous like the batch, so no
+        # chunk is copied and the products round as on a copy.
+        y, _ = forward(model, batch.slice(slice(start, start + chunk)))
         outputs.append(y)
     return denormalize_label(np.concatenate(outputs), model.catalog)
 

@@ -369,7 +369,7 @@ class TestDenseOracle:
         catalog, full = oracle_batches["bitmap"]
         model = _generic_model(catalog, 16, seed=25)
         b = full.slice(np.arange(7 * 20 + 1))
-        # 141 and 4096: one chunk, which runs on the batch itself.
+        # 7: views into the batch at offsets; 141 and 4096: one chunk.
         for chunk in (7, 141, 4096):
             dense = [
                 dense_forward(model, b.slice(np.arange(s, min(s + chunk, len(b)))))[0]
