@@ -38,6 +38,12 @@ the alias with the most joins, the largest among those.
 - The root sends no sums and gathers its children's sums only at its
   selected rows (row ids, slices, or `np.compress` of its codes by its
   mask), so its other rows are neither gathered nor multiplied. A root
+  with an index range whose only factor is an unfiltered leaf's fanout,
+  through the root's identity key, gathers nothing: a value-index run
+  covers whole value groups, so its count is the difference of two of
+  the prefix sums `storage.Database` keeps of that fanout over the
+  column's value groups (`JoinKey.prefix`; Ho et al., "Range Queries in
+  OLAP Data Cubes", SIGMOD 1997), kept or excluded alike. Any other root
   that excludes sums over all of its rows and subtracts the excluded
   rows' share, where that all-rows sum needs no gather: the fanout-
   weighted sum of its one child's sums, or the product over every row
@@ -111,9 +117,10 @@ def predicate_mask(values_of, predicates) -> np.ndarray | None:
 class IndexRange:
     """A single predicate's selection, read from its column's value index:
     the rows at positions [start, stop) of `index.groups.rows`, one run of
-    values. When `excluded`, the selection is read as the rows around the
-    run, which the predicate leaves out (`select_rows` excludes when fewer
-    are left out than kept). Those rows' ids, and their codes on any join
+    values, those of the groups [group_start, group_stop). When
+    `excluded`, the selection is read as the rows around the run, which
+    the predicate leaves out (`select_rows` excludes when fewer are left
+    out than kept). Those rows' ids, and their codes on any join
     key with grouped codes (`storage.JoinKey`), are slices: the run, or
     the one or two around it. Never modified (not frozen, which would
     cost a microsecond per selection)."""
@@ -123,6 +130,8 @@ class IndexRange:
     start: int
     stop: int
     excluded: bool
+    group_start: int
+    group_stop: int
 
     @property
     def size(self) -> int:
@@ -133,7 +142,8 @@ class IndexRange:
         """The same selection, as the selected rows."""
         if not self.excluded:
             return self
-        return IndexRange(self.predicate, self.column, self.start, self.stop, False)
+        return IndexRange(self.predicate, self.column, self.start, self.stop, False,
+                          self.group_start, self.group_stop)
 
     def mask(self) -> np.ndarray:
         """The same selection, as the boolean mask of a scan."""
@@ -279,10 +289,14 @@ def _count_from(
     each alias to its selection (see `select_rows`).
 
     The root sends no sums: it multiplies its children's sums gathered at
-    its selected rows only. An excluded range counts as the total over
-    every row less the excluded rows' share, when that total needs no
-    gather (`_all_rows_total`) and cannot reach 2**63; otherwise as its
-    kept rows.
+    its selected rows only. An index range whose only factor is the
+    fanout of an unfiltered leaf, joined through the root's identity key,
+    counts as the difference of that fanout's prefix sums at the ends of
+    its run of value groups (`JoinKey.prefix`), with no gather, kept or
+    excluded. Any other excluded range counts as the total over every row
+    less the excluded rows' share, when that total needs no gather
+    (`_all_rows_total`) and cannot reach 2**63; otherwise as its kept
+    rows.
 
     Every other alias sends its sums (`_sums_up`), children before
     parents: one loop over the reversed walk from the root.
@@ -310,6 +324,13 @@ def _count_from(
             f"join count of {format_query(spec)} may exceed the int64 range"
         )
     sel = sels[root]
+    # `own` and `up` still key the walk's first edge, at the root, which the
+    # loop visits last.
+    prefix = up.prefix.get(sel.column.name) if isinstance(sel, IndexRange) else None
+    if prefix is not None and len(factors) == 1:
+        (key, sums), = factors
+        if key is own and sums is up.fanout:
+            return int(prefix[sel.group_stop] - prefix[sel.group_start])
     if isinstance(sel, IndexRange) and sel.excluded:
         total = _all_rows_total(factors) if bound * sel.column.size < _INT64_LIMIT else None
         if total is not None:
@@ -334,8 +355,11 @@ def select_rows(table: Table, predicates):
         column = table.column(p.column)
         if column.index is None:
             return mask()
-        start, stop = column.index.span_where(p.op, p.literal)
-        return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count)
+        first, last = column.index.group_span(p.op, p.literal)
+        offsets = column.index.groups.offsets
+        start, stop = int(offsets[first]), int(offsets[last])
+        return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count,
+                          first, last)
     narrowest = None
     for p in predicates:
         index = table.column(p.column).index

@@ -298,7 +298,10 @@ def loss_and_grad(y: np.ndarray, labels: np.ndarray, kind: str, k: float):
 def predict_batch(
     model: MscnModel, batch: FeaturizedBatch, chunk: int = 4096
 ) -> np.ndarray:
-    """Denormalized cardinality estimates for a featurized batch."""
+    """Denormalized cardinality estimates for a featurized batch: an
+    empty float64 array for an empty one."""
+    if not len(batch):
+        return np.empty(0)
     outputs = []
     for start in range(0, len(batch), chunk):
         # A basic slice gives views, C-contiguous like the batch, so no
@@ -312,6 +315,8 @@ def validation_mean_qerror(model: MscnModel, batch: FeaturizedBatch) -> float:
     """Mean q-error of the estimates against the batch's true counts."""
     if batch.cardinalities is None:
         raise ValueError("validation needs the true counts of its queries")
+    if not len(batch):
+        raise ValueError("validation needs at least one query; the batch is empty")
     est = predict_batch(model, batch)
     truth = batch.cardinalities
     return float(np.maximum(est / truth, truth / est).mean())
@@ -343,6 +348,9 @@ def train(
     and a per-epoch history of train loss and validation mean q-error."""
     if train_batch.labels_norm is None or val_batch.labels_norm is None:
         raise ValueError("training requires normalized labels")
+    for name, b in (("training", train_batch), ("validation", val_batch)):
+        if not len(b):
+            raise ValueError(f"the {name} batch is empty")
     model = init_model(catalog, hp)
     names = list(param_dict(model))
     params = {"flat": _flatten_params(model)}

@@ -13,10 +13,14 @@ cost one sort. A primary key whose values are a run of consecutive
 integers in row order is held as that range, with no buffer. Each
 non-identity join key also keeps its codes in the value-index row order
 of every attribute column of its table (`JoinKey.grouped`), so the codes
-of a predicate's rows are a slice. Building a Database rewrites the
-storage of its tables' dense-coded key columns as codes; after
-construction a Database (and its samples/indexes) is never mutated, and
-nothing in it is computed lazily.
+of a predicate's rows are a slice, and each key joined to an identity
+key keeps its fanout's prefix sums over the value groups of every
+attribute column of the identity key's table (`JoinKey.prefix`), so the
+rows a predicate's run of values meets are a difference of two entries
+(Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD 1997). Building
+a Database rewrites the storage of its tables' dense-coded key columns
+as codes; after construction a Database (and its samples/indexes) is
+never mutated, and nothing in it is computed lazily.
 """
 
 from __future__ import annotations
@@ -139,23 +143,22 @@ class ValueIndex:
             return self.keys.size
         return int(self.keys.searchsorted(literal, "right" if inclusive else "left"))
 
-    def span_where(self, op: str, literal: int) -> tuple[int, int]:
-        """The positions [start, stop) in `groups.rows` of the rows whose
-        value satisfies `value op literal`: one contiguous run of values."""
+    def group_span(self, op: str, literal: int) -> tuple[int, int]:
+        """The groups [first, stop) whose key satisfies `key op literal`: one
+        contiguous run of values, whose rows are at the positions
+        [offsets[first], offsets[stop]) of `groups.rows`."""
         if op == "<":
-            start, stop = 0, self._below(literal, False)
-        elif op == ">":
-            start, stop = self._below(literal, True), self.keys.size
-        else:
-            start, stop = self._below(literal, False), self._below(literal, True)
-        offsets = self.groups.offsets
-        return int(offsets[start]), int(offsets[stop])
+            return 0, self._below(literal, False)
+        if op == ">":
+            return self._below(literal, True), self.keys.size
+        return self._below(literal, False), self._below(literal, True)
 
     def rows_where(self, op: str, literal: int) -> np.ndarray:
         """Row ids whose value satisfies `value op literal`, grouped by value:
         a view of the grouped rows, never to be written."""
-        start, stop = self.span_where(op, literal)
-        return self.groups.rows[start:stop]
+        first, stop = self.group_span(op, literal)
+        offsets = self.groups.offsets
+        return self.groups.rows[offsets[first] : offsets[stop]]
 
 
 def _is_range(values: np.ndarray, lo: int | None, hi: int | None) -> bool:
@@ -334,7 +337,16 @@ class JoinKey:
     read-only: `codes[index.groups.rows]`. The codes of a predicate's
     rows are then a slice of them. `Database` fills it for the keys of
     its declared fk edges, except identity keys, whose row ids are their
-    codes; a key coded per call has none."""
+    codes; a key coded per call has none.
+
+    `prefix` maps each attribute column of the other table of the key's
+    edge, when that table's key is an identity key, to the prefix sums of
+    this key's fanout over the column's value groups, int64 and
+    read-only: entry g sums `fanout[rows]` over the rows of the groups
+    before g. The rows a predicate's run of groups [first, stop) selects
+    then meet `prefix[stop] - prefix[first]` rows of this key's table.
+    `Database` fills it for the keys of its declared fk edges; a key
+    coded per call has none."""
 
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
@@ -343,6 +355,7 @@ class JoinKey:
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
     base: int | None  # codes + base are the values (dense coding), None after np.unique
     grouped: dict[str, np.ndarray] = field(default_factory=dict)
+    prefix: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
@@ -406,9 +419,10 @@ class Database:
     edge are held only as those codes (see `Column`), so each is stored
     once. Each non-identity key of a declared edge gets its grouped codes
     (see `JoinKey`), built here, int32; edges sharing a parent key share
-    them. Any other column pair is coded per call, from values derived
-    where needed, with no grouped codes. Per-column facts live on each
-    `Column`. Construction rewrites the storage of those key columns in
+    them. Each key joined to an identity key gets its fanout's prefix sums
+    (`JoinKey.prefix`), built here too, per edge. Any other column pair
+    is coded per call, from values derived where needed, with no grouped
+    codes or prefix sums. Per-column facts live on each `Column`. Construction rewrites the storage of those key columns in
     the given `Table` objects (`Column._hold`); a second Database built
     from the same tables finds them held already and codes the same keys.
     Nothing is computed lazily or cached later: the database is never
@@ -478,7 +492,8 @@ class Database:
             else:
                 parent = self._grouped(pt, parent)
                 first.setdefault(e.parent, parent)
-            child = self._grouped(e.child[0], child)
+            child = self._prefixed(pt, parent, self._grouped(e.child[0], child))
+            parent = self._prefixed(e.child[0], child, parent)
             self._join_keys[(e.child, e.parent)] = (child, parent)
             self._join_keys[(e.parent, e.child)] = (parent, child)
 
@@ -501,6 +516,34 @@ class Database:
                 np.take(codes, rows[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK])
             out.flags.writeable = False
         return replace(key, grouped=grouped)
+
+    def _prefixed(self, table: str, key: JoinKey, other: JoinKey) -> JoinKey:
+        """`other`, the key `key` of `table` joins, with the prefix sums of
+        its fanout over the value groups of each attribute column of
+        `table` (see `JoinKey`) when `key` is an identity key, whose codes
+        are the row ids; unchanged otherwise. The fanout is gathered and
+        summed one chunk of rows at a time, each group's entry read where
+        its offset falls, so no temporary spans a column (a gather and a
+        cumsum of whole columns raised the reference build's peak RSS by
+        about 1.8 MB)."""
+        if not key.identity:
+            return other
+        prefix = {}
+        for c in self.table(table).columns:
+            if c.index is None:
+                continue
+            rows, offsets = c.index.groups.rows, c.index.groups.offsets
+            out = prefix[c.name] = np.zeros(offsets.size, dtype=np.int64)
+            total = 0
+            for i in range(0, rows.size, _GATHER_CHUNK):
+                sums = np.cumsum(other.fanout.take(rows[i : i + _GATHER_CHUNK]))
+                # The groups whose offset falls in (i, i + sums.size].
+                lo = offsets.searchsorted(i + 1, "left")
+                hi = offsets.searchsorted(i + sums.size, "right")
+                out[lo:hi] = total + sums[offsets[lo:hi] - i - 1]
+                total += int(sums[-1])
+            out.flags.writeable = False
+        return replace(other, prefix=prefix)
 
     def table(self, name: str) -> Table:
         if name not in self.tables:

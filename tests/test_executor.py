@@ -662,6 +662,98 @@ class TestSelectionPaths:
             assert true_cardinality(db, spec) == nested_loop_count(db, spec) == max(0, 6 - literal)
 
 
+@st.composite
+def prefix_stars(draw):
+    """A hand-built star around `p`, whose ids, offset by a drawn base, are
+    an identity key. `p.d` is dense with empty value groups (even values
+    only, so every odd value of its span keys an empty group) and `p.s`
+    sparse (values 10**9 apart, coded by `np.unique`). Children: `c`,
+    whose fks skip the ids past a drawn one and repeat others (p's key
+    does not match once), and `o`, holding each id once in a drawn order
+    (p's key matches once: `o` sends no sums)."""
+    n = draw(st.integers(2, 10))
+    ids = np.arange(n) + draw(st.sampled_from([0, 1, -(2**40)]))
+    d = 2 * np.array(draw(st.permutations(
+        [-2, n + 2] + draw(st.lists(st.integers(-2, n + 2), min_size=n - 2, max_size=n - 2)))))
+    s = 10**9 * np.array(draw(st.permutations(
+        [-2, 3] + draw(st.lists(st.integers(-2, 3), min_size=n - 2, max_size=n - 2)))))
+    referenced = ids[: draw(st.integers(1, n))].tolist()
+    fks = draw(st.lists(st.sampled_from(referenced), min_size=1, max_size=3 * n))
+    order = draw(st.permutations(range(n)))
+
+    def child(name, fk):
+        return Table(name, [Column("id", "pk", np.arange(len(fk))),
+                            Column("pid", "fk", fk, ref=("p", "id")),
+                            Column("v", "attr", np.arange(len(fk)) % 3)])
+
+    return Database([
+        Table("p", [Column("id", "pk", ids), Column("d", "attr", d), Column("s", "attr", s)]),
+        child("c", fks), child("o", ids[list(order)]),
+    ])
+
+
+def _gathers(product) -> bool:
+    """Whether `product`, a mock wrapping `executor._product`, multiplied
+    any factor: a leaf with no factors calls it too, and it returns None."""
+    return any(call.args[0] for call in product.call_args_list)
+
+
+class TestPrefixSumRoot:
+    """A root selecting one value-index range, joined only to an unfiltered
+    leaf through its identity key, counts from the prefix sums of the
+    leaf's fanout: no gather, no sum, no excluded-range arithmetic."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(db=prefix_stars())
+    def test_matches_nested_loop(self, db):
+        p = db.table("p")
+        assert p.column("d").index.keys.size > p.column("d").distinct_count  # empty groups
+        assert p.column("s").index.keys.size == p.column("s").distinct_count  # np.unique
+        assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
+        excluded = set()
+        for leaf in ("c", "o"):
+            refs = (TableRef("p", "p"), TableRef(leaf, leaf))
+            joins = (JoinEdge((leaf, "pid"), ("p", "id")),)
+            for name in ("d", "s"):
+                values = p.column(name).values.tolist()
+                lo, hi = min(values), max(values)
+                literals = {lo - 1, lo, hi, hi + 1, -(2**63) - 1, 2**63}
+                literals |= set(values) | {v + 1 for v in values}
+                for literal, op in itertools.product(sorted(literals), "=<>"):
+                    spec = QuerySpec(refs, joins, (Predicate("p", name, op, literal),))
+                    sel = select_rows(p, spec.predicates)
+                    expected = nested_loop_count(db, spec)
+                    with mock.patch.object(executor, "_product", wraps=executor._product) as w:
+                        assert true_cardinality(db, spec) == expected, format_query(spec)
+                    assert not _gathers(w), format_query(spec)
+                    if sel.size:
+                        excluded.add(sel.excluded)
+                    assert _count_at(db, spec, leaf, MASKS) == expected, format_query(spec)
+                    # A filtered leaf sends sums that are not its fanout.
+                    spec = replace(spec, predicates=spec.predicates + (
+                        Predicate(leaf, "v", "<", 2),))
+                    expected = nested_loop_count(db, spec)
+                    assert _count_at(db, spec, "p", MASKS) == expected, format_query(spec)
+        assert excluded == {False, True}
+
+    @pytest.mark.parametrize("edges, predicates", [
+        ((("t", "d"),), (("t", "v", "<", 3), ("d", "v", "<", 20))),  # filtered leaf
+        ((("t", "d"), ("t", "c")), (("t", "v", "<", 3),)),  # two leaves
+        ((("q", "c"),), (("q", "v", "<", 3),)),  # q.id: dense codes 0, 10, ..., 70
+    ], ids=["filtered_leaf", "two_leaves", "not_identity"])
+    def test_other_shapes_gather(self, share_db, edges, predicates):
+        root = edges[0][0]
+        aliases = sorted({a for e in edges for a in e})
+        spec = QuerySpec(
+            tuple(TableRef(a, a) for a in aliases),
+            tuple(JoinEdge((leaf, f"{parent}id"), (parent, "id")) for parent, leaf in edges),
+            tuple(Predicate(*p) for p in predicates),
+        )
+        with mock.patch.object(executor, "_product", wraps=executor._product) as w:
+            assert _count_at(share_db, spec, root, MASKS) == nested_loop_count(share_db, spec)
+        assert _gathers(w), format_query(spec)
+
+
 @pytest.fixture(scope="module")
 def share_db():
     """Two parents, `t` (ids 1..12, an identity key) and `q` (ids 10, 20,

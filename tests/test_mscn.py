@@ -255,6 +255,32 @@ class TestTrain:
         with pytest.raises(ValueError, match="true counts"):
             mscn.validation_mean_qerror(model, unlabeled)
 
+    def test_predict_batch_on_empty_batch(self, catalog, corpus_batch):
+        model = init_model(catalog, Hyperparams(d=8, seed=30))
+        est = predict_batch(model, corpus_batch.slice(np.arange(0)))
+        assert est.dtype == np.float64 and est.shape == (0,)
+
+    def test_validation_rejects_empty_batch(self, catalog, corpus_batch):
+        model = init_model(catalog, Hyperparams(d=8, seed=30))
+        with pytest.raises(ValueError, match="batch is empty"):
+            mscn.validation_mean_qerror(model, corpus_batch.slice(np.arange(0)))
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_train_rejects_empty_batch_before_training(
+        self, catalog, corpus_batch, which, monkeypatch
+    ):
+        # No forward pass runs: the empty batch is rejected before the
+        # first epoch, not after training one.
+        def forbidden(*args):
+            raise AssertionError("trained on a call with an empty batch")
+
+        monkeypatch.setattr(mscn, "forward", forbidden)
+        empty = corpus_batch.slice(np.arange(0))
+        batches = (empty, corpus_batch) if which == "training" else (corpus_batch, empty)
+        hp = Hyperparams(d=8, epochs=2, batch_size=64, seed=30)
+        with pytest.raises(ValueError, match=f"the {which} batch is empty"):
+            train(*batches, catalog, hp)
+
     def test_epoch_peak_budget(self, db):
         # The shapes of the reference training run: 1530 training and 170
         # validation queries with 0-2 joins and at most 5 predicates, 100-bit

@@ -828,6 +828,70 @@ class TestGroupedCodes:
         assert all(k.grouped == {} for k in keys)
 
 
+def _brute_prefix(fanout, values):
+    """Prefix sums, over the distinct values of `values` in ascending
+    order, of `fanout` summed per value: one Python sum per value, with no
+    value index."""
+    sums = [int(fanout[values == v].sum()) for v in np.unique(values)]
+    return np.concatenate(([0], np.cumsum(sums, dtype=np.int64)))
+
+
+class TestFanoutPrefix:
+    """The key joined to an identity key of a declared fk edge carries the
+    prefix sums of its fanout over the value groups of every attribute
+    column of the identity key's table."""
+
+    @staticmethod
+    def _prefixed(db):
+        """(table of the identity key, key carrying the prefix sums) per
+        edge side whose other key is an identity key."""
+        for e in db.fk_edges:
+            keys = db.join_keys(e.child, e.parent)
+            for (t, _), key, other in zip((e.child, e.parent), keys, keys[::-1]):
+                if key.identity:
+                    yield t, other
+                else:
+                    assert other.prefix == {}
+
+    @pytest.mark.parametrize("kind, arrays", [
+        # Five edges into `title.id`, an identity key under dense, offset
+        # and joint unique coding alike, and two attribute columns of
+        # `title`: ten arrays. In the hand-built star, `p.id` is the
+        # identity for `a` and `b`, and `s.id` for `x` (unique codes 0 and
+        # 1) but not for `y` (dense codes 0 and 3000).
+        ("reference", 10), ("offset", 10), ("sparse", 10), ("hand_star", 3),
+    ])
+    def test_equal_to_per_value_sums(self, kind, arrays, small_db):
+        if kind == "reference":
+            db = generate_synthetic_db()
+        elif kind == "hand_star":
+            db = _hand_star()
+        else:
+            db = _offset_keys(small_db, 1 if kind == "offset" else 10**12)
+        seen = 0
+        for t, key in self._prefixed(db):
+            attrs = [c for c in db.table(t).columns if c.index is not None]
+            assert sorted(key.prefix) == sorted(c.name for c in attrs)
+            for c in attrs:
+                prefix = key.prefix[c.name]
+                assert prefix.dtype == np.int64 and not prefix.flags.writeable
+                assert prefix.size == c.index.keys.size + 1
+                # A dense value index keys every value of its span, empty
+                # groups included, whose entries repeat the one before.
+                sizes = np.diff(c.index.groups.offsets)
+                assert not np.diff(prefix)[sizes == 0].any()
+                nonempty = np.flatnonzero(sizes) + 1
+                np.testing.assert_array_equal(
+                    prefix[np.concatenate(([0], nonempty))], _brute_prefix(key.fanout, c.values)
+                )
+                seen += 1
+        assert seen == arrays
+
+    def test_keys_coded_per_call_have_none(self, small_db):
+        keys = small_db.join_keys(("title", "id"), ("movie_keyword", "id"))
+        assert all(k.prefix == {} for k in keys)
+
+
 class TestRangePrimaryKeys:
     """A primary key whose values are lo..lo+n-1 in row order is held as
     that range, with no buffer, and reads as a stored one."""
