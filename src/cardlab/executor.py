@@ -2,21 +2,33 @@
 evaluation over materialized samples, and the labeled-corpus file formats.
 
 Cardinalities are exact bag-semantics counts of the join+filter result.
-Each alias's predicates first select its rows (`select_rows`). Every
-attribute column carries a value index (`storage.ValueIndex`: the sorted
-keys of its code space over a `storage.Groups` of its rows grouped by
-key), so each predicate's range of rows is known from offsets alone
-(sorted projections, as in Stonebraker et al., "C-Store", VLDB 2005).
-A selection takes one of three forms:
+Each alias's predicates first select its rows (`select_rows`, or
+`select` at the root). Every attribute column carries a value index
+(`storage.ValueIndex`: the sorted keys of its code space over a
+`storage.Groups` of its rows grouped by key), so each predicate's range
+of rows is known from offsets alone (sorted projections, as in
+Stonebraker et al., "C-Store", VLDB 2005).
+Each table also carries prefix-sum cubes over the value groups of its
+attribute columns (`storage.Cube`: one over all of them when they have
+no more cells than the table has rows, else one per column; Ho et al.,
+"Range Queries in OLAP Data Cubes", SIGMOD 1997). A selection takes one
+of four forms:
 - a single predicate selects its value-index range (`IndexRange`): the
   kept rows, or, when they are more than half the table, the excluded
   rows around them, one range for `<` and `>` and two for `=`. Their row
   ids are slices of the index, and so are their codes on any join key:
   `storage.Database` keeps each non-identity key's codes permuted into
   each attribute column's value-index row order (`JoinKey.grouped`);
-- several predicates select row ids when the narrowest one's range holds
-  at most a quarter of the table, with the others checked at those rows
-  only, and otherwise the boolean mask of a scan of every predicate;
+- at the root (chosen before selecting, see below), several predicates
+  on the columns of one cube select a box of value groups (`Box`): one
+  run per column, the runs of predicates on one column intersected. Its
+  row count is read from the cube with at most 2**k reads, and its rows
+  are listed only when the root must gather, as below;
+- otherwise several predicates on attribute columns select such runs
+  too, listed at once: the row ids of the narrowest run when it holds at
+  most a quarter of the table, with the predicates on other columns
+  checked at those rows only, and otherwise the boolean mask of a scan
+  of every predicate;
 - a predicate on a key column, which carries no value index, selects a
   mask.
 
@@ -38,17 +50,16 @@ the alias with the most joins, the largest among those.
 - The root sends no sums and gathers its children's sums only at its
   selected rows (row ids, slices, or `np.compress` of its codes by its
   mask), so its other rows are neither gathered nor multiplied. A root
-  with an index range whose only factor is an unfiltered leaf's fanout,
-  through the root's identity key, gathers nothing: a value-index run
-  covers whole value groups, so its count is the difference of two of
-  the prefix sums `storage.Database` keeps of that fanout over the
-  column's value groups (`JoinKey.prefix`; Ho et al., "Range Queries in
-  OLAP Data Cubes", SIGMOD 1997), kept or excluded alike. Any other root
-  that excludes sums over all of its rows and subtracts the excluded
-  rows' share, where that all-rows sum needs no gather: the fanout-
-  weighted sum of its one child's sums, or the product over every row
-  through identity keys. Otherwise, or when that sum could reach 2**63,
-  it counts its kept rows.
+  with an index range or a box whose only factor is an unfiltered leaf's
+  fanout, through the root's identity key, gathers nothing: a run covers
+  whole value groups, so its count is read from the cube that fanout
+  weights (`JoinKey.cubes`), kept or excluded alike. A root whose
+  children send no sums counts its selected rows, a box's from its
+  cube. Any other root that excludes sums over all of its rows and
+  subtracts the excluded rows' share, where that all-rows sum needs no
+  gather: the fanout-weighted sum of its one child's sums, or the
+  product over every row through identity keys. Otherwise, or when that
+  sum could reach 2**63, it counts its kept rows.
 - An unfiltered alias sends only its precomputed fanout vector, or
   nothing when each of its rows meets exactly one row of its parent (as
   from the fk side).
@@ -77,18 +88,17 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload, write_workload
-from .storage import Column, Database, JoinKey, MaterializedSample, Table
+from .storage import _FLOAT_EXACT_LIMIT, Column, Database, JoinKey, MaterializedSample, Table
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
 #: Join weights are int64; their bounds must stay below this.
 _INT64_LIMIT = 2**63
-#: float64 bincount sums of non-negative integers are exact below this.
-_FLOAT_EXACT_LIMIT = 2**53
-#: A selection of several predicates is kept as row ids when its
-#: narrowest predicate holds at most this share of the table's rows, and
-#: as a boolean mask otherwise (a single predicate is an `IndexRange`).
-#: A gather by row id costs about 20 times a scanned row, but the rows of
+#: A selection of several predicates is listed as row ids when its
+#: narrowest run of value groups holds at most this share of the table's
+#: rows, and as a boolean mask otherwise (a single predicate is an
+#: `IndexRange`; the timings below took the narrowest predicate's run,
+#: not intersected with others on its column). A gather by row id costs about 20 times a scanned row, but the rows of
 #: a mask must still be compressed out for counting. Exact counts of the
 #: generated 0-2-join queries on the reference database that hold an
 #: alias with two or more predicates (about 1,470 of 3,000 per seed, each
@@ -138,6 +148,12 @@ class IndexRange:
         """Number of selected rows."""
         return self.stop - self.start
 
+    @property
+    def spans(self) -> dict[str, tuple[int, int]]:
+        """Its run of value groups, by column, as `storage.Cube.count`
+        reads a box."""
+        return {self.column.name: (self.group_start, self.group_stop)}
+
     def kept(self) -> IndexRange:
         """The same selection, as the selected rows."""
         if not self.excluded:
@@ -167,6 +183,25 @@ class IndexRange:
             return self.slice(grouped)
         rows = self.slice(self.column.index.groups.rows)
         return rows if key.identity else key.codes.take(rows)
+
+
+@dataclass(slots=True)
+class Box:
+    """Several predicates on the columns of one of their table's cubes
+    (`Database.cubes`): they select a box of value groups, one run
+    [first, stop) per column (`spans`), the runs of predicates on one
+    column intersected. `size`, its row count, is read from the cube, so
+    no row is listed until a path must gather (`rows`). Never modified."""
+
+    table: Table
+    predicates: tuple[Predicate, ...]
+    spans: dict[str, tuple[int, int]]
+    size: int
+
+    def rows(self) -> np.ndarray:
+        """The same selection as row ids or a mask, as `select_rows` lists
+        it (`_rows_in`)."""
+        return _rows_in(self.table, self.predicates, self.spans)
 
 
 def _codes(key: JoinKey, rows) -> np.ndarray:
@@ -286,17 +321,18 @@ def _count_from(
 ) -> int:
     """Exact count of the join tree rooted at `root`, of whose rows
     `selected` pass its predicates; the same from any root. `sels` maps
-    each alias to its selection (see `select_rows`).
+    the root to its selection by `select`, and every other alias to its
+    selection by `select_rows`.
 
     The root sends no sums: it multiplies its children's sums gathered at
-    its selected rows only. An index range whose only factor is the
-    fanout of an unfiltered leaf, joined through the root's identity key,
-    counts as the difference of that fanout's prefix sums at the ends of
-    its run of value groups (`JoinKey.prefix`), with no gather, kept or
-    excluded. Any other excluded range counts as the total over every row
-    less the excluded rows' share, when that total needs no gather
-    (`_all_rows_total`) and cannot reach 2**63; otherwise as its kept
-    rows.
+    its selected rows only. An index range or a box whose only factor is
+    the fanout of an unfiltered leaf, joined through the root's identity
+    key, counts as the box of value groups read from the cube that
+    fanout weights (`JoinKey.cubes`), with no gather, kept or excluded.
+    Any other box lists its rows (`Box.rows`) to gather. Any other
+    excluded range counts as the total over every row less the excluded
+    rows' share, when that total needs no gather (`_all_rows_total`) and
+    cannot reach 2**63; otherwise as its kept rows.
 
     Every other alias sends its sums (`_sums_up`), children before
     parents: one loop over the reversed walk from the root.
@@ -326,11 +362,13 @@ def _count_from(
     sel = sels[root]
     # `own` and `up` still key the walk's first edge, at the root, which the
     # loop visits last.
-    prefix = up.prefix.get(sel.column.name) if isinstance(sel, IndexRange) else None
-    if prefix is not None and len(factors) == 1:
+    if len(factors) == 1 and isinstance(sel, (IndexRange, Box)):
         (key, sums), = factors
-        if key is own and sums is up.fanout:
-            return int(prefix[sel.group_stop] - prefix[sel.group_start])
+        cube = up.cubes.get(next(iter(sel.spans)))
+        if cube is not None and key is own and sums is up.fanout:
+            return cube.count(sel.spans)
+    if isinstance(sel, Box):
+        sel = sel.rows()
     if isinstance(sel, IndexRange) and sel.excluded:
         total = _all_rows_total(factors) if bound * sel.column.size < _INT64_LIMIT else None
         if total is not None:
@@ -343,48 +381,84 @@ def select_rows(table: Table, predicates):
     """The rows of `table` passing the conjunction `predicates`: None for
     no predicate. A single predicate on an attribute column selects its
     value-index range as an `IndexRange`, excluded when it keeps more than
-    half the rows. Several predicates select row ids when the narrowest
-    one's range holds at most `_ROW_ID_SHARE` of the rows (the other
-    predicates are checked at those rows only), a boolean mask otherwise,
-    as does a predicate on a key column, which carries no value index."""
-    def mask():
-        return predicate_mask(lambda c: table.column(c).values, predicates)
-
+    half the rows. Several predicates on attribute columns select their
+    runs of value groups, one per column (`_spans`), as `_rows_in` lists
+    them; a predicate on a key column, which carries no value index,
+    selects a boolean mask."""
+    if not predicates:
+        return None
     if len(predicates) == 1:
         (p,) = predicates
         column = table.column(p.column)
-        if column.index is None:
-            return mask()
-        first, last = column.index.group_span(p.op, p.literal)
-        offsets = column.index.groups.offsets
-        start, stop = int(offsets[first]), int(offsets[last])
-        return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count,
-                          first, last)
-    narrowest = None
+        if column.index is not None:
+            first, last = column.index.group_span(p.op, p.literal)
+            offsets = column.index.groups.offsets
+            start, stop = int(offsets[first]), int(offsets[last])
+            return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count,
+                              first, last)
+    else:
+        spans = _spans(table, predicates)
+        if spans is not None:
+            return _rows_in(table, predicates, spans)
+    return predicate_mask(lambda c: table.column(c).values, predicates)
+
+
+def _spans(table: Table, predicates) -> dict[str, tuple[int, int]] | None:
+    """Per column of `predicates`, the run of value groups [first, stop)
+    its predicates keep, those of predicates on one column intersected
+    (first >= stop when empty); None when one falls on a key column."""
+    spans = {}
     for p in predicates:
         index = table.column(p.column).index
-        if index is None:  # a key column carries no value index
-            return mask()
-        rows = index.rows_where(p.op, p.literal)
-        if narrowest is None or rows.size < narrowest[1].size:
-            narrowest = p, rows
-    if narrowest is None:
-        return None
-    first, rows = narrowest
+        if index is None:
+            return None
+        first, stop = index.group_span(p.op, p.literal)
+        if p.column in spans:
+            first, stop = max(first, spans[p.column][0]), min(stop, spans[p.column][1])
+        spans[p.column] = first, stop
+    return spans
+
+
+def _rows_in(table: Table, predicates, spans: dict[str, tuple[int, int]]) -> np.ndarray:
+    """The rows of `table` passing `predicates`, given their columns' runs
+    of value groups `spans` (`_spans`): the row ids of the narrowest run
+    when it holds at most `_ROW_ID_SHARE` of the rows, with the predicates
+    on other columns checked at those rows only, and otherwise the
+    boolean mask of a scan of every predicate."""
+    narrowest = rows = None
+    for name, (first, stop) in spans.items():
+        groups = table.column(name).index.groups
+        run = groups.rows[groups.offsets[first] : groups.offsets[stop]]  # empty if first >= stop
+        if rows is None or run.size < rows.size:
+            narrowest, rows = name, run
     if rows.size > _ROW_ID_SHARE * table.row_count:
-        return mask()
+        return predicate_mask(lambda c: table.column(c).values, predicates)
     for p in predicates:
-        if p is not first:
+        if p.column != narrowest:
             values = table.column(p.column).take(rows)
             rows = np.compress(_OPS[p.op](values, p.literal), rows)
     return rows
 
 
+def select(db: Database, table: Table, predicates):
+    """The rows of `table` passing the conjunction `predicates`: a `Box`
+    when there are several and they all fall on the columns of one of the
+    table's cubes (`Database.cubes`), `select_rows`'s selection
+    otherwise."""
+    if len(predicates) > 1:
+        cubes = db.cubes[table.name]
+        cube = cubes.get(predicates[0].column)
+        if cube is not None and all(cubes.get(p.column) is cube for p in predicates):
+            spans = _spans(table, predicates)
+            return Box(table, predicates, spans, cube.count(spans))
+    return select_rows(table, predicates)
+
+
 def _selected(table: Table, sel) -> int:
-    """Number of rows a `select_rows` selection holds."""
+    """Number of rows a `select` or `select_rows` selection holds."""
     if sel is None:
         return table.row_count
-    if isinstance(sel, IndexRange):
+    if isinstance(sel, (IndexRange, Box)):
         return sel.size
     return int(np.count_nonzero(sel)) if sel.dtype == bool else sel.size
 
@@ -394,16 +468,6 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
 
     Raises ValidationError when the count could exceed the int64 range.
     """
-    sels, counts = {}, {}
-    for a in spec.aliases:
-        table = db.table(spec.table_of(a))
-        sels[a] = select_rows(table, spec.predicates_of(a))
-        counts[a] = _selected(table, sels[a])
-        if counts[a] == 0:
-            return 0
-    if not spec.joins:
-        (only,) = spec.aliases
-        return counts[only]
     # Every alias but the root sends its per-key sums: a filtered alias
     # scatters or bincounts its selected rows (every row, under a mask)
     # into the key space. The largest filtered alias sends none and works
@@ -415,11 +479,22 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
     def size(a):
         return db.table(spec.table_of(a)).row_count
 
-    filtered = [a for a in spec.aliases if sels[a] is not None]
+    filtered = [a for a in spec.aliases if spec.predicates_of(a)]
     if filtered:
         root = max(filtered, key=size)
     else:
         root = max(spec.aliases, key=lambda a: (len(spec.joins_of(a)), size(a)))
+    # Only the root can count a box without listing its rows (`select`):
+    # every other alias sends sums over its rows.
+    sels, counts = {}, {}
+    for a in spec.aliases:
+        table, predicates = db.table(spec.table_of(a)), spec.predicates_of(a)
+        sels[a] = select(db, table, predicates) if a == root else select_rows(table, predicates)
+        counts[a] = _selected(table, sels[a])
+        if counts[a] == 0:
+            return 0
+    if not spec.joins:
+        return counts[root]
     return _count_from(db, spec, sels, root, counts[root])
 
 

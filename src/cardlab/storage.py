@@ -13,20 +13,23 @@ cost one sort. A primary key whose values are a run of consecutive
 integers in row order is held as that range, with no buffer. Each
 non-identity join key also keeps its codes in the value-index row order
 of every attribute column of its table (`JoinKey.grouped`), so the codes
-of a predicate's rows are a slice, and each key joined to an identity
-key keeps its fanout's prefix sums over the value groups of every
-attribute column of the identity key's table (`JoinKey.prefix`), so the
-rows a predicate's run of values meets are a difference of two entries
-(Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD 1997). Building
-a Database rewrites the storage of its tables' dense-coded key columns
-as codes; after construction a Database (and its samples/indexes) is
-never mutated, and nothing in it is computed lazily.
+of a predicate's rows are a slice. Each table keeps prefix-sum cubes
+over the value groups of its attribute columns (`Cube`; Ho et al.,
+"Range Queries in OLAP Data Cubes", SIGMOD 1997): one counting its rows
+(`Database.cubes`), and, on a table with an identity key, one per key
+joined to it, weighting each row by that key's fanout (`JoinKey.cubes`).
+So the rows, or the joined rows, of a box of value groups, one run per
+column, are read with at most 2**k entries. Building a Database
+rewrites the storage of its tables' dense-coded key columns as codes;
+after construction a Database (and its samples/indexes) is never
+mutated, and nothing in it is computed lazily.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -90,8 +93,11 @@ _ATTR_DTYPES = (np.int16, np.int32, np.int64)
 #: codes, a radix sort.
 _RADIX_SPACE = 2**16
 
-#: Row ids per `take` when gathering grouped join codes.
+#: Rows per step when gathering grouped join codes and summing cubes.
 _GATHER_CHUNK = 2**15
+
+#: float64 bincount sums of non-negative integers are exact below this.
+_FLOAT_EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -127,20 +133,25 @@ class ValueIndex:
     groups: Groups
     lo: int | None = field(init=False)  # keys[0] and keys[-1] as Python ints
     hi: int | None = field(init=False)
+    dense: bool = field(init=False)  # the keys are lo..hi, every integer between
 
     def __post_init__(self):
         size = self.keys.size
         object.__setattr__(self, "lo", int(self.keys[0]) if size else None)
         object.__setattr__(self, "hi", int(self.keys[-1]) if size else None)
+        object.__setattr__(self, "dense", bool(size) and self.hi - self.lo == size - 1)
 
     def _below(self, literal: int, inclusive: bool) -> int:
         """Number of keys `< literal` (`<=` if inclusive). Python ints
         compare exactly at any size, so only a literal inside the column's
-        range reaches `searchsorted`, as an int64."""
+        range is counted: as its offset from `lo` when the keys are dense,
+        else by `searchsorted`, as an int64."""
         if self.lo is None or literal < self.lo or (literal == self.lo and not inclusive):
             return 0
         if literal > self.hi or (literal == self.hi and inclusive):
             return self.keys.size
+        if self.dense:
+            return literal - self.lo + inclusive
         return int(self.keys.searchsorted(literal, "right" if inclusive else "left"))
 
     def group_span(self, op: str, literal: int) -> tuple[int, int]:
@@ -328,6 +339,102 @@ class FkEdge:
 
 
 @dataclass(frozen=True)
+class Cube:
+    """A summed-area table over the value groups of attribute columns of
+    one table (Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD
+    1997): `sums[i_1, ..., i_k]` totals the weights of the rows whose
+    value group on each column `columns[j]` is below `i_j`. It has one
+    entry more per axis than the column has keys (`ValueIndex.keys`), the
+    first all zeros; int64 and read-only."""
+
+    columns: tuple[str, ...]
+    sums: np.ndarray
+
+    def count(self, spans: dict[str, tuple[int, int]]) -> int:
+        """The total weight of the box of value groups [first, stop) that
+        `spans` maps per column, a column it does not name spanning all
+        its groups: at most 2**k reads, one per corner of the box that
+        does not lie on the zero border. An empty span counts zero."""
+        at, lows = [], []  # the corner at every stop; (axis, first) per low end
+        for name in self.columns:
+            span = spans.get(name)
+            if span is None:
+                at.append(-1)
+                continue
+            first, stop = span
+            if first >= stop:
+                return 0
+            if first:
+                lows.append((len(at), first))
+            at.append(stop)
+        item = self.sums.item
+        total = item(*at)
+        for subset in range(1, 1 << len(lows)):
+            corner, sign = at.copy(), 1
+            for bit, (axis, first) in enumerate(lows):
+                if subset >> bit & 1:
+                    corner[axis], sign = first, -sign
+            total += sign * item(*corner)
+        return total
+
+
+def _cubes(table: Table, weights: list[JoinKey]) -> list[dict[str, Cube]]:
+    """The cubes over the attribute columns of `table`: first the ones
+    counting its rows, then one set per key in `weights`, whose fanout
+    weights row r by `fanout[r]` (the keys join `table`'s identity key).
+    Each set maps every column to the cube that covers it. There is one
+    cube over all the columns when its cell count, the product of their
+    key counts, is at most the row count, so that it holds no more cells
+    than the table has rows; otherwise one cube per column.
+
+    Rows are summed into the cells `_GATHER_CHUNK` at a time, so no
+    temporary spans a column. A weighted chunk is summed by a float64
+    bincount while its sums stay below 2**53, where it is exact, and by
+    an integer `np.add.at` otherwise."""
+    attrs = [c for c in table.columns if c.index is not None]
+    if attrs and math.prod(c.index.keys.size for c in attrs) <= table.row_count:
+        layout = [attrs]
+    else:
+        layout = [[c] for c in attrs]
+    sets = [{} for _ in range(1 + len(weights))]
+    for columns in layout:
+        shape = tuple(c.index.keys.size for c in columns)
+        cells = np.zeros((len(sets), math.prod(shape)), dtype=np.int64)
+        for i in range(0, table.row_count, _GATHER_CHUNK):
+            chunk = slice(i, i + _GATHER_CHUNK)
+            cell = None
+            for c in columns:
+                code = _group_codes(c.index, c.data[chunk])
+                cell = code if cell is None else cell * c.index.keys.size + code
+            cells[0] += np.bincount(cell, minlength=cells.shape[1])
+            for out, key in zip(cells[1:], weights):
+                fanout = key.fanout[chunk]
+                if _GATHER_CHUNK * key.max_fanout < _FLOAT_EXACT_LIMIT:
+                    out += np.bincount(cell, weights=fanout, minlength=out.size).astype(np.int64)
+                else:
+                    np.add.at(out, cell, fanout)
+        names = tuple(c.name for c in columns)
+        for cubes, flat in zip(sets, cells):
+            sums = np.zeros(tuple(n + 1 for n in shape), dtype=np.int64)
+            inner = sums[(slice(1, None),) * len(shape)]
+            inner[...] = flat.reshape(shape)
+            for axis in range(len(shape)):
+                np.cumsum(inner, axis=axis, out=inner)
+            sums.flags.writeable = False
+            cubes.update(dict.fromkeys(names, Cube(names, sums)))
+    return sets
+
+
+def _group_codes(index: ValueIndex, values: np.ndarray) -> np.ndarray:
+    """The groups of `index` that `values`, each one of its keys, fall in,
+    as int64: offsets from the least key when the keys are dense, and
+    their ranks otherwise."""
+    if index.dense:
+        return np.subtract(values, index.lo, dtype=np.int64)
+    return index.keys.searchsorted(values)
+
+
+@dataclass(frozen=True)
 class JoinKey:
     """One join column coded into a key space shared with the column it
     joins: rows of either column with equal values carry equal codes.
@@ -339,14 +446,13 @@ class JoinKey:
     its declared fk edges, except identity keys, whose row ids are their
     codes; a key coded per call has none.
 
-    `prefix` maps each attribute column of the other table of the key's
-    edge, when that table's key is an identity key, to the prefix sums of
-    this key's fanout over the column's value groups, int64 and
-    read-only: entry g sums `fanout[rows]` over the rows of the groups
-    before g. The rows a predicate's run of groups [first, stop) selects
-    then meet `prefix[stop] - prefix[first]` rows of this key's table.
-    `Database` fills it for the keys of its declared fk edges; a key
-    coded per call has none."""
+    `cubes` maps each attribute column of the other table of the key's
+    edge, when that table's key is an identity key, to the `Cube` over it
+    that weights each row of that table by this key's fanout there: the
+    rows of this key's table that a box of value groups meets. Its cubes
+    cover the columns as the table's unweighted ones do
+    (`Database.cubes`). `Database` fills it for the keys of its declared
+    fk edges; a key coded per call has none."""
 
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
@@ -355,7 +461,7 @@ class JoinKey:
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
     base: int | None  # codes + base are the values (dense coding), None after np.unique
     grouped: dict[str, np.ndarray] = field(default_factory=dict)
-    prefix: dict[str, np.ndarray] = field(default_factory=dict)
+    cubes: dict[str, Cube] = field(default_factory=dict)
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
@@ -419,12 +525,16 @@ class Database:
     edge are held only as those codes (see `Column`), so each is stored
     once. Each non-identity key of a declared edge gets its grouped codes
     (see `JoinKey`), built here, int32; edges sharing a parent key share
-    them. Each key joined to an identity key gets its fanout's prefix sums
-    (`JoinKey.prefix`), built here too, per edge. Any other column pair
-    is coded per call, from values derived where needed, with no grouped
-    codes or prefix sums. Per-column facts live on each `Column`. Construction rewrites the storage of those key columns in
-    the given `Table` objects (`Column._hold`); a second Database built
-    from the same tables finds them held already and codes the same keys.
+    them. `cubes` maps each table to its unweighted cubes (`Cube`, see
+    `_cubes`), by column; each key joined to an identity key gets the
+    cubes its fanout weights (`JoinKey.cubes`), built here too, with the
+    unweighted ones in one pass over the identity key's table. These are
+    the database's only prefix sums. Any other column pair is coded per
+    call, from values derived where needed, with no grouped codes or
+    cubes. Per-column facts live on each `Column`. Construction rewrites
+    the storage of those key columns in the given `Table` objects
+    (`Column._hold`); a second Database built from the same tables finds
+    them held already and codes the same keys.
     Nothing is computed lazily or cached later: the database is never
     mutated after construction, and its indexes live and die with it.
     """
@@ -442,6 +552,7 @@ class Database:
             if c.kind == KIND_FK
         )
         self._join_keys: dict[tuple, tuple[JoinKey, JoinKey]] = {}
+        self.cubes: dict[str, dict[str, Cube]] = {}
         self._code_fk_edges()
 
     def _code_fk_edges(self):
@@ -458,8 +569,10 @@ class Database:
         base and key space codes the parent's rows alike, so it reuses them
         and codes only its child; any other later edge is coded from values
         and reuses them when they are equal (checked), so the column's key
-        space is held once. `matches_once` stays per edge."""
+        space is held once. `matches_once` stays per edge. The keys get
+        their cubes (`_add_cubes`) once every edge is coded."""
         first: dict[tuple[str, str], JoinKey] = {}
+        coded = []
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
@@ -492,10 +605,30 @@ class Database:
             else:
                 parent = self._grouped(pt, parent)
                 first.setdefault(e.parent, parent)
-            child = self._prefixed(pt, parent, self._grouped(e.child[0], child))
-            parent = self._prefixed(e.child[0], child, parent)
+            coded.append((e, [self._grouped(e.child[0], child), parent]))
+        self._add_cubes(coded)
+        for e, (child, parent) in coded:
             self._join_keys[(e.child, e.parent)] = (child, parent)
             self._join_keys[(e.parent, e.child)] = (parent, child)
+
+    def _add_cubes(self, coded: list[tuple[FkEdge, list[JoinKey]]]):
+        """Builds every table's cubes (`_cubes`) in one pass over its rows:
+        the unweighted ones into `cubes`, and, for each side of an edge in
+        `coded` (its child and parent keys) whose key is an identity key,
+        the ones the other key's fanout weights, put on that key."""
+        weighting = {name: [] for name in self.tables}  # (edge, side) per table
+        for n, (e, keys) in enumerate(coded):
+            for side, (table, _) in enumerate((e.child, e.parent)):
+                if keys[side].identity:
+                    weighting[table].append((n, 1 - side))
+        for name, sides in weighting.items():
+            unweighted, *weighted = _cubes(
+                self.table(name), [coded[n][1][side] for n, side in sides]
+            )
+            self.cubes[name] = unweighted
+            for (n, side), cubes in zip(sides, weighted):
+                keys = coded[n][1]
+                keys[side] = replace(keys[side], cubes=cubes)
 
     def _grouped(self, table: str, key: JoinKey) -> JoinKey:
         """`key`, a join key of `table`, with its grouped codes (see
@@ -516,34 +649,6 @@ class Database:
                 np.take(codes, rows[i : i + _GATHER_CHUNK], out=out[i : i + _GATHER_CHUNK])
             out.flags.writeable = False
         return replace(key, grouped=grouped)
-
-    def _prefixed(self, table: str, key: JoinKey, other: JoinKey) -> JoinKey:
-        """`other`, the key `key` of `table` joins, with the prefix sums of
-        its fanout over the value groups of each attribute column of
-        `table` (see `JoinKey`) when `key` is an identity key, whose codes
-        are the row ids; unchanged otherwise. The fanout is gathered and
-        summed one chunk of rows at a time, each group's entry read where
-        its offset falls, so no temporary spans a column (a gather and a
-        cumsum of whole columns raised the reference build's peak RSS by
-        about 1.8 MB)."""
-        if not key.identity:
-            return other
-        prefix = {}
-        for c in self.table(table).columns:
-            if c.index is None:
-                continue
-            rows, offsets = c.index.groups.rows, c.index.groups.offsets
-            out = prefix[c.name] = np.zeros(offsets.size, dtype=np.int64)
-            total = 0
-            for i in range(0, rows.size, _GATHER_CHUNK):
-                sums = np.cumsum(other.fanout.take(rows[i : i + _GATHER_CHUNK]))
-                # The groups whose offset falls in (i, i + sums.size].
-                lo = offsets.searchsorted(i + 1, "left")
-                hi = offsets.searchsorted(i + sums.size, "right")
-                out[lo:hi] = total + sums[offsets[lo:hi] - i - 1]
-                total += int(sums[-1])
-            out.flags.writeable = False
-        return replace(other, prefix=prefix)
 
     def table(self, name: str) -> Table:
         if name not in self.tables:

@@ -15,6 +15,7 @@ from cardlab import executor
 from cardlab.baselines import ibjs_estimate, rs_estimate
 from cardlab.errors import ParseError, ValidationError
 from cardlab.executor import (
+    Box,
     IndexRange,
     _count_from,
     _selected,
@@ -26,6 +27,7 @@ from cardlab.executor import (
     predicate_mask,
     query_bitmaps,
     read_labeled_corpus,
+    select,
     select_rows,
     true_cardinality,
     write_labeled_corpus,
@@ -700,8 +702,11 @@ def _gathers(product) -> bool:
 
 class TestPrefixSumRoot:
     """A root selecting one value-index range, joined only to an unfiltered
-    leaf through its identity key, counts from the prefix sums of the
-    leaf's fanout: no gather, no sum, no excluded-range arithmetic."""
+    leaf through its identity key, counts from the cube the leaf's fanout
+    weights (`JoinKey.cubes`): no gather, no sum, no excluded-range
+    arithmetic. Here `p`'s columns have more cells than `p` has rows, so
+    each has a cube of its own: the prefix sums of the leaf's fanout over
+    its value groups."""
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(db=prefix_stars())
@@ -709,6 +714,9 @@ class TestPrefixSumRoot:
         p = db.table("p")
         assert p.column("d").index.keys.size > p.column("d").distinct_count  # empty groups
         assert p.column("s").index.keys.size == p.column("s").distinct_count  # np.unique
+        for leaf in ("c", "o"):
+            cubes = db.join_keys(("p", "id"), (leaf, "pid"))[1].cubes
+            assert [cubes[c].columns for c in "ds"] == [("d",), ("s",)]
         assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
         excluded = set()
         for leaf in ("c", "o"):
@@ -752,6 +760,128 @@ class TestPrefixSumRoot:
         with mock.patch.object(executor, "_product", wraps=executor._product) as w:
             assert _count_at(share_db, spec, root, MASKS) == nested_loop_count(share_db, spec)
         assert _gathers(w), format_query(spec)
+
+
+@st.composite
+def cube_stars(draw):
+    """A hand-built star around `p`, whose ids, offset by a drawn base, are
+    an identity key, and whose two columns share one cube: 27 cells for
+    27 to 36 rows. `p.d` is dense with empty value groups (even values 0
+    to 8 only: nine keys, four of them empty) and `p.s` sparse (three
+    values 10**9 apart, coded by `np.unique`). Children: `c`, whose fks
+    skip the ids past a drawn one and repeat others (p's key does not
+    match once), with a dense `u` (1 to 3) and a sparse `w` (two values)
+    sharing a cube from six rows on; and `o`, holding each id once in a
+    drawn order, whose `u` and `w` take n distinct values each: n * n
+    cells for n rows, so each column has a cube of its own."""
+    n = draw(st.integers(27, 36))
+    ids = np.arange(n) + draw(st.sampled_from([0, 1, -(2**40)]))
+
+    def spread(values, size):
+        """`size` values from `values`, each at least once, shuffled."""
+        rest = draw(st.lists(st.sampled_from(values), min_size=size - len(values),
+                             max_size=size - len(values)))
+        return np.array(draw(st.permutations(list(values) + rest)), dtype=np.int64)
+
+    referenced = ids[: draw(st.integers(1, n))].tolist()
+    fks = np.array(draw(st.lists(st.sampled_from(referenced), min_size=6, max_size=2 * n)))
+    order = np.array(draw(st.permutations(range(n))))
+    return Database([
+        Table("p", [Column("id", "pk", ids), Column("d", "attr", spread([0, 2, 4, 6, 8], n)),
+                    Column("s", "attr", 10**9 * spread([-1, 0, 2], n))]),
+        Table("c", [Column("id", "pk", np.arange(fks.size)),
+                    Column("pid", "fk", fks, ref=("p", "id")),
+                    Column("u", "attr", spread([1, 2, 3], fks.size)),
+                    Column("w", "attr", 10**9 * spread([5, 7], fks.size))]),
+        Table("o", [Column("id", "pk", np.arange(n)), Column("pid", "fk", ids[order], ref=("p", "id")),
+                    Column("u", "attr", order), Column("w", "attr", 10**9 * order[::-1])]),
+    ])
+
+
+def _conjunctions(db, table, data):
+    """Conjunctions of two predicates on `table`'s columns `x` and `y`:
+    both columns with literals below and above their ranges (every row),
+    and inside them; each column twice, intersecting to a run, to an
+    empty span and to one value; and two drawn from literals below,
+    inside and above each range."""
+    t = db.table(table)
+    x, y = (c.name for c in t.columns if c.index is not None)
+    literals = {}
+    for name in (x, y):
+        keys = t.column(name).index.keys.tolist()
+        inside = keys[len(keys) // 2]
+        literals[name] = (keys[0] - 1, keys[0], inside, keys[-1], keys[-1] + 1)
+    (xlo, _, xin, _, xhi), (ylo, _, yin, _, yhi) = literals[x], literals[y]
+    cases = [
+        ((x, ">", xlo), (y, "<", yhi)),
+        ((x, "=", xin), (y, ">", yin)),
+        ((x, ">", xlo + 1), (x, "<", xhi - 1)),
+        ((x, "<", xin), (x, ">", xin)),
+        ((y, "=", yin), (y, "<", yhi)),
+    ]
+    for _ in range(2):
+        cases.append(tuple(
+            (name, data.draw(st.sampled_from("=<>")), data.draw(st.sampled_from(literals[name])))
+            for name in data.draw(st.sampled_from([(x, y), (x, x), (y, x)]))
+        ))
+    return [tuple(Predicate(table, *p) for p in case) for case in cases]
+
+
+#: Query shapes over `cube_stars`: its tables, each after the first joined
+#: to `p.id`.
+_CUBE_SHAPES = (("p",), ("c",), ("o",), ("p", "c"), ("p", "o"), ("p", "c", "o"))
+
+
+class TestCubeBoxes:
+    """Several predicates on the columns of one cube select a `Box` whose
+    row count the table's cube gives, and whose joined count, under one
+    unfiltered leaf joined through the root's identity key, the cube that
+    leaf's fanout weights gives. So a conjunction with no join, under a
+    parent each of its rows meets once, or at such a root lists no row."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(db=cube_stars(), data=st.data())
+    def test_box_counts_match_nested_loop(self, db, data):
+        assert db.cubes["p"]["d"] is db.cubes["p"]["s"]
+        assert db.cubes["p"]["d"].columns == ("d", "s")
+        assert db.table("p").column("d").index.keys.size == 9  # empty groups
+        assert db.table("p").column("s").index.keys.size == 3  # np.unique
+        assert [db.cubes["o"][c].columns for c in "uw"] == [("u",), ("w",)]
+        weighted = db.join_keys(("p", "id"), ("c", "pid"))[1].cubes
+        assert weighted["d"] is weighted["s"] and weighted["d"].columns == ("d", "s")
+        assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
+        assert db.join_keys(("p", "id"), ("o", "pid"))[0].matches_once
+        for table in ("p", "c", "o"):
+            for conjunction in _conjunctions(db, table, data):
+                box = select(db, db.table(table), conjunction)
+                columns = {p.column for p in conjunction}
+                assert isinstance(box, Box) == (table != "o" or len(columns) == 1)
+                for tables in _CUBE_SHAPES:
+                    if table not in tables:
+                        continue
+                    spec = QuerySpec(
+                        tuple(TableRef(t, t) for t in tables),
+                        tuple(JoinEdge((t, "pid"), ("p", "id")) for t in tables[1:]),
+                        conjunction,
+                    )
+                    self._check(db, spec, isinstance(box, Box) and (
+                        table == "p" or tables in (("c",), ("o",), ("p", table))))
+
+    @staticmethod
+    def _check(db, spec, lists_no_row):
+        expected = nested_loop_count(db, spec)
+        with mock.patch.object(executor, "_rows_in", wraps=executor._rows_in) as rows:
+            assert true_cardinality(db, spec) == expected, format_query(spec)
+        assert not (lists_no_row and rows.called), format_query(spec)
+        for root in spec.aliases:
+            # Selected as `true_cardinality` selects them for this root.
+            sels = {a: select(db, db.table(a), spec.predicates_of(a)) if a == root
+                    else select_rows(db.table(a), spec.predicates_of(a)) for a in spec.aliases}
+            if not all(_selected(db.table(a), sel) for a, sel in sels.items()):
+                return
+            selected = _selected(db.table(root), sels[root])
+            assert _count_from(db, spec, sels, root, selected) == expected, (
+                format_query(spec), root)
 
 
 @pytest.fixture(scope="module")

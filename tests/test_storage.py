@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -739,28 +741,45 @@ class TestSharedKeySpaces:
         assert true_cardinality(db, spec) == nested_loop_count(db, spec)
 
     def test_reference_byte_budget(self):
-        # Unique stored buffers of the reference database (columns, value
-        # indexes, join key spaces and their grouped codes) and of its join
-        # indexes: 27.50 MiB and 8.77 MiB. The grouped codes take 5.34 MiB;
-        # the five child ids, held as ranges, no longer take 7.63 MiB. With
-        # each child id stored and no grouped codes they were 29.79 MiB,
-        # with each key column stored as values and as codes 38.18 MiB,
-        # and with a copy of `title.id`'s key space and join index per edge
+        # Unique buffers of every array the reference database keeps
+        # (columns, value indexes, join key spaces, their grouped codes and
+        # cubes) and of its join indexes: 27.67 MiB and 8.77 MiB. The
+        # grouped codes take 5.34 MiB and the cubes 0.16 MiB; the five
+        # child ids, held as ranges, no longer take 7.63 MiB. With each
+        # child id stored and no grouped codes they were 29.79 MiB, with
+        # each key column stored as values and as codes 38.18 MiB, and
+        # with a copy of `title.id`'s key space and join index per edge
         # 44.28 MiB and 13.35 MiB.
         db = generate_synthetic_db()
-        arrays = []
-        for table in db.tables.values():
-            for c in table.columns:
-                if c.data is not None:
-                    arrays.append(c.data)
-                if c.index is not None:
-                    arrays += [c.index.keys, c.index.groups.rows, c.index.groups.offsets]
-        for e in db.fk_edges:
-            for key in db.join_keys(e.child, e.parent):
-                arrays += [key.codes, key.fanout, *key.grouped.values()]
+        arrays = _kept_arrays(db)
+        cubes = [c.sums for _, _, s in _cube_sets(db) for c in s.values()]
+        assert all(any(a is c for a in arrays) for c in cubes)
         assert _unique_bytes(arrays) <= 28 * 2**20
         groups = build_join_indexes(db).values()
         assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 9 * 2**20
+
+
+def _kept_arrays(obj, seen=None) -> list:
+    """Every numpy array reachable from `obj` through the attributes of
+    objects and dataclasses and the items of dicts, lists and tuples:
+    what a `Database` keeps, read without calling a property."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif dataclasses.is_dataclass(obj):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [a for c in children for a in _kept_arrays(c, seen)]
 
 
 def _offset_keys(db, scale):
@@ -836,27 +855,66 @@ def _brute_prefix(fanout, values):
     return np.concatenate(([0], np.cumsum(sums, dtype=np.int64)))
 
 
+def _marginal(cube, column):
+    """The 1-D prefix sums a cube holds for one of its columns: every
+    other axis at its last entry, which spans all of its groups."""
+    return cube.sums[tuple(slice(None) if c == column else -1 for c in cube.columns)]
+
+
+def _brute_cube(table, columns, weights):
+    """The summed-area table over `columns` of `table`, weighting row r by
+    `weights[r]`, from Python loops: each row's group is its value's
+    position among the column's keys, and entry (i_1, ..., i_k) sums the
+    rows whose group on every column j is below i_j."""
+    keys = [table.column(c).index.keys.tolist() for c in columns]
+    groups = [[ks.index(v) for v in table.column(c).values.tolist()]
+              for c, ks in zip(columns, keys)]
+    shape = tuple(len(ks) + 1 for ks in keys)
+    cube = np.zeros(shape, dtype=np.int64)
+    for at in itertools.product(*(range(n) for n in shape)):
+        cube[at] = sum(int(w) for r, w in enumerate(weights)
+                       if all(g[r] < i for g, i in zip(groups, at)))
+    return cube
+
+
+def _cube_sets(db):
+    """(table, per-row weights, cubes by column) for every set of cubes of
+    `db`: each table's unweighted ones, and those of each key of a declared
+    fk edge whose other side is an identity key, over the other side's
+    table."""
+    for name, table in db.tables.items():
+        yield name, np.ones(table.row_count, dtype=np.int64), db.cubes[name]
+    for e in db.fk_edges:
+        keys = db.join_keys(e.child, e.parent)
+        for (t, _), key, other in zip((e.child, e.parent), keys, keys[::-1]):
+            if key.identity:
+                yield t, other.fanout, other.cubes
+
+
 class TestFanoutPrefix:
-    """The key joined to an identity key of a declared fk edge carries the
-    prefix sums of its fanout over the value groups of every attribute
-    column of the identity key's table."""
+    """Each table's attribute columns carry prefix-sum cubes over their
+    value groups (`storage.Cube`): one counting rows, in `Database.cubes`,
+    and, when the table has an identity key, one per key joined to it,
+    weighting each row by that key's fanout (`JoinKey.cubes`). Every 1-D
+    marginal of a weighted cube is the old per-column prefix sums of the
+    fanout."""
 
     @staticmethod
-    def _prefixed(db):
-        """(table of the identity key, key carrying the prefix sums) per
-        edge side whose other key is an identity key."""
+    def _weighted(db):
+        """(table of the identity key, key carrying the cubes its fanout
+        weights) per edge side whose other key is an identity key."""
         for e in db.fk_edges:
             keys = db.join_keys(e.child, e.parent)
             for (t, _), key, other in zip((e.child, e.parent), keys, keys[::-1]):
                 if key.identity:
                     yield t, other
                 else:
-                    assert other.prefix == {}
+                    assert other.cubes == {}
 
     @pytest.mark.parametrize("kind, arrays", [
         # Five edges into `title.id`, an identity key under dense, offset
         # and joint unique coding alike, and two attribute columns of
-        # `title`: ten arrays. In the hand-built star, `p.id` is the
+        # `title`: ten marginals. In the hand-built star, `p.id` is the
         # identity for `a` and `b`, and `s.id` for `x` (unique codes 0 and
         # 1) but not for `y` (dense codes 0 and 3000).
         ("reference", 10), ("offset", 10), ("sparse", 10), ("hand_star", 3),
@@ -869,27 +927,99 @@ class TestFanoutPrefix:
         else:
             db = _offset_keys(small_db, 1 if kind == "offset" else 10**12)
         seen = 0
-        for t, key in self._prefixed(db):
+        for t, key in self._weighted(db):
             attrs = [c for c in db.table(t).columns if c.index is not None]
-            assert sorted(key.prefix) == sorted(c.name for c in attrs)
+            assert sorted(key.cubes) == sorted(c.name for c in attrs)
             for c in attrs:
-                prefix = key.prefix[c.name]
-                assert prefix.dtype == np.int64 and not prefix.flags.writeable
-                assert prefix.size == c.index.keys.size + 1
-                # A dense value index keys every value of its span, empty
-                # groups included, whose entries repeat the one before.
-                sizes = np.diff(c.index.groups.offsets)
-                assert not np.diff(prefix)[sizes == 0].any()
-                nonempty = np.flatnonzero(sizes) + 1
-                np.testing.assert_array_equal(
-                    prefix[np.concatenate(([0], nonempty))], _brute_prefix(key.fanout, c.values)
-                )
+                cube = key.cubes[c.name]
+                # Laid out as the table's unweighted cubes.
+                assert cube.columns == db.cubes[t][c.name].columns
+                for weights, cubes in ((key.fanout, key.cubes), (None, db.cubes[t])):
+                    prefix = _marginal(cubes[c.name], c.name)
+                    assert prefix.dtype == np.int64 and not prefix.flags.writeable
+                    assert prefix.size == c.index.keys.size + 1
+                    # A dense value index keys every value of its span, empty
+                    # groups included, whose entries repeat the one before.
+                    sizes = np.diff(c.index.groups.offsets)
+                    assert not np.diff(prefix)[sizes == 0].any()
+                    nonempty = np.flatnonzero(sizes) + 1
+                    if weights is None:
+                        weights = np.ones(c.size, dtype=np.int64)
+                    np.testing.assert_array_equal(
+                        prefix[np.concatenate(([0], nonempty))], _brute_prefix(weights, c.values)
+                    )
                 seen += 1
         assert seen == arrays
 
     def test_keys_coded_per_call_have_none(self, small_db):
         keys = small_db.join_keys(("title", "id"), ("movie_keyword", "id"))
-        assert all(k.prefix == {} for k in keys)
+        assert all(k.cubes == {} for k in keys)
+
+    def test_reference_layout(self):
+        # One cube per table over all its attribute columns, the cell
+        # count at most the row count: 7 x 141 for `title`, 200 x 4 for
+        # `movie_companies` and 1000 x 12 for `cast_info`; 172,504 bytes
+        # with title's five weighted cubes.
+        db = generate_synthetic_db()
+        shapes = {name: {c.columns: c.sums.shape for c in cubes.values()}
+                  for name, cubes in db.cubes.items()}
+        assert shapes == {
+            "title": {("kind_id", "production_year"): (8, 142)},
+            "movie_companies": {("company_id", "company_type_id"): (201, 5)},
+            "movie_info": {("info_type_id",): (114,)},
+            "movie_info_idx": {("info_type_id",): (114,)},
+            "movie_keyword": {("keyword_id",): (501,)},
+            "cast_info": {("person_id", "role_id"): (1001, 13)},
+        }
+        cubes = {id(c): c for _, _, s in _cube_sets(db) for c in s.values()}
+        assert sum(c.sums.nbytes for c in cubes.values()) == 172_504
+        for _, weights, s in _cube_sets(db):
+            for c in s.values():
+                assert c.sums[(-1,) * c.sums.ndim] == weights.sum()
+
+    @pytest.mark.parametrize("rows", [11, 12])
+    def test_cells_past_row_count_split_per_column(self, rows):
+        # Columns of 3 and 4 keys share one cube of 12 cells from 12 rows
+        # on, and have a cube each below; the cells equal Python sums
+        # either way, weighted by a child's fanout too.
+        ids = np.arange(rows)
+        parent = Table("p", [Column("id", "pk", ids), Column("a", "attr", ids % 3),
+                             Column("b", "attr", (ids * 7) % 4 * 10**9)])
+        fks = np.array([0, 0, 1, 5, 5, 5, rows - 1])
+        db = Database([parent, Table("c", [Column("id", "pk", np.arange(fks.size)),
+                                           Column("pid", "fk", fks, ref=("p", "id"))])])
+        want = [("a", "b")] if rows >= 12 else [("a",), ("b",)]
+        sets = [(w, s) for t, w, s in _cube_sets(db) if t == "p"]
+        assert len(sets) == 2
+        for weights, cubes in sets:
+            assert sorted({c.columns for c in cubes.values()}) == want
+            for columns in want:
+                np.testing.assert_array_equal(cubes[columns[0]].sums,
+                                              _brute_cube(parent, columns, weights))
+
+    def test_sums_past_float_exact_limit(self, monkeypatch):
+        # A weighted chunk whose float64 sums could reach 2**53 is summed
+        # by integer accumulation. No fanout held in memory comes near, so
+        # the limit is lowered to drive the hand-built stars' builds past
+        # it: they run no weighted float64 bincount, and their cubes equal
+        # the float64 build's and Python sums.
+        bincount, weighted = np.bincount, []
+        monkeypatch.setattr(
+            np, "bincount", lambda *a, **k: weighted.append("weights" in k) or bincount(*a, **k)
+        )
+        builds = (_hand_star, lambda: _hand_star(reverse=True))
+        floats = [list(_cube_sets(build())) for build in builds]
+        assert any(weighted)
+        weighted.clear()
+        monkeypatch.setattr(storage, "_FLOAT_EXACT_LIMIT", 2)
+        for build, want in zip(builds, floats):
+            db = build()
+            for (t, weights, cubes), (_, _, float_cubes) in zip(_cube_sets(db), want):
+                for name, cube in cubes.items():
+                    np.testing.assert_array_equal(cube.sums, float_cubes[name].sums)
+                    np.testing.assert_array_equal(
+                        cube.sums, _brute_cube(db.table(t), cube.columns, weights))
+        assert weighted and not any(weighted)
 
 
 class TestRangePrimaryKeys:
