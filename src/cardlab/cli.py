@@ -186,19 +186,10 @@ def _load_training_batches(args):
     if not 0 < args.val_frac < 1:
         raise ValidationError(f"validation fraction {args.val_frac} must lie in (0, 1)")
     db = storage.load_database(args.db)
-    bitmaps_path = Path(f"{args.corpus}.bitmaps")
-    if args.mode != "none" and not bitmaps_path.exists():
-        raise ValidationError(
-            f"mode {args.mode!r} needs the bitmap sidecar {bitmaps_path}"
-        )
-    corpus, size = executor.read_labeled_corpus(
-        args.corpus, bitmaps_path if bitmaps_path.exists() else None
-    )
+    corpus, size = executor.read_labeled_corpus(args.corpus, f"{args.corpus}.bitmaps")
     if not corpus:
         raise ValidationError(f"{args.corpus}: empty corpus")
-    catalog = build_catalog(
-        db, [q.true_cardinality for q in corpus], size or 0, args.mode
-    )
+    catalog = build_catalog(db, [q.true_cardinality for q in corpus], size, args.mode)
     full = featurize_labeled(corpus, catalog)
     rng = np.random.default_rng([args.seed, 2])
     perm = rng.permutation(len(corpus))

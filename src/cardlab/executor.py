@@ -11,8 +11,10 @@ Stonebraker et al., "C-Store", VLDB 2005).
 Each table also carries prefix-sum cubes over the value groups of its
 attribute columns (`storage.Cube`: one over all of them when they have
 no more cells than the table has rows, else one per column; Ho et al.,
-"Range Queries in OLAP Data Cubes", SIGMOD 1997). A selection takes one
-of four forms:
+"Range Queries in OLAP Data Cubes", SIGMOD 1997). Counting serves the
+queries `query.validate` accepts, joins along declared fk edges and
+predicates on attribute columns, and raises ValidationError where it
+meets any other. A selection takes one of three forms:
 - a single predicate selects its value-index range (`IndexRange`): the
   kept rows, or, when they are more than half the table, the excluded
   rows around them, one range for `<` and `>` and two for `=`. Their row
@@ -24,13 +26,10 @@ of four forms:
   run per column, the runs of predicates on one column intersected. Its
   row count is read from the cube with at most 2**k reads, and its rows
   are listed only when the root must gather, as below;
-- otherwise several predicates on attribute columns select such runs
-  too, listed at once: the row ids of the narrowest run when it holds at
-  most a quarter of the table, with the predicates on other columns
-  checked at those rows only, and otherwise the boolean mask of a scan
-  of every predicate;
-- a predicate on a key column, which carries no value index, selects a
-  mask.
+- otherwise several predicates select such runs too, listed at once:
+  the row ids of the narrowest run when it holds at most a quarter of
+  the table, with the predicates on other columns checked at those rows
+  only, and otherwise the boolean mask of a scan of every predicate.
 
 Rather than materializing intermediates, the acyclic join tree is then
 counted bottom-up, one weight vector per alias: over its selected rows,
@@ -66,12 +65,13 @@ the alias with the most joins, the largest among those.
 
 Join columns are coded into the shared key spaces `storage.Database`
 precomputes per fk edge. An identity key (codes 0..n-1 in row order over
-a key space of size n, as every synthetic primary key) needs neither a
-scatter into per-key sums nor a gather back: the weights are their own
-sums, and row ids are their own codes. Any other unique key scatters. On
-a non-unique key, selected rows and a boolean mask are counted by an
-integer `np.bincount` of the codes they select, and integer weights by a
-float64 `np.bincount`, or `np.add.at` once the sums could pass 2**53.
+a key space of size n, as every synthetic primary key) needs no gather
+back, as row ids are their own codes, and weights on every row are their
+own sums; selected rows scatter their weights to their row ids (boolean
+sums without weights), cheaper than a bincount. On any other key,
+selected rows and a boolean mask are counted by an integer `np.bincount`
+of the codes they select, and integer weights by a float64
+`np.bincount`, or `np.add.at` once the sums could pass 2**53.
 Masks, row ids, fanouts and key codes are handed on without copies and
 never written in place. Each weight vector carries an upper bound built
 from cached fanout maxima, so a count that could leave the int64 range
@@ -176,8 +176,9 @@ class IndexRange:
 
     def codes(self, key: JoinKey) -> np.ndarray:
         """The codes of `key`, a join key of the column's table, at the rows
-        `slice` reads: a slice of its grouped codes, or of the row ids on
-        an identity key; gathered by row id on a key coded per call."""
+        `slice` reads: a slice of its grouped codes, or, on a key without
+        them (`JoinKey.grouped`), the row ids themselves on an identity key
+        and their codes gathered by row id on a key space past int32."""
         grouped = key.grouped.get(self.column.name)
         if grouped is not None:
             return self.slice(grouped)
@@ -217,9 +218,9 @@ def key_sums(
     """Per key code, the sum of `weights` (None: all ones) over the rows
     coded `key`, and an upper bound on those sums given `bound` on the
     weights. The weights belong to `rows` (row ids or an `IndexRange`), or
-    to every row when `rows` is None. Boolean weights and row ids without
-    weights on a unique key give boolean sums; on an identity key, weights
-    on every row are their own sums. An excluded range, which carries no
+    to every row when `rows` is None. On an identity key, weights on every
+    row are their own sums, and selected rows scatter their weights (True
+    without weights) to their row ids. An excluded range, which carries no
     weights, counts as the fanout less the excluded rows' counts. Sums are
     exact while the returned bound stays below 2**63."""
     if isinstance(rows, IndexRange) and rows.excluded:
@@ -236,7 +237,7 @@ def key_sums(
         codes, weights = np.compress(weights, key.codes), None
     else:
         codes = key.codes
-    if key.max_fanout <= 1:
+    if key.identity:
         sums = np.zeros(key.fanout.size, dtype=bool if weights is None else weights.dtype)
         sums[codes] = True if weights is None else weights
         return sums, bound
@@ -378,41 +379,42 @@ def _count_from(
 
 
 def select_rows(table: Table, predicates):
-    """The rows of `table` passing the conjunction `predicates`: None for
-    no predicate. A single predicate on an attribute column selects its
-    value-index range as an `IndexRange`, excluded when it keeps more than
-    half the rows. Several predicates on attribute columns select their
-    runs of value groups, one per column (`_spans`), as `_rows_in` lists
-    them; a predicate on a key column, which carries no value index,
-    selects a boolean mask."""
+    """The rows of `table` passing the conjunction `predicates`, each on an
+    attribute column: None for no predicate. A single predicate selects
+    its value-index range as an `IndexRange`, excluded when it keeps more
+    than half the rows. Several predicates select their runs of value
+    groups, one per column (`_spans`), as `_rows_in` lists them. Raises
+    ValidationError for a predicate on a key column."""
     if not predicates:
         return None
-    if len(predicates) == 1:
-        (p,) = predicates
-        column = table.column(p.column)
-        if column.index is not None:
-            first, last = column.index.group_span(p.op, p.literal)
-            offsets = column.index.groups.offsets
-            start, stop = int(offsets[first]), int(offsets[last])
-            return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count,
-                              first, last)
-    else:
-        spans = _spans(table, predicates)
-        if spans is not None:
-            return _rows_in(table, predicates, spans)
-    return predicate_mask(lambda c: table.column(c).values, predicates)
+    if len(predicates) > 1:
+        return _rows_in(table, predicates, _spans(table, predicates))
+    (p,) = predicates
+    first, last = _group_span(table, p)
+    column = table.column(p.column)
+    offsets = column.index.groups.offsets
+    start, stop = int(offsets[first]), int(offsets[last])
+    return IndexRange(p, column, start, stop, 2 * (stop - start) > table.row_count, first, last)
 
 
-def _spans(table: Table, predicates) -> dict[str, tuple[int, int]] | None:
+def _group_span(table: Table, p: Predicate) -> tuple[int, int]:
+    """The run of value groups [first, stop) that `p` keeps on its column's
+    value index. Raises ValidationError for a predicate on a key column,
+    which carries no value index."""
+    index = table.column(p.column).index
+    if index is None:
+        raise ValidationError(f"predicate {p} targets a key column")
+    return index.group_span(p.op, p.literal)
+
+
+def _spans(table: Table, predicates) -> dict[str, tuple[int, int]]:
     """Per column of `predicates`, the run of value groups [first, stop)
     its predicates keep, those of predicates on one column intersected
-    (first >= stop when empty); None when one falls on a key column."""
+    (first >= stop when empty). Raises ValidationError for a predicate on
+    a key column."""
     spans = {}
     for p in predicates:
-        index = table.column(p.column).index
-        if index is None:
-            return None
-        first, stop = index.group_span(p.op, p.literal)
+        first, stop = _group_span(table, p)
         if p.column in spans:
             first, stop = max(first, spans[p.column][0]), min(stop, spans[p.column][1])
         spans[p.column] = first, stop
@@ -466,7 +468,10 @@ def _selected(table: Table, sel) -> int:
 def true_cardinality(db: Database, spec: QuerySpec) -> int:
     """Exact result count of the join tree under bag semantics (no dedup).
 
-    Raises ValidationError when the count could exceed the int64 range.
+    Raises ValidationError when the count could exceed the int64 range,
+    and at a join off the declared fk edges or a predicate on a key column
+    (`query.validate` rejects both), unless an alias selecting no row
+    returns 0 first.
     """
     # Every alias but the root sends its per-key sums: a filtered alias
     # scatters or bincounts its selected rows (every row, under a mask)
@@ -578,17 +583,20 @@ def write_labeled_corpus(
 
 
 def read_labeled_corpus(
-    corpus_path: str | Path, bitmaps_path: str | Path | None = None
-) -> tuple[list[LabeledQuery], int | None]:
-    """Returns (queries, sample_size). Bitmaps are empty without a sidecar."""
+    corpus_path: str | Path, bitmaps_path: str | Path
+) -> tuple[list[LabeledQuery], int]:
+    """Returns (queries, sample_size), each query with its sidecar bitmaps.
+    The corpus lines are parsed first; a missing sidecar then raises
+    ValidationError."""
     queries: list[LabeledQuery] = []
     for lineno, spec, label in read_workload(corpus_path):
         if label is None:
             raise ParseError(f"{corpus_path}:{lineno}: missing cardinality label")
         queries.append(LabeledQuery(spec, label, {}))
-    if bitmaps_path is None:
-        return queries, None
-    text = Path(bitmaps_path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(bitmaps_path).read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise ValidationError(f"missing bitmap sidecar {bitmaps_path}") from None
     header = next((l for l in text if l.startswith("--")), None)
     m = re.match(r"--\s*sample_size=(\d+)", header or "")
     if not m:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, ValidationError
 
 KIND_PK = "pk"
 KIND_FK = "fk"
@@ -163,13 +163,6 @@ class ValueIndex:
         if op == ">":
             return self._below(literal, True), self.keys.size
         return self._below(literal, False), self._below(literal, True)
-
-    def rows_where(self, op: str, literal: int) -> np.ndarray:
-        """Row ids whose value satisfies `value op literal`, grouped by value:
-        a view of the grouped rows, never to be written."""
-        first, stop = self.group_span(op, literal)
-        offsets = self.groups.offsets
-        return self.groups.rows[offsets[first] : offsets[stop]]
 
 
 def _is_range(values: np.ndarray, lo: int | None, hi: int | None) -> bool:
@@ -442,17 +435,16 @@ class JoinKey:
     `grouped` maps each attribute column of the key's table to the codes
     permuted into that column's value-index row order, int32 and
     read-only: `codes[index.groups.rows]`. The codes of a predicate's
-    rows are then a slice of them. `Database` fills it for the keys of
-    its declared fk edges, except identity keys, whose row ids are their
-    codes; a key coded per call has none.
+    rows are then a slice of them. `Database` fills it for every key but
+    identity keys, whose row ids are their codes, and keys whose space
+    passes the int32 range.
 
     `cubes` maps each attribute column of the other table of the key's
     edge, when that table's key is an identity key, to the `Cube` over it
     that weights each row of that table by this key's fanout there: the
     rows of this key's table that a box of value groups meets. Its cubes
     cover the columns as the table's unweighted ones do
-    (`Database.cubes`). `Database` fills it for the keys of its declared
-    fk edges; a key coded per call has none."""
+    (`Database.cubes`)."""
 
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
@@ -529,12 +521,12 @@ class Database:
     `_cubes`), by column; each key joined to an identity key gets the
     cubes its fanout weights (`JoinKey.cubes`), built here too, with the
     unweighted ones in one pass over the identity key's table. These are
-    the database's only prefix sums. Any other column pair is coded per
-    call, from values derived where needed, with no grouped codes or
-    cubes. Per-column facts live on each `Column`. Construction rewrites
-    the storage of those key columns in the given `Table` objects
-    (`Column._hold`); a second Database built from the same tables finds
-    them held already and codes the same keys.
+    the database's only prefix sums. No other column pair is coded: the
+    declared edges are the join universe (`join_keys`). Per-column facts
+    live on each `Column`. Construction rewrites the storage of those key
+    columns in the given `Table` objects (`Column._hold`); a second
+    Database built from the same tables finds them held already and codes
+    the same keys.
     Nothing is computed lazily or cached later: the database is never
     mutated after construction, and its indexes live and die with it.
     """
@@ -661,11 +653,15 @@ class Database:
     def join_keys(
         self, left: tuple[str, str], right: tuple[str, str]
     ) -> tuple[JoinKey, JoinKey]:
-        """The (table, column) pair `left`, `right` coded into one key space:
-        precomputed for declared fk edges, built per call for any other pair."""
+        """The precomputed keys of the declared fk edge joining the (table,
+        column) pairs `left` and `right`, in that order. Raises
+        ValidationError for any other pair."""
         keys = self._join_keys.get((left, right))
         if keys is None:
-            keys = code_join_keys(self.column_values(*left), self.column_values(*right))
+            raise ValidationError(
+                f"join {left[0]}.{left[1]}={right[0]}.{right[1]} does not follow a declared "
+                "foreign key"
+            )
         return keys
 
     def is_fk_join(self, left: tuple[str, str], right: tuple[str, str]) -> bool:

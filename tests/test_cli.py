@@ -7,6 +7,7 @@ import pytest
 
 from cardlab.cli import main
 from cardlab.evalkit import REPORT_FIELDS, read_report_csv
+from cardlab.featurizer import SAMPLE_MODES
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +163,16 @@ class TestErrorPaths:
         assert main(["label", "--db", str(db), "--workload", str(bad),
                      "--samples", str(samples), "--out", str(tmp_path / "o.txt")]) == 2
 
-    def test_train_without_sidecar_is_data_error(self, pipeline, tmp_path):
+    def test_train_without_sidecar_is_data_error(self, pipeline, tmp_path, capsys):
+        # Every mode reads the sidecar, `none` too, for its sample size.
         _, db, *_ = pipeline
         corpus = tmp_path / "c.txt"
         corpus.write_text("title t###5\n")
-        assert main(["train", "--corpus", str(corpus), "--db", str(db),
-                     "--mode", "bitmap", "--epochs", "1", "--out",
-                     str(tmp_path / "m.bin")]) == 2
+        for mode in SAMPLE_MODES:
+            assert main(["train", "--corpus", str(corpus), "--db", str(db),
+                         "--mode", mode, "--epochs", "1", "--out",
+                         str(tmp_path / "m.bin")]) == 2, mode
+            assert f"missing bitmap sidecar {corpus}.bitmaps" in capsys.readouterr().err
 
     def test_corrupt_model_is_data_error(self, pipeline, tmp_path):
         _, db, samples, _, corpus, model, _ = pipeline

@@ -37,6 +37,7 @@ from cardlab.query import (
     Predicate,
     QuerySpec,
     TableRef,
+    database_errors,
     format_query,
     generate_workload,
     parse_query,
@@ -91,8 +92,8 @@ def dict_match_sums(keys, weights, probes):
 
 class TestMatchSums:
     # Dense keys are coded by offset, 10**12-spread ones by a joint unique
-    # (and, with 200 draws, hit the unique-key scatter instead of bincount);
-    # the 2000-spread keys repeat at most twice.
+    # (and, with 200 draws, are unique keys, summed by bincount too); the
+    # 2000-spread keys repeat at most twice.
     @pytest.mark.parametrize("spread", [50, 2000, 10**12])
     def test_dict_oracle(self, spread):
         rng = np.random.default_rng(spread % 97)
@@ -116,8 +117,9 @@ class TestMatchSums:
     )
     def test_every_branch(self, keys, identity, unique):
         # Probes stay inside the key range, so the arange keeps its
-        # identity coding; repeated keys take compress-and-count for a
-        # boolean mask and bincount for integer weights.
+        # identity coding, where a mask is its own sums; unique and
+        # repeated keys take compress-and-count for a boolean mask and
+        # bincount for integer weights.
         rng = np.random.default_rng(3)
         probes = rng.integers(0, 60, size=300)
         key, _ = code_join_keys(keys, probes)
@@ -127,7 +129,7 @@ class TestMatchSums:
             expected = dict_match_sums(keys, w.astype(np.int64), probes)
             assert match_sums(keys, w, probes, bound=10).tolist() == expected
         sums, _ = key_sums(key, weights > 4, 1)
-        assert sums.dtype == (bool if unique else np.int64)
+        assert sums.dtype == (bool if identity else np.int64)
 
     def test_empty_keys(self):
         out = match_sums(np.empty(0, np.int64), np.empty(0, np.int64), np.arange(5))
@@ -178,7 +180,7 @@ def _count_at(db, spec, root, share):
         }
     for a, sel in sels.items():
         table, predicates = db.table(spec.table_of(a)), spec.predicates_of(a)
-        if len(predicates) == 1 and table.column(predicates[0].column).index is not None:
+        if len(predicates) == 1:
             # A single predicate selects its value-index range, whatever
             # the share, excluded when it keeps more than half the rows.
             assert isinstance(sel, IndexRange)
@@ -251,6 +253,28 @@ class TestTrueCardinality:
         db = Database([t])
         spec = QuerySpec((TableRef("t", "t"),), (), (Predicate("t", "x", "=", 99),))
         assert true_cardinality(db, spec) == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("title t##t.id,<,17", r"predicate t\.id,<,17 targets a key column"),
+            ("movie_keyword mk,title t#mk.movie_id=t.id#t.id,>,480,mk.movie_id,<,495",
+             "targets a key column"),
+            ("movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#mi.movie_id,<,40",
+             r"predicate mi\.movie_id,<,40 targets a key column"),
+            ("movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#",
+             r"join movie_info\.movie_id=movie_keyword\.movie_id does not follow a declared"),
+        ],
+        ids=["pk_predicate", "fk_predicates", "undeclared_pair", "undeclared_join"],
+    )
+    def test_unvalidated_queries_raise(self, db, text, message):
+        # Counting serves the language `query.validate` accepts: a
+        # predicate on a key column and a join off the declared fk edges
+        # raise rather than count.
+        spec, _ = parse_query(text)
+        assert database_errors(spec, db)
+        with pytest.raises(ValidationError, match=message):
+            true_cardinality(db, spec)
 
     def test_nested_loop_oracle(self, db):
         workload = generate_workload(db, 60, 2, seed=13)
@@ -648,20 +672,24 @@ class TestSelectionPaths:
 
     def test_unique_key_excluded_leaf(self):
         # b, a leaf whose predicate keeps most of its rows, sends its
-        # complement through a unique key with codes no b row holds (the
-        # ids a and b do not share, joined outside a declared fk edge):
-        # they must send zero, not one.
-        a = Table("a", [Column("id", "pk", np.arange(12)),
+        # complement through a unique fk into a's ids, even numbers that
+        # leave gaps in a dense span: codes no b row holds (a's ids 0 and
+        # 2, and every odd code) must send zero, not one, to the root a.
+        a = Table("a", [Column("id", "pk", 2 * np.arange(12)),
                         Column("v", "attr", np.arange(12) % 3)])
-        b = Table("b", [Column("id", "pk", np.arange(5, 15)),
+        b = Table("b", [Column("id", "pk", np.arange(10)),
+                        Column("aid", "fk", 2 * np.arange(2, 12), ref=("a", "id")),
                         Column("v", "attr", np.arange(10))])
         db = Database([a, b])
-        for literal in (0, 3, 8):
+        own, up = db.join_keys(("a", "id"), ("b", "aid"))
+        assert own.base == up.base == 0 and not own.identity and up.max_fanout == 1
+        for a_literal, literal in itertools.product((1, 3), (0, 3, 8)):
             spec = QuerySpec((TableRef("a", "a"), TableRef("b", "b")),
-                             (JoinEdge(("a", "id"), ("b", "id")),),
-                             (Predicate("a", "v", "<", 3), Predicate("b", "v", ">", literal)))
-            assert select_rows(b, spec.predicates_of("b")).excluded == (literal < 5)
-            assert true_cardinality(db, spec) == nested_loop_count(db, spec) == max(0, 6 - literal)
+                             (JoinEdge(("b", "aid"), ("a", "id")),),
+                             (Predicate("a", "v", "<", a_literal), Predicate("b", "v", ">", literal)))
+            assert select_rows(b, spec.predicates_of("b")).excluded == (literal < 4)
+            expected = sum((i + 2) % 3 < a_literal for i in range(literal + 1, 10))
+            assert true_cardinality(db, spec) == nested_loop_count(db, spec) == expected
 
 
 @st.composite
@@ -1045,7 +1073,7 @@ class TestCorpusFiles:
         p = tmp_path / "c.txt"
         p.write_text("title t###\n")
         with pytest.raises(ParseError):
-            read_labeled_corpus(p)
+            read_labeled_corpus(p, tmp_path / "c.txt.bitmaps")
 
     def test_reference_corpus_pinned(self, reference, tmp_path):
         # Labeled and written with their bitmap sidecar; recorded while

@@ -494,7 +494,7 @@ _PY_OPS = {"=": lambda v, x: v == x, "<": lambda v, x: v < x, ">": lambda v, x: 
 
 
 class TestValueIndex:
-    """`ValueIndex.rows_where` selects the rows a Python scan does, grouped
+    """`ValueIndex.group_span` selects the rows a Python scan does, grouped
     by value in ascending row order, for literals at, between and outside
     the keys. Spans of at most 2**16 that are dense for the row count (at
     most 4 * rows + 1024) key every value of the span, held or not; other
@@ -537,7 +537,8 @@ class TestValueIndex:
                     want = order[_PY_OPS[op](ordered, literal)].tolist()
                 else:
                     want = [i for i in order.tolist() if _PY_OPS[op](vals[i], literal)]
-                got = index.rows_where(op, literal)
+                first, stop = index.group_span(op, literal)
+                got = index.groups.rows[index.groups.offsets[first] : index.groups.offsets[stop]]
                 assert got.tolist() == want, (op, literal)
 
     def test_sparse_narrow_span_is_small(self):
@@ -842,10 +843,6 @@ class TestGroupedCodes:
         assert not c.identity and d.codes is c.codes and d.grouped is c.grouped
         assert c.grouped["k"].tolist() == [10, 20, 0]
 
-    def test_keys_coded_per_call_have_none(self, small_db):
-        keys = small_db.join_keys(("movie_info", "movie_id"), ("movie_keyword", "movie_id"))
-        assert all(k.grouped == {} for k in keys)
-
 
 def _brute_prefix(fanout, values):
     """Prefix sums, over the distinct values of `values` in ascending
@@ -950,10 +947,6 @@ class TestFanoutPrefix:
                     )
                 seen += 1
         assert seen == arrays
-
-    def test_keys_coded_per_call_have_none(self, small_db):
-        keys = small_db.join_keys(("title", "id"), ("movie_keyword", "id"))
-        assert all(k.cubes == {} for k in keys)
 
     def test_reference_layout(self):
         # One cube per table over all its attribute columns, the cell
@@ -1125,19 +1118,6 @@ class TestKeyColumnsHeldOnce:
         assert digest.hexdigest() == (
             "f8dc7a9a37428e4f9e73d6473b4023296495d9286cd95f1d5e133de19a22e967"
         )
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "title t##t.id,<,17",
-            "movie_keyword mk,title t#mk.movie_id=t.id#t.id,>,480,mk.movie_id,<,495",
-            "movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#mi.movie_id,<,40",
-        ],
-        ids=["pk_predicate", "fk_predicates", "undeclared_pair"],
-    )
-    def test_key_columns_read_as_values(self, small_db, text):
-        spec, _ = parse_query(text)
-        assert true_cardinality(small_db, spec) == nested_loop_count(small_db, spec)
 
     def test_second_database_same_keys(self, small_db):
         again = Database(list(small_db.tables.values()))
