@@ -150,11 +150,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def read_report_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="", encoding="utf-8") as f:
-        return [dict(row) for row in csv.DictReader(f)]
-
-
 _GRID_KEYS = ("epochs", "batch_size", "d")
 
 

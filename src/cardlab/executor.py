@@ -63,12 +63,12 @@ the alias with the most joins, the largest among those.
   nothing when each of its rows meets exactly one row of its parent (as
   from the fk side).
 
-Join columns are coded into the shared key spaces `storage.Database`
-precomputes per fk edge. An identity key (codes 0..n-1 in row order over
-a key space of size n, as every synthetic primary key) needs no gather
-back, as row ids are their own codes, and weights on every row are their
-own sums; selected rows scatter their weights to their row ids (boolean
-sums without weights), cheaper than a bincount. On any other key,
+Join columns are coded into the key spaces `storage.Database` precomputes,
+one per referenced column. An identity key (codes 0..n-1 in row order
+over a key space of size n, as every synthetic primary key) needs no
+gather back, as row ids are their own codes, and weights on every row are
+their own sums; selected rows scatter their weights to their row ids
+(boolean sums without weights), cheaper than a bincount. On any other key,
 selected rows and a boolean mask are counted by an integer `np.bincount`
 of the codes they select, and integer weights by a float64
 `np.bincount`, or `np.add.at` once the sums could pass 2**53.
@@ -470,8 +470,7 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
 
     Raises ValidationError when the count could exceed the int64 range,
     and at a join off the declared fk edges or a predicate on a key column
-    (`query.validate` rejects both), unless an alias selecting no row
-    returns 0 first.
+    (`query.validate` rejects both), also when an alias selects no row.
     """
     # Every alias but the root sends its per-key sums: a filtered alias
     # scatters or bincounts its selected rows (every row, under a mask)
@@ -497,6 +496,13 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
         sels[a] = select(db, table, predicates) if a == root else select_rows(table, predicates)
         counts[a] = _selected(table, sels[a])
         if counts[a] == 0:
+            # Every predicate's value index is read and every join key
+            # looked up first, so that a query `query.validate` rejects
+            # raises rather than counting 0.
+            for p in spec.predicates:
+                _group_span(db.table(spec.table_of(p.alias)), p)
+            for j in spec.joins:
+                db.join_keys(*((spec.table_of(a), c) for a, c in (j.left, j.right)))
             return 0
     if not spec.joins:
         return counts[root]

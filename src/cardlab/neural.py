@@ -1,7 +1,6 @@
 """Minimal numerical kernel: two-layer dense modules with hand-derived
-backpropagation, masked average pooling, Adam, and finite-difference
-gradient checking. Everything is float64; determinism beats speed at this
-model size.
+backpropagation, masked average pooling and Adam. Everything is float64;
+determinism beats speed at this model size.
 
 The modules take any leading axes, and how some products round depends
 on their shape: numpy multiplies a single row by gemv rather than gemm; a
@@ -197,32 +196,3 @@ def adam_step(
         params[key] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
-
-def grad_check(
-    f,
-    analytic_grad: np.ndarray,
-    point: np.ndarray,
-    h: float = 1e-4,
-    num_coords: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error between `analytic_grad` and central differences of
-    scalar `f` at `point`, over a random subset of coordinates.
-
-    Coordinates where both gradients are below 1e-6 in magnitude are
-    treated as matched (finite differences carry no signal there).
-    """
-    rng = np.random.default_rng(seed)
-    n = point.size
-    coords = rng.choice(n, size=min(num_coords, n), replace=False)
-    worst = 0.0
-    for i in coords:
-        shifted = point.copy()
-        shifted[i] = point[i] + h
-        fp = f(shifted)
-        shifted[i] = point[i] - h
-        fm = f(shifted)
-        numeric = (fp - fm) / (2.0 * h)
-        denom = max(abs(numeric), abs(analytic_grad[i]), 1e-6)
-        worst = max(worst, abs(numeric - analytic_grad[i]) / denom)
-    return worst

@@ -1,12 +1,13 @@
 """Immutable in-memory columnar database.
 
 Covers loading/synthesis of integer tables, per-column facts (bounds and
-distinct count, kept on each `Column`), join key spaces (one copy of a
-referenced column's codes for all the fk edges into it, and each densely
-coded key column stored only as its codes), materialized uniform
+distinct count, kept on each `Column`), join key spaces (one per
+referenced column, over it and all of its fk children, so every fk edge
+into the column shares its codes, and each key column of a dense space
+stored only as its codes), materialized uniform
 samples, and rows grouped by key (`Groups`, a CSR grouping with
 int32 row ids). One builder, `group_rows`, makes every grouping: the join
-indexes (rows grouped by join-key code, one per key space) for join
+indexes (rows grouped by join-key code, one per coded column) for join
 probing, and the value indexes (rows grouped by value) of attribute
 columns for selective predicates. Each column's distinct count and index
 cost one sort. A primary key whose values are a run of consecutive
@@ -31,6 +32,7 @@ import csv
 import json
 import math
 import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -208,12 +210,12 @@ class Column:
     `data` is the one stored buffer. It holds the values, with two
     exceptions, whose values `values` and `take` derive where they are
     read, so the column is never stored twice:
-    - a key column of a dense-coded fk edge: from the `Database`'s
-      construction on, it is held only as the edge's int64 join-key codes,
-      and its values are `data + base`;
+    - a key column of a dense key space: from the `Database`'s
+      construction on, it is held only as its int64 join-key codes in
+      that space, and its values are `data + base`;
     - a primary key whose values are `lo..lo + size - 1` in row order (two
       rows or more) is held as that range: `data` is None and `base` is
-      `lo`, until a dense-coded fk edge holds it as codes.
+      `lo`, until a dense key space holds it as codes.
     `base` stays None while `data` holds the values. On a held column
     `values` allocates a new array at every call: hot paths read the codes
     or `take` the rows they need.
@@ -277,7 +279,9 @@ class Column:
         holds. A key column coded densely (`key.base` set) is held as
         `key.codes` from now on, a range too; a column already held as
         codes with the same base hands its buffer to `key`. Attribute
-        columns, sparse codings and a second base keep the key as it is."""
+        columns, sparse codings and a second base (a column that is the
+        child in one key space and the parent of another) keep the key as
+        it is."""
         if key.base is None or self.kind == KIND_ATTR:
             return key
         if self.base is None or self.data is None:
@@ -429,8 +433,11 @@ def _group_codes(index: ValueIndex, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JoinKey:
-    """One join column coded into a key space shared with the column it
-    joins: rows of either column with equal values carry equal codes.
+    """One join column coded into a key space: that of the column it
+    references, or, on a referenced column, its own, shared with all of
+    its fk children. Rows of any column of a space with equal values carry
+    equal codes. The keys on a referenced column's side of its edges share
+    their arrays and differ only in `matches_once` and `cubes`.
 
     `grouped` maps each attribute column of the key's table to the codes
     permuted into that column's value-index row order, int32 and
@@ -449,7 +456,7 @@ class JoinKey:
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
     max_fanout: int
-    matches_once: bool  # every row equals exactly one row of the other column
+    matches_once: bool  # every row equals exactly one row of the edge's other column
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
     base: int | None  # codes + base are the values (dense coding), None after np.unique
     grouped: dict[str, np.ndarray] = field(default_factory=dict)
@@ -457,67 +464,71 @@ class JoinKey:
 
 
 def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
-    """Code two join columns into one key space.
-
-    A dense joint value range is coded as the raw values offset by its
-    minimum, the keys' `base` (in int64, so narrow attribute columns code
-    without wrapping); anything sparser is coded by a joint `np.unique`, so
-    the key space stays within a few times the combined row count. Codes
-    and fanouts are read-only: counting hands them on without a copy.
-    """
-    size, base = _key_space(
-        [(int(a.min()), int(a.max())) for a in (left, right) if a.size], left.size + right.size
+    """Code two join columns into one key space (`_code_space`), each key's
+    `matches_once` read against the other."""
+    arrays = (left, right)
+    codes, size, base = _code_space(
+        arrays, [(int(a.min()), int(a.max())) for a in arrays if a.size], left.size + right.size
     )
-    if base is not None:
-        codes = tuple(a.astype(np.int64, copy=False) - base for a in (left, right))
-    else:
-        unique, inverse = np.unique(np.concatenate([left, right]), return_inverse=True)
-        size = unique.size
-        codes = (inverse[: left.size], inverse[left.size :])
-    return _key_pair(codes, [np.bincount(c, minlength=size) for c in codes], size, base)
+    return _matched(*(_join_key(c, size, base) for c in codes))
 
 
-def _key_space(bounds: list[tuple[int, int]], rows: int) -> tuple[int, int | None]:
-    """The span of two join columns with the given (least, greatest)
-    values, `rows` rows between them, and the dense base `code_join_keys`
-    codes them with (None: the span is too sparse for the rows)."""
+def _code_space(
+    values: Iterable[np.ndarray], bounds: list[tuple[int, int]], rows: int
+) -> tuple[Iterator[np.ndarray], int, int | None]:
+    """The codes of join columns in one key space, per column of `values`,
+    and the space's size and base. `bounds` are the nonempty columns'
+    (least, greatest) values, `rows` their row count. A span dense for the
+    rows is coded as the values offset by its minimum, the base (in int64,
+    so narrow columns code without wrapping), a column at a time as the
+    codes are read; anything sparser by a joint `np.unique`, base None."""
     lo = min((b[0] for b in bounds), default=0)
     size = max((b[1] for b in bounds), default=lo - 1) - lo + 1
-    return size, (lo if _dense_span(size, rows) else None)
+    if _dense_span(size, rows):
+        # Unlike a generator expression, `map` keeps no reference to the
+        # last column's values, so they can be freed once coded.
+        return map(lambda v: v.astype(np.int64, copy=False) - lo, values), size, lo
+    values = list(values)
+    unique, inverse = np.unique(np.concatenate(values), return_inverse=True)
+    return iter(np.split(inverse, np.cumsum([v.size for v in values[:-1]]))), unique.size, None
 
 
-def _key_pair(codes, fanouts, size: int, base: int | None) -> tuple[JoinKey, JoinKey]:
-    """The two `JoinKey`s of two columns' codes and fanouts in a key space
-    of `size` codes."""
-    for a in tuple(codes) + tuple(fanouts):
+def _join_key(codes: np.ndarray, size: int, base: int | None) -> JoinKey:
+    """The `JoinKey` of one column's codes in a key space of `size` codes,
+    `matches_once` left to `_matched`. Codes and fanout are read-only:
+    counting hands them on without a copy."""
+    fanout = np.bincount(codes, minlength=size)
+    for a in (codes, fanout):
         a.flags.writeable = False
-    keys = [
-        JoinKey(
-            c,
-            f,
-            int(f.max()) if size else 0,
-            bool((other == 1)[c].all()),
-            # Strictly increasing codes, as many as the key space, in
-            # [0, size), are exactly 0..size-1.
-            c.size == size and bool((c[1:] > c[:-1]).all()),
-            base,
-        )
-        for c, f, other in zip(codes, fanouts, reversed(fanouts))
-    ]
-    return keys[0], keys[1]
+    return JoinKey(
+        codes,
+        fanout,
+        int(fanout.max()) if size else 0,
+        False,
+        # Strictly increasing codes, as many as the key space, in [0,
+        # size), are exactly 0..size-1.
+        codes.size == size and bool((codes[1:] > codes[:-1]).all()),
+        base,
+    )
+
+
+def _matched(a: JoinKey, b: JoinKey) -> tuple[JoinKey, JoinKey]:
+    """Two keys of one space, each with `matches_once` against the other."""
+    return (
+        replace(a, matches_once=bool((b.fanout == 1)[a.codes].all())),
+        replace(b, matches_once=bool((a.fanout == 1)[b.codes].all())),
+    )
 
 
 class Database:
     """Named set of tables plus the declared fk-edge join universe.
 
-    Referential integrity is verified on construction, and the join key
-    space of every declared fk edge (both columns' codes and fanouts, see
-    :func:`code_join_keys`) is precomputed; the edges into one column
-    share its codes and fanout arrays. The key columns of a dense-coded
-    edge are held only as those codes (see `Column`), so each is stored
-    once. Each non-identity key of a declared edge gets its grouped codes
-    (see `JoinKey`), built here, int32; edges sharing a parent key share
-    them. `cubes` maps each table to its unweighted cubes (`Cube`, see
+    Referential integrity is verified on construction, and one join key
+    space per referenced column, over it and all of its fk children, is
+    precomputed (`_code_fk_edges`). The key columns of a dense space are
+    held only as their codes (see `Column`), so each is stored once. Each
+    non-identity key gets its grouped codes (see `JoinKey`), built here,
+    int32. `cubes` maps each table to its unweighted cubes (`Cube`, see
     `_cubes`), by column; each key joined to an identity key gets the
     cubes its fanout weights (`JoinKey.cubes`), built here too, with the
     unweighted ones in one pass over the identity key's table. These are
@@ -548,56 +559,34 @@ class Database:
         self._code_fk_edges()
 
     def _code_fk_edges(self):
-        """Codes each fk edge's key space, checking referential integrity:
-        every child key must meet at least one parent row.
-
-        Referential integrity puts every child value among the parent's
-        values, so a dense coding's base is the parent column's minimum and
-        edges into one column usually code its rows alike. Each key column
-        of a dense-coded edge is then held as its codes (`Column._hold`),
-        which the edge's keys share. The first edge's parent codes and
-        fanout are kept. A later edge into the same column whose joint span
-        (from the columns' bounds and row counts) gets the kept key's dense
-        base and key space codes the parent's rows alike, so it reuses them
-        and codes only its child; any other later edge is coded from values
-        and reuses them when they are equal (checked), so the column's key
-        space is held once. `matches_once` stays per edge. The keys get
-        their cubes (`_add_cubes`) once every edge is coded."""
-        first: dict[tuple[str, str], JoinKey] = {}
-        coded = []
+        """Codes one key space per referenced column, over it and its fk
+        children (`_code_space`, bounds from each `Column`), checking
+        referential integrity: every child key must meet a parent row.
+        Every edge into the column shares its key's codes, fanout and
+        grouped codes; only `matches_once` is per edge. Each key column
+        of a dense space is held as its codes (`Column._hold`). The keys
+        get their cubes (`_add_cubes`) once every edge is coded."""
+        children: dict[tuple[str, str], list[FkEdge]] = {}
         for e in self.fk_edges:
             pt, pc = e.parent
             if pt not in self.tables or pc not in self.tables[pt].columns_by_name:
                 raise SchemaError(f"fk edge {e.key} references unknown column")
-            columns = [self.table(t).column(c) for t, c in (e.child, e.parent)]
-            kept = first.get(e.parent)
-            size, base = _key_space(
+            children.setdefault(e.parent, []).append(e)
+        coded = []
+        for (pt, pc), edges in children.items():
+            columns = [self.table(t).column(c) for t, c in [(pt, pc)] + [e.child for e in edges]]
+            codes, size, base = _code_space(
+                (c.values for c in columns),
                 [(c.lo, c.hi) for c in columns if c.lo is not None],
                 sum(c.size for c in columns),
             )
-            if (
-                kept is not None
-                and base is not None
-                and (base, size) == (kept.base, kept.fanout.size)
-            ):
-                codes = columns[0].values - base
-                fanout = np.bincount(codes, minlength=size)
-                child, parent = _key_pair((codes, kept.codes), (fanout, kept.fanout), size, base)
-            else:
-                child, parent = code_join_keys(*(c.values for c in columns))
-            if not (parent.fanout > 0)[child.codes].all():
-                raise SchemaError(f"referential integrity violated on {e.key}")
-            child, parent = (c._hold(k) for c, k in zip(columns, (child, parent)))
-            if kept is not None and np.array_equal(kept.codes, parent.codes) and np.array_equal(
-                kept.fanout, parent.fanout
-            ):
-                parent = replace(
-                    parent, codes=kept.codes, fanout=kept.fanout, grouped=kept.grouped
-                )
-            else:
-                parent = self._grouped(pt, parent)
-                first.setdefault(e.parent, parent)
-            coded.append((e, [self._grouped(e.child[0], child), parent]))
+            parent = self._grouped(pt, columns[0]._hold(_join_key(next(codes), size, base)))
+            for e, column, child in zip(edges, columns[1:], codes):
+                child = _join_key(child, size, base)
+                if not (parent.fanout > 0)[child.codes].all():
+                    raise SchemaError(f"referential integrity violated on {e.key}")
+                child = self._grouped(e.child[0], column._hold(child))
+                coded.append((e, list(_matched(child, parent))))
         self._add_cubes(coded)
         for e, (child, parent) in coded:
             self._join_keys[(e.child, e.parent)] = (child, parent)
@@ -777,7 +766,7 @@ def rows_by_code(codes: np.ndarray, key_space: int) -> np.ndarray:
     n = codes.size
     if key_space <= _RADIX_SPACE:
         return np.argsort(codes.astype(np.uint16, copy=False), kind="stable")
-    # Join key spaces stay below 4 * rows + 1024 (`code_join_keys`) and
+    # Join key spaces stay below 4 * rows + 1024 (`_code_space`) and
     # value codes below the row count, so this needs about 1.5e9 rows.
     assert key_space * n < 2**63, f"code * n + row leaves int64: {key_space} codes x {n} rows"
     return np.argsort(codes * n + np.arange(n))
@@ -802,8 +791,10 @@ def build_join_indexes(
     column), each a (table, column) pair; probe it with the probing
     column's codes in the edge's key space."""
     indexes = {}
-    # Edges into one column share its codes (`Database._code_fk_edges`),
-    # and so share one grouping, found by the codes array's identity.
+    # The edges into one column share its codes (`Database._code_fk_edges`),
+    # and so one grouping. A column that is the child in one key space and
+    # the parent of another has a coding in each, so groupings are found
+    # by the codes array's identity, not by the column.
     by_codes: dict[int, Groups] = {}
     for e in db.fk_edges:
         for probing, indexed in ((e.child, e.parent), (e.parent, e.child)):

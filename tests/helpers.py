@@ -1,7 +1,10 @@
-"""Shared test utilities: gradient-check point selection, the
-independent nested-loop join oracle, the per-probe-value IBJS loop, the
-dense MSCN kernel that runs every padded set element, and the sign-split
-sigmoid."""
+"""Shared test utilities: the finite-difference gradient check and its
+point selection, the independent nested-loop join oracle, the
+per-probe-value IBJS loop, the dense MSCN kernel that runs every padded
+set element, the sign-split sigmoid, and a reader of report CSVs."""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -155,6 +158,43 @@ def assign_params(params, vector):
         size = params[k].size
         params[k][...] = vector[offset : offset + size].reshape(params[k].shape)
         offset += size
+
+
+def grad_check(
+    f,
+    analytic_grad: np.ndarray,
+    point: np.ndarray,
+    h: float = 1e-4,
+    num_coords: int = 200,
+    seed: int = 0,
+) -> float:
+    """Max relative error between `analytic_grad` and central differences of
+    scalar `f` at `point`, over a random subset of coordinates.
+
+    Coordinates where both gradients are below 1e-6 in magnitude are
+    treated as matched (finite differences carry no signal there).
+    """
+    rng = np.random.default_rng(seed)
+    n = point.size
+    coords = rng.choice(n, size=min(num_coords, n), replace=False)
+    worst = 0.0
+    for i in coords:
+        shifted = point.copy()
+        shifted[i] = point[i] + h
+        fp = f(shifted)
+        shifted[i] = point[i] - h
+        fm = f(shifted)
+        numeric = (fp - fm) / (2.0 * h)
+        denom = max(abs(numeric), abs(analytic_grad[i]), 1e-6)
+        worst = max(worst, abs(numeric - analytic_grad[i]) / denom)
+    return worst
+
+
+def read_report_csv(path):
+    """The rows of a report CSV written by `evalkit.write_report_csv`, as
+    dicts of strings."""
+    with Path(path).open(newline="", encoding="utf-8") as f:
+        return [dict(row) for row in csv.DictReader(f)]
 
 
 def pick_generic_point(model, params, mb, h, seed=0, scale=0.05):

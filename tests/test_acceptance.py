@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     assign_params,
     flatten_params,
+    grad_check,
     nested_loop_count,
     pick_generic_point,
 )
@@ -42,7 +43,6 @@ from cardlab.mscn import (
     save_model,
     train,
 )
-from cardlab.neural import grad_check
 from cardlab.query import format_query, generate_workload
 from cardlab.storage import (
     SynthConfig,

@@ -4,9 +4,10 @@ import struct
 import time
 
 import pytest
+from helpers import read_report_csv
 
 from cardlab.cli import main
-from cardlab.evalkit import REPORT_FIELDS, read_report_csv
+from cardlab.evalkit import REPORT_FIELDS
 from cardlab.featurizer import SAMPLE_MODES
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import read_report_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from cardlab.evalkit import (
     grid_search,
     is_zero_tuple,
     qerror,
-    read_report_csv,
     report,
     run_eval,
     write_grid_csv,

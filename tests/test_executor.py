@@ -264,13 +264,18 @@ class TestTrueCardinality:
              r"predicate mi\.movie_id,<,40 targets a key column"),
             ("movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#",
              r"join movie_info\.movie_id=movie_keyword\.movie_id does not follow a declared"),
+            ("movie_info mi,movie_keyword mk#mi.movie_id=mk.movie_id#mi.info_type_id,=,99999",
+             r"join movie_info\.movie_id=movie_keyword\.movie_id does not follow a declared"),
+            ("movie_keyword mk,title t#mk.movie_id=t.id#mk.keyword_id,=,99999,t.id,<,5",
+             r"predicate t\.id,<,5 targets a key column"),
         ],
-        ids=["pk_predicate", "fk_predicates", "undeclared_pair", "undeclared_join"],
+        ids=["pk_predicate", "fk_predicates", "undeclared_pair", "undeclared_join",
+             "undeclared_join_empty_alias", "pk_predicate_after_empty_alias"],
     )
     def test_unvalidated_queries_raise(self, db, text, message):
         # Counting serves the language `query.validate` accepts: a
         # predicate on a key column and a join off the declared fk edges
-        # raise rather than count.
+        # raise rather than count, even when an alias selects no row.
         spec, _ = parse_query(text)
         assert database_errors(spec, db)
         with pytest.raises(ValidationError, match=message):

@@ -29,7 +29,7 @@ from cardlab.mscn import (
     save_model,
     train,
 )
-from cardlab.neural import Dense2, grad_check
+from cardlab.neural import Dense2
 from cardlab.query import LabeledQuery, format_query, generate_workload
 from cardlab.storage import SynthConfig, draw_all_samples, generate_synthetic_db
 
@@ -77,6 +77,7 @@ from helpers import (
     dense_forward,
     dense_train,
     flatten_params,
+    grad_check,
     pick_generic_point,
 )
 

@@ -7,7 +7,6 @@ from cardlab.neural import (
     AdamState,
     Dense2,
     adam_step,
-    grad_check,
     init_dense2,
     init_params,
     masked_mean_pool,
@@ -17,7 +16,7 @@ from cardlab.neural import (
     sigmoid,
 )
 
-from helpers import masked_sigmoid
+from helpers import grad_check, masked_sigmoid
 
 
 class TestInit:

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import nested_loop_count
+from helpers import loop_ibjs_estimate, nested_loop_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from cardlab import storage
+from cardlab.baselines import ibjs_estimate
 from cardlab.errors import ParseError, SchemaError
 from cardlab.executor import true_cardinality
 from cardlab.featurizer import build_catalog
@@ -613,9 +614,10 @@ def _hand_star(reverse=False):
     """Two parents and the children of their ids. `p.id` (dense) has `a`,
     holding each parent id once, and `b`, skipping ids 2 and 4 and
     repeating others. `s.id` (0 and 3000) has `x`, one row, and `y`, 600
-    rows: the joint span 3001 is sparse for x's 3 rows and dense for y's
-    602, so the two edges code `s.id` differently. `reverse` lists the
-    tables, and so the edges, in reverse order: `y` and `b` come first."""
+    rows: the span 3001 is sparse for s's and x's 3 rows alone but dense
+    for the 603 rows of `s.id`'s key space, so all three are coded as
+    offsets from 0. `reverse` lists the tables, and so the edges, in
+    reverse order: `y` and `b` come first."""
     def child(name, ref, fks, attr):
         return Table(name, [Column("id", "pk", np.arange(len(fks))),
                             Column("fk", "fk", fks, ref=(ref, "id")),
@@ -631,6 +633,18 @@ def _hand_star(reverse=False):
     ][:: -1 if reverse else 1])
 
 
+def _sparse_star():
+    """`q.id` (0 and 10**6) and two children, `c` and `d`: the span 10**6 +
+    1 is sparse for all 7 rows of the key space, which is coded by a joint
+    `np.unique` as [0, 1]."""
+    def child(name, fks):
+        return Table(name, [Column("id", "pk", np.arange(len(fks))),
+                            Column("fk", "fk", fks, ref=("q", "id"))])
+
+    return Database([Table("q", [Column("id", "pk", [0, 10**6])]),
+                     child("c", [0, 10**6, 0]), child("d", [10**6, 0])])
+
+
 def _unique_bytes(arrays):
     """Bytes of the buffers under `arrays`, a buffer seen through several
     arrays or views counted once."""
@@ -643,8 +657,10 @@ def _unique_bytes(arrays):
 
 
 class TestSharedKeySpaces:
-    """Fk edges into one column share that column's codes, fanout and join
-    index when their codings agree, and keep their own per-edge facts."""
+    """Each column that fk edges reference has one key space, over it and
+    all of its fk children: every edge into it shares the column's codes,
+    fanout, grouped codes and join index, and keeps its own
+    `matches_once`."""
 
     def test_synthetic_edges_share(self, small_db):
         assert {e.parent for e in small_db.fk_edges} == {("title", "id")}
@@ -656,72 +672,86 @@ class TestSharedKeySpaces:
         assert len({id(indexes[(e.child, e.parent)]) for e in small_db.fk_edges}) == 1
         assert len({id(indexes[(e.parent, e.child)]) for e in small_db.fk_edges}) == 5
 
-    def test_shared_only_when_equal(self):
-        db = _hand_star()
-        keys = {e.child[0]: db.join_keys(e.child, e.parent) for e in db.fk_edges}
-        assert np.shares_memory(keys["a"][1].codes, keys["b"][1].codes)
-        assert np.shares_memory(keys["a"][1].fanout, keys["b"][1].fanout)
-        assert keys["x"][1].fanout.size == 2 and keys["y"][1].fanout.size == 3001
-        assert not np.shares_memory(keys["x"][1].codes, keys["y"][1].codes)
-        indexes = build_join_indexes(db)
-        parent_side = {e.child[0]: indexes[(e.child, e.parent)] for e in db.fk_edges}
-        assert parent_side["a"] is parent_side["b"]
-        assert parent_side["x"] is not parent_side["y"]
-
     @staticmethod
-    def _assert_keys_as_coded_alone(db):
-        """Every field of every fk edge's keys equals what `code_join_keys`
-        gives on the edge's values."""
+    def _assert_one_space_per_column(db):
+        """Each referenced column and its fk children are coded into one
+        key space: as offsets from their least value when its span is
+        dense for their combined rows, else as ranks among their distinct
+        values. Each key's fanout, max_fanout, identity and base agree
+        with its codes, and every edge holds the parent's one key."""
+        spaces = {}
         for e in db.fk_edges:
-            alone = code_join_keys(db.column_values(*e.child), db.column_values(*e.parent))
-            for got, want in zip(db.join_keys(e.child, e.parent), alone):
-                assert (got.matches_once, got.identity, got.max_fanout, got.base) == (
-                    want.matches_once, want.identity, want.max_fanout, want.base), e.key
-                np.testing.assert_array_equal(got.codes, want.codes)
-                np.testing.assert_array_equal(got.fanout, want.fanout)
-            assert db.join_keys(e.parent, e.child) == db.join_keys(e.child, e.parent)[::-1]
+            spaces.setdefault(e.parent, []).append(e)
+        for ref, edges in spaces.items():
+            values = [db.column_values(*ref)] + [db.column_values(*e.child) for e in edges]
+            every = np.concatenate(values)
+            lo, span = int(every.min()), int(every.max()) - int(every.min()) + 1
+            if _dense_span(span, every.size):
+                base, size, want = lo, span, [v - lo for v in values]
+            else:
+                distinct = np.unique(every)
+                base, size, want = None, distinct.size, [distinct.searchsorted(v) for v in values]
+            parent = db.join_keys(edges[0].child, edges[0].parent)[1]
+            keys = [parent] + [db.join_keys(e.child, e.parent)[0] for e in edges]
+            for key, codes in zip(keys, want):
+                assert key.base == base and key.fanout.size == size
+                np.testing.assert_array_equal(key.codes, codes)
+                np.testing.assert_array_equal(key.fanout, np.bincount(codes, minlength=size))
+                assert key.max_fanout == (key.fanout.max() if size else 0)
+                assert key.identity == (codes.tolist() == list(range(size)))
+            for e in edges:
+                child, other = db.join_keys(e.child, e.parent)
+                assert other.codes is parent.codes and other.fanout is parent.fanout
+                assert other.grouped is parent.grouped
+                assert db.join_keys(e.parent, e.child) == (other, child)
+
+    def test_edges_share_one_space(self, small_db, monkeypatch):
+        # One coding per referenced column: `title.id` for the five
+        # synthetic edges, `p.id` and `s.id` in the hand-built star, whose
+        # span 3001 is dense for s, x and y together.
+        for db in (small_db, _offset_keys(small_db, 1), _offset_keys(small_db, 10**12),
+                   _hand_star(), _hand_star(reverse=True), _sparse_star()):
+            self._assert_one_space_per_column(db)
+        calls, code_space = [], storage._code_space
+        monkeypatch.setattr(
+            storage, "_code_space", lambda *a: calls.append(a) or code_space(*a)
+        )
+        # One call per referenced column, over the rows of it and all of
+        # its children.
+        Database(storage._synthetic_tables(SynthConfig(rows=SMALL_ROWS, rho=0.5), 11))
+        assert [a[2] for a in calls] == [500 + 5 * 800]
+        calls.clear()
+        db = _hand_star()
+        assert [a[2] for a in calls] == [5 + 5 + 6, 2 + 1 + 600]
+        keys = {e.child[0]: db.join_keys(e.child, e.parent) for e in db.fk_edges}
+        assert keys["x"][1].base == 0 and keys["x"][1].fanout.size == 3001
+        assert not keys["x"][1].identity and keys["x"][1].grouped
+        indexes = build_join_indexes(db)
+        for (a, b), ref in (("ab", ("p", "id")), ("xy", ("s", "id"))):
+            assert indexes[((a, "fk"), ref)] is indexes[((b, "fk"), ref)]
 
     def test_sparse_edges_share_when_equal(self):
-        # Sparse codings are compared, not reused: both edges into q.id code
-        # it as [0, 1], so the second edge takes the first's arrays.
-        def child(name, fks):
-            return Table(name, [Column("id", "pk", np.arange(len(fks))),
-                                Column("fk", "fk", fks, ref=("q", "id"))])
-
-        db = Database([Table("q", [Column("id", "pk", [0, 10**6])]),
-                       child("c", [0, 10**6, 0]), child("d", [10**6, 0])])
+        # A sparse key space is coded once too: both edges into q.id take
+        # its one coding, [0, 1], and keep their own matches_once.
+        db = _sparse_star()
         (_, c), (_, d) = (db.join_keys((t, "fk"), ("q", "id")) for t in "cd")
-        assert c.base is d.base is None
+        assert c.base is d.base is None and c.codes.tolist() == [0, 1]
         assert d.codes is c.codes and d.fanout is c.fanout
         assert not c.matches_once and d.matches_once
 
-    def test_per_edge_facts_as_coded_alone(self):
+    def test_matches_once_per_edge(self, small_db):
+        # Every row of the key on one side meets exactly one row of the
+        # other side's column, edge by edge, though the edges into a
+        # column share its key: each p.id meets one row of a but not of b.
+        for db in (small_db, _hand_star(), _sparse_star()):
+            for e in db.fk_edges:
+                child, parent = db.join_keys(e.child, e.parent)
+                cv, pv = db.column_values(*e.child), db.column_values(*e.parent)
+                assert child.matches_once == all(np.count_nonzero(pv == v) == 1 for v in cv)
+                assert parent.matches_once == all(np.count_nonzero(cv == v) == 1 for v in pv)
         db = _hand_star()
-        self._assert_keys_as_coded_alone(db)
-        # The shared parent side still tells the edges apart.
         assert db.join_keys(("a", "fk"), ("p", "id"))[1].matches_once
         assert not db.join_keys(("b", "fk"), ("p", "id"))[1].matches_once
-
-    def test_later_edges_code_only_their_child(self, small_db, monkeypatch):
-        # An edge into a column whose kept key has the edge's dense base and
-        # key space codes only its child; the others go through
-        # `code_join_keys`. Every field is as coded alone either way.
-        self._assert_keys_as_coded_alone(small_db)
-        calls = []
-        monkeypatch.setattr(
-            storage, "code_join_keys",
-            lambda *a: calls.append(a) or code_join_keys(*a),
-        )
-        tables = storage._synthetic_tables(SynthConfig(rows=SMALL_ROWS, rho=0.5), 11)
-        Database(tables)
-        assert len(calls) == 1  # the first of the five edges into title.id
-        calls.clear()
-        db = _hand_star(reverse=True)
-        # y (first into s.id), x (sparse for its rows) and b (first into p.id).
-        assert [a[0].size for a in calls] == [600, 1, 6]
-        self._assert_keys_as_coded_alone(db)
-        assert db.join_keys(("a", "fk"), ("p", "id"))[1].codes is (
-            db.join_keys(("b", "fk"), ("p", "id"))[1].codes)
 
     @pytest.mark.parametrize(
         "text",
@@ -912,9 +942,9 @@ class TestFanoutPrefix:
         # Five edges into `title.id`, an identity key under dense, offset
         # and joint unique coding alike, and two attribute columns of
         # `title`: ten marginals. In the hand-built star, `p.id` is the
-        # identity for `a` and `b`, and `s.id` for `x` (unique codes 0 and
-        # 1) but not for `y` (dense codes 0 and 3000).
-        ("reference", 10), ("offset", 10), ("sparse", 10), ("hand_star", 3),
+        # identity for `a` and `b`; `s.id`, dense codes 0 and 3000 in the
+        # key space it shares with `x` and `y`, is not.
+        ("reference", 10), ("offset", 10), ("sparse", 10), ("hand_star", 2),
     ])
     def test_equal_to_per_value_sums(self, kind, arrays, small_db):
         if kind == "reference":
@@ -1086,17 +1116,71 @@ class TestKeyColumnsHeldOnce:
                 assert key.codes is column.data
                 assert column.data.dtype == column.values.dtype == np.int64
 
-    def test_sparse_edge_keeps_its_arrays(self):
+    def test_sparse_space_keeps_its_arrays(self):
+        # A key space sparse for all of its columns codes by rank: every
+        # column keeps its values, and the keys their own codes.
+        db = _sparse_star()
+        q_id = db.table("q").column("id")
+        for t, values in (("c", [0, 10**6, 0]), ("d", [10**6, 0])):
+            fk = db.table(t).column("fk")
+            assert fk.base is None and fk.data.tolist() == values
+            child, parent = db.join_keys((t, "fk"), ("q", "id"))
+            assert child.base is parent.base is None
+            assert not np.shares_memory(child.codes, fk.data)
+            assert not np.shares_memory(parent.codes, q_id.data)
+        assert q_id.base is None and q_id.values.tolist() == [0, 10**6]
+        # In the hand-built star, x's one row would leave s.id sparse, but
+        # y's rows make its space dense: all three are held as codes, base 0.
         db = _hand_star()
-        x_fk, s_id = db.table("x").column("fk"), db.table("s").column("id")
-        assert x_fk.base is None and x_fk.data.tolist() == [0]
-        child, parent = db.join_keys(("x", "fk"), ("s", "id"))
-        assert child.base is parent.base is None
-        assert not np.shares_memory(child.codes, x_fk.data)
-        assert not np.shares_memory(parent.codes, s_id.data)
-        # The dense edge from y holds s.id as its codes, base 0.
-        assert s_id.base == 0 and db.join_keys(("y", "fk"), ("s", "id"))[1].codes is s_id.data
-        assert s_id.values.tolist() == [0, 3000]
+        s_id = db.table("s").column("id")
+        for t in "xy":
+            child, parent = db.join_keys((t, "fk"), ("s", "id"))
+            assert child.codes is db.table(t).column("fk").data and parent.codes is s_id.data
+        assert s_id.base == 0 and s_id.values.tolist() == [0, 3000]
+
+    @staticmethod
+    def _chain(reverse):
+        """`c.id` 10..13 (a range), `b.x` fk -> `c.id` without the value 10,
+        and `a.bx` fk -> `b.x`: `b.x` is a child in c.id's key space, base
+        10, and the parent of its own, base 11. `reverse` lists the tables
+        as a, b, c, so b.x's own space is coded first."""
+        tables = [
+            Table("c", [Column("id", "pk", [10, 11, 12, 13]), Column("k", "attr", [1, 2, 1, 2])]),
+            Table("b", [Column("id", "pk", np.arange(6)),
+                        Column("x", "fk", [11, 13, 11, 12, 13, 13], ref=("c", "id")),
+                        Column("v", "attr", [0, 1, 1, 0, 2, 1])]),
+            Table("a", [Column("id", "pk", np.arange(7)),
+                        Column("bx", "fk", [13, 11, 11, 12, 13, 12, 11], ref=("b", "x")),
+                        Column("w", "attr", [1, 2, 3, 1, 2, 3, 1])]),
+        ]
+        return Database(tables[::-1] if reverse else tables)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["c_first", "a_first"])
+    def test_column_in_two_spaces(self, reverse):
+        # b.x is held as the codes of the space coded first; its key in the
+        # other space, of another base, keeps its own codes.
+        db = self._chain(reverse)
+        b_x = db.table("b").column("x")
+        child, _ = db.join_keys(("b", "x"), ("c", "id"))
+        parent, _ = db.join_keys(("b", "x"), ("a", "bx"))
+        assert (child.base, parent.base) == (10, 11)
+        held, other = (parent, child) if reverse else (child, parent)
+        assert b_x.base == held.base and b_x.data is held.codes
+        assert not np.shares_memory(other.codes, b_x.data)
+        assert b_x.values.tolist() == [11, 13, 11, 12, 13, 13]
+        indexes = build_join_indexes(db)
+        assert indexes[(("c", "id"), ("b", "x"))] is not indexes[(("a", "bx"), ("b", "x"))]
+        samples = {name: draw_sample(db.table(name), db.table(name).row_count, seed=0)
+                   for name in db.table_names()}
+        for text in ("a a,b b,c c#a.bx=b.x,b.x=c.id#",
+                     "a a,b b,c c#a.bx=b.x,b.x=c.id#c.k,=,1",
+                     "a a,b b,c c#a.bx=b.x,b.x=c.id#a.w,<,3,b.v,>,0",
+                     "b b,c c#b.x=c.id#b.v,=,1",
+                     "a a,b b#a.bx=b.x#a.w,>,1"):
+            spec, _ = parse_query(text)
+            assert true_cardinality(db, spec) == nested_loop_count(db, spec) > 0, text
+            want, path = loop_ibjs_estimate(db, samples, spec)
+            assert path == "walk" and ibjs_estimate(db, samples, indexes, spec) == want, text
 
     def test_values_samples_and_files_as_stored(self, tmp_path, small_db):
         # Digests recorded while every column was stored as its values.
@@ -1285,8 +1369,9 @@ class TestTableInvariants:
 
     @pytest.mark.parametrize("bad", [0, 3, 9], ids=["below", "hole", "above"])
     def test_integrity_enforced_on_later_edges(self, bad):
-        # The second edge into p.id codes only its child when its span
-        # matches the first edge's; a key outside the parent's ids still fails.
+        # Every child of p.id is coded in its key space, which spans the
+        # children's values too; a key outside the parent's ids still fails,
+        # on the edge that holds it.
         def child(name, fks):
             return Table(name, [Column("id", "pk", np.arange(len(fks))),
                                 Column("pid", "fk", fks, ref=("p", "id"))])
