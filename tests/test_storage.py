@@ -705,30 +705,47 @@ class TestSharedKeySpaces:
                 assert other.grouped is parent.grouped
                 assert db.join_keys(e.parent, e.child) == (other, child)
 
-    def test_edges_share_one_space(self, small_db, monkeypatch):
+    def test_edges_share_one_space(self, small_db):
         # One coding per referenced column: `title.id` for the five
         # synthetic edges, `p.id` and `s.id` in the hand-built star, whose
         # span 3001 is dense for s, x and y together.
         for db in (small_db, _offset_keys(small_db, 1), _offset_keys(small_db, 10**12),
                    _hand_star(), _hand_star(reverse=True), _sparse_star()):
             self._assert_one_space_per_column(db)
+
+    def test_shared_only_when_equal(self):
+        # Edges share keys and join indexes exactly when they reference
+        # the same column: a and b share p.id's, x and y share s.id's,
+        # and the two key spaces share nothing.
+        db = _hand_star()
+        keys = {e.child[0]: db.join_keys(e.child, e.parent) for e in db.fk_edges}
+        for a, b in ("ab", "xy"):
+            assert keys[a][1].codes is keys[b][1].codes
+            assert keys[a][1].fanout is keys[b][1].fanout
+        assert not np.shares_memory(keys["a"][1].codes, keys["x"][1].codes)
+        assert not np.shares_memory(keys["a"][1].fanout, keys["x"][1].fanout)
+        assert keys["x"][1].base == 0 and keys["x"][1].fanout.size == 3001
+        assert not keys["x"][1].identity and keys["x"][1].grouped
+        indexes = build_join_indexes(db)
+        parent_side = {e.child[0]: indexes[(e.child, e.parent)] for e in db.fk_edges}
+        assert parent_side["a"] is parent_side["b"]
+        assert parent_side["x"] is parent_side["y"]
+        assert parent_side["a"] is not parent_side["x"]
+
+    def test_later_edges_code_only_their_child(self, monkeypatch):
+        # A later edge into a column makes no coder call of its own: its
+        # child's rows are coded in the column's one call, over the rows
+        # of the column and all of its children, in either table order.
         calls, code_space = [], storage._code_space
         monkeypatch.setattr(
             storage, "_code_space", lambda *a: calls.append(a) or code_space(*a)
         )
-        # One call per referenced column, over the rows of it and all of
-        # its children.
         Database(storage._synthetic_tables(SynthConfig(rows=SMALL_ROWS, rho=0.5), 11))
         assert [a[2] for a in calls] == [500 + 5 * 800]
-        calls.clear()
-        db = _hand_star()
-        assert [a[2] for a in calls] == [5 + 5 + 6, 2 + 1 + 600]
-        keys = {e.child[0]: db.join_keys(e.child, e.parent) for e in db.fk_edges}
-        assert keys["x"][1].base == 0 and keys["x"][1].fanout.size == 3001
-        assert not keys["x"][1].identity and keys["x"][1].grouped
-        indexes = build_join_indexes(db)
-        for (a, b), ref in (("ab", ("p", "id")), ("xy", ("s", "id"))):
-            assert indexes[((a, "fk"), ref)] is indexes[((b, "fk"), ref)]
+        for reverse in (False, True):
+            calls.clear()
+            _hand_star(reverse=reverse)
+            assert sorted(a[2] for a in calls) == [5 + 5 + 6, 2 + 1 + 600]
 
     def test_sparse_edges_share_when_equal(self):
         # A sparse key space is coded once too: both edges into q.id take
