@@ -11,6 +11,20 @@ ln c_min) using the training-corpus extremes.
 All dictionaries live in a frozen EncodingCatalog so training and serving
 featurize byte-for-byte identically; the catalog serializes to a versioned
 JSON document with sorted keys.
+
+One query featurizes to element matrices (`featurize`) and a list of them
+to one zero-padded `FeaturizedBatch` (`batch`). A labeled corpus is held
+packed instead (`featurize_labeled`, `PackedCorpus`): per query, the
+indices of its elements' rows in flat arrays of one-hot positions, sample
+bits (`np.packbits` bytes in `bitmap` mode, the qualifying fraction in
+`count` mode) and normalized literals: 1.2 MB where the padded float64
+arrays of the 8,797-query reference corpus take 29.5 MB. Slicing it
+selects query ids; reading a batch attribute unpacks the selected queries
+into the padded arrays `batch` would build for the whole corpus and slice,
+the same bytes. So every minibatch pads each set to the corpus-wide
+longest set, as a slice of the padded corpus did: the padded length sets
+how BLAS rounds the padded products of `mscn`'s backward pass, so it keeps
+trained models the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -255,6 +270,37 @@ def _resolve_join_key(spec, join, catalog) -> int:
     raise ValidationError(f"join {join} not present in catalog")
 
 
+def _table_code(ref, catalog) -> int:
+    """Table one-hot position."""
+    if ref.table not in catalog.table_index:
+        raise ValidationError(f"table {ref.table!r} not present in catalog")
+    return catalog.table_index[ref.table]
+
+
+def _sample_bitmap(query: LabeledQuery, alias: str, catalog) -> np.ndarray:
+    """The alias's sample bitmap, which must have the catalog's sample size."""
+    bitmap = query.bitmaps.get(alias)
+    if bitmap is None:
+        raise ValidationError(f"missing sample bitmap for alias {alias!r}")
+    if bitmap.size != catalog.sample_size:
+        raise ValidationError(
+            f"bitmap for {alias!r} has {bitmap.size} bits,"
+            f" catalog expects {catalog.sample_size}"
+        )
+    return bitmap
+
+
+def _predicate_code(spec, p, catalog) -> tuple[int, float]:
+    """Column one-hot position, and the literal normalized by the column's
+    bounds and clamped into [0, 1] (0.5 for a single-valued column)."""
+    qc = f"{spec.table_of(p.alias)}.{p.column}"
+    if qc not in catalog.column_index:
+        raise ValidationError(f"column {qc!r} not present in catalog")
+    lo, hi = catalog.column_bounds[qc]
+    norm = (p.literal - lo) / (hi - lo) if hi > lo else 0.5
+    return catalog.column_index[qc], min(max(norm, 0.0), 1.0)
+
+
 def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
     """Vector sets for one query. Requires per-table bitmaps when the
     catalog's sample mode is `count` or `bitmap`."""
@@ -262,23 +308,14 @@ def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
     n_tab = len(catalog.table_index)
     table_elems = np.zeros((len(spec.tables), catalog.table_width))
     for i, ref in enumerate(spec.tables):
-        if ref.table not in catalog.table_index:
-            raise ValidationError(f"table {ref.table!r} not present in catalog")
-        table_elems[i, catalog.table_index[ref.table]] = 1.0
+        table_elems[i, _table_code(ref, catalog)] = 1.0
         if catalog.sample_mode == "none":
             continue
-        bitmap = query.bitmaps.get(ref.alias)
-        if bitmap is None:
-            raise ValidationError(f"missing sample bitmap for alias {ref.alias!r}")
-        if bitmap.size != catalog.sample_size:
-            raise ValidationError(
-                f"bitmap for {ref.alias!r} has {bitmap.size} bits,"
-                f" catalog expects {catalog.sample_size}"
-            )
+        bitmap = _sample_bitmap(query, ref.alias, catalog)
         if catalog.sample_mode == "count":
             table_elems[i, n_tab] = bitmap.sum() / catalog.sample_size
         else:
-            table_elems[i, n_tab:] = bitmap.astype(np.float64)
+            table_elems[i, n_tab:] = bitmap
 
     join_elems = np.zeros((max(len(spec.joins), 1), catalog.join_width))
     for i, join in enumerate(spec.joins):
@@ -287,17 +324,10 @@ def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
     n_col = len(catalog.column_index)
     pred_elems = np.zeros((max(len(spec.predicates), 1), catalog.pred_width))
     for i, p in enumerate(spec.predicates):
-        qc = f"{spec.table_of(p.alias)}.{p.column}"
-        if qc not in catalog.column_index:
-            raise ValidationError(f"column {qc!r} not present in catalog")
-        pred_elems[i, catalog.column_index[qc]] = 1.0
+        column, literal = _predicate_code(spec, p, catalog)
+        pred_elems[i, column] = 1.0
         pred_elems[i, n_col + OP_INDEX[p.op]] = 1.0
-        lo, hi = catalog.column_bounds[qc]
-        if hi > lo:
-            norm = (p.literal - lo) / (hi - lo)
-        else:
-            norm = 0.5
-        pred_elems[i, -1] = min(max(norm, 0.0), 1.0)
+        pred_elems[i, -1] = literal
 
     label = None
     if query.true_cardinality is not None:
@@ -331,9 +361,194 @@ def batch(queries: list[FeaturizedQuery]) -> FeaturizedBatch:
     return FeaturizedBatch(*arrays, labels_norm=labels, cardinalities=cards)
 
 
+@dataclass(eq=False)
+class _PackedSet:
+    """One set kind of a packed corpus. Row r unpacks to row codes[r] of
+    `patterns`, its 0/1 one-hot columns, with its entry of `values` at
+    column `at` or its `bits` unpacked from column `at` on. The last row
+    of `patterns` is zero; its code marks the placeholder row of an empty
+    join or predicate set. `slots[q]` lists the rows of query q's elements,
+    then, up to the corpus-wide longest set (module docstring), the row
+    past the last, which is all zero (its code is the zero pattern's) and
+    pads."""
+
+    slots: np.ndarray  # (n_queries, longest set) int32
+    patterns: np.ndarray  # (n_patterns + 1, width) float64, uint8 with `bits`
+    codes: np.ndarray  # (rows + 1,) int32 rows of `patterns`
+    at: int = 0
+    values: np.ndarray | None = None  # (rows + 1,) float64
+    bits: np.ndarray | None = None  # (rows + 1, ceil(n_bits / 8)) uint8, np.packbits
+    n_bits: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.slots, self.patterns, self.codes, self.values, self.bits)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def unpack(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Padded features (len(ids), longest set, width) and 0/1 mask of
+        the queries `ids`."""
+        slots = np.take(self.slots, ids, axis=0)
+        src = slots.ravel()
+        feats = np.take(self.patterns, np.take(self.codes, src), axis=0)
+        if self.bits is not None:
+            # Set as bytes and cast once, which is faster than writing the
+            # bits into float64 (`patterns` are bytes here).
+            feats[:, self.at :] = np.unpackbits(
+                np.take(self.bits, src, axis=0), axis=1, count=self.n_bits
+            )
+            feats = feats.astype(np.float64)
+        if self.values is not None:
+            feats[:, self.at] = np.take(self.values, src)
+        mask = (slots < self.codes.size - 1).astype(np.float64)  # not padding
+        return feats.reshape(*slots.shape, self.patterns.shape[1]), mask
+
+
+def _slots(start: list[int]) -> np.ndarray:
+    """The `_PackedSet.slots` of sets stored one after the other, set q in
+    rows start[q]:start[q + 1]."""
+    start = np.array(start, dtype=np.int32)
+    count = np.diff(start)
+    rank = np.arange(count.max(), dtype=np.int32)
+    return np.where(rank < count[:, None], start[:-1, None] + rank, start[-1])
+
+
+def _patterns(width: int, columns: list[tuple[int, ...]], dtype=np.float64) -> np.ndarray:
+    """One 0/1 row of `width` per entry of `columns`, with 1 at its
+    columns, and a zero row."""
+    patterns = np.zeros((len(columns) + 1, width), dtype=dtype)
+    for i, cols in enumerate(columns):
+        patterns[i, list(cols)] = 1
+    return patterns
+
+
+class PackedCorpus:
+    """A featurized corpus held packed (module docstring), selecting the
+    queries `ids` of it.
+
+    `len` and `slice` never unpack, and `slice` copies no rows. The eight
+    `FeaturizedBatch` attributes are built on first read and then kept on
+    the object; they equal those of `batch` over every query's `featurize`,
+    sliced at `ids`, byte for byte."""
+
+    def __init__(
+        self,
+        sets: tuple[_PackedSet, _PackedSet, _PackedSet],
+        labels_norm: np.ndarray | None,
+        cardinalities: np.ndarray | None,
+        ids: np.ndarray,
+    ):
+        self._sets = sets  # tables, joins, predicates
+        self._labels = labels_norm
+        self._cards = cardinalities
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def slice(self, idx: np.ndarray | slice) -> "PackedCorpus":
+        return PackedCorpus(self._sets, self._labels, self._cards, self.ids[idx])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the whole corpus's rows, labels and counts, and the
+        ids; not the padded arrays built on read."""
+        arrays = (self._labels, self._cards, self.ids)
+        return sum(s.nbytes for s in self._sets) + sum(
+            a.nbytes for a in arrays if a is not None
+        )
+
+    # Each attribute can be set like a plain one, as on `FeaturizedBatch`.
+    _tables = cached_property(lambda self: self._sets[0].unpack(self.ids))
+    _joins = cached_property(lambda self: self._sets[1].unpack(self.ids))
+    _preds = cached_property(lambda self: self._sets[2].unpack(self.ids))
+    table_feats = cached_property(lambda self: self._tables[0])
+    table_mask = cached_property(lambda self: self._tables[1])
+    join_feats = cached_property(lambda self: self._joins[0])
+    join_mask = cached_property(lambda self: self._joins[1])
+    pred_feats = cached_property(lambda self: self._preds[0])
+    pred_mask = cached_property(lambda self: self._preds[1])
+    labels_norm = cached_property(
+        lambda self: None if self._labels is None else self._labels[self.ids]
+    )
+    cardinalities = cached_property(
+        lambda self: None if self._cards is None else self._cards[self.ids]
+    )
+
+
+#: Either form of a featurized batch that `mscn` trains and predicts on.
+Batch = FeaturizedBatch | PackedCorpus
+
+
 def featurize_labeled(
     queries: list[LabeledQuery], catalog: EncodingCatalog
-) -> FeaturizedBatch:
-    """One padded batch for a whole labeled corpus."""
-    return batch([featurize(q, catalog) for q in queries])
-
+) -> PackedCorpus:
+    """The packed corpus of the queries: what `batch` of their `featurize`
+    holds, as indices and packed bits, with no per-query matrix built."""
+    if not queries:
+        raise ValueError("cannot batch zero queries")
+    mode, n_tab = catalog.sample_mode, len(catalog.table_index)
+    n_join, n_col, n_op = len(catalog.join_index), len(catalog.column_index), len(OP_INDEX)
+    tables, bitmaps, joins, preds, literals = [], [], [], [], []
+    starts = ([0], [0], [0])
+    for q in queries:
+        spec = q.spec
+        for ref in spec.tables:
+            tables.append(_table_code(ref, catalog))
+            if mode != "none":
+                bitmaps.append(_sample_bitmap(q, ref.alias, catalog))
+        joins += [_resolve_join_key(spec, j, catalog) for j in spec.joins] or [n_join]
+        for p in spec.predicates:
+            column, literal = _predicate_code(spec, p, catalog)
+            # The pattern of (column, operator), in the order built below.
+            preds.append(column * n_op + OP_INDEX[p.op])
+            literals.append(literal)
+        if not spec.predicates:
+            preds.append(n_col * n_op)
+            literals.append(0.0)
+        for start, rows in zip(starts, (tables, joins, preds)):
+            start.append(len(rows))
+    fractions = bits = None
+    if mode == "count":
+        fractions = np.array([b.sum() / catalog.sample_size for b in bitmaps] + [0.0])
+    elif mode == "bitmap":
+        bits = np.zeros((len(bitmaps) + 1, (catalog.sample_size + 7) // 8), dtype=np.uint8)
+        for i, bitmap in enumerate(bitmaps):
+            bits[i] = np.packbits(bitmap)
+    sets = (
+        _PackedSet(
+            _slots(starts[0]),
+            _patterns(
+                catalog.table_width,
+                [(t,) for t in range(n_tab)],
+                np.uint8 if mode == "bitmap" else np.float64,
+            ),
+            np.array(tables + [n_tab], dtype=np.int32),
+            n_tab,
+            fractions,
+            bits,
+            catalog.sample_size,
+        ),
+        _PackedSet(
+            _slots(starts[1]),
+            _patterns(catalog.join_width, [(j,) for j in range(n_join)]),
+            np.array(joins + [n_join], dtype=np.int32),
+        ),
+        _PackedSet(
+            _slots(starts[2]),
+            _patterns(
+                catalog.pred_width,
+                [(c, n_col + o) for c in range(n_col) for o in range(n_op)],
+            ),
+            np.array(preds + [n_col * n_op], dtype=np.int32),
+            catalog.pred_width - 1,
+            np.array(literals + [0.0]),
+        ),
+    )
+    cards = [q.true_cardinality for q in queries]
+    labels = [None if c is None else normalize_label(c, catalog) for c in cards]
+    if None in labels:
+        return PackedCorpus(sets, None, None, np.arange(len(queries)))
+    return PackedCorpus(
+        sets, np.array(labels), np.array(cards, dtype=np.float64), np.arange(len(queries))
+    )

@@ -463,16 +463,6 @@ class JoinKey:
     cubes: dict[str, Cube] = field(default_factory=dict)
 
 
-def code_join_keys(left: np.ndarray, right: np.ndarray) -> tuple[JoinKey, JoinKey]:
-    """Code two join columns into one key space (`_code_space`), each key's
-    `matches_once` read against the other."""
-    arrays = (left, right)
-    codes, size, base = _code_space(
-        arrays, [(int(a.min()), int(a.max())) for a in arrays if a.size], left.size + right.size
-    )
-    return _matched(*(_join_key(c, size, base) for c in codes))
-
-
 def _code_space(
     values: Iterable[np.ndarray], bounds: list[tuple[int, int]], rows: int
 ) -> tuple[Iterator[np.ndarray], int, int | None]:

@@ -1,7 +1,8 @@
 """Shared test utilities: the finite-difference gradient check and its
 point selection, the independent nested-loop join oracle, the
-per-probe-value IBJS loop, the dense MSCN kernel that runs every padded
-set element, the sign-split sigmoid, and a reader of report CSVs."""
+per-probe-value IBJS loop, the two-column join-key coding, the dense MSCN
+kernel that runs every padded set element, the sign-split sigmoid, and a
+reader of report CSVs."""
 
 import csv
 from pathlib import Path
@@ -27,8 +28,21 @@ from cardlab.neural import (
     mlp2_backward,
     mlp2_forward,
 )
+from cardlab.storage import _code_space, _join_key, _matched
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
+
+
+def code_join_keys(left, right):
+    """Code two join columns into one key space (`storage._code_space`),
+    each key's `matches_once` read against the other: the two-column form
+    of the coding `Database` gives each referenced column and its fk
+    children."""
+    arrays = (left, right)
+    codes, size, base = _code_space(
+        arrays, [(int(a.min()), int(a.max())) for a in arrays if a.size], left.size + right.size
+    )
+    return _matched(*(_join_key(c, size, base) for c in codes))
 
 
 def nested_loop_count(db, spec):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import nested_loop_count
+from helpers import code_join_keys, nested_loop_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +50,6 @@ from cardlab.storage import (
     Table,
     DEFAULT_SAMPLE_SIZE,
     build_join_indexes,
-    code_join_keys,
     draw_all_samples,
     generate_synthetic_db,
 )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cardlab.errors import ValidationError
-from cardlab.executor import label_workload
+from cardlab.executor import label_workload, query_bitmaps
 from cardlab.featurizer import (
+    SAMPLE_MODES,
     EncodingCatalog,
     batch,
     build_catalog,
@@ -249,6 +250,102 @@ class TestBatch:
             np.testing.assert_array_equal(
                 b.cardinalities, [q.true_cardinality for q in corpus]
             )
-        unlabeled = batch([featurize(LabeledQuery(q.spec, None, q.bitmaps), catalog)
-                           for q in corpus[:3]])
-        assert unlabeled.labels_norm is None and unlabeled.cardinalities is None
+        unlabeled = [LabeledQuery(q.spec, None, q.bitmaps) for q in corpus[:3]]
+        for b in (
+            featurize_labeled(unlabeled, catalog),
+            batch([featurize(q, catalog) for q in unlabeled]),
+        ):
+            assert b.labels_norm is None and b.cardinalities is None
+
+
+_BATCH_ATTRS = (
+    "table_feats", "table_mask", "join_feats", "join_mask",
+    "pred_feats", "pred_mask", "labels_norm", "cardinalities",
+)
+
+
+class TestPackedCorpus:
+    """`featurize_labeled` holds the corpus as indices and packed bits; each
+    selection unpacks to the bytes of the padded corpus sliced the same way."""
+
+    @pytest.fixture(scope="class")
+    def packed_and_padded(self, db, corpus):
+        cards = [q.true_cardinality for q in corpus]
+        out = {}
+        for mode in SAMPLE_MODES:
+            cat = build_catalog(db, cards, S, mode)
+            out[mode] = (
+                featurize_labeled(corpus, cat),
+                batch([featurize(q, cat) for q in corpus]),
+            )
+        return out
+
+    @staticmethod
+    def _assert_same_bytes(packed, padded):
+        for attr in _BATCH_ATTRS:
+            got, want = getattr(packed, attr), getattr(padded, attr)
+            assert got.shape == want.shape and got.dtype == want.dtype, attr
+            assert got.tobytes() == want.tobytes(), attr
+
+    @pytest.mark.parametrize("mode", SAMPLE_MODES)
+    def test_selections_unpack_to_padded_bytes(self, packed_and_padded, mode):
+        packed, padded = packed_and_padded[mode]
+        n = len(padded)
+        perm = np.random.default_rng(9).permutation(n)
+        for idx in (np.arange(n), perm[:37], slice(10, 60), np.arange(0), slice(4, 4)):
+            self._assert_same_bytes(packed.slice(idx), padded.slice(idx))
+        # A slice of a slice selects from the first selection.
+        self._assert_same_bytes(
+            packed.slice(perm).slice(slice(5, 20)), padded.slice(perm[5:20])
+        )
+
+    @pytest.mark.parametrize("mode", SAMPLE_MODES)
+    def test_minibatch_pads_to_corpus_longest_set(self, packed_and_padded, mode):
+        packed, padded = packed_and_padded[mode]
+        short = np.flatnonzero(padded.pred_mask.sum(axis=1) == 1)[:8]
+        assert short.size and padded.pred_feats.shape[1] > 1
+        mb = packed.slice(short)
+        assert mb.pred_feats.shape[1] == padded.pred_feats.shape[1]
+        assert not mb.pred_mask[:, 1:].any()
+        self._assert_same_bytes(mb, padded.slice(short))
+
+    @pytest.mark.parametrize("mode", SAMPLE_MODES)
+    def test_zero_join_and_zero_predicate_queries(self, db, samples, mode):
+        texts = (
+            "title t###",
+            "title t##t.production_year,>,2000#",
+            "title t,movie_companies mc#mc.movie_id=t.id##",
+            "title t,movie_companies mc#mc.movie_id=t.id#t.kind_id,=,1,mc.company_type_id,<,2#",
+        )
+        queries = []
+        for i, text in enumerate(texts):
+            spec, _ = parse_query(text)
+            queries.append(LabeledQuery(spec, 5 + i, query_bitmaps(spec, samples)))
+        cat = build_catalog(db, [5, 8], S, mode)
+        packed = featurize_labeled(queries, cat)
+        padded = batch([featurize(q, cat) for q in queries])
+        # Empty sets hold one all-zero placeholder element.
+        assert padded.join_mask[0].tolist() == [1.0] and not padded.join_feats[0].any()
+        assert padded.pred_mask[0].tolist() == [1.0, 0.0] and not padded.pred_feats[0].any()
+        self._assert_same_bytes(packed.slice(np.arange(len(queries))), padded)
+        repeat = np.array([0, 0, 2])
+        self._assert_same_bytes(packed.slice(repeat), padded.slice(repeat))
+
+    def test_slice_and_len_do_not_unpack(self, packed_and_padded):
+        packed, _ = packed_and_padded["bitmap"]
+        mb = packed.slice(np.arange(5))
+        assert len(mb) == 5
+        assert not {"_tables", "_joins", "_preds"} & vars(mb).keys()
+        assert mb.table_feats is mb.table_feats  # kept after the first read
+
+    def test_held_bytes_a_tenth_of_padded(self, packed_and_padded):
+        packed, padded = packed_and_padded["bitmap"]
+        padded_bytes = sum(getattr(padded, attr).nbytes for attr in _BATCH_ATTRS)
+        assert packed.nbytes <= padded_bytes / 10
+
+    def test_errors_match_featurize(self, db, catalog):
+        spec, _ = parse_query("title t###")
+        with pytest.raises(ValidationError, match="missing sample bitmap"):
+            featurize_labeled([LabeledQuery(spec, 3, {})], catalog)
+        with pytest.raises(ValueError, match="zero queries"):
+            featurize_labeled([], catalog)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import loop_ibjs_estimate, nested_loop_count
+from helpers import code_join_keys, loop_ibjs_estimate, nested_loop_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -24,7 +24,6 @@ from cardlab.storage import (
     Table,
     TableSchema,
     build_join_indexes,
-    code_join_keys,
     distinct_count,
     draw_sample,
     generate_synthetic_db,
@@ -1231,7 +1230,7 @@ class TestKeyColumnsHeldOnce:
                     want.base, want.matches_once, want.identity, want.max_fanout)
 
     def test_build_peak_budget(self):
-        # tracemalloc peak of building the reference database: 28.7 MiB, in
+        # tracemalloc peak of building the reference database: 29.34 MiB, in
         # join coding and grouping (the generator's is 25.2 MiB, 1 MiB of it
         # the guide table of the parent draws; 24.2 MiB without it), with the
         # child ids held as ranges and the grouped codes gathered in chunks
