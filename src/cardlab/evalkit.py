@@ -21,7 +21,7 @@ from .baselines import ibjs_estimate, rs_estimate
 from .featurizer import Batch, EncodingCatalog
 from .mscn import Hyperparams, MscnModel, predict_labeled, train
 from .query import LabeledQuery
-from .storage import Database, build_join_indexes
+from .storage import Database, build_join_indexes, is_int
 
 logger = logging.getLogger(__name__)
 
@@ -178,7 +178,7 @@ def grid_search(
         if not (
             isinstance(values, list)
             and values
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values)
+            and all(is_int(v) and v >= 1 for v in values)
         ):
             raise ValueError(f"grid space needs a nonempty {key!r} list of positive integers")
     if repeats < 1:

@@ -2,8 +2,9 @@
 evaluation over materialized samples, and the labeled-corpus file formats.
 
 Cardinalities are exact bag-semantics counts of the join+filter result.
-Each alias's predicates first select its rows (`select_rows`, or
-`select` at the root). Every attribute column carries a value index
+Each alias's predicates first select its rows (`select`), every alias
+before any count, so that a query with an alias that selects no row
+counts 0 at once. Every attribute column carries a value index
 (`storage.ValueIndex`: the sorted keys of its code space over a
 `storage.Groups` of its rows grouped by key), so each predicate's range
 of rows is known from offsets alone (sorted projections, as in
@@ -21,11 +22,11 @@ meets any other. A selection takes one of three forms:
   ids are slices of the index, and so are their codes on any join key:
   `storage.Database` keeps each non-identity key's codes permuted into
   each attribute column's value-index row order (`JoinKey.grouped`);
-- at the root (chosen before selecting, see below), several predicates
-  on the columns of one cube select a box of value groups (`Box`): one
-  run per column, the runs of predicates on one column intersected. Its
-  row count is read from the cube with at most 2**k reads, and its rows
-  are listed only when the root must gather, as below;
+- several predicates on the columns of one cube select a box of value
+  groups (`Box`): one run per column, the runs of predicates on one
+  column intersected. Its row count is read from the cube with at most
+  2**k reads, and its rows are listed only when the alias sends sums or
+  the root must gather, as below;
 - otherwise several predicates select such runs too, listed at once:
   the row ids of the narrowest run when it holds at most a quarter of
   the table, with the predicates on other columns checked at those rows
@@ -46,6 +47,7 @@ the alias with the most joins, the largest among those.
   gather. An inner alias weights the kept rows of its range, or scans its
   predicate into a mask when it excludes. An alias that sends through an
   identity key scans its predicate into a mask, which is its sums there.
+  An alias with a box lists its rows to send its sums.
 - The root sends no sums and gathers its children's sums only at its
   selected rows (row ids, slices, or `np.compress` of its codes by its
   mask), so its other rows are neither gathered nor multiplied. A root
@@ -70,8 +72,8 @@ gather back, as row ids are their own codes, and weights on every row are
 their own sums; selected rows scatter their weights to their row ids
 (boolean sums without weights), cheaper than a bincount. On any other key,
 selected rows and a boolean mask are counted by an integer `np.bincount`
-of the codes they select, and integer weights by a float64
-`np.bincount`, or `np.add.at` once the sums could pass 2**53.
+of the codes they select, and integer weights by `storage.exact_sums`: a
+float64 `np.bincount`, or `np.add.at` once the sums could pass 2**53.
 Masks, row ids, fanouts and key codes are handed on without copies and
 never written in place. Each weight vector carries an upper bound built
 from cached fanout maxima, so a count that could leave the int64 range
@@ -88,7 +90,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .query import LabeledQuery, Predicate, QuerySpec, format_query, read_workload, write_workload
-from .storage import _FLOAT_EXACT_LIMIT, Column, Database, JoinKey, MaterializedSample, Table
+from .storage import Column, Database, JoinKey, MaterializedSample, Table, exact_sums
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
@@ -129,8 +131,8 @@ class IndexRange:
     the rows at positions [start, stop) of `index.groups.rows`, one run of
     values, those of the groups [group_start, group_stop). When
     `excluded`, the selection is read as the rows around the run, which
-    the predicate leaves out (`select_rows` excludes when fewer are left
-    out than kept). Those rows' ids, and their codes on any join
+    the predicate leaves out (`select` excludes when fewer are left out
+    than kept). Those rows' ids, and their codes on any join
     key with grouped codes (`storage.JoinKey`), are slices: the run, or
     the one or two around it. Never modified (not frozen, which would
     cost a microsecond per selection)."""
@@ -163,7 +165,7 @@ class IndexRange:
 
     def mask(self) -> np.ndarray:
         """The same selection, as the boolean mask of a scan."""
-        return _OPS[self.predicate.op](self.column.values, self.predicate.literal)
+        return predicate_mask(lambda _: self.column.values, (self.predicate,))
 
     def slice(self, grouped: np.ndarray) -> np.ndarray:
         """`grouped`, one entry per row in value-index order, at the run's
@@ -200,8 +202,8 @@ class Box:
     size: int
 
     def rows(self) -> np.ndarray:
-        """The same selection as row ids or a mask, as `select_rows` lists
-        it (`_rows_in`)."""
+        """The same selection as row ids or a mask, as `_rows_in` lists
+        it."""
         return _rows_in(self.table, self.predicates, self.spans)
 
 
@@ -244,12 +246,7 @@ def key_sums(
     bound *= key.max_fanout
     if weights is None:
         return np.bincount(codes, minlength=key.fanout.size), bound
-    if bound < _FLOAT_EXACT_LIMIT:
-        sums = np.bincount(codes, weights=weights, minlength=key.fanout.size)
-        return sums.astype(np.int64), bound
-    sums = np.zeros(key.fanout.size, dtype=np.int64)
-    np.add.at(sums, codes, weights)
-    return sums, bound
+    return exact_sums(codes, weights, key.fanout.size, bound), bound
 
 
 def _is_mask(sel) -> bool:
@@ -296,9 +293,10 @@ def _sums_up(
 ) -> tuple[np.ndarray, int] | None:
     """The result counts of an alias's subtree summed per code of `up`,
     its join key to its parent (`own` on the parent's side), and their
-    bound (`key_sums`): its selected rows `rows` (see `select_rows`)
-    weighted by its children's factors `kids`, whose product `bound`
-    caps. Row ids and an index range stay the rows; a mask is a boolean
+    bound (`key_sums`): its selection `rows` (see `select`) weighted by
+    its children's factors `kids`, whose product `bound` caps. A box
+    lists its rows here (`Box.rows`), as only an alias that sends sums
+    must. Row ids and an index range stay the rows; a mask is a boolean
     weight on every row. An index range becomes a scanned mask when its
     excluded rows are weighted, and when it sends through an identity
     key: there, a mask on every row is its own sums, where the range's
@@ -306,6 +304,8 @@ def _sums_up(
     10 us, a scatter of 10k rows about 50 us). None when an unfiltered
     leaf meets exactly one row of each parent row. A function of its
     own, so that the weights die before the parent's product is formed."""
+    if isinstance(rows, Box):
+        rows = rows.rows()
     if isinstance(rows, IndexRange) and (up.identity or (kids and rows.excluded)):
         rows = rows.mask()
     if _is_mask(rows):
@@ -322,8 +322,7 @@ def _count_from(
 ) -> int:
     """Exact count of the join tree rooted at `root`, of whose rows
     `selected` pass its predicates; the same from any root. `sels` maps
-    the root to its selection by `select`, and every other alias to its
-    selection by `select_rows`.
+    every alias to its selection by `select`.
 
     The root sends no sums: it multiplies its children's sums gathered at
     its selected rows only. An index range or a box whose only factor is
@@ -378,17 +377,24 @@ def _count_from(
     return _total(_product(factors, sel))
 
 
-def select_rows(table: Table, predicates):
+def select(db: Database, table: Table, predicates):
     """The rows of `table` passing the conjunction `predicates`, each on an
     attribute column: None for no predicate. A single predicate selects
     its value-index range as an `IndexRange`, excluded when it keeps more
     than half the rows. Several predicates select their runs of value
-    groups, one per column (`_spans`), as `_rows_in` lists them. Raises
-    ValidationError for a predicate on a key column."""
+    groups, one per column (`_spans`): a `Box` when they all fall on the
+    columns of one of the table's cubes (`Database.cubes`), and otherwise
+    the rows `_rows_in` lists. Raises ValidationError for a predicate on a
+    key column."""
     if not predicates:
         return None
     if len(predicates) > 1:
-        return _rows_in(table, predicates, _spans(table, predicates))
+        spans = _spans(table, predicates)
+        cubes = db.cubes[table.name]
+        cube = cubes.get(predicates[0].column)
+        if cube is not None and all(cubes.get(p.column) is cube for p in predicates):
+            return Box(table, predicates, spans, cube.count(spans))
+        return _rows_in(table, predicates, spans)
     (p,) = predicates
     first, last = _group_span(table, p)
     column = table.column(p.column)
@@ -437,27 +443,12 @@ def _rows_in(table: Table, predicates, spans: dict[str, tuple[int, int]]) -> np.
         return predicate_mask(lambda c: table.column(c).values, predicates)
     for p in predicates:
         if p.column != narrowest:
-            values = table.column(p.column).take(rows)
-            rows = np.compress(_OPS[p.op](values, p.literal), rows)
+            rows = np.compress(predicate_mask(lambda c: table.column(c).take(rows), (p,)), rows)
     return rows
 
 
-def select(db: Database, table: Table, predicates):
-    """The rows of `table` passing the conjunction `predicates`: a `Box`
-    when there are several and they all fall on the columns of one of the
-    table's cubes (`Database.cubes`), `select_rows`'s selection
-    otherwise."""
-    if len(predicates) > 1:
-        cubes = db.cubes[table.name]
-        cube = cubes.get(predicates[0].column)
-        if cube is not None and all(cubes.get(p.column) is cube for p in predicates):
-            spans = _spans(table, predicates)
-            return Box(table, predicates, spans, cube.count(spans))
-    return select_rows(table, predicates)
-
-
 def _selected(table: Table, sel) -> int:
-    """Number of rows a `select` or `select_rows` selection holds."""
+    """Number of rows a `select` selection holds."""
     if sel is None:
         return table.row_count
     if isinstance(sel, (IndexRange, Box)):
@@ -472,6 +463,18 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
     and at a join off the declared fk edges or a predicate on a key column
     (`query.validate` rejects both), also when an alias selects no row.
     """
+    tables, sels, counts = {}, {}, {}
+    for a in spec.aliases:
+        tables[a] = table = db.table(spec.table_of(a))
+        sels[a] = sel = select(db, table, spec.predicates_of(a))
+        counts[a] = _selected(table, sel)
+    if not all(counts.values()):
+        # Selecting read every predicate's value index; every join key is
+        # looked up too, so that a query `query.validate` rejects raises
+        # rather than counting 0.
+        for j in spec.joins:
+            db.join_keys(*((spec.table_of(a), c) for a, c in (j.left, j.right)))
+        return 0
     # Every alias but the root sends its per-key sums: a filtered alias
     # scatters or bincounts its selected rows (every row, under a mask)
     # into the key space. The largest filtered alias sends none and works
@@ -480,30 +483,11 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
     # With no filter, unfiltered leaves send only their fanouts, so the
     # alias with the most joins (the centre of a star) multiplies them with
     # no gather; ties go to the largest.
-    def size(a):
-        return db.table(spec.table_of(a)).row_count
-
     filtered = [a for a in spec.aliases if spec.predicates_of(a)]
     if filtered:
-        root = max(filtered, key=size)
+        root = max(filtered, key=lambda a: tables[a].row_count)
     else:
-        root = max(spec.aliases, key=lambda a: (len(spec.joins_of(a)), size(a)))
-    # Only the root can count a box without listing its rows (`select`):
-    # every other alias sends sums over its rows.
-    sels, counts = {}, {}
-    for a in spec.aliases:
-        table, predicates = db.table(spec.table_of(a)), spec.predicates_of(a)
-        sels[a] = select(db, table, predicates) if a == root else select_rows(table, predicates)
-        counts[a] = _selected(table, sels[a])
-        if counts[a] == 0:
-            # Every predicate's value index is read and every join key
-            # looked up first, so that a query `query.validate` rejects
-            # raises rather than counting 0.
-            for p in spec.predicates:
-                _group_span(db.table(spec.table_of(p.alias)), p)
-            for j in spec.joins:
-                db.join_keys(*((spec.table_of(a), c) for a, c in (j.left, j.right)))
-            return 0
+        root = max(spec.aliases, key=lambda a: (len(spec.joins_of(a)), tables[a].row_count))
     if not spec.joins:
         return counts[root]
     return _count_from(db, spec, sels, root, counts[root])

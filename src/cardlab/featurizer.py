@@ -37,14 +37,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .query import LabeledQuery
-from .storage import Database
+from .query import OPS, LabeledQuery
+from .storage import Database, is_int
 
 CATALOG_FORMAT_VERSION = 1
 
 SAMPLE_MODES = ("none", "count", "bitmap")
 
-OP_INDEX = {"=": 0, "<": 1, ">": 2}
+OP_INDEX = {op: i for i, op in enumerate(OPS)}
 
 
 @dataclass
@@ -131,21 +131,16 @@ class EncodingCatalog:
         )
 
 
-def _is_int(value) -> bool:
-    """A JSON integer (`bool` is an `int` in Python, but not here)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """A finite JSON number."""
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 def _is_index(value) -> bool:
     """A one-hot dictionary: its values number its keys 0..n-1."""
     return (
         isinstance(value, dict)
-        and all(map(_is_int, value.values()))
+        and all(map(is_int, value.values()))
         and sorted(value.values()) == list(range(len(value)))
     )
 
@@ -159,7 +154,7 @@ _CATALOG_CHECKS = {
     "column_bounds": lambda v: isinstance(v, dict) and all(
         isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in v.values()
     ),
-    "sample_size": lambda v: _is_int(v) and v >= 0,
+    "sample_size": lambda v: is_int(v) and v >= 0,
     "label_log_min": _is_number,
     "label_log_max": _is_number,
 }

@@ -359,20 +359,16 @@ class _GenerationPlan:
             self._frontiers[key] = found
         return found
 
-    def draw(
-        self, max_joins: int, rng: np.random.Generator, referenced_only_seed: bool = False
-    ) -> QuerySpec:
+    def draw(self, max_joins: int, rng: np.random.Generator) -> QuerySpec:
         """One random query: join count ~ U{0..max_joins}, join tree grown
         by uniform extension, per-table predicate count ~ U{0..#non-key
         columns}, uniform operator, literal drawn from actual column values.
-
-        With `referenced_only_seed` the 0-join seed table is restricted to
-        tables referenced by at least one fk edge (as for joining queries).
-        """
+        A 0-join query draws its table from every table, a joining one its
+        seed table from those an fk edge references."""
         if max_joins < 0:
             raise ValueError("max_joins must be >= 0")
         num_joins = int(rng.integers(0, max_joins + 1))
-        if num_joins == 0 and not referenced_only_seed:
+        if num_joins == 0:
             candidates = self.tables
         else:
             candidates = self.referenced
@@ -407,9 +403,7 @@ class _GenerationPlan:
         return QuerySpec(tuple(ref for ref, _ in tables), tuple(edges), tuple(predicates))
 
 
-def generate_workload(
-    db: Database, n: int, max_joins: int, seed: int, *, referenced_only_seed: bool = False
-) -> list[QuerySpec]:
+def generate_workload(db: Database, n: int, max_joins: int, seed: int) -> list[QuerySpec]:
     """n pairwise-distinct queries (unique canonical strings), deterministic
     per seed, each drawn by `_GenerationPlan.draw` from one plan of `db`.
     Raises after RETRY_FACTOR duplicates in a row: the distinct queries the
@@ -427,7 +421,7 @@ def generate_workload(
                 f"found only {len(out)} of {n} unique queries:"
                 f" the last {duplicates} attempts were all duplicates"
             )
-        spec = plan.draw(max_joins, rng, referenced_only_seed)
+        spec = plan.draw(max_joins, rng)
         key = format_query(spec)
         if key in seen:
             duplicates += 1

@@ -385,9 +385,7 @@ def _cubes(table: Table, weights: list[JoinKey]) -> list[dict[str, Cube]]:
     than the table has rows; otherwise one cube per column.
 
     Rows are summed into the cells `_GATHER_CHUNK` at a time, so no
-    temporary spans a column. A weighted chunk is summed by a float64
-    bincount while its sums stay below 2**53, where it is exact, and by
-    an integer `np.add.at` otherwise."""
+    temporary spans a column, and a weighted chunk by `exact_sums`."""
     attrs = [c for c in table.columns if c.index is not None]
     if attrs and math.prod(c.index.keys.size for c in attrs) <= table.row_count:
         layout = [attrs]
@@ -405,11 +403,8 @@ def _cubes(table: Table, weights: list[JoinKey]) -> list[dict[str, Cube]]:
                 cell = code if cell is None else cell * c.index.keys.size + code
             cells[0] += np.bincount(cell, minlength=cells.shape[1])
             for out, key in zip(cells[1:], weights):
-                fanout = key.fanout[chunk]
-                if _GATHER_CHUNK * key.max_fanout < _FLOAT_EXACT_LIMIT:
-                    out += np.bincount(cell, weights=fanout, minlength=out.size).astype(np.int64)
-                else:
-                    np.add.at(out, cell, fanout)
+                out += exact_sums(cell, key.fanout[chunk], out.size,
+                                  _GATHER_CHUNK * key.max_fanout)
         names = tuple(c.name for c in columns)
         for cubes, flat in zip(sets, cells):
             sums = np.zeros(tuple(n + 1 for n in shape), dtype=np.int64)
@@ -420,6 +415,18 @@ def _cubes(table: Table, weights: list[JoinKey]) -> list[dict[str, Cube]]:
             sums.flags.writeable = False
             cubes.update(dict.fromkeys(names, Cube(names, sums)))
     return sets
+
+
+def exact_sums(codes: np.ndarray, weights: np.ndarray, size: int, bound: int) -> np.ndarray:
+    """Per code in [0, size), the int64 sum of the non-negative integer
+    `weights` of the entries coded `codes`, each sum below `bound`: a
+    float64 `np.bincount` while `bound` is below 2**53, where it is exact,
+    and an integer `np.add.at` otherwise."""
+    if bound < _FLOAT_EXACT_LIMIT:
+        return np.bincount(codes, weights=weights, minlength=size).astype(np.int64)
+    sums = np.zeros(size, dtype=np.int64)
+    np.add.at(sums, codes, weights)
+    return sums
 
 
 def _group_codes(index: ValueIndex, values: np.ndarray) -> np.ndarray:
@@ -1081,7 +1088,7 @@ def _name(doc, where) -> str:
     return name
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     """Whether a parsed JSON value is an integer (booleans are not)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -1141,10 +1148,10 @@ def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample
         where = f"{path}: sample of {name!r}"
         indices = _field(entry, "row_indices", where)
         size, seed = _field(entry, "size", where), _field(entry, "seed", where)
-        if not (_is_int(size) and _is_int(seed)):
+        if not (is_int(size) and is_int(seed)):
             raise SchemaError(f"{where}: size and seed must be integers")
         if not isinstance(indices, list) or not all(
-            _is_int(i) and 0 <= i < table.row_count for i in indices
+            is_int(i) and 0 <= i < table.row_count for i in indices
         ):
             raise SchemaError(f"{where}: row_indices must be a flat list of rows in range")
         idx = np.array(indices, dtype=np.int64)

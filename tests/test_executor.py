@@ -28,7 +28,6 @@ from cardlab.executor import (
     query_bitmaps,
     read_labeled_corpus,
     select,
-    select_rows,
     true_cardinality,
     write_labeled_corpus,
 )
@@ -168,13 +167,20 @@ def _title_ids(db, permute):
 MASKS, ROW_IDS = 0.0, 1.0
 
 
+def _listed(db, table, predicates):
+    """`select`'s selection, with a box's rows listed (`Box.rows`) under
+    the row-id share in force."""
+    sel = select(db, table, predicates)
+    return sel.rows() if isinstance(sel, Box) else sel
+
+
 def _count_at(db, spec, root, share):
     """The count of `spec` rooted at `root`, through the function
     `true_cardinality` uses for its chosen root, with every alias selected
-    under the row-id share `share`."""
+    and listed under the row-id share `share`."""
     with mock.patch.object(executor, "_ROW_ID_SHARE", share):
         sels = {
-            a: select_rows(db.table(spec.table_of(a)), spec.predicates_of(a))
+            a: _listed(db, db.table(spec.table_of(a)), spec.predicates_of(a))
             for a in spec.aliases
         }
     for a, sel in sels.items():
@@ -375,7 +381,7 @@ class TestTrueCardinality:
         ])
         for literal, kept in ((3, 36_000), (4, 48_000)):
             spec = replace(star(4), predicates=(Predicate("c0", "x", "<", literal),))
-            sel = select_rows(db.table("c0"), spec.predicates)
+            sel = select(db, db.table("c0"), spec.predicates)
             assert isinstance(sel, IndexRange) and sel.excluded and sel.size == kept
             if kept * _OVERFLOW_N**3 < 2**63:
                 assert true_cardinality(db, spec) == kept * _OVERFLOW_N**3
@@ -632,7 +638,7 @@ class TestSelectionPaths:
                 for literal in (s.lo - 1, s.lo, s.hi, s.hi + 1) + _EDGE_LITERALS:
                     for op in "=<>":
                         with mock.patch.object(executor, "_ROW_ID_SHARE", share):
-                            sel = select_rows(t, (Predicate("x", name, op, literal),))
+                            sel = select(edge_db, t, (Predicate("x", name, op, literal),))
                         # Its value-index run holds the selected rows, and
                         # the rows around it the others.
                         assert isinstance(sel, IndexRange)
@@ -645,7 +651,7 @@ class TestSelectionPaths:
                         assert left_out.tolist() == sorted(set(range(t.row_count)) - set(want))
                         passing = Predicate("x", name, ">", s.lo - 1)
                         with mock.patch.object(executor, "_ROW_ID_SHARE", share):
-                            sel = select_rows(t, (Predicate("x", name, op, literal), passing))
+                            sel = _listed(edge_db, t, (Predicate("x", name, op, literal), passing))
                         assert (sel.dtype == bool) == (share == MASKS and bool(want))
                         got = np.flatnonzero(sel) if sel.dtype == bool else np.sort(sel)
                         assert got.tolist() == want, (t.name, name, op, literal)
@@ -691,7 +697,7 @@ class TestSelectionPaths:
             spec = QuerySpec((TableRef("a", "a"), TableRef("b", "b")),
                              (JoinEdge(("b", "aid"), ("a", "id")),),
                              (Predicate("a", "v", "<", a_literal), Predicate("b", "v", ">", literal)))
-            assert select_rows(b, spec.predicates_of("b")).excluded == (literal < 4)
+            assert select(db, b, spec.predicates_of("b")).excluded == (literal < 4)
             expected = sum((i + 2) % 3 < a_literal for i in range(literal + 1, 10))
             assert true_cardinality(db, spec) == nested_loop_count(db, spec) == expected
 
@@ -761,7 +767,7 @@ class TestPrefixSumRoot:
                 literals |= set(values) | {v + 1 for v in values}
                 for literal, op in itertools.product(sorted(literals), "=<>"):
                     spec = QuerySpec(refs, joins, (Predicate("p", name, op, literal),))
-                    sel = select_rows(p, spec.predicates)
+                    sel = select(db, p, spec.predicates)
                     expected = nested_loop_count(db, spec)
                     with mock.patch.object(executor, "_product", wraps=executor._product) as w:
                         assert true_cardinality(db, spec) == expected, format_query(spec)
@@ -905,15 +911,47 @@ class TestCubeBoxes:
         with mock.patch.object(executor, "_rows_in", wraps=executor._rows_in) as rows:
             assert true_cardinality(db, spec) == expected, format_query(spec)
         assert not (lists_no_row and rows.called), format_query(spec)
+        # Selected as `true_cardinality` selects them, whatever the root.
+        sels = {a: select(db, db.table(a), spec.predicates_of(a)) for a in spec.aliases}
+        if not all(_selected(db.table(a), sel) for a, sel in sels.items()):
+            return
         for root in spec.aliases:
-            # Selected as `true_cardinality` selects them for this root.
-            sels = {a: select(db, db.table(a), spec.predicates_of(a)) if a == root
-                    else select_rows(db.table(a), spec.predicates_of(a)) for a in spec.aliases}
-            if not all(_selected(db.table(a), sel) for a, sel in sels.items()):
-                return
             selected = _selected(db.table(root), sels[root])
             assert _count_from(db, spec, sels, root, selected) == expected, (
                 format_query(spec), root)
+
+    @pytest.mark.parametrize("s_literal", [1, 4])
+    def test_box_off_the_root(self, s_literal):
+        # `p`'s columns `d` (0-3) and `s` (0-4) share one cube of 20 cells
+        # for its 20 rows. Under `c`, the larger filtered alias and so the
+        # root, `p`'s conjunction selects a box, which lists its rows to
+        # send its sums. `s > 4` keeps no row: the box is empty, and the
+        # query counts 0 with no row listed and no sums sent.
+        n = np.arange(20)
+        db = Database([
+            Table("p", [Column("id", "pk", n), Column("d", "attr", n % 4),
+                        Column("s", "attr", n % 5)]),
+            Table("c", [Column("id", "pk", np.arange(60)),
+                        Column("pid", "fk", np.random.default_rng(47).integers(0, 20, 60),
+                               ref=("p", "id")),
+                        Column("v", "attr", np.arange(60))]),
+        ])
+        assert db.cubes["p"]["d"] is db.cubes["p"]["s"]
+        spec = QuerySpec((TableRef("c", "c"), TableRef("p", "p")),
+                         (JoinEdge(("c", "pid"), ("p", "id")),),
+                         (Predicate("c", "v", "<", 50), Predicate("p", "d", "<", 2),
+                          Predicate("p", "s", ">", s_literal)))
+        box = select(db, db.table("p"), spec.predicates_of("p"))
+        assert isinstance(box, Box) and (box.size == 0) == (s_literal == 4)
+        expected = nested_loop_count(db, spec)
+        with mock.patch.object(executor, "_sums_up", wraps=executor._sums_up) as sums_up, \
+                mock.patch.object(executor, "_rows_in", wraps=executor._rows_in) as rows:
+            assert true_cardinality(db, spec) == expected
+        if box.size:
+            assert [type(call.args[0]) for call in sums_up.call_args_list] == [Box]
+            assert rows.call_count == 1
+        else:
+            assert expected == 0 and not sums_up.called and not rows.called
 
 
 @pytest.fixture(scope="module")

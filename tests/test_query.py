@@ -295,15 +295,6 @@ class TestGenerator:
             for j in plan.draw(2, rng).joins:
                 assert (table_of_alias[j.left[0]], j.left[1]) in child_cols
 
-    def test_referenced_only_seed_policy(self, db):
-        rng = np.random.default_rng(60)
-        plan = _GenerationPlan(db)
-        tables = {
-            plan.draw(0, rng, referenced_only_seed=True).tables[0].table
-            for _ in range(30)
-        }
-        assert tables == {"title"}
-
     def test_any_table_seeds_zero_join_queries(self, db):
         rng = np.random.default_rng(61)
         plan = _GenerationPlan(db)
@@ -341,23 +332,16 @@ class TestWorkload:
         assert [q for _, q, _ in loaded] == w
         assert [lineno for lineno, _, _ in loaded] == list(range(1, 51))
 
-    @pytest.mark.parametrize(
-        "referenced_only_seed, digest",
-        [
-            (False, "5eb2c1efa0f4f354ef7164933cc4a86ce3a183020b98a2d3e7cfba08ecfce2a7"),
-            (True, "3d5941a2e23a9fc4cd461c237ac28f263ea93af991a7497bae2dc6f0bae07086"),
-        ],
-    )
-    def test_reference_workload_pinned(self, reference_db, referenced_only_seed, digest):
+    def test_reference_workload_pinned(self, reference_db):
         # SHA-256 of the formatted lines of 400 0-4-join queries on the
         # reference database, recorded while every draw re-derived the
         # aliases, the fk frontier and the column values from the database.
-        w = generate_workload(
-            reference_db, 400, 4, seed=15, referenced_only_seed=referenced_only_seed
-        )
+        w = generate_workload(reference_db, 400, 4, seed=15)
         assert {len(q.joins) for q in w} == {0, 1, 2, 3, 4}
         text = "\n".join(format_query(q) for q in w)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5eb2c1efa0f4f354ef7164933cc4a86ce3a183020b98a2d3e7cfba08ecfce2a7"
+        )
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "w.txt"
