@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import ibjs_estimate, rs_estimate
-from .featurizer import Batch, EncodingCatalog
+from .featurizer import EncodingCatalog, PackedCorpus
 from .mscn import Hyperparams, MscnModel, predict_labeled, train
 from .query import LabeledQuery
 from .storage import Database, build_join_indexes, is_int
@@ -156,8 +156,8 @@ _GRID_KEYS = ("epochs", "batch_size", "d")
 def grid_search(
     space: dict,
     lr: float,
-    train_batch: Batch,
-    val_batch: Batch,
+    train_batch: PackedCorpus,
+    val_batch: PackedCorpus,
     catalog: EncodingCatalog,
     *,
     repeats: int = 3,

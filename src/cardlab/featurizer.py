@@ -12,19 +12,20 @@ All dictionaries live in a frozen EncodingCatalog so training and serving
 featurize byte-for-byte identically; the catalog serializes to a versioned
 JSON document with sorted keys.
 
-One query featurizes to element matrices (`featurize`) and a list of them
-to one zero-padded `FeaturizedBatch` (`batch`). A labeled corpus is held
-packed instead (`featurize_labeled`, `PackedCorpus`): per query, the
-indices of its elements' rows in flat arrays of one-hot positions, sample
-bits (`np.packbits` bytes in `bitmap` mode, the qualifying fraction in
-`count` mode) and normalized literals: 1.2 MB where the padded float64
-arrays of the 8,797-query reference corpus take 29.5 MB. Slicing it
-selects query ids; reading a batch attribute unpacks the selected queries
-into the padded arrays `batch` would build for the whole corpus and slice,
-the same bytes. So every minibatch pads each set to the corpus-wide
-longest set, as a slice of the padded corpus did: the padded length sets
-how BLAS rounds the padded products of `mscn`'s backward pass, so it keeps
-trained models the same bits.
+One query featurizes to element matrices (`featurize`). A batch of
+queries is one type, `PackedCorpus`: per set kind, flat rows and, per
+query, the indices of its elements' rows. `batch` stacks the element
+matrices of featurized queries as those rows; `featurize_labeled` packs a
+labeled corpus without building them, as indices into one-hot patterns,
+sample bits (`np.packbits` bytes in `bitmap` mode, the qualifying fraction
+in `count` mode) and normalized literals: 1.2 MB where the padded float64
+arrays of the 8,797-query reference corpus take 29.5 MB. Slicing selects
+query ids; reading a batch attribute unpacks the selected queries into
+zero-padded arrays with 0/1 masks, each set padded to the longest set of
+its kind in the whole batch, not in the selection: a slice of the whole
+batch's padded arrays, the same bytes. That shape sets how BLAS rounds
+the padded products of `mscn`'s backward pass, so it keeps trained
+models the same bits.
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ def _is_index(value) -> bool:
 
 
 #: The type and value checks of the serialized catalog fields besides
-#: `sample_mode`, which `EncodingCatalog` checks itself.
+#: `sample_mode`, which `EncodingCatalog` checks itself. The operator order
+#: is the package's, so a model that numbers the operators otherwise fails.
 _CATALOG_CHECKS = {
+    "op_index": lambda v: v == OP_INDEX,
     "table_index": _is_index,
     "join_index": _is_index,
     "column_index": _is_index,
@@ -170,35 +173,6 @@ class FeaturizedQuery:
     pred_elems: np.ndarray  # (max(n_preds, 1), pred_width)
     label_norm: float | None = None
     cardinality: int | None = None
-
-
-@dataclass
-class FeaturizedBatch:
-    """Zero-padded dense arrays with 0/1 masks marking real elements."""
-
-    table_feats: np.ndarray  # (batch, max_tables, table_width)
-    table_mask: np.ndarray  # (batch, max_tables)
-    join_feats: np.ndarray
-    join_mask: np.ndarray
-    pred_feats: np.ndarray
-    pred_mask: np.ndarray
-    labels_norm: np.ndarray | None = None  # (batch,)
-    cardinalities: np.ndarray | None = None  # (batch,) true counts, with the labels
-
-    def __len__(self) -> int:
-        return self.table_feats.shape[0]
-
-    def slice(self, idx: np.ndarray | slice) -> "FeaturizedBatch":
-        return FeaturizedBatch(
-            self.table_feats[idx],
-            self.table_mask[idx],
-            self.join_feats[idx],
-            self.join_mask[idx],
-            self.pred_feats[idx],
-            self.pred_mask[idx],
-            None if self.labels_norm is None else self.labels_norm[idx],
-            None if self.cardinalities is None else self.cardinalities[idx],
-        )
 
 
 def build_catalog(
@@ -330,42 +304,18 @@ def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
     return FeaturizedQuery(table_elems, join_elems, pred_elems, label, query.true_cardinality)
 
 
-def batch(queries: list[FeaturizedQuery]) -> FeaturizedBatch:
-    """Pad per-set element matrices to the batch maximum and build masks.
-    The labels and true counts are carried when every query has them."""
-    if not queries:
-        raise ValueError("cannot batch zero queries")
-    arrays = []
-    for attr in ("table_elems", "join_elems", "pred_elems"):
-        elems = [getattr(q, attr) for q in queries]
-        widths = {e.shape[1] for e in elems}
-        if len(widths) > 1:
-            raise ValueError(f"mixed {attr} widths {sorted(widths)}; one catalog per batch")
-        width = widths.pop()
-        max_len = max(e.shape[0] for e in elems)
-        feats = np.zeros((len(queries), max_len, width))
-        mask = np.zeros((len(queries), max_len))
-        for i, e in enumerate(elems):
-            feats[i, : e.shape[0]] = e
-            mask[i, : e.shape[0]] = 1.0
-        arrays.extend([feats, mask])
-    labels = cards = None
-    if all(q.label_norm is not None for q in queries):
-        labels = np.array([q.label_norm for q in queries])
-        cards = np.array([q.cardinality for q in queries], dtype=np.float64)
-    return FeaturizedBatch(*arrays, labels_norm=labels, cardinalities=cards)
-
-
 @dataclass(eq=False)
 class _PackedSet:
-    """One set kind of a packed corpus. Row r unpacks to row codes[r] of
-    `patterns`, its 0/1 one-hot columns, with its entry of `values` at
-    column `at` or its `bits` unpacked from column `at` on. The last row
-    of `patterns` is zero; its code marks the placeholder row of an empty
-    join or predicate set. `slots[q]` lists the rows of query q's elements,
-    then, up to the corpus-wide longest set (module docstring), the row
-    past the last, which is all zero (its code is the zero pattern's) and
-    pads."""
+    """One set kind of a packed batch. Row r unpacks to row codes[r] of
+    `patterns`, with its entry of `values` at column `at` or its `bits`
+    unpacked from column `at` on. Patterns are any rows: from
+    `featurize_labeled`, 0/1 one-hot rows that many elements share (the
+    zero pattern also marks the placeholder row of an empty join or
+    predicate set); from `batch`, one row per element, `codes` counting
+    them. The last row of `patterns` is zero. `slots[q]` lists the rows of
+    query q's elements, then, up to the longest set of the batch (module
+    docstring), the row past the last, which is all zero (its code is the
+    zero pattern's) and pads."""
 
     slots: np.ndarray  # (n_queries, longest set) int32
     patterns: np.ndarray  # (n_patterns + 1, width) float64, uint8 with `bits`
@@ -399,7 +349,7 @@ class _PackedSet:
         return feats.reshape(*slots.shape, self.patterns.shape[1]), mask
 
 
-def _slots(start: list[int]) -> np.ndarray:
+def _slots(start: list[int] | np.ndarray) -> np.ndarray:
     """The `_PackedSet.slots` of sets stored one after the other, set q in
     rows start[q]:start[q + 1]."""
     start = np.array(start, dtype=np.int32)
@@ -418,13 +368,12 @@ def _patterns(width: int, columns: list[tuple[int, ...]], dtype=np.float64) -> n
 
 
 class PackedCorpus:
-    """A featurized corpus held packed (module docstring), selecting the
+    """A featurized batch held packed (module docstring), selecting the
     queries `ids` of it.
 
-    `len` and `slice` never unpack, and `slice` copies no rows. The eight
-    `FeaturizedBatch` attributes are built on first read and then kept on
-    the object; they equal those of `batch` over every query's `featurize`,
-    sliced at `ids`, byte for byte."""
+    `len` and `slice` never unpack, and `slice` copies no rows. The padded
+    features and masks of the three sets, the normalized labels and the
+    true counts are built on first read and then kept on the object."""
 
     def __init__(
         self,
@@ -453,7 +402,7 @@ class PackedCorpus:
             a.nbytes for a in arrays if a is not None
         )
 
-    # Each attribute can be set like a plain one, as on `FeaturizedBatch`.
+    # Each attribute can be set, or edited in place once read, like a plain one.
     _tables = cached_property(lambda self: self._sets[0].unpack(self.ids))
     _joins = cached_property(lambda self: self._sets[1].unpack(self.ids))
     _preds = cached_property(lambda self: self._sets[2].unpack(self.ids))
@@ -471,8 +420,26 @@ class PackedCorpus:
     )
 
 
-#: Either form of a featurized batch that `mscn` trains and predicts on.
-Batch = FeaturizedBatch | PackedCorpus
+def batch(queries: list[FeaturizedQuery]) -> PackedCorpus:
+    """The queries' element matrices stacked as the rows of a `PackedCorpus`,
+    so each set unpacks padded to the longest of its kind in the batch. The
+    labels and true counts are carried when every query has them."""
+    if not queries:
+        raise ValueError("cannot batch zero queries")
+    sets = []
+    for attr in ("table_elems", "join_elems", "pred_elems"):
+        elems = [getattr(q, attr) for q in queries]
+        widths = {e.shape[1] for e in elems}
+        if len(widths) > 1:
+            raise ValueError(f"mixed {attr} widths {sorted(widths)}; one catalog per batch")
+        rows = np.concatenate([*elems, np.zeros((1, widths.pop()))], dtype=np.float64)
+        start = np.cumsum([0] + [e.shape[0] for e in elems])
+        sets.append(_PackedSet(_slots(start), rows, np.arange(len(rows), dtype=np.int32)))
+    labels = cards = None
+    if all(q.label_norm is not None for q in queries):
+        labels = np.array([q.label_norm for q in queries])
+        cards = np.array([q.cardinality for q in queries], dtype=np.float64)
+    return PackedCorpus(tuple(sets), labels, cards, np.arange(len(queries)))
 
 
 def featurize_labeled(

@@ -27,13 +27,14 @@ padded first-layer gradient g1 built, so at most two of the (B * L, d)
 scratch arrays live at once. Training updates all parameters with one
 Adam step over a single flat vector that the module arrays are views of.
 
-Training and validation take the corpus packed (`featurizer.PackedCorpus`):
-the train/validation split and every minibatch select query ids, and each
-minibatch or prediction chunk unpacks on first read into the same padded
-arrays that a slice of the padded corpus holds, each set padded to the
-corpus-wide longest set of its kind. So every product sees the same
-operands and shapes, and the models are the same bits. A forward run for
-prediction (`predict_batch`, and so validation) keeps no module cache:
+Every batch is a `featurizer.PackedCorpus`, packed from a labeled corpus
+(`featurize_labeled`) or stacked from featurized queries (`batch`). The
+train/validation split and every minibatch select query ids, and each
+minibatch or prediction chunk unpacks on first read into zero-padded
+arrays, each set padded to the longest set of its kind in the whole
+batch: a slice of the whole batch's padded arrays. So every product sees
+the same operands and shapes, and the models are the same bits. A forward run
+for prediction (`predict_batch`, and so validation) keeps no module cache:
 each goes once its set is pooled.
 """
 
@@ -51,8 +52,8 @@ import numpy as np
 from .errors import ModelFormatError, ValidationError
 from .executor import query_bitmaps
 from .featurizer import (
-    Batch,
     EncodingCatalog,
+    PackedCorpus,
     denormalize_label,
     featurize,
     featurize_labeled,
@@ -255,14 +256,14 @@ def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2
     return Dense2(cache.x.T @ g1, d_b1, d_w2, d_b2)
 
 
-def forward(model: MscnModel, batch: Batch):
+def forward(model: MscnModel, batch: PackedCorpus):
     """Predictions in (0, 1) plus the cache needed for backward. Masks must
     hold only 0 and 1, with at least one 1 per set."""
     caches = {}
     return _forward(model, batch, caches), caches
 
 
-def _forward(model: MscnModel, batch: Batch, caches: dict | None = None) -> np.ndarray:
+def _forward(model: MscnModel, batch: PackedCorpus, caches: dict | None = None) -> np.ndarray:
     """Predictions in (0, 1). Each module's cache goes into `caches`, or,
     without it (prediction), is dropped as soon as its output is pooled."""
     pooled = []
@@ -315,21 +316,18 @@ def loss_and_grad(y: np.ndarray, labels: np.ndarray, kind: str, k: float):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def predict_batch(model: MscnModel, batch: Batch, chunk: int = 4096) -> np.ndarray:
+def predict_batch(model: MscnModel, batch: PackedCorpus, chunk: int = 4096) -> np.ndarray:
     """Denormalized cardinality estimates for a featurized batch: an
     empty float64 array for an empty one."""
     if not len(batch):
         return np.empty(0)
     outputs = []
     for start in range(0, len(batch), chunk):
-        # A basic slice of a padded batch gives views, C-contiguous like the
-        # batch, so no chunk is copied and the products round as on a copy;
-        # a packed corpus unpacks each chunk on its own.
         outputs.append(_forward(model, batch.slice(slice(start, start + chunk))))
     return denormalize_label(np.concatenate(outputs), model.catalog)
 
 
-def validation_mean_qerror(model: MscnModel, batch: Batch) -> float:
+def validation_mean_qerror(model: MscnModel, batch: PackedCorpus) -> float:
     """Mean q-error of the estimates against the batch's true counts."""
     if batch.cardinalities is None:
         raise ValueError("validation needs the true counts of its queries")
@@ -357,8 +355,8 @@ def _flatten_params(model: MscnModel) -> np.ndarray:
 
 
 def train(
-    train_batch: Batch,
-    val_batch: Batch,
+    train_batch: PackedCorpus,
+    val_batch: PackedCorpus,
     catalog: EncodingCatalog,
     hp: Hyperparams,
 ) -> tuple[MscnModel, list[dict]]:

@@ -1150,6 +1150,8 @@ def load_samples(path: str | Path, db: Database) -> dict[str, MaterializedSample
         size, seed = _field(entry, "size", where), _field(entry, "seed", where)
         if not (is_int(size) and is_int(seed)):
             raise SchemaError(f"{where}: size and seed must be integers")
+        if size < 1:
+            raise SchemaError(f"{where}: size {size} is below 1 row")
         if not isinstance(indices, list) or not all(
             is_int(i) and 0 <= i < table.row_count for i in indices
         ):

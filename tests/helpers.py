@@ -1,8 +1,9 @@
 """Shared test utilities: the finite-difference gradient check and its
 point selection, the independent nested-loop join oracle, the
-per-probe-value IBJS loop, the two-column join-key coding, the dense MSCN
-kernel that runs every padded set element, the sign-split sigmoid, and a
-reader of report CSVs."""
+per-probe-value IBJS loop, the two-column join-key coding, the
+zero-padding loop that batches featurized queries, the dense MSCN kernel
+that runs every padded set element, the sign-split sigmoid, and a reader
+of report CSVs."""
 
 import csv
 from pathlib import Path
@@ -237,6 +238,30 @@ def pick_generic_point(model, params, mb, h, seed=0, scale=0.05):
         if min(margins) > 20 * h:
             return point
     raise AssertionError("could not find a kink-free parameter point")
+
+
+def padded_batch(fqs):
+    """The eight batch attributes of featurized queries, by name, built by
+    copying each query's element matrices into zeros padded to the longest
+    set of its kind and marking the copied rows 1 in a float64 mask; the
+    labels and true counts when every query has them, else None.
+    `featurizer.batch` and `featurize_labeled` must match it byte for byte."""
+    out = {}
+    for kind in ("table", "join", "pred"):
+        elems = [getattr(q, f"{kind}_elems") for q in fqs]
+        longest = max(e.shape[0] for e in elems)
+        feats = np.zeros((len(fqs), longest, elems[0].shape[1]))
+        mask = np.zeros((len(fqs), longest))
+        for i, e in enumerate(elems):
+            feats[i, : e.shape[0]] = e
+            mask[i, : e.shape[0]] = 1.0
+        out[f"{kind}_feats"], out[f"{kind}_mask"] = feats, mask
+    labeled = all(q.label_norm is not None for q in fqs)
+    out["labels_norm"] = np.array([q.label_norm for q in fqs]) if labeled else None
+    out["cardinalities"] = (
+        np.array([q.cardinality for q in fqs], dtype=np.float64) if labeled else None
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -292,12 +292,13 @@ class TestHostileInputs:
             lambda d: d["tables"]["title"].update(seed="1"),
             _missing_table,
             _mixed_sizes,
+            lambda d: [t.update(size=0, row_indices=[]) for t in d["tables"].values()],
         ],
         ids=["duplicate_and_size", "duplicate", "size_mismatch", "no_tables",
              "no_row_indices", "no_size", "no_seed", "float_indices", "bool_indices",
              "string_indices", "index_beyond_int64", "float_size", "bool_size",
              "string_size", "float_seed", "bool_seed", "string_seed",
-             "missing_table", "mixed_sizes"],
+             "missing_table", "mixed_sizes", "empty_samples"],
     )
     def test_bad_samples(self, pipeline, tmp_path, edit):
         _, db, samples, _, corpus, *_ = pipeline
@@ -454,15 +455,18 @@ class TestHostileInputs:
             lambda h: h.update(params=5),
             lambda h: h["params"][0].update(shape="ab"),
             lambda h: h["hyperparams"].update(d="8"),
+            lambda h: h["catalog"].update(op_index={"=": 2, "<": 0, ">": 1}),
+            lambda h: h["catalog"].pop("op_index"),
         ],
         ids=["unknown_key", "missing_key", "bad_value", "no_hyperparams",
              "catalog_missing_key", "string_sample_size", "string_label_log_min",
              "short_column_bounds", "string_join_index", "header_list", "params_int",
-             "string_shape", "string_d"],
+             "string_shape", "string_d", "permuted_op_index", "missing_op_index"],
     )
     def test_bad_model_header(self, pipeline, tmp_path, capsys, edit):
-        # The eight edits from string_sample_size on once escaped `eval` and
-        # `predict` as tracebacks.
+        # The eight edits from string_sample_size to string_d once escaped
+        # `eval` and `predict` as tracebacks; the two op_index edits loaded,
+        # and the model was scored with the package's operator order.
         _, db, samples, _, corpus, model, _ = pipeline
         bad = tmp_path / "model.bin"
         _edit_model_header(model, bad, edit)

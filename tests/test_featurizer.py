@@ -17,6 +17,7 @@ from cardlab.featurizer import (
 )
 from cardlab.query import LabeledQuery, generate_workload, parse_query
 from cardlab.storage import SynthConfig, draw_all_samples, generate_synthetic_db
+from helpers import padded_batch
 
 ROWS = {
     "title": 300,
@@ -264,6 +265,52 @@ _BATCH_ATTRS = (
 )
 
 
+def _selected(padded, idx):
+    """The `padded_batch` attributes of the queries `idx`."""
+    return {k: None if v is None else v[idx] for k, v in padded.items()}
+
+
+def _assert_same_bytes(got, padded):
+    for attr in _BATCH_ATTRS:
+        have, want = getattr(got, attr), padded[attr]
+        if want is None:
+            assert have is None, attr
+            continue
+        assert have.shape == want.shape and have.dtype == want.dtype, attr
+        assert have.tobytes() == want.tobytes(), attr
+
+
+class TestPaddedReference:
+    """`batch` and `featurize_labeled` against the zero-padding loop of
+    `helpers.padded_batch`, and their selections against its slices."""
+
+    @pytest.mark.parametrize("mode", SAMPLE_MODES)
+    def test_whole_batches_and_selections(self, db, corpus, mode):
+        cat = build_catalog(db, [q.true_cardinality for q in corpus], S, mode)
+        fqs = [featurize(q, cat) for q in corpus]
+        for kind in ("table", "join", "pred"):
+            assert len({getattr(fq, f"{kind}_elems").shape[0] for fq in fqs}) > 1, kind
+        padded = padded_batch(fqs)
+        perm = np.random.default_rng(5).permutation(len(corpus))
+        selections = (perm[:37], np.array([3, 3, 0]), slice(10, 60), slice(5, None, 7))
+        for got in (batch(fqs), featurize_labeled(corpus, cat)):
+            _assert_same_bytes(got, padded)
+            for idx in selections:
+                _assert_same_bytes(got.slice(idx), _selected(padded, idx))
+
+    @pytest.mark.parametrize("mode", SAMPLE_MODES)
+    def test_one_query_batches(self, db, corpus, mode):
+        cat = build_catalog(db, [q.true_cardinality for q in corpus], S, mode)
+        unlabeled = [LabeledQuery(q.spec, None, q.bitmaps) for q in corpus[:12]]
+        for q in corpus[:12] + unlabeled:
+            fq = featurize(q, cat)
+            padded = padded_batch([fq])
+            for got in (batch([fq]), featurize_labeled([q], cat)):
+                _assert_same_bytes(got, padded)
+                for idx in (np.array([0]), slice(0, 1)):
+                    _assert_same_bytes(got.slice(idx), _selected(padded, idx))
+
+
 class TestPackedCorpus:
     """`featurize_labeled` holds the corpus as indices and packed bits; each
     selection unpacks to the bytes of the padded corpus sliced the same way."""
@@ -276,38 +323,31 @@ class TestPackedCorpus:
             cat = build_catalog(db, cards, S, mode)
             out[mode] = (
                 featurize_labeled(corpus, cat),
-                batch([featurize(q, cat) for q in corpus]),
+                padded_batch([featurize(q, cat) for q in corpus]),
             )
         return out
-
-    @staticmethod
-    def _assert_same_bytes(packed, padded):
-        for attr in _BATCH_ATTRS:
-            got, want = getattr(packed, attr), getattr(padded, attr)
-            assert got.shape == want.shape and got.dtype == want.dtype, attr
-            assert got.tobytes() == want.tobytes(), attr
 
     @pytest.mark.parametrize("mode", SAMPLE_MODES)
     def test_selections_unpack_to_padded_bytes(self, packed_and_padded, mode):
         packed, padded = packed_and_padded[mode]
-        n = len(padded)
+        n = len(packed)
         perm = np.random.default_rng(9).permutation(n)
         for idx in (np.arange(n), perm[:37], slice(10, 60), np.arange(0), slice(4, 4)):
-            self._assert_same_bytes(packed.slice(idx), padded.slice(idx))
+            _assert_same_bytes(packed.slice(idx), _selected(padded, idx))
         # A slice of a slice selects from the first selection.
-        self._assert_same_bytes(
-            packed.slice(perm).slice(slice(5, 20)), padded.slice(perm[5:20])
+        _assert_same_bytes(
+            packed.slice(perm).slice(slice(5, 20)), _selected(padded, perm[5:20])
         )
 
     @pytest.mark.parametrize("mode", SAMPLE_MODES)
     def test_minibatch_pads_to_corpus_longest_set(self, packed_and_padded, mode):
         packed, padded = packed_and_padded[mode]
-        short = np.flatnonzero(padded.pred_mask.sum(axis=1) == 1)[:8]
-        assert short.size and padded.pred_feats.shape[1] > 1
+        short = np.flatnonzero(padded["pred_mask"].sum(axis=1) == 1)[:8]
+        assert short.size and padded["pred_feats"].shape[1] > 1
         mb = packed.slice(short)
-        assert mb.pred_feats.shape[1] == padded.pred_feats.shape[1]
+        assert mb.pred_feats.shape[1] == padded["pred_feats"].shape[1]
         assert not mb.pred_mask[:, 1:].any()
-        self._assert_same_bytes(mb, padded.slice(short))
+        _assert_same_bytes(mb, _selected(padded, short))
 
     @pytest.mark.parametrize("mode", SAMPLE_MODES)
     def test_zero_join_and_zero_predicate_queries(self, db, samples, mode):
@@ -323,13 +363,13 @@ class TestPackedCorpus:
             queries.append(LabeledQuery(spec, 5 + i, query_bitmaps(spec, samples)))
         cat = build_catalog(db, [5, 8], S, mode)
         packed = featurize_labeled(queries, cat)
-        padded = batch([featurize(q, cat) for q in queries])
+        padded = padded_batch([featurize(q, cat) for q in queries])
         # Empty sets hold one all-zero placeholder element.
-        assert padded.join_mask[0].tolist() == [1.0] and not padded.join_feats[0].any()
-        assert padded.pred_mask[0].tolist() == [1.0, 0.0] and not padded.pred_feats[0].any()
-        self._assert_same_bytes(packed.slice(np.arange(len(queries))), padded)
+        assert padded["join_mask"][0].tolist() == [1.0] and not padded["join_feats"][0].any()
+        assert padded["pred_mask"][0].tolist() == [1.0, 0.0] and not padded["pred_feats"][0].any()
+        _assert_same_bytes(packed.slice(np.arange(len(queries))), padded)
         repeat = np.array([0, 0, 2])
-        self._assert_same_bytes(packed.slice(repeat), padded.slice(repeat))
+        _assert_same_bytes(packed.slice(repeat), _selected(padded, repeat))
 
     def test_slice_and_len_do_not_unpack(self, packed_and_padded):
         packed, _ = packed_and_padded["bitmap"]
@@ -340,7 +380,7 @@ class TestPackedCorpus:
 
     def test_held_bytes_a_tenth_of_padded(self, packed_and_padded):
         packed, padded = packed_and_padded["bitmap"]
-        padded_bytes = sum(getattr(padded, attr).nbytes for attr in _BATCH_ATTRS)
+        padded_bytes = sum(padded[attr].nbytes for attr in _BATCH_ATTRS)
         assert packed.nbytes <= padded_bytes / 10
 
     def test_errors_match_featurize(self, db, catalog):
