@@ -12,20 +12,22 @@ All dictionaries live in a frozen EncodingCatalog so training and serving
 featurize byte-for-byte identically; the catalog serializes to a versioned
 JSON document with sorted keys.
 
-One query featurizes to element matrices (`featurize`). A batch of
-queries is one type, `PackedCorpus`: per set kind, flat rows and, per
-query, the indices of its elements' rows. `batch` stacks the element
-matrices of featurized queries as those rows; `featurize_labeled` packs a
-labeled corpus without building them, as indices into one-hot patterns,
-sample bits (`np.packbits` bytes in `bitmap` mode, the qualifying fraction
-in `count` mode) and normalized literals: 1.2 MB where the padded float64
-arrays of the 8,797-query reference corpus take 29.5 MB. Slicing selects
-query ids; reading a batch attribute unpacks the selected queries into
-zero-padded arrays with 0/1 masks, each set padded to the longest set of
-its kind in the whole batch, not in the selection: a slice of the whole
-batch's padded arrays, the same bytes. That shape sets how BLAS rounds
-the padded products of `mscn`'s backward pass, so it keeps trained
-models the same bits.
+One query featurizes to element matrices (`featurize`), the only code that
+encodes a query. A batch of queries is one type, `PackedCorpus`: per set
+kind, flat element rows and, per query, the indices of its elements' rows.
+One packer writes each row as `np.packbits` of all its columns plus the
+float64 entries of its value columns, which may hold any number, where the
+other columns hold 0 or 1. `featurize_labeled` packs a labeled corpus a
+chunk of queries at a time, with the `count`-mode sample fraction and the
+predicate literal as its value columns: 1.06 MB where the padded float64
+arrays of the 8,797-query reference corpus take 29.5 MB. `batch` packs
+featurized queries with every column a value column, since their entries
+may be any floats. Slicing selects query ids; reading a batch attribute
+unpacks the selected queries into zero-padded arrays with 0/1 masks, each
+set padded to the longest set of its kind in the whole batch, not in the
+selection: a slice of the whole batch's padded arrays, the same bytes.
+That shape sets how BLAS rounds the padded products of `mscn`'s backward
+pass, so it keeps trained models the same bits.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ _CATALOG_CHECKS = {
     "join_index": _is_index,
     "column_index": _is_index,
     "column_bounds": lambda v: isinstance(v, dict) and all(
-        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in v.values()
+        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) and b[0] <= b[1]
+        for b in v.values()
     ),
     "sample_size": lambda v: is_int(v) and v >= 0,
     "label_log_min": _is_number,
@@ -306,70 +309,52 @@ def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
 
 @dataclass(eq=False)
 class _PackedSet:
-    """One set kind of a packed batch. Row r unpacks to row codes[r] of
-    `patterns`, with its entry of `values` at column `at` or its `bits`
-    unpacked from column `at` on. Patterns are any rows: from
-    `featurize_labeled`, 0/1 one-hot rows that many elements share (the
-    zero pattern also marks the placeholder row of an empty join or
-    predicate set); from `batch`, one row per element, `codes` counting
-    them. The last row of `patterns` is zero. `slots[q]` lists the rows of
-    query q's elements, then, up to the longest set of the batch (module
-    docstring), the row past the last, which is all zero (its code is the
-    zero pattern's) and pads."""
+    """One set kind of a packed batch. Row r holds an element row of
+    `width` columns as two parts: `np.packbits` of the columns, which must
+    be 0 or 1 outside `value_cols`, and the float64 entries of
+    `value_cols`, which unpacking writes over their bits. The last row is
+    zero. `slots[q]` lists the rows of query q's elements, then, up to the
+    longest set of the batch (module docstring), the zero row, which pads."""
 
     slots: np.ndarray  # (n_queries, longest set) int32
-    patterns: np.ndarray  # (n_patterns + 1, width) float64, uint8 with `bits`
-    codes: np.ndarray  # (rows + 1,) int32 rows of `patterns`
-    at: int = 0
-    values: np.ndarray | None = None  # (rows + 1,) float64
-    bits: np.ndarray | None = None  # (rows + 1, ceil(n_bits / 8)) uint8, np.packbits
-    n_bits: int = 0
+    bits: np.ndarray  # (rows + 1, ceil(width / 8)) uint8
+    values: np.ndarray  # (rows + 1, len(range(width)[value_cols])) float64
+    value_cols: slice
+    width: int
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.slots, self.patterns, self.codes, self.values, self.bits)
-        return sum(a.nbytes for a in arrays if a is not None)
+        return self.slots.nbytes + self.bits.nbytes + self.values.nbytes
 
     def unpack(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Padded features (len(ids), longest set, width) and 0/1 mask of
         the queries `ids`."""
         slots = np.take(self.slots, ids, axis=0)
         src = slots.ravel()
-        feats = np.take(self.patterns, np.take(self.codes, src), axis=0)
-        if self.bits is not None:
-            # Set as bytes and cast once, which is faster than writing the
-            # bits into float64 (`patterns` are bytes here).
-            feats[:, self.at :] = np.unpackbits(
-                np.take(self.bits, src, axis=0), axis=1, count=self.n_bits
-            )
-            feats = feats.astype(np.float64)
-        if self.values is not None:
-            feats[:, self.at] = np.take(self.values, src)
-        mask = (slots < self.codes.size - 1).astype(np.float64)  # not padding
-        return feats.reshape(*slots.shape, self.patterns.shape[1]), mask
+        # Unpacked as bytes and cast once, which is faster than writing the
+        # bits into float64; unpacking all bytes as one run and dropping each
+        # row's last pad bits is faster than unpacking row by row.
+        bits = np.unpackbits(np.take(self.bits, src, axis=0))
+        feats = bits.reshape(src.size, 8 * self.bits.shape[1])[:, : self.width]
+        feats = feats.astype(np.float64)
+        if self.values.size:
+            feats[:, self.value_cols] = np.take(self.values, src, axis=0)
+        mask = (slots < len(self.bits) - 1).astype(np.float64)  # not padding
+        return feats.reshape(*slots.shape, self.width), mask
 
 
-def _slots(start: list[int] | np.ndarray) -> np.ndarray:
+def _slots(start: np.ndarray) -> np.ndarray:
     """The `_PackedSet.slots` of sets stored one after the other, set q in
     rows start[q]:start[q + 1]."""
-    start = np.array(start, dtype=np.int32)
+    start = start.astype(np.int32)
     count = np.diff(start)
     rank = np.arange(count.max(), dtype=np.int32)
     return np.where(rank < count[:, None], start[:-1, None] + rank, start[-1])
 
 
-def _patterns(width: int, columns: list[tuple[int, ...]], dtype=np.float64) -> np.ndarray:
-    """One 0/1 row of `width` per entry of `columns`, with 1 at its
-    columns, and a zero row."""
-    patterns = np.zeros((len(columns) + 1, width), dtype=dtype)
-    for i, cols in enumerate(columns):
-        patterns[i, list(cols)] = 1
-    return patterns
-
-
 class PackedCorpus:
-    """A featurized batch held packed (module docstring), selecting the
-    queries `ids` of it.
+    """Featurized queries held packed, one `_PackedSet` per set kind, all
+    written by `_pack` (module docstring), selecting the queries `ids`.
 
     `len` and `slice` never unpack, and `slice` copies no rows. The padded
     features and masks of the three sets, the normalized labels and the
@@ -420,97 +405,89 @@ class PackedCorpus:
     )
 
 
+_ELEMS = ("table_elems", "join_elems", "pred_elems")
+
+#: Queries `featurize_labeled` featurizes and packs at a time.
+_CHUNK = 16
+
+
+def _pack(
+    chunks, sizes: np.ndarray, widths: list[int], value_cols: list[slice]
+) -> PackedCorpus:
+    """The `PackedCorpus` of featurized queries that come in `chunks` (lists
+    of `FeaturizedQuery`), with `sizes[q]` the element rows of query q per
+    set kind. Each kind's rows are written into arrays allocated for all of
+    them, a chunk at a time. The labels and true counts are carried when
+    every query has them."""
+    n = len(sizes)
+    start = np.zeros((n + 1, 3), dtype=np.int64)
+    np.cumsum(sizes, axis=0, out=start[1:])
+    sets = [
+        _PackedSet(
+            _slots(start[:, k]),
+            np.zeros((start[-1, k] + 1, (width + 7) // 8), dtype=np.uint8),
+            np.zeros((start[-1, k] + 1, len(range(width)[cols]))),
+            cols,
+            width,
+        )
+        for k, (width, cols) in enumerate(zip(widths, value_cols))
+    ]
+    labels, cards = np.zeros(n), np.zeros(n)
+    labeled, q = True, 0
+    for fqs in chunks:
+        for k, (s, attr) in enumerate(zip(sets, _ELEMS)):
+            rows = np.concatenate([getattr(fq, attr) for fq in fqs])
+            lo, hi = start[q, k], start[q + len(fqs), k]
+            s.bits[lo:hi] = np.packbits(rows != 0, axis=1)
+            s.values[lo:hi] = rows[:, s.value_cols]
+        got = [fq.label_norm for fq in fqs]
+        labeled = labeled and None not in got
+        if labeled:
+            labels[q : q + len(fqs)] = got
+            cards[q : q + len(fqs)] = [fq.cardinality for fq in fqs]
+        q += len(fqs)
+    if not labeled:
+        labels = cards = None
+    return PackedCorpus(tuple(sets), labels, cards, np.arange(n))
+
+
 def batch(queries: list[FeaturizedQuery]) -> PackedCorpus:
-    """The queries' element matrices stacked as the rows of a `PackedCorpus`,
-    so each set unpacks padded to the longest of its kind in the batch. The
-    labels and true counts are carried when every query has them."""
+    """The queries' element matrices as the rows of a `PackedCorpus`, every
+    column held as a float64 value, so each set unpacks padded to the
+    longest of its kind in the batch. The labels and true counts are
+    carried when every query has them."""
     if not queries:
         raise ValueError("cannot batch zero queries")
-    sets = []
-    for attr in ("table_elems", "join_elems", "pred_elems"):
-        elems = [getattr(q, attr) for q in queries]
-        widths = {e.shape[1] for e in elems}
-        if len(widths) > 1:
-            raise ValueError(f"mixed {attr} widths {sorted(widths)}; one catalog per batch")
-        rows = np.concatenate([*elems, np.zeros((1, widths.pop()))], dtype=np.float64)
-        start = np.cumsum([0] + [e.shape[0] for e in elems])
-        sets.append(_PackedSet(_slots(start), rows, np.arange(len(rows), dtype=np.int32)))
-    labels = cards = None
-    if all(q.label_norm is not None for q in queries):
-        labels = np.array([q.label_norm for q in queries])
-        cards = np.array([q.cardinality for q in queries], dtype=np.float64)
-    return PackedCorpus(tuple(sets), labels, cards, np.arange(len(queries)))
+    widths = []
+    for attr in _ELEMS:
+        found = {getattr(q, attr).shape[1] for q in queries}
+        if len(found) > 1:
+            raise ValueError(f"mixed {attr} widths {sorted(found)}; one catalog per batch")
+        widths.append(found.pop())
+    sizes = np.array([[getattr(q, attr).shape[0] for attr in _ELEMS] for q in queries])
+    return _pack([queries], sizes, widths, [slice(None)] * 3)
 
 
 def featurize_labeled(
     queries: list[LabeledQuery], catalog: EncodingCatalog
 ) -> PackedCorpus:
-    """The packed corpus of the queries: what `batch` of their `featurize`
-    holds, as indices and packed bits, with no per-query matrix built."""
+    """The packed corpus of the queries' `featurize`: `batch` of it, with
+    only the columns that are not 0/1 held as float64 values (the sample
+    fraction of `count` mode and the predicate literal), and with no more
+    than `_CHUNK` queries' element matrices built at a time."""
     if not queries:
         raise ValueError("cannot batch zero queries")
-    mode, n_tab = catalog.sample_mode, len(catalog.table_index)
-    n_join, n_col, n_op = len(catalog.join_index), len(catalog.column_index), len(OP_INDEX)
-    tables, bitmaps, joins, preds, literals = [], [], [], [], []
-    starts = ([0], [0], [0])
-    for q in queries:
-        spec = q.spec
-        for ref in spec.tables:
-            tables.append(_table_code(ref, catalog))
-            if mode != "none":
-                bitmaps.append(_sample_bitmap(q, ref.alias, catalog))
-        joins += [_resolve_join_key(spec, j, catalog) for j in spec.joins] or [n_join]
-        for p in spec.predicates:
-            column, literal = _predicate_code(spec, p, catalog)
-            # The pattern of (column, operator), in the order built below.
-            preds.append(column * n_op + OP_INDEX[p.op])
-            literals.append(literal)
-        if not spec.predicates:
-            preds.append(n_col * n_op)
-            literals.append(0.0)
-        for start, rows in zip(starts, (tables, joins, preds)):
-            start.append(len(rows))
-    fractions = bits = None
-    if mode == "count":
-        fractions = np.array([b.sum() / catalog.sample_size for b in bitmaps] + [0.0])
-    elif mode == "bitmap":
-        bits = np.zeros((len(bitmaps) + 1, (catalog.sample_size + 7) // 8), dtype=np.uint8)
-        for i, bitmap in enumerate(bitmaps):
-            bits[i] = np.packbits(bitmap)
-    sets = (
-        _PackedSet(
-            _slots(starts[0]),
-            _patterns(
-                catalog.table_width,
-                [(t,) for t in range(n_tab)],
-                np.uint8 if mode == "bitmap" else np.float64,
-            ),
-            np.array(tables + [n_tab], dtype=np.int32),
-            n_tab,
-            fractions,
-            bits,
-            catalog.sample_size,
-        ),
-        _PackedSet(
-            _slots(starts[1]),
-            _patterns(catalog.join_width, [(j,) for j in range(n_join)]),
-            np.array(joins + [n_join], dtype=np.int32),
-        ),
-        _PackedSet(
-            _slots(starts[2]),
-            _patterns(
-                catalog.pred_width,
-                [(c, n_col + o) for c in range(n_col) for o in range(n_op)],
-            ),
-            np.array(preds + [n_col * n_op], dtype=np.int32),
-            catalog.pred_width - 1,
-            np.array(literals + [0.0]),
-        ),
+    specs = [q.spec for q in queries]
+    sizes = np.array([[len(s.tables), len(s.joins) or 1, len(s.predicates) or 1] for s in specs])
+    n_tab = len(catalog.table_index)
+    value_cols = [
+        slice(n_tab, n_tab + 1 if catalog.sample_mode == "count" else n_tab),
+        slice(0),
+        slice(catalog.pred_width - 1, None),
+    ]
+    chunks = (
+        [featurize(q, catalog) for q in queries[i : i + _CHUNK]]
+        for i in range(0, len(queries), _CHUNK)
     )
-    cards = [q.true_cardinality for q in queries]
-    labels = [None if c is None else normalize_label(c, catalog) for c in cards]
-    if None in labels:
-        return PackedCorpus(sets, None, None, np.arange(len(queries)))
-    return PackedCorpus(
-        sets, np.array(labels), np.array(cards, dtype=np.float64), np.arange(len(queries))
-    )
+    widths = [catalog.table_width, catalog.join_width, catalog.pred_width]
+    return _pack(chunks, sizes, widths, value_cols)

@@ -27,14 +27,15 @@ padded first-layer gradient g1 built, so at most two of the (B * L, d)
 scratch arrays live at once. Training updates all parameters with one
 Adam step over a single flat vector that the module arrays are views of.
 
-Every batch is a `featurizer.PackedCorpus`, packed from a labeled corpus
-(`featurize_labeled`) or stacked from featurized queries (`batch`). The
-train/validation split and every minibatch select query ids, and each
-minibatch or prediction chunk unpacks on first read into zero-padded
-arrays, each set padded to the longest set of its kind in the whole
-batch: a slice of the whole batch's padded arrays. So every product sees
-the same operands and shapes, and the models are the same bits. A forward run
-for prediction (`predict_batch`, and so validation) keeps no module cache:
+Every batch is a `featurizer.PackedCorpus` that one packer builds from
+`featurize`'s element matrices, of a labeled corpus (`featurize_labeled`)
+or of any featurized queries (`batch`). The train/validation split and
+every minibatch select query ids, and each minibatch or prediction chunk
+unpacks on first read into zero-padded arrays, each set padded to the
+longest set of its kind in the whole batch: a slice of the whole batch's
+padded arrays. So every product sees the same operands and shapes, and
+the models are the same bits. A forward run for prediction
+(`predict_batch`, and so validation) keeps no module cache:
 each goes once its set is pooled.
 """
 
@@ -136,24 +137,27 @@ def param_dict(model: MscnModel) -> dict[str, np.ndarray]:
     }
 
 
+def _module_widths(catalog: EncodingCatalog, hp: Hyperparams) -> tuple[list[int], list[int]]:
+    """Input and output widths of the tables, joins, predicates and output
+    modules, in that order."""
+    d = hp.d
+    return [catalog.table_width, catalog.join_width, catalog.pred_width, 3 * d], [d, d, d, 1]
+
+
 def _param_shapes(catalog: EncodingCatalog, hp: Hyperparams) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter `init_model` makes, in serialization
     order; `load_model` accepts only these."""
-    d, widths = hp.d, (catalog.table_width, catalog.join_width, catalog.pred_width, 3 * hp.d)
+    d = hp.d
     return {
         f"{name}.{field}": shape
-        for name, w, o in zip(("tables", "joins", "preds", "out"), widths, (d, d, d, 1))
+        for name, w, o in zip((*_SET_NAMES, "out"), *_module_widths(catalog, hp))
         for field, shape in zip(_FIELDS, ((w, d), (d,), (d, o), (o,)))
     }
 
 
 def init_model(catalog: EncodingCatalog, hp: Hyperparams) -> MscnModel:
-    modules = init_params(
-        [catalog.table_width, catalog.join_width, catalog.pred_width, 3 * hp.d],
-        hp.d,
-        seed=[hp.seed, 0],
-        out_dims=[hp.d, hp.d, hp.d, 1],
-    )
+    in_dims, out_dims = _module_widths(catalog, hp)
+    modules = init_params(in_dims, hp.d, seed=[hp.seed, 0], out_dims=out_dims)
     return MscnModel(*modules, catalog=catalog, hyperparams=hp)
 
 

@@ -457,16 +457,21 @@ class TestHostileInputs:
             lambda h: h["hyperparams"].update(d="8"),
             lambda h: h["catalog"].update(op_index={"=": 2, "<": 0, ">": 1}),
             lambda h: h["catalog"].pop("op_index"),
+            lambda h: h["catalog"]["column_bounds"].update(
+                {"title.production_year": [2020, 1880]}
+            ),
         ],
         ids=["unknown_key", "missing_key", "bad_value", "no_hyperparams",
              "catalog_missing_key", "string_sample_size", "string_label_log_min",
              "short_column_bounds", "string_join_index", "header_list", "params_int",
-             "string_shape", "string_d", "permuted_op_index", "missing_op_index"],
+             "string_shape", "string_d", "permuted_op_index", "missing_op_index",
+             "swapped_column_bounds"],
     )
     def test_bad_model_header(self, pipeline, tmp_path, capsys, edit):
         # The eight edits from string_sample_size to string_d once escaped
         # `eval` and `predict` as tracebacks; the two op_index edits loaded,
-        # and the model was scored with the package's operator order.
+        # and the model was scored with the package's operator order; with
+        # swapped bounds every literal of the column was scored as 0.5.
         _, db, samples, _, corpus, model, _ = pipeline
         bad = tmp_path / "model.bin"
         _edit_model_header(model, bad, edit)

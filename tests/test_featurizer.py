@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cardlab.errors import ValidationError
 from cardlab.executor import label_workload, query_bitmaps
 from cardlab.featurizer import (
     SAMPLE_MODES,
     EncodingCatalog,
+    FeaturizedQuery,
     batch,
     build_catalog,
     denormalize_label,
@@ -280,6 +284,32 @@ def _assert_same_bytes(got, padded):
         assert have.tobytes() == want.tobytes(), attr
 
 
+#: Entries of a column that holds 0 and 1 only, as values: -0.0 is 0 but
+#: not its bytes, so a packer that held such a column as bits would fail.
+_ZERO_ONE = st.sampled_from([0.0, -0.0, 1.0])
+
+
+@st.composite
+def _ragged_queries(draw):
+    """1-5 featurized queries of 1-4 element rows per set, each column
+    either 0/1 entries (`_ZERO_ONE`) or arbitrary float64, NaN and inf
+    included; all labeled or none."""
+    kinds = [draw(st.lists(st.booleans(), min_size=1, max_size=5)) for _ in range(3)]
+    labeled = draw(st.booleans())
+    fqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        elems = []
+        for zero_one in kinds:
+            n = draw(st.integers(1, 4))
+            elems.append(np.stack([
+                draw(arrays(np.float64, n, elements=_ZERO_ONE if z else st.floats()))
+                for z in zero_one
+            ], axis=1))
+        label = (draw(st.floats(0, 1)), draw(st.integers(1, 10**9))) if labeled else ()
+        fqs.append(FeaturizedQuery(*elems, *label))
+    return fqs
+
+
 class TestPaddedReference:
     """`batch` and `featurize_labeled` against the zero-padding loop of
     `helpers.padded_batch`, and their selections against its slices."""
@@ -309,6 +339,20 @@ class TestPaddedReference:
                 _assert_same_bytes(got, padded)
                 for idx in (np.array([0]), slice(0, 1)):
                     _assert_same_bytes(got.slice(idx), _selected(padded, idx))
+
+    @given(_ragged_queries(), st.data())
+    @settings(max_examples=60)
+    def test_ragged_float_batches(self, fqs, data):
+        # `batch` holds every column as float64 values, so any entries,
+        # -0.0 and NaN payloads included, unpack to their own bytes.
+        padded = padded_batch(fqs)
+        got = batch(fqs)
+        _assert_same_bytes(got, padded)
+        n = len(fqs)
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=6)), dtype=int)
+        step = slice(data.draw(st.integers(0, n)), None, data.draw(st.integers(1, 3)))
+        for idx in (ids, step):
+            _assert_same_bytes(got.slice(idx), _selected(padded, idx))
 
 
 class TestPackedCorpus:
