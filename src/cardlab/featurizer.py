@@ -12,14 +12,17 @@ All dictionaries live in a frozen EncodingCatalog so training and serving
 featurize byte-for-byte identically; the catalog serializes to a versioned
 JSON document with sorted keys.
 
-One query featurizes to element matrices (`featurize`), the only code that
-encodes a query. A batch of queries is one type, `PackedCorpus`: per set
-kind, flat element rows and, per query, the indices of its elements' rows.
-One packer writes each row as `np.packbits` of all its columns plus the
-float64 entries of its value columns, which may hold any number, where the
-other columns hold 0 or 1. `featurize_labeled` packs a labeled corpus a
-chunk of queries at a time, with the `count`-mode sample fraction and the
-predicate literal as its value columns: 1.06 MB where the padded float64
+One function, `_encode`, turns a query into feature values: it writes the
+query's element rows into zero arrays, one per set kind. `featurize` gives
+it one query's own element matrices; `featurize_labeled` gives it arrays
+shared by a chunk of queries, so a corpus costs no arrays per query. A
+batch of queries is one type, `PackedCorpus`: per set kind, flat element
+rows and, per query, the indices of its elements' rows. One packer writes
+each row as `np.packbits` of all its columns plus the float64 entries of
+its value columns, which may hold any number, where the other columns hold
+0 or 1. `featurize_labeled` packs a labeled corpus a chunk at a time, with
+the catalog's `value_cols` (the `count`-mode sample fraction and the
+predicate literal) as its value columns: 1.06 MB where the padded float64
 arrays of the 8,797-query reference corpus take 29.5 MB. `batch` packs
 featurized queries with every column a value column, since their entries
 may be any floats. Slicing selects query ids; reading a batch attribute
@@ -88,6 +91,22 @@ class EncodingCatalog:
     @property
     def pred_width(self) -> int:
         return len(self.column_index) + len(OP_INDEX) + 1
+
+    # The element layout of the three set kinds (tables, joins, predicates),
+    # kept on first read: the catalog's fields do not change once built.
+    @cached_property
+    def widths(self) -> tuple[int, int, int]:
+        return self.table_width, self.join_width, self.pred_width
+
+    @cached_property
+    def value_cols(self) -> tuple[slice, slice, slice]:
+        """The columns that may hold other values than 0 and 1: the sample
+        fraction of `count` mode, in the table column after the one-hot, and
+        the predicate literal, in the last column. A table's bitmap starts at
+        `value_cols[0].start`."""
+        n_tab = len(self.table_index)
+        count = int(self.sample_mode == "count")
+        return slice(n_tab, n_tab + count), slice(0), slice(self.pred_width - 1, None)
 
     @property
     def label_log_range(self) -> float:
@@ -232,79 +251,72 @@ def denormalize_label(y, catalog: EncodingCatalog):
     return np.exp(catalog.label_log_min + y * catalog.label_log_range)
 
 
-def _resolve_join_key(spec, join, catalog) -> int:
-    """Join one-hot position, accepting either written orientation."""
-    (la, lc), (ra, rc) = join.left, join.right
-    lt, rt = spec.table_of(la), spec.table_of(ra)
-    for key in (f"{lt}.{lc}={rt}.{rc}", f"{rt}.{rc}={lt}.{lc}"):
-        if key in catalog.join_index:
-            return catalog.join_index[key]
-    raise ValidationError(f"join {join} not present in catalog")
+def _set_sizes(spec) -> tuple[int, int, int]:
+    """Element rows of the query's table, join and predicate sets."""
+    return len(spec.tables), len(spec.joins) or 1, len(spec.predicates) or 1
 
 
-def _table_code(ref, catalog) -> int:
-    """Table one-hot position."""
-    if ref.table not in catalog.table_index:
-        raise ValidationError(f"table {ref.table!r} not present in catalog")
-    return catalog.table_index[ref.table]
-
-
-def _sample_bitmap(query: LabeledQuery, alias: str, catalog) -> np.ndarray:
-    """The alias's sample bitmap, which must have the catalog's sample size."""
-    bitmap = query.bitmaps.get(alias)
-    if bitmap is None:
-        raise ValidationError(f"missing sample bitmap for alias {alias!r}")
-    if bitmap.size != catalog.sample_size:
-        raise ValidationError(
-            f"bitmap for {alias!r} has {bitmap.size} bits,"
-            f" catalog expects {catalog.sample_size}"
-        )
-    return bitmap
-
-
-def _predicate_code(spec, p, catalog) -> tuple[int, float]:
-    """Column one-hot position, and the literal normalized by the column's
-    bounds and clamped into [0, 1] (0.5 for a single-valued column)."""
-    qc = f"{spec.table_of(p.alias)}.{p.column}"
-    if qc not in catalog.column_index:
-        raise ValidationError(f"column {qc!r} not present in catalog")
-    lo, hi = catalog.column_bounds[qc]
-    norm = (p.literal - lo) / (hi - lo) if hi > lo else 0.5
-    return catalog.column_index[qc], min(max(norm, 0.0), 1.0)
+def _encode(query: LabeledQuery, catalog: EncodingCatalog, elems, rows) -> None:
+    """Write the query's element rows into the zero arrays `elems` (tables,
+    joins, predicates), starting at row `rows[k]` of `elems[k]`: the only
+    code that turns a query into feature values. Requires per-table bitmaps
+    of the catalog's sample size when its sample mode is `count` or
+    `bitmap`."""
+    spec, mode = query.spec, catalog.sample_mode
+    tables, joins, preds = elems
+    samples, _, literal = catalog.value_cols
+    for i, ref in enumerate(spec.tables, rows[0]):
+        code = catalog.table_index.get(ref.table)
+        if code is None:
+            raise ValidationError(f"table {ref.table!r} not present in catalog")
+        tables[i, code] = 1.0
+        if mode == "none":
+            continue
+        bitmap = query.bitmaps.get(ref.alias)
+        if bitmap is None:
+            raise ValidationError(f"missing sample bitmap for alias {ref.alias!r}")
+        if bitmap.size != catalog.sample_size:
+            raise ValidationError(
+                f"bitmap for {ref.alias!r} has {bitmap.size} bits,"
+                f" catalog expects {catalog.sample_size}"
+            )
+        if mode == "count":
+            tables[i, samples.start] = bitmap.sum() / catalog.sample_size
+        else:
+            tables[i, samples.start :] = bitmap
+    for i, join in enumerate(spec.joins, rows[1]):
+        # Either written orientation.
+        (la, lc), (ra, rc) = join.left, join.right
+        lt, rt = spec.table_of(la), spec.table_of(ra)
+        code = catalog.join_index.get(f"{lt}.{lc}={rt}.{rc}")
+        if code is None:
+            code = catalog.join_index.get(f"{rt}.{rc}={lt}.{lc}")
+        if code is None:
+            raise ValidationError(f"join {join} not present in catalog")
+        joins[i, code] = 1.0
+    n_col = len(catalog.column_index)
+    for i, p in enumerate(spec.predicates, rows[2]):
+        qc = f"{spec.table_of(p.alias)}.{p.column}"
+        code = catalog.column_index.get(qc)
+        if code is None:
+            raise ValidationError(f"column {qc!r} not present in catalog")
+        # The literal normalized by the column's bounds and clamped into
+        # [0, 1] (0.5 for a single-valued column).
+        lo, hi = catalog.column_bounds[qc]
+        norm = (p.literal - lo) / (hi - lo) if hi > lo else 0.5
+        preds[i, code] = 1.0
+        preds[i, n_col + OP_INDEX[p.op]] = 1.0
+        preds[i, literal.start] = min(max(norm, 0.0), 1.0)
 
 
 def featurize(query: LabeledQuery, catalog: EncodingCatalog) -> FeaturizedQuery:
-    """Vector sets for one query. Requires per-table bitmaps when the
-    catalog's sample mode is `count` or `bitmap`."""
-    spec = query.spec
-    n_tab = len(catalog.table_index)
-    table_elems = np.zeros((len(spec.tables), catalog.table_width))
-    for i, ref in enumerate(spec.tables):
-        table_elems[i, _table_code(ref, catalog)] = 1.0
-        if catalog.sample_mode == "none":
-            continue
-        bitmap = _sample_bitmap(query, ref.alias, catalog)
-        if catalog.sample_mode == "count":
-            table_elems[i, n_tab] = bitmap.sum() / catalog.sample_size
-        else:
-            table_elems[i, n_tab:] = bitmap
-
-    join_elems = np.zeros((max(len(spec.joins), 1), catalog.join_width))
-    for i, join in enumerate(spec.joins):
-        join_elems[i, _resolve_join_key(spec, join, catalog)] = 1.0
-
-    n_col = len(catalog.column_index)
-    pred_elems = np.zeros((max(len(spec.predicates), 1), catalog.pred_width))
-    for i, p in enumerate(spec.predicates):
-        column, literal = _predicate_code(spec, p, catalog)
-        pred_elems[i, column] = 1.0
-        pred_elems[i, n_col + OP_INDEX[p.op]] = 1.0
-        pred_elems[i, -1] = literal
-
+    """Vector sets for one query, written by `_encode`."""
+    elems = [np.zeros(shape) for shape in zip(_set_sizes(query.spec), catalog.widths)]
+    _encode(query, catalog, elems, (0, 0, 0))
     label = None
     if query.true_cardinality is not None:
         label = normalize_label(query.true_cardinality, catalog)
-    return FeaturizedQuery(table_elems, join_elems, pred_elems, label, query.true_cardinality)
+    return FeaturizedQuery(*elems, label, query.true_cardinality)
 
 
 @dataclass(eq=False)
@@ -407,18 +419,18 @@ class PackedCorpus:
 
 _ELEMS = ("table_elems", "join_elems", "pred_elems")
 
-#: Queries `featurize_labeled` featurizes and packs at a time.
-_CHUNK = 16
+#: Queries `featurize_labeled` encodes and packs at a time.
+_CHUNK = 64
 
 
 def _pack(
-    chunks, sizes: np.ndarray, widths: list[int], value_cols: list[slice]
+    chunks, sizes: np.ndarray, widths, value_cols, labels: list, cards: list
 ) -> PackedCorpus:
-    """The `PackedCorpus` of featurized queries that come in `chunks` (lists
-    of `FeaturizedQuery`), with `sizes[q]` the element rows of query q per
-    set kind. Each kind's rows are written into arrays allocated for all of
-    them, a chunk at a time. The labels and true counts are carried when
-    every query has them."""
+    """The `PackedCorpus` of queries whose element rows come in `chunks`,
+    per chunk one array per set kind, with `sizes[q]` the element rows of
+    query q per set kind. Each kind's rows are written into arrays allocated
+    for all of them, a chunk at a time. The labels and true counts are
+    carried when every query has them."""
     n = len(sizes)
     start = np.zeros((n + 1, 3), dtype=np.int64)
     np.cumsum(sizes, axis=0, out=start[1:])
@@ -432,23 +444,18 @@ def _pack(
         )
         for k, (width, cols) in enumerate(zip(widths, value_cols))
     ]
-    labels, cards = np.zeros(n), np.zeros(n)
-    labeled, q = True, 0
-    for fqs in chunks:
-        for k, (s, attr) in enumerate(zip(sets, _ELEMS)):
-            rows = np.concatenate([getattr(fq, attr) for fq in fqs])
-            lo, hi = start[q, k], start[q + len(fqs), k]
+    done = [0, 0, 0]
+    for elems in chunks:
+        for k, (s, rows) in enumerate(zip(sets, elems)):
+            lo, hi = done[k], done[k] + len(rows)
             s.bits[lo:hi] = np.packbits(rows != 0, axis=1)
             s.values[lo:hi] = rows[:, s.value_cols]
-        got = [fq.label_norm for fq in fqs]
-        labeled = labeled and None not in got
-        if labeled:
-            labels[q : q + len(fqs)] = got
-            cards[q : q + len(fqs)] = [fq.cardinality for fq in fqs]
-        q += len(fqs)
-    if not labeled:
-        labels = cards = None
-    return PackedCorpus(tuple(sets), labels, cards, np.arange(n))
+            done[k] = hi
+    if None in labels:
+        return PackedCorpus(tuple(sets), None, None, np.arange(n))
+    return PackedCorpus(
+        tuple(sets), np.array(labels), np.array(cards, dtype=np.float64), np.arange(n)
+    )
 
 
 def batch(queries: list[FeaturizedQuery]) -> PackedCorpus:
@@ -465,29 +472,35 @@ def batch(queries: list[FeaturizedQuery]) -> PackedCorpus:
             raise ValueError(f"mixed {attr} widths {sorted(found)}; one catalog per batch")
         widths.append(found.pop())
     sizes = np.array([[getattr(q, attr).shape[0] for attr in _ELEMS] for q in queries])
-    return _pack([queries], sizes, widths, [slice(None)] * 3)
+    elems = [np.concatenate([getattr(q, attr) for q in queries]) for attr in _ELEMS]
+    labels, cards = [q.label_norm for q in queries], [q.cardinality for q in queries]
+    return _pack([elems], sizes, widths, [slice(None)] * 3, labels, cards)
+
+
+def _encode_chunk(queries, catalog: EncodingCatalog, sizes: np.ndarray) -> list[np.ndarray]:
+    """The element rows of `queries`, whose set sizes are `sizes`, one array
+    per set kind, the queries' rows one after the other."""
+    first = np.cumsum(sizes, axis=0) - sizes
+    elems = [np.zeros(shape) for shape in zip(sizes.sum(axis=0), catalog.widths)]
+    for q, rows in zip(queries, first.tolist()):
+        _encode(q, catalog, elems, rows)
+    return elems
 
 
 def featurize_labeled(
     queries: list[LabeledQuery], catalog: EncodingCatalog
 ) -> PackedCorpus:
-    """The packed corpus of the queries' `featurize`: `batch` of it, with
-    only the columns that are not 0/1 held as float64 values (the sample
-    fraction of `count` mode and the predicate literal), and with no more
-    than `_CHUNK` queries' element matrices built at a time."""
+    """What `batch` of the queries' `featurize` holds, with only the columns
+    that are not 0/1 held as float64 values (`EncodingCatalog.value_cols`),
+    and with the element rows of no more than `_CHUNK` queries built at a
+    time."""
     if not queries:
         raise ValueError("cannot batch zero queries")
-    specs = [q.spec for q in queries]
-    sizes = np.array([[len(s.tables), len(s.joins) or 1, len(s.predicates) or 1] for s in specs])
-    n_tab = len(catalog.table_index)
-    value_cols = [
-        slice(n_tab, n_tab + 1 if catalog.sample_mode == "count" else n_tab),
-        slice(0),
-        slice(catalog.pred_width - 1, None),
-    ]
+    sizes = np.array([_set_sizes(q.spec) for q in queries])
     chunks = (
-        [featurize(q, catalog) for q in queries[i : i + _CHUNK]]
+        _encode_chunk(queries[i : i + _CHUNK], catalog, sizes[i : i + _CHUNK])
         for i in range(0, len(queries), _CHUNK)
     )
-    widths = [catalog.table_width, catalog.join_width, catalog.pred_width]
-    return _pack(chunks, sizes, widths, value_cols)
+    cards = [q.true_cardinality for q in queries]
+    labels = [None if c is None else normalize_label(c, catalog) for c in cards]
+    return _pack(chunks, sizes, catalog.widths, catalog.value_cols, labels, cards)

@@ -28,15 +28,15 @@ scratch arrays live at once. Training updates all parameters with one
 Adam step over a single flat vector that the module arrays are views of.
 
 Every batch is a `featurizer.PackedCorpus` that one packer builds from
-`featurize`'s element matrices, of a labeled corpus (`featurize_labeled`)
-or of any featurized queries (`batch`). The train/validation split and
-every minibatch select query ids, and each minibatch or prediction chunk
-unpacks on first read into zero-padded arrays, each set padded to the
-longest set of its kind in the whole batch: a slice of the whole batch's
-padded arrays. So every product sees the same operands and shapes, and
-the models are the same bits. A forward run for prediction
-(`predict_batch`, and so validation) keeps no module cache:
-each goes once its set is pooled.
+element rows written by the one encoder, of a labeled corpus
+(`featurize_labeled`, 64 queries at a time) or of any featurized queries
+(`batch`). The train/validation split and every minibatch select query
+ids, and each minibatch or prediction chunk unpacks on first read into
+zero-padded arrays, each set padded to the longest set of its kind in the
+whole batch: a slice of the whole batch's padded arrays. So every product
+sees the same operands and shapes, and the models are the same bits. A
+forward run for prediction (`predict_batch`, and so validation) keeps no
+module cache: each goes once its set is pooled.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _module_widths(catalog: EncodingCatalog, hp: Hyperparams) -> tuple[list[int]
     """Input and output widths of the tables, joins, predicates and output
     modules, in that order."""
     d = hp.d
-    return [catalog.table_width, catalog.join_width, catalog.pred_width, 3 * d], [d, d, d, 1]
+    return [*catalog.widths, 3 * d], [d, d, d, 1]
 
 
 def _param_shapes(catalog: EncodingCatalog, hp: Hyperparams) -> dict[str, tuple[int, ...]]:
