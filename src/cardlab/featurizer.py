@@ -76,27 +76,16 @@ class EncodingCatalog:
         if not self.label_log_min < self.label_log_max:
             raise ValueError("degenerate label range (min must be < max)")
 
-    @property
-    def sample_width(self) -> int:
-        return {"none": 0, "count": 1, "bitmap": self.sample_size}[self.sample_mode]
-
-    @property
-    def table_width(self) -> int:
-        return len(self.table_index) + self.sample_width
-
-    @property
-    def join_width(self) -> int:
-        return len(self.join_index)
-
-    @property
-    def pred_width(self) -> int:
-        return len(self.column_index) + len(OP_INDEX) + 1
-
     # The element layout of the three set kinds (tables, joins, predicates),
     # kept on first read: the catalog's fields do not change once built.
     @cached_property
     def widths(self) -> tuple[int, int, int]:
-        return self.table_width, self.join_width, self.pred_width
+        sample_width = {"none": 0, "count": 1, "bitmap": self.sample_size}[self.sample_mode]
+        return (
+            len(self.table_index) + sample_width,
+            len(self.join_index),
+            len(self.column_index) + len(OP_INDEX) + 1,
+        )
 
     @cached_property
     def value_cols(self) -> tuple[slice, slice, slice]:
@@ -106,7 +95,7 @@ class EncodingCatalog:
         `value_cols[0].start`."""
         n_tab = len(self.table_index)
         count = int(self.sample_mode == "count")
-        return slice(n_tab, n_tab + count), slice(0), slice(self.pred_width - 1, None)
+        return slice(n_tab, n_tab + count), slice(0), slice(self.widths[2] - 1, None)
 
     @property
     def label_log_range(self) -> float:
@@ -190,9 +179,9 @@ class FeaturizedQuery:
     """The three per-set element matrices plus the normalized label and the
     true count it was normalized from."""
 
-    table_elems: np.ndarray  # (n_tables, table_width)
-    join_elems: np.ndarray  # (max(n_joins, 1), join_width)
-    pred_elems: np.ndarray  # (max(n_preds, 1), pred_width)
+    table_elems: np.ndarray  # (n_tables, widths[0])
+    join_elems: np.ndarray  # (max(n_joins, 1), widths[1])
+    pred_elems: np.ndarray  # (max(n_preds, 1), widths[2])
     label_norm: float | None = None
     cardinality: int | None = None
 

@@ -11,21 +11,18 @@ the normalization is affine in ln c), plain MSE, or the log of the
 geometric mean q-error k|y - t|. Optimization is mini-batch Adam, fully
 deterministic per seed; the last-epoch model is kept.
 
-The set modules see padded batches but compute on the real elements: the
-products of the forward pass and the element-wise work of both passes
-run on the rows the masks mark. Three backward products keep the padded
-shape, with zeros scattered into the padding rows, because that shape
-sets how BLAS rounds them: the two weight gradients, which sum over all
-padded rows, and the gradient into the hidden layer, one product per set.
-So outputs, gradients and saved models are the same to the bit as those
-of the dense kernel that runs every padded element (kept in the tests as
-the reference). Backward forms each padded product as soon as its operands
-exist and drops the operands after their last product: the padded output
-gradient g2 and hidden activations h give the second-layer weight gradient,
-h goes, g2 gives the padded hidden gradient, g2 goes, and only then is the
-padded first-layer gradient g1 built, so at most two of the (B * L, d)
-scratch arrays live at once. Training updates all parameters with one
-Adam step over a single flat vector that the module arrays are views of.
+The set modules see padded batches but compute on the real elements, by
+one path for every batch: one pool, one cache form and one backward.
+`_set_forward` states the one rounding rule that picks the shape of the
+forward products. Backward keeps three products in the padded shape, with
+zeros scattered into the padding rows, because that shape sets how BLAS
+rounds them (`_set_backward`). So outputs, gradients and saved models are
+the same to the bit as those of the dense kernel that runs every padded
+element (kept in the tests as the reference). Backward builds the padded
+scratch arrays g2, h and g1 one after another and drops each after its
+last product, so at most two of these (B * L, d) arrays live at once.
+Training updates all parameters with one Adam step over a single flat
+vector that the module arrays are views of.
 
 Every batch is a `featurizer.PackedCorpus` that one packer builds from
 element rows written by the one encoder, of a labeled corpus
@@ -65,8 +62,6 @@ from .neural import (
     Mlp2Cache,
     adam_step,
     init_params,
-    masked_mean_pool,
-    masked_mean_pool_backward,
     mlp2_backward,
     mlp2_forward,
 )
@@ -80,6 +75,7 @@ MODEL_MAGIC = b"CLM1"
 MODEL_FORMAT_VERSION = 1
 
 _SET_NAMES = ("tables", "joins", "preds")
+_PREDICT_CHUNK = 4096  # queries per forward run of `predict_batch`
 _FIELDS = ("w1", "b1", "w2", "b2")
 
 # JSON types of a model header's `Hyperparams` fields, by annotation.
@@ -163,22 +159,14 @@ def init_model(catalog: EncodingCatalog, hp: Hyperparams) -> MscnModel:
 
 @dataclass
 class _SetCache:
-    """What `backward` needs of one set module's forward pass. On the packed
-    path `mlp` holds the real elements' activations, except `mlp.x`, which
-    keeps the padded input rows for the first-layer weight gradient."""
+    """What `backward` needs of one set module's forward pass: `mlp` holds
+    the real elements' activations, except `mlp.x`, which keeps the padded
+    input rows for the first-layer weight gradient."""
 
     mlp: Mlp2Cache
     mask: np.ndarray  # (B, L) of 0/1
-    rows: np.ndarray | None  # flat indices of the real elements; None: dense path
-    counts: np.ndarray | None  # (B,) real elements per set on the packed path
-
-
-def _pool_unpadded(feats: np.ndarray, module: Dense2):
-    """Mean of the module's outputs over the set axis (-2) of sets without
-    padding, and the module's cache. The masked pool's weights would all be
-    1 and its counts the set length."""
-    elems, cache = mlp2_forward(feats, module, final="relu")
-    return elems.sum(axis=-2) / feats.shape[-2], cache
+    rows: np.ndarray  # flat indices of the real elements
+    counts: np.ndarray  # (B,) real elements per set
 
 
 def _head(model: MscnModel, pooled: list[np.ndarray]):
@@ -192,50 +180,49 @@ def _head(model: MscnModel, pooled: list[np.ndarray]):
 def _set_forward(feats: np.ndarray, mask: np.ndarray, module: Dense2):
     """Mean of the module's outputs over each set's real elements.
 
-    The products run on the real rows only. The pool scatters them into
-    zeros of the padded shape and sums slot by slot, which adds the same
-    values in the same order as the masked mean pool of the dense outputs,
-    so the result is the same to the bit. Two cases run the dense kernel on
-    the padded arrays as they are: no padding (every one-query batch built
-    on its own), where there is nothing to skip, and a single real row,
-    which numpy would multiply by gemv, rounding unlike the dense kernel's
-    gemm."""
+    The rounding rule: the products run on the real rows, `x[rows]`, as one
+    matrix, except when the set kind has length 1 or the batch holds a
+    single real element. Then they run on the padded stack (B, L, width),
+    as the dense kernel forms them, and only the real rows' activations are
+    kept. numpy multiplies a stacked (B, 1, width) input one row at a time,
+    and a lone real row by gemv, and either rounds unlike the same rows
+    inside one gemm. Both cases then share the rest: the pool scatters the
+    real outputs into zeros of the padded shape and sums slot by slot,
+    which adds the same values in the same order as the masked mean pool
+    of the dense outputs, so the result is the same to the bit."""
     b, length, width = feats.shape
-    full = (mask == 1).all()
-    if not (full or ((mask == 0) | (mask == 1)).all()):
+    if not ((mask == 0) | (mask == 1)).all():
         raise ValueError("set masks must hold only 0 and 1")
-    if full and length > 0:
-        pooled, cache = _pool_unpadded(feats, module)
-        return pooled, _SetCache(cache, mask, None, None)
-    rows = np.flatnonzero(mask)
-    if rows.size <= 1:
-        elems, cache = mlp2_forward(feats, module, final="relu")
-        return masked_mean_pool(elems, mask), _SetCache(cache, mask, None, None)
     counts = mask.sum(axis=-1)
     if np.any(counts == 0):
-        raise ValueError("masked_mean_pool requires at least one unmasked element")
+        raise ValueError("every set needs at least one unmasked element")
     x = feats.reshape(-1, width)
-    elems, cache = mlp2_forward(x[rows], module, final="relu")
+    rows = np.flatnonzero(mask)
+    if length == 1 or rows.size == 1:
+        elems, cache = mlp2_forward(feats, module, final="relu")
+        cache.h = cache.h.reshape(-1, module.hidden)[rows]
+        elems = cache.out = elems.reshape(-1, module.out_dim)[rows]
+    else:
+        elems, cache = mlp2_forward(x[rows], module, final="relu")
     cache.x = x
     padded = np.zeros((x.shape[0], module.out_dim))
     padded[rows] = elems
-    pooled = padded.reshape(b, length, -1).sum(axis=1) / counts[:, None]
+    pooled = padded.reshape(b, length, module.out_dim).sum(axis=1) / counts[:, None]
     return pooled, _SetCache(cache, mask, rows, counts)
 
 
 def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2:
     """Parameter gradients of one set module given dL/d(pooled).
 
-    The element-wise work runs on the real rows. Three products keep the
-    padded shape because their rounding depends on it: the weight gradients
-    `x.T @ g1` and `h.T @ g2` sum over all B * L rows (the padding rows
-    scattered in as zeros add nothing, but the row count sets how BLAS
+    One path serves both cases of `_set_forward`'s rounding rule: either
+    way the cache holds the real rows' activations and the padded input
+    rows. The element-wise work runs on the real rows. Three products keep
+    the padded shape because their rounding depends on it: the weight
+    gradients `x.T @ g1` and `h.T @ g2` sum over all B * L rows (the padding
+    rows scattered in as zeros add nothing, but the row count sets how BLAS
     splits the sum), and the padded hidden gradient (`d_pre1` before its
     ReLU mask) is one product per set, as the dense kernel computes it. The
     set inputs are features, so there is no input gradient."""
-    if sc.rows is None:
-        d_elems = masked_mean_pool_backward(d_pooled, sc.mask)
-        return mlp2_backward(d_elems, sc.mlp, module, input_grad=False)[1]
     cache, rows = sc.mlp, sc.rows
     b, length = sc.mask.shape
     n = cache.x.shape[0]
@@ -250,7 +237,8 @@ def _set_backward(d_pooled: np.ndarray, sc: _SetCache, module: Dense2) -> Dense2
     h[rows] = cache.h
     d_w2 = h.T @ g2
     del h
-    d_pre1 = (g2.reshape(b, length, -1) @ module.w2.T).reshape(n, -1)[rows]
+    d_pre1 = g2.reshape(b, length, module.out_dim) @ module.w2.T
+    d_pre1 = d_pre1.reshape(n, module.hidden)[rows]
     del g2
     d_pre1 *= cache.h > 0
     d_b1 = d_pre1.sum(axis=0)
@@ -320,14 +308,15 @@ def loss_and_grad(y: np.ndarray, labels: np.ndarray, kind: str, k: float):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def predict_batch(model: MscnModel, batch: PackedCorpus, chunk: int = 4096) -> np.ndarray:
-    """Denormalized cardinality estimates for a featurized batch: an
-    empty float64 array for an empty one."""
+def predict_batch(model: MscnModel, batch: PackedCorpus) -> np.ndarray:
+    """Denormalized cardinality estimates for a featurized batch,
+    `_PREDICT_CHUNK` queries at a time: an empty float64 array for an empty
+    one."""
     if not len(batch):
         return np.empty(0)
     outputs = []
-    for start in range(0, len(batch), chunk):
-        outputs.append(_forward(model, batch.slice(slice(start, start + chunk))))
+    for start in range(0, len(batch), _PREDICT_CHUNK):
+        outputs.append(_forward(model, batch.slice(slice(start, start + _PREDICT_CHUNK))))
     return denormalize_label(np.concatenate(outputs), model.catalog)
 
 
@@ -421,11 +410,13 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
     samples when the model uses sample features) and estimate it.
 
     One query has no padding, so the set modules run on its element
-    matrices as they are, through the code `forward` runs for a batch
-    without padding, with no batch axis: numpy multiplies an (L, width)
-    matrix with the same kernel as the (1, L, width) stack of a one-query
-    batch, and the pooled (3d,) vector as the (1, 3d) row. So the estimate
-    is the same to the bit as `predict_batch` on the one-query batch."""
+    matrices as they are, with no batch axis, and the mean is the sum of
+    the rows over their count. Under `_set_forward`'s rounding rule a
+    one-query batch multiplies the same (L, width) matrix, or the same
+    lone row, with the same kernel, and sums the same rows in the same
+    order; numpy multiplies the pooled (3d,) vector as the (1, 3d) row.
+    So the estimate is the same to the bit as `predict_batch` on the
+    one-query batch."""
     errors = validate(spec, db)
     if errors:
         raise ValidationError("; ".join(errors))
@@ -440,7 +431,10 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
         (fq.join_elems, model.joins_mlp),
         (fq.pred_elems, model.preds_mlp),
     )
-    pooled = [_pool_unpadded(elems, module)[0] for elems, module in sets]
+    pooled = []
+    for elems, module in sets:
+        out, _ = mlp2_forward(elems, module, final="relu")
+        pooled.append(out.sum(axis=-2) / elems.shape[-2])
     y, _ = _head(model, pooled)
     return float(denormalize_label(y, model.catalog))
 

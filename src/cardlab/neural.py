@@ -8,8 +8,9 @@ stacked (B, L, d) input times a transposed weight rounds differently from
 the same rows as one (B * L, d) product; and BLAS splits a weight
 gradient's sum over rows by the row count. `mscn` runs the set modules on
 real elements only where the shape leaves the rounding unchanged and keeps
-the padded shape elsewhere; the masked pool serves sets with a single real
-element.
+the padded shape elsewhere, and pools with a scatter of its own. The
+masked mean pool and its backward serve only the dense reference kernel
+of the tests and the traced replay of the benchmark.
 
 A module's forward pass adds each bias and applies each ReLU in place, and
 its cache holds only the input, the hidden activations and the output.
@@ -114,11 +115,8 @@ def mlp2_forward(
     return out, Mlp2Cache(x, h, out, final)
 
 
-def mlp2_backward(
-    d_out: np.ndarray, cache: Mlp2Cache, p: Dense2, input_grad: bool = True
-) -> tuple[np.ndarray | None, Dense2]:
-    """Gradient w.r.t. input and parameters given dL/d(out). The input
-    gradient is None when `input_grad` is false, as for constant inputs."""
+def mlp2_backward(d_out: np.ndarray, cache: Mlp2Cache, p: Dense2) -> tuple[np.ndarray, Dense2]:
+    """Gradient w.r.t. input and parameters given dL/d(out)."""
     if cache.final == "relu":
         d_pre2 = d_out * (cache.out > 0)
     else:
@@ -133,8 +131,7 @@ def mlp2_backward(
     g1 = d_pre1.reshape(-1, p.hidden)
     d_w1 = x2.T @ g1
     d_b1 = g1.sum(axis=0)
-    d_x = d_pre1 @ p.w1.T if input_grad else None
-    return d_x, Dense2(d_w1, d_b1, d_w2, d_b2)
+    return d_pre1 @ p.w1.T, Dense2(d_w1, d_b1, d_w2, d_b2)
 
 
 def masked_mean_pool(elements: np.ndarray, mask: np.ndarray) -> np.ndarray:

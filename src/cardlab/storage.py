@@ -178,17 +178,18 @@ def _dense_span(span: int, rows: int) -> bool:
     return span <= 4 * rows + 1024
 
 
-def value_index(values: np.ndarray) -> ValueIndex:
-    """Value index of one column. Values spanning at most 2**16, a span
+def value_index(values: np.ndarray, lo: int | None, hi: int | None) -> ValueIndex:
+    """Value index of one column whose least and greatest values are `lo`
+    and `hi` (None when it is empty). Values spanning at most 2**16, a span
     dense for the row count, are coded as their offset from the minimum,
     every value of the span a key, so `group_rows` groups them with a radix
     sort; other columns are coded by `np.unique`, its values the keys."""
-    span = int(values.max()) - int(values.min()) + 1 if values.size else 0
+    span = hi - lo + 1 if values.size else 0
     if values.size and span <= _RADIX_SPACE and _dense_span(span, values.size):
-        keys = np.arange(int(values.min()), int(values.max()) + 1, dtype=np.int64)
+        keys = np.arange(lo, hi + 1, dtype=np.int64)
         # Offsets computed at the column's width wrap modulo 2**16, so
         # their low 16 bits are exact: every offset is below 2**16.
-        codes = (values - values.min()).astype(np.uint16)
+        codes = (values - lo).astype(np.uint16)
     else:
         keys, codes = np.unique(values, return_inverse=True)
         keys = keys.astype(np.int64)
@@ -246,7 +247,7 @@ class Column:
                     if np.iinfo(d).min <= self.lo and self.hi <= np.iinfo(d).max
                 )
                 values = values.astype(dtype, copy=False)
-            self.index = value_index(values)
+            self.index = value_index(values, self.lo, self.hi)
             self.distinct_count = int(np.count_nonzero(np.diff(self.index.groups.offsets)))
         elif self.kind == KIND_PK and _is_range(values, self.lo, self.hi):
             self.distinct_count, self.base = values.size, self.lo

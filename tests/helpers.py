@@ -301,8 +301,7 @@ def dense_backward(model, caches, d_y):
         cache, mask = caches[name]
         d_pooled = d_merged[..., i * d : (i + 1) * d]
         d_elems = masked_mean_pool_backward(d_pooled, mask)
-        # The set modules' inputs are features, so no input gradient.
-        _, g = mlp2_backward(d_elems, cache, model.modules()[name], input_grad=False)
+        _, g = mlp2_backward(d_elems, cache, model.modules()[name])
         for field in _FIELDS:
             grads[f"{name}.{field}"] = getattr(g, field)
     return grads

@@ -96,9 +96,7 @@ class TestCatalog:
     def test_widths(self, db):
         for mode, extra in (("none", 0), ("count", 1), ("bitmap", S)):
             cat = build_catalog(db, [1, 10], S, mode)
-            assert cat.table_width == 6 + extra
-            assert cat.join_width == 5
-            assert cat.pred_width == 9 + 3 + 1
+            assert cat.widths == (6 + extra, 5, 9 + 3 + 1)
 
 
 class TestLabelNormalization:

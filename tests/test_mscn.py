@@ -392,18 +392,19 @@ class TestDenseOracle:
         for i in range(40):
             _assert_matches_dense(model, padded.slice(np.array([i])))
 
-    def test_chunked_predict_batch(self, oracle_batches):
+    def test_chunked_predict_batch(self, oracle_batches, monkeypatch):
         catalog, full = oracle_batches["bitmap"]
         model = _generic_model(catalog, 16, seed=25)
         b = full.slice(np.arange(7 * 20 + 1))
         # 7: chunks unpacked at offsets; 141 and 4096: one chunk.
         for chunk in (7, 141, 4096):
+            monkeypatch.setattr(mscn, "_PREDICT_CHUNK", chunk)
             dense = [
                 dense_forward(model, b.slice(np.arange(s, min(s + chunk, len(b)))))[0]
                 for s in range(0, len(b), chunk)
             ]
             expected = denormalize_label(np.concatenate(dense), catalog)
-            assert predict_batch(model, b, chunk=chunk).tobytes() == expected.tobytes()
+            assert predict_batch(model, b).tobytes() == expected.tobytes()
 
     def test_backward_twice_on_one_cache(self, oracle_batches):
         catalog, full = oracle_batches["bitmap"]
@@ -437,6 +438,19 @@ class TestDenseOracle:
         b = corpus_batch.slice(np.arange(10))
         b.pred_mask[3, 0] = bad
         with pytest.raises(ValueError, match="only 0 and 1"):
+            forward(model, b)
+
+    def test_forward_on_empty_slice(self, corpus_batch, catalog):
+        model = init_model(catalog, Hyperparams(d=8, seed=27))
+        y, caches = forward(model, corpus_batch.slice(np.arange(0)))
+        assert y.shape == (0,)
+        assert set(caches) == {"tables", "joins", "preds", "out"}
+
+    def test_set_without_real_element_rejected(self, corpus_batch, catalog):
+        model = init_model(catalog, Hyperparams(d=8, seed=27))
+        b = corpus_batch.slice(np.arange(10))
+        b.join_mask[4] = 0
+        with pytest.raises(ValueError, match="at least one unmasked element"):
             forward(model, b)
 
     def test_nonfinite_gradient_names_parameter(
