@@ -34,6 +34,15 @@ whole batch: a slice of the whole batch's padded arrays. So every product
 sees the same operands and shapes, and the models are the same bits. A
 forward run for prediction (`predict_batch`, and so validation) keeps no
 module cache: each goes once its set is pooled.
+
+`predict` estimates one query with as few numpy calls as keep these bits.
+Its set modules build no cache, and each set's mean is written into one
+pooled vector; a one-row set's mean is a copy of its row, which is exactly
+its sum divided by 1. After the output module's last product, the scalar
+tail (bias, sigmoid, denormalization) runs on Python floats, the same IEEE
+operations in the same order. Its two exponentials stay `np.exp`, since
+`math.exp` need not round as numpy's does, so the estimate keeps the bits
+of `predict_batch` on the one-query batch.
 """
 
 from __future__ import annotations
@@ -410,11 +419,18 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
     samples when the model uses sample features) and estimate it.
 
     One query has no padding, so the set modules run on its element
-    matrices as they are, with no batch axis, and the mean is the sum of
-    the rows over their count. Under `_set_forward`'s rounding rule a
-    one-query batch multiplies the same (L, width) matrix, or the same
-    lone row, with the same kernel, and sums the same rows in the same
-    order; numpy multiplies the pooled (3d,) vector as the (1, 3d) row.
+    matrices as they are, with no batch axis and no cache, each layer
+    adding its bias and applying its ReLU in place. Each set's mean goes
+    straight into its third of one (3d,) vector: the sum of the rows over
+    their count, or, for a one-row set, a copy of the row, which is what
+    that sum and the division by 1 give. Under `_set_forward`'s rounding
+    rule a one-query batch multiplies the same (L, width) matrix, or the
+    same lone row, with the same kernel, and sums the same rows in the
+    same order; numpy multiplies the pooled (3d,) vector as the (1, 3d)
+    row. The output module's first layer and its 1-wide second product
+    stay numpy calls; the bias of that one value, the sigmoid and the
+    denormalization run on Python floats (`_output_tail`), with both
+    exponentials left to `np.exp` so that they round as the batch path's.
     So the estimate is the same to the bit as `predict_batch` on the
     one-query batch."""
     errors = validate(spec, db)
@@ -426,17 +442,43 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
             raise ValidationError("model requires materialized samples")
         bitmaps = query_bitmaps(spec, samples)
     fq = featurize(LabeledQuery(spec, None, bitmaps), model.catalog)
+    d = model.hyperparams.d
+    pooled = np.empty(3 * d)
     sets = (
         (fq.table_elems, model.tables_mlp),
         (fq.join_elems, model.joins_mlp),
         (fq.pred_elems, model.preds_mlp),
     )
-    pooled = []
-    for elems, module in sets:
-        out, _ = mlp2_forward(elems, module, final="relu")
-        pooled.append(out.sum(axis=-2) / elems.shape[-2])
-    y, _ = _head(model, pooled)
-    return float(denormalize_label(y, model.catalog))
+    for i, (elems, module) in enumerate(sets):
+        out = _relu_layer(_relu_layer(elems, module.w1, module.b1), module.w2, module.b2)
+        mean = pooled[i * d : (i + 1) * d]
+        if len(out) == 1:
+            mean[:] = out[0]
+        else:
+            np.divide(out.sum(axis=0), len(out), out=mean)
+    head = model.out_mlp
+    h = _relu_layer(pooled, head.w1, head.b1)
+    return _output_tail((h @ head.w2).item() + head.b2.item(), model.catalog)
+
+
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ReLU(x w + b), with the bias added and the ReLU applied in place: the
+    operations of one `mlp2_forward` layer, in the same order."""
+    h = x @ w
+    h += b
+    np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _output_tail(z: float, catalog: EncodingCatalog) -> float:
+    """The estimate for one output pre-activation `z`: `neural.sigmoid` and
+    then `denormalize_label`, on Python floats. Each step is the IEEE
+    operation the array code applies, in the same order, and both
+    exponentials are `np.exp`, which rounds as it does on an array; so the
+    result is the bits of `denormalize_label(sigmoid(np.array([z])))`."""
+    e = np.exp(-abs(z)).item()
+    y = (1.0 if z >= 0 else e) / (1.0 + e)
+    return np.exp(catalog.label_log_min + y * catalog.label_log_range).item()
 
 
 def predict_labeled(model: MscnModel, queries: list[LabeledQuery]) -> np.ndarray:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cardlab.errors import ModelFormatError
 from cardlab.executor import label_workload, query_bitmaps
@@ -29,8 +31,16 @@ from cardlab.mscn import (
     save_model,
     train,
 )
-from cardlab.neural import Dense2
-from cardlab.query import LabeledQuery, format_query, generate_workload
+from cardlab.neural import Dense2, sigmoid
+from cardlab.query import (
+    JoinEdge,
+    LabeledQuery,
+    Predicate,
+    QuerySpec,
+    TableRef,
+    format_query,
+    generate_workload,
+)
 from cardlab.storage import SynthConfig, draw_all_samples, generate_synthetic_db
 
 ROWS = {
@@ -497,7 +507,6 @@ class TestPredict:
 
     def test_invalid_query_rejected(self, model, db, samples):
         from cardlab.errors import ValidationError
-        from cardlab.query import Predicate, QuerySpec, TableRef
 
         bad = QuerySpec((TableRef("title", "t"),), (), (Predicate("t", "id", "=", 1),))
         with pytest.raises(ValidationError):
@@ -509,22 +518,83 @@ class TestOneQueryPath:
     modules; its estimate equals `predict_batch` on the one-query batch and
     the dense kernel (tests/helpers.py), byte for byte."""
 
-    @pytest.mark.parametrize("mode", ["none", "count", "bitmap"])
-    def test_matches_batch_and_dense(self, db, samples, oracle_batches, mode):
-        catalog, _ = oracle_batches[mode]
-        model = _generic_model(catalog, 16, seed=30)
+    @pytest.fixture(scope="class")
+    def specs(self, db):
         specs = generate_workload(db, 120, 4, seed=64)
         assert {len(s.joins) for s in specs} == {0, 1, 2, 3, 4}
         assert any(not s.predicates for s in specs)
         assert any(not s.joins and not s.predicates for s in specs)
-        for spec in specs:
-            est = predict(model, spec, db, samples)
-            fq = featurize(LabeledQuery(spec, None, query_bitmaps(spec, samples)), catalog)
-            one = make_batch([fq])
-            want = predict_batch(model, one)
-            assert np.float64(est).tobytes() == want.tobytes(), format_query(spec)
-            dense = denormalize_label(dense_forward(model, one)[0], catalog)
-            assert want.tobytes() == dense.tobytes(), format_query(spec)
+        return specs
+
+    @pytest.mark.parametrize("mode", ["none", "count", "bitmap"])
+    def test_matches_batch_and_dense(self, db, samples, oracle_batches, specs, mode):
+        catalog, _ = oracle_batches[mode]
+        fqs = [featurize(LabeledQuery(s, None, query_bitmaps(s, samples)), catalog) for s in specs]
+        # Every set kind takes both pooling branches: one row and several.
+        rows = np.array([[len(fq.table_elems), len(fq.join_elems), len(fq.pred_elems)] for fq in fqs])
+        assert ((rows == 1).any(axis=0) & (rows > 1).any(axis=0)).all()
+        # 64 is the serve width and 256 the paper's; BLAS picks kernels by shape.
+        for d in (16, 64, 256):
+            model = _generic_model(catalog, d, seed=30)
+            # Centre the output pre-activations on 0, so that they take both
+            # signs of the sigmoid.
+            y_all = forward(model, make_batch(fqs))[0]
+            model.out_mlp.b2 -= np.median(np.log(y_all / (1 - y_all)))
+            outputs = []
+            for spec, fq in zip(specs, fqs):
+                est = predict(model, spec, db, samples)
+                assert type(est) is float
+                one = make_batch([fq])
+                want = predict_batch(model, one)
+                assert np.float64(est).tobytes() == want.tobytes(), (d, format_query(spec))
+                y = dense_forward(model, one)[0]
+                dense = denormalize_label(y, catalog)
+                assert want.tobytes() == dense.tobytes(), (d, format_query(spec))
+                outputs.append(y[0])
+            assert min(outputs) < 0.5 < max(outputs), d
+
+    def test_scalar_tail_matches_array_path(self, catalog):
+        # exp(-|z|) is 1.0 at the subnormal, loses 1 + e to rounding near
+        # 36.8 and underflows to 0.0 from 746 on; the grid in between.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 36.8, -36.8, 746.0, -746.0, 1e300, -1e300]
+        for z in edges + np.linspace(-40.0, 40.0, 801).tolist():
+            want = denormalize_label(sigmoid(np.array([z])), catalog)
+            got = mscn._output_tail(z, catalog)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), z
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_renaming_aliases_keeps_estimate(self, db, samples, oracle_batches, specs, data):
+        # Renaming reorders the element rows, and so the pooled sums, so the
+        # estimate may move in its last bits (ROADMAP item 13) but no more.
+        catalog, _ = oracle_batches["bitmap"]
+        model = _generic_model(catalog, 64, seed=31)
+        spec = data.draw(st.sampled_from(specs))
+        names = data.draw(
+            st.lists(
+                st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3),
+                min_size=len(spec.aliases),
+                max_size=len(spec.aliases),
+                unique=True,
+            )
+        )
+        assume(all(new != old for new, old in zip(names, spec.aliases)))
+        est = predict(model, spec, db, samples)
+        renamed = predict(model, _renamed(spec, dict(zip(spec.aliases, names))), db, samples)
+        assert abs(renamed - est) <= 1e-14 * est, format_query(spec)
+
+
+def _renamed(spec, new):
+    """`spec` with every alias `a` written as `new[a]`."""
+    return QuerySpec(
+        tuple(TableRef(t.table, new[t.alias]) for t in spec.tables),
+        tuple(
+            JoinEdge((new[j.left[0]], j.left[1]), (new[j.right[0]], j.right[1]))
+            for j in spec.joins
+        ),
+        tuple(Predicate(new[p.alias], p.column, p.op, p.literal) for p in spec.predicates),
+    )
 
 
 class TestPersistence:
