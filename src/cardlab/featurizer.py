@@ -236,7 +236,8 @@ def normalize_label(cardinality: float, catalog: EncodingCatalog) -> float:
 
 
 def denormalize_label(y, catalog: EncodingCatalog):
-    """Inverse of `normalize_label` (without its clamp), elementwise on arrays."""
+    """Inverse of `normalize_label` (without its clamp), elementwise on an
+    array, or on one float."""
     return np.exp(catalog.label_log_min + y * catalog.label_log_range)
 
 

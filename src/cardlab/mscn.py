@@ -37,12 +37,13 @@ module cache: each goes once its set is pooled.
 
 `predict` estimates one query with as few numpy calls as keep these bits.
 Its set modules build no cache, and each set's mean is written into one
-pooled vector; a one-row set's mean is a copy of its row, which is exactly
-its sum divided by 1. After the output module's last product, the scalar
-tail (bias, sigmoid, denormalization) runs on Python floats, the same IEEE
-operations in the same order. Its two exponentials stay `np.exp`, since
-`math.exp` need not round as numpy's does, so the estimate keeps the bits
-of `predict_batch` on the one-query batch.
+pooled vector. After the output module's last product, the bias, sigmoid
+and denormalization of the one output run on Python floats
+(`neural.sigmoid_float`, and `denormalize_label`, which takes a float as
+it takes an array): the same IEEE operations in the same order. Both
+exponentials stay `np.exp`, since `math.exp` need not round as numpy's
+does, so the estimate keeps the bits of `predict_batch` on the one-query
+batch.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ from .neural import (
     init_params,
     mlp2_backward,
     mlp2_forward,
+    relu_layer,
+    sigmoid_float,
 )
 from .query import LabeledQuery, QuerySpec, validate
 
@@ -420,19 +423,17 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
 
     One query has no padding, so the set modules run on its element
     matrices as they are, with no batch axis and no cache, each layer
-    adding its bias and applying its ReLU in place. Each set's mean goes
-    straight into its third of one (3d,) vector: the sum of the rows over
-    their count, or, for a one-row set, a copy of the row, which is what
-    that sum and the division by 1 give. Under `_set_forward`'s rounding
-    rule a one-query batch multiplies the same (L, width) matrix, or the
-    same lone row, with the same kernel, and sums the same rows in the
-    same order; numpy multiplies the pooled (3d,) vector as the (1, 3d)
-    row. The output module's first layer and its 1-wide second product
-    stay numpy calls; the bias of that one value, the sigmoid and the
-    denormalization run on Python floats (`_output_tail`), with both
-    exponentials left to `np.exp` so that they round as the batch path's.
-    So the estimate is the same to the bit as `predict_batch` on the
-    one-query batch."""
+    through `neural.relu_layer`, as in `mlp2_forward`. Each set's mean, the
+    sum of its rows over their count, goes straight into its third of one
+    (3d,) vector. Under `_set_forward`'s rounding rule a one-query batch
+    multiplies the same (L, width) matrix, or the same lone row, with the
+    same kernel, and sums the same rows in the same order; numpy
+    multiplies the pooled (3d,) vector as the (1, 3d) row. The output
+    module's first layer and its 1-wide second product stay numpy calls;
+    the bias of that one value, the sigmoid (`sigmoid_float`) and the
+    denormalization run on Python floats, with both exponentials left to
+    `np.exp` so that they round as the batch path's. So the estimate is
+    the same to the bit as `predict_batch` on the one-query batch."""
     errors = validate(spec, db)
     if errors:
         raise ValidationError("; ".join(errors))
@@ -450,35 +451,12 @@ def predict(model: MscnModel, spec: QuerySpec, db, samples) -> float:
         (fq.pred_elems, model.preds_mlp),
     )
     for i, (elems, module) in enumerate(sets):
-        out = _relu_layer(_relu_layer(elems, module.w1, module.b1), module.w2, module.b2)
-        mean = pooled[i * d : (i + 1) * d]
-        if len(out) == 1:
-            mean[:] = out[0]
-        else:
-            np.divide(out.sum(axis=0), len(out), out=mean)
+        out = relu_layer(relu_layer(elems, module.w1, module.b1), module.w2, module.b2)
+        np.divide(out.sum(axis=0), len(out), out=pooled[i * d : (i + 1) * d])
     head = model.out_mlp
-    h = _relu_layer(pooled, head.w1, head.b1)
-    return _output_tail((h @ head.w2).item() + head.b2.item(), model.catalog)
-
-
-def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ReLU(x w + b), with the bias added and the ReLU applied in place: the
-    operations of one `mlp2_forward` layer, in the same order."""
-    h = x @ w
-    h += b
-    np.maximum(h, 0.0, out=h)
-    return h
-
-
-def _output_tail(z: float, catalog: EncodingCatalog) -> float:
-    """The estimate for one output pre-activation `z`: `neural.sigmoid` and
-    then `denormalize_label`, on Python floats. Each step is the IEEE
-    operation the array code applies, in the same order, and both
-    exponentials are `np.exp`, which rounds as it does on an array; so the
-    result is the bits of `denormalize_label(sigmoid(np.array([z])))`."""
-    e = np.exp(-abs(z)).item()
-    y = (1.0 if z >= 0 else e) / (1.0 + e)
-    return np.exp(catalog.label_log_min + y * catalog.label_log_range).item()
+    h = relu_layer(pooled, head.w1, head.b1)
+    z = (h @ head.w2).item() + head.b2.item()
+    return float(denormalize_label(sigmoid_float(z), model.catalog))
 
 
 def predict_labeled(model: MscnModel, queries: list[LabeledQuery]) -> np.ndarray:

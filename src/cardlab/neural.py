@@ -86,6 +86,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def sigmoid_float(z: float) -> float:
+    """`sigmoid` of one Python float, with the bits of `sigmoid(np.array([z]))`:
+    the same operations in the same order, on floats, which spares one
+    estimate the array calls. The exponential stays `np.exp`, since
+    `math.exp` need not round as numpy's does."""
+    e = np.exp(-abs(z)).item()
+    return (1.0 if z >= 0 else e) / (1.0 + e)
+
+
 @dataclass
 class Mlp2Cache:
     x: np.ndarray
@@ -101,18 +110,26 @@ def mlp2_forward(
     ("relu" or "sigmoid"). Leading axes are arbitrary."""
     if x.shape[-1] != p.in_dim:
         raise ValueError(f"input width {x.shape[-1]} != {p.in_dim}")
-    h = x @ p.w1
-    h += p.b1
-    np.maximum(h, 0.0, out=h)
-    out = h @ p.w2
-    out += p.b2
+    h = relu_layer(x, p.w1, p.b1)
     if final == "relu":
-        np.maximum(out, 0.0, out=out)
+        out = relu_layer(h, p.w2, p.b2)
     elif final == "sigmoid":
+        out = h @ p.w2
+        out += p.b2
         out = sigmoid(out)
     else:
         raise ValueError(f"unknown final activation {final!r}")
     return out, Mlp2Cache(x, h, out, final)
+
+
+def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ReLU(x w + b), with the bias added and the ReLU applied in place. The
+    one definition of a ReLU layer's operations and their order, which
+    `mlp2_forward` and `mscn.predict` share."""
+    h = x @ w
+    h += b
+    np.maximum(h, 0.0, out=h)
+    return h
 
 
 def mlp2_backward(d_out: np.ndarray, cache: Mlp2Cache, p: Dense2) -> tuple[np.ndarray, Dense2]:

@@ -31,7 +31,7 @@ from cardlab.mscn import (
     save_model,
     train,
 )
-from cardlab.neural import Dense2, sigmoid
+from cardlab.neural import Dense2, sigmoid, sigmoid_float
 from cardlab.query import (
     JoinEdge,
     LabeledQuery,
@@ -530,7 +530,8 @@ class TestOneQueryPath:
     def test_matches_batch_and_dense(self, db, samples, oracle_batches, specs, mode):
         catalog, _ = oracle_batches[mode]
         fqs = [featurize(LabeledQuery(s, None, query_bitmaps(s, samples)), catalog) for s in specs]
-        # Every set kind takes both pooling branches: one row and several.
+        # Every set kind has a one-row set, which numpy multiplies as a lone
+        # row, and a set of several rows.
         rows = np.array([[len(fq.table_elems), len(fq.join_elems), len(fq.pred_elems)] for fq in fqs])
         assert ((rows == 1).any(axis=0) & (rows > 1).any(axis=0)).all()
         # 64 is the serve width and 256 the paper's; BLAS picks kernels by shape.
@@ -554,13 +555,13 @@ class TestOneQueryPath:
             assert min(outputs) < 0.5 < max(outputs), d
 
     def test_scalar_tail_matches_array_path(self, catalog):
-        # exp(-|z|) is 1.0 at the subnormal, loses 1 + e to rounding near
-        # 36.8 and underflows to 0.0 from 746 on; the grid in between.
+        # `predict`'s float tail against the array path. exp(-|z|) is 1.0 at
+        # the subnormal, loses 1 + e to rounding near 36.8 and underflows to
+        # 0.0 from 746 on; the grid in between.
         edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 36.8, -36.8, 746.0, -746.0, 1e300, -1e300]
         for z in edges + np.linspace(-40.0, 40.0, 801).tolist():
             want = denormalize_label(sigmoid(np.array([z])), catalog)
-            got = mscn._output_tail(z, catalog)
-            assert type(got) is float
+            got = float(denormalize_label(sigmoid_float(z), catalog))
             assert np.float64(got).tobytes() == want.tobytes(), z
 
     @given(data=st.data())
