@@ -60,16 +60,19 @@ def _edge_distinct(db: Database, spec: QuerySpec, left, right) -> int:
 
 
 def _join_denominator(db: Database, spec: QuerySpec) -> float:
-    denom = 1.0
+    """The product of every join edge's denominator, exact in integers and
+    then rounded once, so no join order can move it."""
+    denom = 1
     for j in spec.joins:
         denom *= _edge_distinct(db, spec, j.left, j.right)
-    return denom
+    return float(denom)
 
 
 def _independence(db: Database, spec: QuerySpec, filtered: dict[str, float]) -> float:
-    """The RS estimate from the per-alias filtered sizes."""
+    """The RS estimate from the per-alias filtered sizes, multiplied in the
+    query's content order (`QuerySpec.content_order`)."""
     est = 1.0
-    for alias in spec.aliases:
+    for alias in spec.content_order:
         est *= filtered[alias]
     est /= _join_denominator(db, spec)
     return max(est, 1.0)
@@ -99,6 +102,15 @@ def ibjs_estimate(
     fraction. Falls back to RS semantics when the driver sample is empty,
     and to independence factors for the remaining tables when an
     intermediate runs dry mid-walk.
+
+    Every order the estimate reads is the query's content order
+    (`QuerySpec.content_order`), never its alias names: the driver among
+    equally selective tables, the breadth-first walk (`QuerySpec.walk`),
+    and the product of the tail's factors. In Leis et al. ("Cardinality
+    Estimation Done Right: Index-Based Join Sampling", CIDR 2017) the
+    order in which tables are joined follows the plan enumerator; here
+    there is none, so one walk is taken, in an order fixed by the query's
+    content alone, and equal queries get equal estimates.
     """
     if not spec.joins:
         return rs_estimate(db, samples, spec)
@@ -106,7 +118,7 @@ def ibjs_estimate(
     filtered, bitmaps = {}, {}
     for a in spec.aliases:
         filtered[a], bitmaps[a] = _sample_scan(db, samples, spec, a)
-    driver = min(spec.aliases, key=lambda a: (filtered[a], a))
+    driver = min(spec.content_order, key=filtered.__getitem__)
     driver_sample = samples[spec.table_of(driver)]
     driver_bitmap = bitmaps[driver]
     if driver_bitmap is None:
@@ -122,7 +134,7 @@ def ibjs_estimate(
     def independence_tail(count: int, joined: set[str], remaining: list) -> float:
         """Partial-walk extrapolation times RS factors for what is left."""
         est = float(count) * scale
-        for a in spec.aliases:
+        for a in spec.content_order:
             if a not in joined:
                 est *= filtered[a]
         for known, known_col, new, new_col in remaining:

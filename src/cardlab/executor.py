@@ -9,10 +9,9 @@ counts 0 at once. Every attribute column carries a value index
 `storage.Groups` of its rows grouped by key), so each predicate's range
 of rows is known from offsets alone (sorted projections, as in
 Stonebraker et al., "C-Store", VLDB 2005).
-Each table also carries prefix-sum cubes over the value groups of its
-attribute columns (`storage.Cube`: one over all of them when they have
-no more cells than the table has rows, else one per column; Ho et al.,
-"Range Queries in OLAP Data Cubes", SIGMOD 1997). Counting serves the
+A table may also carry one prefix-sum cube over the value groups of all
+its attribute columns (`storage.Cube`; Ho et al., "Range Queries in OLAP
+Data Cubes", SIGMOD 1997). Counting serves the
 queries `query.validate` accepts, joins along declared fk edges and
 predicates on attribute columns, and raises ValidationError where it
 meets any other. A selection takes one of three forms:
@@ -22,12 +21,12 @@ meets any other. A selection takes one of three forms:
   ids are slices of the index, and so are their codes on any join key:
   `storage.Database` keeps each non-identity key's codes permuted into
   each attribute column's value-index row order (`JoinKey.grouped`);
-- several predicates on the columns of one cube select a box of value
+- several predicates on a table with a cube select a box of value
   groups (`Box`): one run per column, the runs of predicates on one
   column intersected. Its row count is read from the cube with at most
   2**k reads, and its rows are listed only when the alias sends sums or
   the root must gather, as below;
-- otherwise several predicates select such runs too, listed at once:
+- on a table with no cube, they select such runs too, listed at once:
   the row ids of the narrowest run when it holds at most a quarter of
   the table, with the predicates on other columns checked at those rows
   only, and otherwise the boolean mask of a scan of every predicate.
@@ -52,11 +51,11 @@ the alias with the most joins, the largest among those.
   selected rows (row ids, slices, or `np.compress` of its codes by its
   mask), so its other rows are neither gathered nor multiplied. A root
   with an index range or a box whose only factor is an unfiltered leaf's
-  fanout, through the root's identity key, gathers nothing: a run covers
-  whole value groups, so its count is read from the cube that fanout
-  weights (`JoinKey.cubes`), kept or excluded alike. A root whose
-  children send no sums counts its selected rows, a box's from its
-  cube. Any other root that excludes sums over all of its rows and
+  fanout, through the root's identity key, gathers nothing when its table
+  has a cube: a run covers whole value groups, so its count is read from
+  the cube that fanout weights (`JoinKey.cube`), kept or excluded alike.
+  A root whose children send no sums counts its selected rows, a box's
+  from its cube. Any other root that excludes sums over all of its rows and
   subtracts the excluded rows' share, where that all-rows sum needs no
   gather: the fanout-weighted sum of its one child's sums, or the
   product over every row through identity keys. Otherwise, or when that
@@ -190,8 +189,8 @@ class IndexRange:
 
 @dataclass(slots=True)
 class Box:
-    """Several predicates on the columns of one of their table's cubes
-    (`Database.cubes`): they select a box of value groups, one run
+    """Several predicates on a table with a cube (`Database.cubes`, over
+    every attribute column): they select a box of value groups, one run
     [first, stop) per column (`spans`), the runs of predicates on one
     column intersected. `size`, its row count, is read from the cube, so
     no row is listed until a path must gather (`rows`). Never modified."""
@@ -328,7 +327,8 @@ def _count_from(
     its selected rows only. An index range or a box whose only factor is
     the fanout of an unfiltered leaf, joined through the root's identity
     key, counts as the box of value groups read from the cube that
-    fanout weights (`JoinKey.cubes`), with no gather, kept or excluded.
+    fanout weights (`JoinKey.cube`), if any, with no gather, kept or
+    excluded.
     Any other box lists its rows (`Box.rows`) to gather. Any other
     excluded range counts as the total over every row less the excluded
     rows' share, when that total needs no gather (`_all_rows_total`) and
@@ -364,9 +364,8 @@ def _count_from(
     # loop visits last.
     if len(factors) == 1 and isinstance(sel, (IndexRange, Box)):
         (key, sums), = factors
-        cube = up.cubes.get(next(iter(sel.spans)))
-        if cube is not None and key is own and sums is up.fanout:
-            return cube.count(sel.spans)
+        if up.cube is not None and key is own and sums is up.fanout:
+            return up.cube.count(sel.spans)
     if isinstance(sel, Box):
         sel = sel.rows()
     if isinstance(sel, IndexRange) and sel.excluded:
@@ -382,19 +381,17 @@ def select(db: Database, table: Table, predicates):
     attribute column: None for no predicate. A single predicate selects
     its value-index range as an `IndexRange`, excluded when it keeps more
     than half the rows. Several predicates select their runs of value
-    groups, one per column (`_spans`): a `Box` when they all fall on the
-    columns of one of the table's cubes (`Database.cubes`), and otherwise
-    the rows `_rows_in` lists. Raises ValidationError for a predicate on a
-    key column."""
+    groups, one per column (`_spans`): a `Box` when the table has a cube
+    (`Database.cubes`), and otherwise the rows `_rows_in` lists. Raises
+    ValidationError for a predicate on a key column."""
     if not predicates:
         return None
     if len(predicates) > 1:
         spans = _spans(table, predicates)
-        cubes = db.cubes[table.name]
-        cube = cubes.get(predicates[0].column)
-        if cube is not None and all(cubes.get(p.column) is cube for p in predicates):
-            return Box(table, predicates, spans, cube.count(spans))
-        return _rows_in(table, predicates, spans)
+        cube = db.cubes[table.name]
+        if cube is None:
+            return _rows_in(table, predicates, spans)
+        return Box(table, predicates, spans, cube.count(spans))
     (p,) = predicates
     first, last = _group_span(table, p)
     column = table.column(p.column)
@@ -546,14 +543,17 @@ def bitmap_to_hex(bitmap: np.ndarray) -> str:
 
 
 def hex_to_bitmap(text: str, size: int) -> np.ndarray:
+    """The `size` bits that `bitmap_to_hex` wrote as `text`, `(size + 7)
+    // 8` bytes with zero pad bits; ParseError for any other text."""
     try:
         raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
     except ValueError:
         raise ParseError(f"malformed hex bitmap {text!r}") from None
-    bits = np.unpackbits(raw, bitorder="little")
-    if bits.size < size:
-        raise ParseError(f"bitmap holds {bits.size} bits, expected {size}")
-    return bits[:size].astype(bool)
+    if raw.size != (size + 7) // 8:
+        raise ParseError(f"bitmap holds {8 * raw.size} bits, expected {size}")
+    if size % 8 and raw[-1] >> size % 8:  # the pad bits, in the last byte
+        raise ParseError(f"bitmap sets a pad bit, expected {size} bits")
+    return np.unpackbits(raw, count=size, bitorder="little").astype(bool)
 
 
 def write_labeled_corpus(

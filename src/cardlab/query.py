@@ -66,15 +66,26 @@ class QuerySpec:
     Construction sorts and deduplicates each component, so two specs that
     are equal as sets compare (and format) equal. It also resolves, once,
     the alias of each table, and the predicates and the joins of each
-    alias, in `tables` order; they take no part in comparison or hashing.
+    alias, in `tables` order, and the aliases' content order
+    (`content_order`); they take no part in comparison or hashing.
     Structural soundness against a database is checked by
     :func:`validate`.
+
+    The content order sorts the aliases by what the query says of them,
+    not by their names: by table, and aliases of one table by their
+    predicates (column, operator, literal), then by their joins (own
+    column, other table, other column), then by name. The sampling
+    estimators read it wherever an order could move their floats, so
+    renaming aliases or flipping a join's orientation leaves their
+    estimates alone. Where each table appears once it is the table
+    order, which for the generator's aliases is also their name order.
     """
 
     tables: tuple[TableRef, ...]
     joins: tuple[JoinEdge, ...] = ()
     predicates: tuple[Predicate, ...] = ()
     aliases: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    content_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _alias_predicates: tuple[tuple[Predicate, ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -95,12 +106,26 @@ class QuerySpec:
             "_alias_predicates",
             tuple([tuple([p for p in self.predicates if p.alias == a]) for a in aliases]),
         )
-        alias_joins = []
-        for a in aliases:
-            joins = [j for j in self.joins if a in (j.left[0], j.right[0])]
-            if len(joins) > 1:
-                joins.sort(key=lambda j: _neighbour(j, a))
-            alias_joins.append(tuple(joins))
+        alias_joins = [[j for j in self.joins if a in (j.left[0], j.right[0])] for a in aliases]
+        order = aliases
+        if len({t.table for t in self.tables}) < len(aliases):
+            # `tables` is sorted by (table, alias), so it is already the
+            # content order but among the aliases of one table.
+            table_of = {t.alias: t.table for t in self.tables}
+
+            def content(i):
+                ends = sorted((own, table_of.get(other, ""), other_col)
+                              for other, own, other_col in
+                              (_neighbour(j, aliases[i]) for j in alias_joins[i]))
+                preds = [(p.column, p.op, p.literal) for p in self._alias_predicates[i]]
+                return self.tables[i].table, preds, ends, aliases[i]
+
+            order = [aliases[i] for i in sorted(range(len(aliases)), key=content)]
+        object.__setattr__(self, "content_order", tuple(order))
+        for i, a in enumerate(aliases):
+            if len(alias_joins[i]) > 1:
+                alias_joins[i].sort(key=lambda j: _placed(_neighbour(j, a), order))
+            alias_joins[i] = tuple(alias_joins[i])
         object.__setattr__(self, "_alias_joins", tuple(alias_joins))
 
     def table_of(self, alias: str) -> str:
@@ -118,8 +143,11 @@ class QuerySpec:
             return tuple(p for p in self.predicates if p.alias == alias)
 
     def joins_of(self, alias: str) -> tuple[JoinEdge, ...]:
-        """The joins at `alias`, a declared alias, sorted by (other alias,
-        own column, other column)."""
+        """The joins at `alias`, a declared alias, sorted by the other
+        alias's place in `content_order`, then own column, then other
+        column. Aliases of one table that differ only beyond their own
+        neighbours (in their neighbours' predicates, say) keep a name
+        tie-break there."""
         return self._alias_joins[self.aliases.index(alias)]
 
     def walk(self, root: str) -> list[tuple[str, str, str, str]]:
@@ -145,6 +173,12 @@ def _neighbour(join: JoinEdge, alias: str) -> tuple[str, str, str]:
     if join.left[0] == alias:
         return join.right[0], join.left[1], join.right[1]
     return join.left[0], join.right[1], join.left[1]
+
+
+def _placed(end: tuple[str, str, str], order: list[str]) -> tuple:
+    """`end`, a `_neighbour` triple, keyed by its alias's place in `order`;
+    an undeclared alias, which `validate` reports, after every other."""
+    return (order.index(end[0]) if end[0] in order else len(order)), end
 
 
 @dataclass(eq=False)

@@ -14,16 +14,17 @@ cost one sort. A primary key whose values are a run of consecutive
 integers in row order is held as that range, with no buffer. Each
 non-identity join key also keeps its codes in the value-index row order
 of every attribute column of its table (`JoinKey.grouped`), so the codes
-of a predicate's rows are a slice. Each table keeps prefix-sum cubes
-over the value groups of its attribute columns (`Cube`; Ho et al.,
-"Range Queries in OLAP Data Cubes", SIGMOD 1997): one counting its rows
+of a predicate's rows are a slice. A table whose attribute columns
+have no more value groups in all (the product of their key counts) than
+it has rows keeps prefix-sum cubes over them (`Cube`; Ho et al., "Range
+Queries in OLAP Data Cubes", SIGMOD 1997): one counting its rows
 (`Database.cubes`), and, on a table with an identity key, one per key
-joined to it, weighting each row by that key's fanout (`JoinKey.cubes`).
+joined to it, weighting each row by that key's fanout (`JoinKey.cube`).
 So the rows, or the joined rows, of a box of value groups, one run per
-column, are read with at most 2**k entries. Building a Database
-rewrites the storage of its tables' dense-coded key columns as codes;
-after construction a Database (and its samples/indexes) is never
-mutated, and nothing in it is computed lazily.
+column, are read with at most 2**k entries. Any other table keeps no
+cube. Building a Database rewrites the storage of its tables'
+dense-coded key columns as codes; after construction a Database (and its
+samples/indexes) is never mutated, and nothing in it is computed lazily.
 """
 
 from __future__ import annotations
@@ -338,9 +339,9 @@ class FkEdge:
 
 @dataclass(frozen=True)
 class Cube:
-    """A summed-area table over the value groups of attribute columns of
-    one table (Ho et al., "Range Queries in OLAP Data Cubes", SIGMOD
-    1997): `sums[i_1, ..., i_k]` totals the weights of the rows whose
+    """A summed-area table over the value groups of all the attribute
+    columns of one table (Ho et al., "Range Queries in OLAP Data Cubes",
+    SIGMOD 1997): `sums[i_1, ..., i_k]` totals the weights of the rows whose
     value group on each column `columns[j]` is below `i_j`. It has one
     entry more per axis than the column has keys (`ValueIndex.keys`), the
     first all zeros; int64 and read-only."""
@@ -376,46 +377,39 @@ class Cube:
         return total
 
 
-def _cubes(table: Table, weights: list[JoinKey]) -> list[dict[str, Cube]]:
-    """The cubes over the attribute columns of `table`: first the ones
-    counting its rows, then one set per key in `weights`, whose fanout
-    weights row r by `fanout[r]` (the keys join `table`'s identity key).
-    Each set maps every column to the cube that covers it. There is one
-    cube over all the columns when its cell count, the product of their
-    key counts, is at most the row count, so that it holds no more cells
-    than the table has rows; otherwise one cube per column.
+def _cubes(table: Table, weights: list[JoinKey]) -> list[Cube | None]:
+    """The cubes over all the attribute columns of `table`: first the one
+    counting its rows, then one per key in `weights`, whose fanout weights
+    row r by `fanout[r]` (the keys join `table`'s identity key). They are
+    built when their cell count, the product of the columns' key counts,
+    is at most the row count, so that a cube holds no more cells than the
+    table has rows; otherwise, and on a table with no attribute column,
+    each is None.
 
+    The cubes are slices of one read-only array, summed up in one pass.
     Rows are summed into the cells `_GATHER_CHUNK` at a time, so no
     temporary spans a column, and a weighted chunk by `exact_sums`."""
-    attrs = [c for c in table.columns if c.index is not None]
-    if attrs and math.prod(c.index.keys.size for c in attrs) <= table.row_count:
-        layout = [attrs]
-    else:
-        layout = [[c] for c in attrs]
-    sets = [{} for _ in range(1 + len(weights))]
-    for columns in layout:
-        shape = tuple(c.index.keys.size for c in columns)
-        cells = np.zeros((len(sets), math.prod(shape)), dtype=np.int64)
-        for i in range(0, table.row_count, _GATHER_CHUNK):
-            chunk = slice(i, i + _GATHER_CHUNK)
-            cell = None
-            for c in columns:
-                code = _group_codes(c.index, c.data[chunk])
-                cell = code if cell is None else cell * c.index.keys.size + code
-            cells[0] += np.bincount(cell, minlength=cells.shape[1])
-            for out, key in zip(cells[1:], weights):
-                out += exact_sums(cell, key.fanout[chunk], out.size,
-                                  _GATHER_CHUNK * key.max_fanout)
-        names = tuple(c.name for c in columns)
-        for cubes, flat in zip(sets, cells):
-            sums = np.zeros(tuple(n + 1 for n in shape), dtype=np.int64)
-            inner = sums[(slice(1, None),) * len(shape)]
-            inner[...] = flat.reshape(shape)
-            for axis in range(len(shape)):
-                np.cumsum(inner, axis=axis, out=inner)
-            sums.flags.writeable = False
-            cubes.update(dict.fromkeys(names, Cube(names, sums)))
-    return sets
+    columns = [c for c in table.columns if c.index is not None]
+    shape = tuple(c.index.keys.size for c in columns)
+    if not columns or math.prod(shape) > table.row_count:
+        return [None] * (1 + len(weights))
+    sums = np.zeros((1 + len(weights), *(n + 1 for n in shape)), dtype=np.int64)
+    cells = sums[(slice(None),) + (slice(1, None),) * len(shape)]
+    for i in range(0, table.row_count, _GATHER_CHUNK):
+        chunk = slice(i, i + _GATHER_CHUNK)
+        cell = None
+        for c in columns:
+            code = _group_codes(c.index, c.data[chunk])
+            cell = code if cell is None else cell * c.index.keys.size + code
+        cells[0] += np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+        for out, key in zip(cells[1:], weights):
+            bound = _GATHER_CHUNK * key.max_fanout
+            out += exact_sums(cell, key.fanout[chunk], out.size, bound).reshape(shape)
+    for axis in range(1, sums.ndim):
+        np.cumsum(cells, axis=axis, out=cells)
+    sums.flags.writeable = False
+    names = tuple(c.name for c in columns)
+    return [Cube(names, one) for one in sums]
 
 
 def exact_sums(codes: np.ndarray, weights: np.ndarray, size: int, bound: int) -> np.ndarray:
@@ -445,7 +439,7 @@ class JoinKey:
     references, or, on a referenced column, its own, shared with all of
     its fk children. Rows of any column of a space with equal values carry
     equal codes. The keys on a referenced column's side of its edges share
-    their arrays and differ only in `matches_once` and `cubes`.
+    their arrays and differ only in `matches_once` and `cube`.
 
     `grouped` maps each attribute column of the key's table to the codes
     permuted into that column's value-index row order, int32 and
@@ -454,12 +448,11 @@ class JoinKey:
     identity keys, whose row ids are their codes, and keys whose space
     passes the int32 range.
 
-    `cubes` maps each attribute column of the other table of the key's
-    edge, when that table's key is an identity key, to the `Cube` over it
-    that weights each row of that table by this key's fanout there: the
-    rows of this key's table that a box of value groups meets. Its cubes
-    cover the columns as the table's unweighted ones do
-    (`Database.cubes`)."""
+    `cube`, when the other table of the key's edge has an identity key
+    and a cube (`Database.cubes`), is the `Cube` over that table's
+    attribute columns that weights each of its rows by this key's fanout
+    there: the rows of this key's table that a box of value groups meets.
+    None otherwise."""
 
     codes: np.ndarray  # per row, in [0, fanout.size)
     fanout: np.ndarray  # rows per code
@@ -468,7 +461,7 @@ class JoinKey:
     identity: bool  # codes are 0..n-1 in row order over a key space of size n
     base: int | None  # codes + base are the values (dense coding), None after np.unique
     grouped: dict[str, np.ndarray] = field(default_factory=dict)
-    cubes: dict[str, Cube] = field(default_factory=dict)
+    cube: Cube | None = None
 
 
 def _code_space(
@@ -526,12 +519,13 @@ class Database:
     precomputed (`_code_fk_edges`). The key columns of a dense space are
     held only as their codes (see `Column`), so each is stored once. Each
     non-identity key gets its grouped codes (see `JoinKey`), built here,
-    int32. `cubes` maps each table to its unweighted cubes (`Cube`, see
-    `_cubes`), by column; each key joined to an identity key gets the
-    cubes its fanout weights (`JoinKey.cubes`), built here too, with the
-    unweighted ones in one pass over the identity key's table. These are
-    the database's only prefix sums. No other column pair is coded: the
-    declared edges are the join universe (`join_keys`). Per-column facts
+    int32. `cubes` maps each table to its unweighted cube (`Cube`, see
+    `_cubes`), or None when it has none; each key joined to an identity
+    key of a table with a cube gets the cube its fanout weights
+    (`JoinKey.cube`), built here too, with the unweighted one in one pass
+    over the identity key's table. These are the database's only prefix
+    sums. No other column pair is coded: the declared edges are the join
+    universe (`join_keys`). Per-column facts
     live on each `Column`. Construction rewrites the storage of those key
     columns in the given `Table` objects (`Column._hold`); a second
     Database built from the same tables finds them held already and codes
@@ -553,7 +547,7 @@ class Database:
             if c.kind == KIND_FK
         )
         self._join_keys: dict[tuple, tuple[JoinKey, JoinKey]] = {}
-        self.cubes: dict[str, dict[str, Cube]] = {}
+        self.cubes: dict[str, Cube | None] = {}
         self._code_fk_edges()
 
     def _code_fk_edges(self):
@@ -592,9 +586,9 @@ class Database:
 
     def _add_cubes(self, coded: list[tuple[FkEdge, list[JoinKey]]]):
         """Builds every table's cubes (`_cubes`) in one pass over its rows:
-        the unweighted ones into `cubes`, and, for each side of an edge in
+        the unweighted one into `cubes`, and, for each side of an edge in
         `coded` (its child and parent keys) whose key is an identity key,
-        the ones the other key's fanout weights, put on that key."""
+        the one the other key's fanout weights, put on that key."""
         weighting = {name: [] for name in self.tables}  # (edge, side) per table
         for n, (e, keys) in enumerate(coded):
             for side, (table, _) in enumerate((e.child, e.parent)):
@@ -605,9 +599,9 @@ class Database:
                 self.table(name), [coded[n][1][side] for n, side in sides]
             )
             self.cubes[name] = unweighted
-            for (n, side), cubes in zip(sides, weighted):
+            for (n, side), cube in zip(sides, weighted):
                 keys = coded[n][1]
-                keys[side] = replace(keys[side], cubes=cubes)
+                keys[side] = replace(keys[side], cube=cube)
 
     def _grouped(self, table: str, key: JoinKey) -> JoinKey:
         """`key`, a join key of `table`, with its grouped codes (see

@@ -1,17 +1,19 @@
 """Shared test utilities: the finite-difference gradient check and its
 point selection, the independent nested-loop join oracle, the
-per-probe-value IBJS loop, the two-column join-key coding, the
-zero-padding loop that batches featurized queries, the dense MSCN kernel
-that runs every padded set element, the sign-split sigmoid, and a reader
-of report CSVs."""
+per-probe-value IBJS loop, the two-column join-key coding, drawn fk-forest
+schemas and join trees over them, query rewrites that keep a query's
+meaning, the zero-padding loop that batches featurized queries, the dense
+MSCN kernel that runs every padded set element, the sign-split sigmoid,
+and a reader of report CSVs."""
 
 import csv
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from cardlab.baselines import _sample_scan, rs_estimate
-from cardlab.executor import eval_predicates_on_sample
+from cardlab.baselines import _sample_scan, ibjs_estimate, rs_estimate
+from cardlab.executor import eval_predicates_on_sample, true_cardinality
 from cardlab.mscn import (
     _FIELDS,
     _SET_NAMES,
@@ -29,7 +31,8 @@ from cardlab.neural import (
     mlp2_backward,
     mlp2_forward,
 )
-from cardlab.storage import _code_space, _join_key, _matched
+from cardlab.query import JoinEdge, Predicate, QuerySpec, TableRef
+from cardlab.storage import Column, Database, Table, _code_space, _join_key, _matched
 
 _OPS = {"=": np.equal, "<": np.less, ">": np.greater}
 
@@ -107,12 +110,17 @@ def nested_loop_count(db, spec):
 def loop_ibjs_estimate(db, samples, spec):
     """IBJS as a Python loop over probe values: each value's matching rows
     come from a full column scan, then the new table's full predicate mask
-    filters them. Returns (estimate, path), path being "rs" (empty driver
-    or no join), "tail" (an intermediate ran dry) or "walk"."""
+    filters them. Every order follows the query's content order
+    (`QuerySpec.content_order`): the driver among equal filtered sizes,
+    each alias's neighbours in the breadth-first walk (then by columns),
+    and the tail's product. Returns (estimate, path), path being "rs"
+    (empty driver or no join), "tail" (an intermediate ran dry) or
+    "walk"."""
     if not spec.joins:
         return rs_estimate(db, samples, spec), "rs"
+    rank = {a: i for i, a in enumerate(spec.content_order)}
     filtered = {a: _sample_scan(db, samples, spec, a)[0] for a in spec.aliases}
-    driver = min(spec.aliases, key=lambda a: (filtered[a], a))
+    driver = min(spec.aliases, key=lambda a: (filtered[a], rank[a]))
     driver_sample = samples[spec.table_of(driver)]
     bitmap = eval_predicates_on_sample(driver_sample, spec.predicates_of(driver))
     if not bitmap.any():
@@ -126,7 +134,7 @@ def loop_ibjs_estimate(db, samples, spec):
     walk, seen, frontier = [], {driver}, [driver]
     while frontier:
         alias = frontier.pop(0)
-        for other, own_col, other_col in sorted(adj[alias]):
+        for other, own_col, other_col in sorted(adj[alias], key=lambda e: (rank[e[0]], e)):
             if other not in seen:
                 seen.add(other)
                 walk.append((alias, own_col, other, other_col))
@@ -148,7 +156,7 @@ def loop_ibjs_estimate(db, samples, spec):
             repeats.append(matches.size)
         if not sum(repeats):
             est = float(inter[driver].size) * scale
-            for a in spec.aliases:
+            for a in spec.content_order:
                 if a not in inter:
                     est *= filtered[a]
             for k, _, n, _ in walk[step:]:
@@ -161,6 +169,101 @@ def loop_ibjs_estimate(db, samples, spec):
         inter = {a: np.repeat(rows, repeats) for a, rows in inter.items()}
         inter[new] = np.concatenate(match_lists)
     return max(inter[driver].size * scale, 1.0), "walk"
+
+
+@st.composite
+def fk_forests(draw):
+    """A database of 2-5 tables `t0`, `t1`, ... of 3-14 rows each. Each
+    has a primary key `id`, one or two attribute columns (`a`, `b`) of at
+    most six values, so some tables have a cube and some have not, and
+    each table after the first one or two fks (`f0`, `f1`) to earlier
+    tables, which give chains, parents with several children and children
+    with two fks to one parent. A key's values are its row positions, in
+    row order (an identity key) or shuffled, spread by 1, 3 or 10**12 (a
+    dense key space that is not the identity, or one `np.unique` codes)."""
+    tables = []
+    for i in range(draw(st.integers(2, 5))):
+        n = draw(st.integers(3, 14))
+        order = draw(st.permutations(range(n)) | st.just(list(range(n))))
+        ids = draw(st.sampled_from([1, 3, 10**12])) * np.array(order, dtype=np.int64)
+        columns = [Column("id", "pk", ids)]
+        for name in "ab"[: draw(st.integers(1, 2))]:
+            domain = draw(st.integers(1, 6))
+            columns.append(Column(name, "attr", draw(st.lists(
+                st.integers(0, domain - 1), min_size=n, max_size=n))))
+        for k in range(draw(st.integers(1, 2)) if i else 0):
+            parent = tables[draw(st.integers(0, i - 1))]
+            ids = parent.column("id").values.tolist()
+            fks = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+            columns.append(Column(f"f{k}", "fk", fks, ref=(parent.name, "id")))
+        tables.append(Table(f"t{i}", columns))
+    return Database(tables)
+
+
+@st.composite
+def join_queries(draw, db, max_aliases=4):
+    """A join tree over `db` along its fk edges, of 1 to `max_aliases`
+    aliases, the larger trees drawn first: each alias after the first
+    joins one already drawn through an fk edge of its table, as child or
+    as parent, so one table may have several aliases; each join is written
+    either way round, and each alias has 0-2 predicates, on one column or
+    two, with literals around the columns' values."""
+    tables = [draw(st.sampled_from(db.table_names()))]
+    joins = []
+    for _ in range(draw(st.sampled_from(range(max_aliases - 1, -1, -1)))):
+        # Every table of a forest has an fk edge: each after the first
+        # references an earlier one.
+        ends = [(i, e, side) for i, t in enumerate(tables) for e in db.fk_edges
+                for side in (0, 1) if (e.child, e.parent)[side][0] == t]
+        i, e, side = draw(st.sampled_from(ends))
+        own, other = (e.child, e.parent) if side == 0 else (e.parent, e.child)
+        tables.append(other[0])
+        edge = ((f"q{i}", own[1]), (f"q{len(tables) - 1}", other[1]))
+        joins.append(JoinEdge(*(edge if draw(st.booleans()) else edge[::-1])))
+    predicates = []
+    for i, t in enumerate(tables):
+        for _ in range(draw(st.sampled_from((0, 1, 2)))):
+            column = draw(st.sampled_from(db.attr_columns(t)))
+            literal = draw(st.integers(-1, 6))
+            predicates.append(Predicate(f"q{i}", column, draw(st.sampled_from("=<>")), literal))
+    refs = tuple(TableRef(t, f"q{i}") for i, t in enumerate(tables))
+    return QuerySpec(refs, tuple(joins), tuple(predicates))
+
+
+def rewritten(spec, names, flips=()):
+    """`spec` with every alias `a` written as `names[a]` and the joins
+    whose positions in `spec.joins` are in `flips` written the other way
+    round: the same query."""
+    def end(side):
+        return names[side[0]], side[1]
+
+    joins = tuple(
+        JoinEdge(end(j.right), end(j.left)) if i in flips else JoinEdge(end(j.left), end(j.right))
+        for i, j in enumerate(spec.joins)
+    )
+    return QuerySpec(
+        tuple(TableRef(t.table, names[t.alias]) for t in spec.tables),
+        joins,
+        tuple(Predicate(names[p.alias], p.column, p.op, p.literal) for p in spec.predicates),
+    )
+
+
+def count_and_estimates(db, samples, indexes, spec):
+    """The exact count of `spec`, and its RS and IBJS estimates as hex
+    strings, so that equal means bit-equal."""
+    return (true_cardinality(db, spec), rs_estimate(db, samples, spec).hex(),
+            ibjs_estimate(db, samples, indexes, spec).hex())
+
+
+@st.composite
+def rewrites(draw, spec):
+    """`spec` rewritten (`rewritten`) with drawn alias names, none of them
+    kept, and each join drawn to flip or not."""
+    names = draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3),
+                          min_size=len(spec.aliases), max_size=len(spec.aliases), unique=True)
+                 .filter(lambda new: all(n != a for n, a in zip(new, spec.aliases))))
+    flips = {i for i in range(len(spec.joins)) if draw(st.booleans())}
+    return rewritten(spec, dict(zip(spec.aliases, names)), flips)
 
 
 def flatten_params(params):

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
-from helpers import loop_ibjs_estimate
+from helpers import (
+    count_and_estimates,
+    fk_forests,
+    join_queries,
+    loop_ibjs_estimate,
+    rewrites,
+    rewritten,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardlab.baselines import ibjs_estimate, rs_estimate
 from cardlab.errors import ValidationError
@@ -243,3 +252,65 @@ class TestIbjsAgainstLoopOracle:
         assert ibjs_estimate(db, samples, build_join_indexes(db), spec) == want
         # Not the RS value 2 * 6 * 8 / (4 * 4), so the walk did run.
         assert rs_estimate(db, samples, spec) == 6.0
+
+
+@pytest.fixture(scope="module")
+def two_fk_db():
+    """`c` (120 rows) with two fks, `f0` and `f1`, to `p` (40 rows); its
+    samples (10 rows per table) and join indexes."""
+    rng = np.random.default_rng(83)
+    db = Database([
+        Table("p", [Column("id", "pk", np.arange(40)), Column("a", "attr", rng.integers(0, 5, 40)),
+                    Column("b", "attr", rng.integers(0, 3, 40))]),
+        Table("c", [Column("id", "pk", np.arange(120)),
+                    Column("f0", "fk", rng.integers(0, 40, 120), ref=("p", "id")),
+                    Column("f1", "fk", rng.integers(0, 40, 120), ref=("p", "id")),
+                    Column("v", "attr", rng.integers(0, 4, 120))]),
+    ])
+    return db, draw_all_samples(db, 10, seed=3), build_join_indexes(db)
+
+
+class TestRewrites:
+    """Renaming aliases and writing joins the other way round leave the
+    query, and so its exact count and its RS and IBJS estimates, bit for
+    bit: both estimators read the query's content order, never its alias
+    names (`QuerySpec.content_order`)."""
+
+    def test_dry_walk_ignores_alias_names(self):
+        # `d1` sorts after `c2` where `c1` sorts before it: by name, the
+        # walk would probe c2 first and run dry at once (6.0).
+        db, samples, spec = _star_with_dry_second_step()
+        indexes = build_join_indexes(db)
+        for names in ({"p": "p", "c1": "c1", "c2": "c2"}, {"p": "p", "c1": "d1", "c2": "c2"}):
+            renamed = rewritten(spec, names)
+            assert loop_ibjs_estimate(db, samples, renamed) == (8.0, "tail")
+            assert ibjs_estimate(db, samples, indexes, renamed) == 8.0
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_two_aliases_of_one_parent(self, two_fk_db, data):
+        # c joins p twice, as x through f0 and as y through f1. Swapping
+        # the names x and y swaps which alias each name's predicates and
+        # join describe, not the query.
+        db, samples, indexes = two_fk_db
+        predicates = []
+        for alias, columns in (("c", ("v",)), ("x", ("a", "b")), ("y", ("a", "b"))):
+            for _ in range(data.draw(st.integers(0, 2))):
+                predicates.append(Predicate(alias, data.draw(st.sampled_from(columns)),
+                                            data.draw(st.sampled_from("=<>")),
+                                            data.draw(st.integers(-1, 5))))
+        spec = QuerySpec((TableRef("c", "c"), TableRef("p", "x"), TableRef("p", "y")),
+                         (JoinEdge(("c", "f0"), ("x", "id")), JoinEdge(("c", "f1"), ("y", "id"))),
+                         tuple(predicates))
+        flips = {i for i in range(2) if data.draw(st.booleans())}
+        swapped = rewritten(spec, {"c": "c", "x": "y", "y": "x"}, flips)
+        assert count_and_estimates(db, samples, indexes, swapped) == count_and_estimates(db, samples, indexes, spec)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_drawn_forests(self, data):
+        db = data.draw(fk_forests())
+        spec = data.draw(join_queries(db))
+        samples, indexes = draw_all_samples(db, 3, seed=4), build_join_indexes(db)
+        other = data.draw(rewrites(spec))
+        assert count_and_estimates(db, samples, indexes, other) == count_and_estimates(db, samples, indexes, spec)

@@ -336,8 +336,10 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize(
         "hexpart, message",
-        [("zz", "malformed hex bitmap 'zz'"), ("ff", "bitmap holds 8 bits, expected 25")],
-        ids=["not_hex", "short"],
+        [("zz", "malformed hex bitmap 'zz'"), ("ff", "bitmap holds 8 bits, expected 25"),
+         ("ffffffffff", "bitmap holds 40 bits, expected 25"),
+         ("ffffffff", "bitmap sets a pad bit, expected 25 bits")],
+        ids=["not_hex", "short", "long", "pad_bits"],
     )
     def test_bad_sidecar_bitmap(self, pipeline, tmp_path, capsys, hexpart, message):
         _, db, _, _, corpus, *_ = pipeline

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import code_join_keys, nested_loop_count
+from helpers import code_join_keys, fk_forests, join_queries, nested_loop_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -732,78 +732,10 @@ def prefix_stars(draw):
     ])
 
 
-def _gathers(product) -> bool:
-    """Whether `product`, a mock wrapping `executor._product`, multiplied
-    any factor: a leaf with no factors calls it too, and it returns None."""
-    return any(call.args[0] for call in product.call_args_list)
-
-
-class TestPrefixSumRoot:
-    """A root selecting one value-index range, joined only to an unfiltered
-    leaf through its identity key, counts from the cube the leaf's fanout
-    weights (`JoinKey.cubes`): no gather, no sum, no excluded-range
-    arithmetic. Here `p`'s columns have more cells than `p` has rows, so
-    each has a cube of its own: the prefix sums of the leaf's fanout over
-    its value groups."""
-
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    @given(db=prefix_stars())
-    def test_matches_nested_loop(self, db):
-        p = db.table("p")
-        assert p.column("d").index.keys.size > p.column("d").distinct_count  # empty groups
-        assert p.column("s").index.keys.size == p.column("s").distinct_count  # np.unique
-        for leaf in ("c", "o"):
-            cubes = db.join_keys(("p", "id"), (leaf, "pid"))[1].cubes
-            assert [cubes[c].columns for c in "ds"] == [("d",), ("s",)]
-        assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
-        excluded = set()
-        for leaf in ("c", "o"):
-            refs = (TableRef("p", "p"), TableRef(leaf, leaf))
-            joins = (JoinEdge((leaf, "pid"), ("p", "id")),)
-            for name in ("d", "s"):
-                values = p.column(name).values.tolist()
-                lo, hi = min(values), max(values)
-                literals = {lo - 1, lo, hi, hi + 1, -(2**63) - 1, 2**63}
-                literals |= set(values) | {v + 1 for v in values}
-                for literal, op in itertools.product(sorted(literals), "=<>"):
-                    spec = QuerySpec(refs, joins, (Predicate("p", name, op, literal),))
-                    sel = select(db, p, spec.predicates)
-                    expected = nested_loop_count(db, spec)
-                    with mock.patch.object(executor, "_product", wraps=executor._product) as w:
-                        assert true_cardinality(db, spec) == expected, format_query(spec)
-                    assert not _gathers(w), format_query(spec)
-                    if sel.size:
-                        excluded.add(sel.excluded)
-                    assert _count_at(db, spec, leaf, MASKS) == expected, format_query(spec)
-                    # A filtered leaf sends sums that are not its fanout.
-                    spec = replace(spec, predicates=spec.predicates + (
-                        Predicate(leaf, "v", "<", 2),))
-                    expected = nested_loop_count(db, spec)
-                    assert _count_at(db, spec, "p", MASKS) == expected, format_query(spec)
-        assert excluded == {False, True}
-
-    @pytest.mark.parametrize("edges, predicates", [
-        ((("t", "d"),), (("t", "v", "<", 3), ("d", "v", "<", 20))),  # filtered leaf
-        ((("t", "d"), ("t", "c")), (("t", "v", "<", 3),)),  # two leaves
-        ((("q", "c"),), (("q", "v", "<", 3),)),  # q.id: dense codes 0, 10, ..., 70
-    ], ids=["filtered_leaf", "two_leaves", "not_identity"])
-    def test_other_shapes_gather(self, share_db, edges, predicates):
-        root = edges[0][0]
-        aliases = sorted({a for e in edges for a in e})
-        spec = QuerySpec(
-            tuple(TableRef(a, a) for a in aliases),
-            tuple(JoinEdge((leaf, f"{parent}id"), (parent, "id")) for parent, leaf in edges),
-            tuple(Predicate(*p) for p in predicates),
-        )
-        with mock.patch.object(executor, "_product", wraps=executor._product) as w:
-            assert _count_at(share_db, spec, root, MASKS) == nested_loop_count(share_db, spec)
-        assert _gathers(w), format_query(spec)
-
-
 @st.composite
 def cube_stars(draw):
     """A hand-built star around `p`, whose ids, offset by a drawn base, are
-    an identity key, and whose two columns share one cube: 27 cells for
+    an identity key, and whose two columns share its cube: 27 cells for
     27 to 36 rows. `p.d` is dense with empty value groups (even values 0
     to 8 only: nine keys, four of them empty) and `p.s` sparse (three
     values 10**9 apart, coded by `np.unique`). Children: `c`, whose fks
@@ -811,7 +743,7 @@ def cube_stars(draw):
     match once), with a dense `u` (1 to 3) and a sparse `w` (two values)
     sharing a cube from six rows on; and `o`, holding each id once in a
     drawn order, whose `u` and `w` take n distinct values each: n * n
-    cells for n rows, so each column has a cube of its own."""
+    cells for n rows, so `o` has no cube."""
     n = draw(st.integers(27, 36))
     ids = np.arange(n) + draw(st.sampled_from([0, 1, -(2**40)]))
 
@@ -834,6 +766,76 @@ def cube_stars(draw):
         Table("o", [Column("id", "pk", np.arange(n)), Column("pid", "fk", ids[order], ref=("p", "id")),
                     Column("u", "attr", order), Column("w", "attr", 10**9 * order[::-1])]),
     ])
+
+
+def _gathers(product) -> bool:
+    """Whether `product`, a mock wrapping `executor._product`, multiplied
+    any factor: a leaf with no factors calls it too, and it returns None."""
+    return any(call.args[0] for call in product.call_args_list)
+
+
+class TestPrefixSumRoot:
+    """A root selecting one value-index range, joined only to an unfiltered
+    leaf through its identity key, counts from the cube the leaf's fanout
+    weights (`JoinKey.cube`) when its table has a cube (`cube_stars`): no
+    gather, no sum, no excluded-range arithmetic. In `prefix_stars`, `p`'s
+    columns have more cells than `p` has rows, so it has no cube, and such
+    a root gathers at its selected rows."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(db=st.one_of(prefix_stars(), cube_stars()))
+    def test_matches_nested_loop(self, db):
+        p = db.table("p")
+        assert p.column("d").index.keys.size > p.column("d").distinct_count  # empty groups
+        assert p.column("s").index.keys.size == p.column("s").distinct_count  # np.unique
+        cubed = db.cubes["p"] is not None
+        for leaf in ("c", "o"):
+            assert (db.join_keys(("p", "id"), (leaf, "pid"))[1].cube is not None) == cubed
+        assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
+        excluded = set()
+        for leaf in ("c", "o"):
+            refs = (TableRef("p", "p"), TableRef(leaf, leaf))
+            joins = (JoinEdge((leaf, "pid"), ("p", "id")),)
+            for name in ("d", "s"):
+                values = p.column(name).values.tolist()
+                lo, hi = min(values), max(values)
+                literals = {lo - 1, lo, hi, hi + 1, -(2**63) - 1, 2**63}
+                literals |= set(values) | {v + 1 for v in values}
+                for literal, op in itertools.product(sorted(literals), "=<>"):
+                    spec = QuerySpec(refs, joins, (Predicate("p", name, op, literal),))
+                    sel = select(db, p, spec.predicates)
+                    expected = nested_loop_count(db, spec)
+                    with mock.patch.object(executor, "_product", wraps=executor._product) as w:
+                        assert true_cardinality(db, spec) == expected, format_query(spec)
+                    # `o` meets each row of `p` once, so it sends no sums.
+                    gathers = not cubed and leaf == "c" and sel.size > 0
+                    assert _gathers(w) == gathers, format_query(spec)
+                    if sel.size:
+                        excluded.add(sel.excluded)
+                    assert _count_at(db, spec, leaf, MASKS) == expected, format_query(spec)
+                    # A filtered leaf sends sums that are not its fanout.
+                    spec = replace(spec, predicates=spec.predicates + (
+                        Predicate(leaf, db.attr_columns(leaf)[0], "<", 2),))
+                    expected = nested_loop_count(db, spec)
+                    assert _count_at(db, spec, "p", MASKS) == expected, format_query(spec)
+        assert excluded == {False, True}
+
+    @pytest.mark.parametrize("edges, predicates", [
+        ((("t", "d"),), (("t", "v", "<", 3), ("d", "v", "<", 20))),  # filtered leaf
+        ((("t", "d"), ("t", "c")), (("t", "v", "<", 3),)),  # two leaves
+        ((("q", "c"),), (("q", "v", "<", 3),)),  # q.id: dense codes 0, 10, ..., 70
+    ], ids=["filtered_leaf", "two_leaves", "not_identity"])
+    def test_other_shapes_gather(self, share_db, edges, predicates):
+        root = edges[0][0]
+        aliases = sorted({a for e in edges for a in e})
+        spec = QuerySpec(
+            tuple(TableRef(a, a) for a in aliases),
+            tuple(JoinEdge((leaf, f"{parent}id"), (parent, "id")) for parent, leaf in edges),
+            tuple(Predicate(*p) for p in predicates),
+        )
+        with mock.patch.object(executor, "_product", wraps=executor._product) as w:
+            assert _count_at(share_db, spec, root, MASKS) == nested_loop_count(share_db, spec)
+        assert _gathers(w), format_query(spec)
 
 
 def _conjunctions(db, table, data):
@@ -871,29 +873,28 @@ _CUBE_SHAPES = (("p",), ("c",), ("o",), ("p", "c"), ("p", "o"), ("p", "c", "o"))
 
 
 class TestCubeBoxes:
-    """Several predicates on the columns of one cube select a `Box` whose
-    row count the table's cube gives, and whose joined count, under one
+    """Several predicates on a table with a cube select a `Box` whose row
+    count the table's cube gives, and whose joined count, under one
     unfiltered leaf joined through the root's identity key, the cube that
     leaf's fanout weights gives. So a conjunction with no join, under a
-    parent each of its rows meets once, or at such a root lists no row."""
+    parent each of its rows meets once, or at such a root lists no row.
+    On `o`, which has no cube, `_rows_in` lists them, on one column or
+    two."""
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     @given(db=cube_stars(), data=st.data())
     def test_box_counts_match_nested_loop(self, db, data):
-        assert db.cubes["p"]["d"] is db.cubes["p"]["s"]
-        assert db.cubes["p"]["d"].columns == ("d", "s")
+        assert db.cubes["p"].columns == ("d", "s")
         assert db.table("p").column("d").index.keys.size == 9  # empty groups
         assert db.table("p").column("s").index.keys.size == 3  # np.unique
-        assert [db.cubes["o"][c].columns for c in "uw"] == [("u",), ("w",)]
-        weighted = db.join_keys(("p", "id"), ("c", "pid"))[1].cubes
-        assert weighted["d"] is weighted["s"] and weighted["d"].columns == ("d", "s")
+        assert db.cubes["o"] is None
+        assert db.join_keys(("p", "id"), ("c", "pid"))[1].cube.columns == ("d", "s")
         assert not db.join_keys(("p", "id"), ("c", "pid"))[0].matches_once
         assert db.join_keys(("p", "id"), ("o", "pid"))[0].matches_once
         for table in ("p", "c", "o"):
             for conjunction in _conjunctions(db, table, data):
                 box = select(db, db.table(table), conjunction)
-                columns = {p.column for p in conjunction}
-                assert isinstance(box, Box) == (table != "o" or len(columns) == 1)
+                assert isinstance(box, Box) == (table != "o")
                 for tables in _CUBE_SHAPES:
                     if table not in tables:
                         continue
@@ -936,7 +937,7 @@ class TestCubeBoxes:
                                ref=("p", "id")),
                         Column("v", "attr", np.arange(60))]),
         ])
-        assert db.cubes["p"]["d"] is db.cubes["p"]["s"]
+        assert db.cubes["p"].columns == ("d", "s")
         spec = QuerySpec((TableRef("c", "c"), TableRef("p", "p")),
                          (JoinEdge(("c", "pid"), ("p", "id")),),
                          (Predicate("c", "v", "<", 50), Predicate("p", "d", "<", 2),
@@ -952,6 +953,29 @@ class TestCubeBoxes:
             assert rows.call_count == 1
         else:
             assert expected == 0 and not sums_up.called and not rows.called
+
+
+class TestDrawnSchemas:
+    """Join trees (`helpers.join_queries`) over drawn fk forests
+    (`helpers.fk_forests`): chains, parents with several children, children
+    with two fks to one parent, several aliases of one table, identity and
+    other keys, tables with and without a cube. The count, from every root
+    under either row-id share, is the nested-loop oracle's."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_nested_loop(self, data):
+        db = data.draw(fk_forests())
+        spec = data.draw(join_queries(db))
+        expected = nested_loop_count(db, spec)
+        assert true_cardinality(db, spec) == expected, format_query(spec)
+        sels = {a: select(db, db.table(spec.table_of(a)), spec.predicates_of(a))
+                for a in spec.aliases}
+        if not all(_selected(db.table(spec.table_of(a)), sel) for a, sel in sels.items()):
+            return
+        for root in spec.aliases:
+            for share in (MASKS, ROW_IDS):
+                assert _count_at(db, spec, root, share) == expected, (format_query(spec), root)
 
 
 @pytest.fixture(scope="module")
@@ -1091,6 +1115,17 @@ class TestCorpusFiles:
         for size in (1, 7, 8, 50, 64, 100):
             bits = rng.random(size) < 0.3
             assert (hex_to_bitmap(bitmap_to_hex(bits), size) == bits).all()
+
+    @pytest.mark.parametrize("text, size, message", [
+        ("ffffffff", 8, "bitmap holds 32 bits, expected 8"),
+        ("ff", 5, "bitmap sets a pad bit, expected 5 bits"),
+        ("0020", 13, "bitmap sets a pad bit, expected 13 bits"),
+    ])
+    def test_wrong_length_or_pad_bits(self, text, size, message):
+        # Too many bytes, or a bit past `size` set: not what
+        # `bitmap_to_hex` writes, which pads with zeros.
+        with pytest.raises(ParseError, match=message):
+            hex_to_bitmap(text, size)
 
     def test_bit_zero_is_sample_row_zero(self):
         bits = np.zeros(16, dtype=bool)

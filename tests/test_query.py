@@ -203,12 +203,28 @@ def neighbours(spec, alias):
     return out
 
 
+def content_key(spec, alias):
+    """What `spec` says of `alias`, as its content order sorts it: table,
+    predicates, join ends (own column, other table, other column), and the
+    name last."""
+    preds = sorted((p.column, p.op, p.literal) for p in spec.predicates if p.alias == alias)
+    ends = sorted((own, spec.table_of(other), other_col)
+                  for other, own, other_col in neighbours(spec, alias))
+    return spec.table_of(alias), preds, ends, alias
+
+
 class TestWalk:
     @given(spec=join_trees())
     @settings(max_examples=200)
     def test_reaches_every_alias_once_from_any_root(self, spec):
+        # Every alias has table `t`, so the content order sorts them by
+        # their join ends, then by name; neighbours follow it.
+        assert list(spec.content_order) == sorted(spec.aliases,
+                                                  key=lambda a: content_key(spec, a))
+        rank = {a: i for i, a in enumerate(spec.content_order)}
         for alias in spec.aliases:
-            ends = neighbours(spec, alias)
+            ends = [(rank[other], own, other_col)
+                    for other, own, other_col in neighbours(spec, alias)]
             assert ends == sorted(ends)
             assert set(spec.joins_of(alias)) == {
                 j for j in spec.joins if alias in (j.left[0], j.right[0])
@@ -221,11 +237,10 @@ class TestWalk:
                 # Each edge attaches a new alias to one already reached,
                 # through one of the spec's joins. Breadth-first: aliases
                 # are expanded in the order they were reached, each one's
-                # neighbours in sorted order.
+                # neighbours in content order.
                 assert known in seen and new not in seen
-                end = (new, known_col, new_col)
-                assert end in neighbours(spec, known)
-                step = (seen.index(known), end)
+                assert (new, known_col, new_col) in neighbours(spec, known)
+                step = (seen.index(known), rank[new], known_col, new_col)
                 assert previous is None or step > previous
                 previous = step
                 seen.append(new)

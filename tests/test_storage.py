@@ -799,7 +799,7 @@ class TestSharedKeySpaces:
         # 44.28 MiB and 13.35 MiB.
         db = generate_synthetic_db()
         arrays = _kept_arrays(db)
-        cubes = [c.sums for _, _, s in _cube_sets(db) for c in s.values()]
+        cubes = [c.sums for _, _, c in _cube_sets(db)]
         assert all(any(a is c for a in arrays) for c in cubes)
         assert _unique_bytes(arrays) <= 28 * 2**20
         groups = build_join_indexes(db).values()
@@ -920,65 +920,63 @@ def _brute_cube(table, columns, weights):
     return cube
 
 
-def _cube_sets(db):
-    """(table, per-row weights, cubes by column) for every set of cubes of
-    `db`: each table's unweighted ones, and those of each key of a declared
-    fk edge whose other side is an identity key, over the other side's
-    table."""
-    for name, table in db.tables.items():
-        yield name, np.ones(table.row_count, dtype=np.int64), db.cubes[name]
+def _weighted_cubes(db):
+    """(table, key) per side of a declared fk edge whose other side is an
+    identity key of a table with a cube: `key.cube` is that table's cube
+    weighted by `key.fanout`. Every other key carries no cube."""
     for e in db.fk_edges:
         keys = db.join_keys(e.child, e.parent)
         for (t, _), key, other in zip((e.child, e.parent), keys, keys[::-1]):
-            if key.identity:
-                yield t, other.fanout, other.cubes
+            assert (other.cube is None) == (not key.identity or db.cubes[t] is None)
+            if other.cube is not None:
+                yield t, other
+
+
+def _cube_sets(db):
+    """(table, per-row weights, cube) for every cube of `db`: each table's
+    unweighted one, and the weighted ones (`_weighted_cubes`) over it."""
+    for name, table in db.tables.items():
+        if db.cubes[name] is not None:
+            yield name, np.ones(table.row_count, dtype=np.int64), db.cubes[name]
+    for t, key in _weighted_cubes(db):
+        yield t, key.fanout, key.cube
 
 
 class TestFanoutPrefix:
-    """Each table's attribute columns carry prefix-sum cubes over their
-    value groups (`storage.Cube`): one counting rows, in `Database.cubes`,
-    and, when the table has an identity key, one per key joined to it,
-    weighting each row by that key's fanout (`JoinKey.cubes`). Every 1-D
-    marginal of a weighted cube is the old per-column prefix sums of the
-    fanout."""
-
-    @staticmethod
-    def _weighted(db):
-        """(table of the identity key, key carrying the cubes its fanout
-        weights) per edge side whose other key is an identity key."""
-        for e in db.fk_edges:
-            keys = db.join_keys(e.child, e.parent)
-            for (t, _), key, other in zip((e.child, e.parent), keys, keys[::-1]):
-                if key.identity:
-                    yield t, other
-                else:
-                    assert other.cubes == {}
+    """A table whose attribute columns have no more cells than it has rows
+    carries one prefix-sum cube over all their value groups
+    (`storage.Cube`), counting rows, in `Database.cubes`, and, when the
+    table has an identity key, one per key joined to it, weighting each
+    row by that key's fanout (`JoinKey.cube`). Every 1-D marginal of a
+    weighted cube is the old per-column prefix sums of the fanout. Any
+    other table has no cube."""
 
     @pytest.mark.parametrize("kind, arrays", [
         # Five edges into `title.id`, an identity key under dense, offset
         # and joint unique coding alike, and two attribute columns of
-        # `title`: ten marginals. In the hand-built star, `p.id` is the
-        # identity for `a` and `b`; `s.id`, dense codes 0 and 3000 in the
-        # key space it shares with `x` and `y`, is not.
+        # `title`: ten marginals (offset and sparse keys on 1,000 titles,
+        # enough rows for title's 7 x 141 cells). In the hand-built star,
+        # `p.id` is the identity for `a` and `b`; `s.id`, dense codes 0 and
+        # 3000 in the key space it shares with `x` and `y`, is not.
         ("reference", 10), ("offset", 10), ("sparse", 10), ("hand_star", 2),
     ])
-    def test_equal_to_per_value_sums(self, kind, arrays, small_db):
+    def test_equal_to_per_value_sums(self, kind, arrays):
         if kind == "reference":
             db = generate_synthetic_db()
         elif kind == "hand_star":
             db = _hand_star()
         else:
-            db = _offset_keys(small_db, 1 if kind == "offset" else 10**12)
+            base = generate_synthetic_db(
+                SynthConfig(rows={**SMALL_ROWS, "title": 1000}, rho=0.5), seed=11)
+            db = _offset_keys(base, 1 if kind == "offset" else 10**12)
         seen = 0
-        for t, key in self._weighted(db):
+        for t, key in _weighted_cubes(db):
             attrs = [c for c in db.table(t).columns if c.index is not None]
-            assert sorted(key.cubes) == sorted(c.name for c in attrs)
+            # Laid out as the table's unweighted cube, over all its columns.
+            assert key.cube.columns == db.cubes[t].columns == tuple(c.name for c in attrs)
             for c in attrs:
-                cube = key.cubes[c.name]
-                # Laid out as the table's unweighted cubes.
-                assert cube.columns == db.cubes[t][c.name].columns
-                for weights, cubes in ((key.fanout, key.cubes), (None, db.cubes[t])):
-                    prefix = _marginal(cubes[c.name], c.name)
+                for weights, cube in ((key.fanout, key.cube), (None, db.cubes[t])):
+                    prefix = _marginal(cube, c.name)
                     assert prefix.dtype == np.int64 and not prefix.flags.writeable
                     assert prefix.size == c.index.keys.size + 1
                     # A dense value index keys every value of its span, empty
@@ -998,43 +996,47 @@ class TestFanoutPrefix:
         # One cube per table over all its attribute columns, the cell
         # count at most the row count: 7 x 141 for `title`, 200 x 4 for
         # `movie_companies` and 1000 x 12 for `cast_info`; 172,504 bytes
-        # with title's five weighted cubes.
+        # with title's five weighted cubes, on the five child keys.
         db = generate_synthetic_db()
-        shapes = {name: {c.columns: c.sums.shape for c in cubes.values()}
-                  for name, cubes in db.cubes.items()}
+        shapes = {name: (c.columns, c.sums.shape) for name, c in db.cubes.items()}
         assert shapes == {
-            "title": {("kind_id", "production_year"): (8, 142)},
-            "movie_companies": {("company_id", "company_type_id"): (201, 5)},
-            "movie_info": {("info_type_id",): (114,)},
-            "movie_info_idx": {("info_type_id",): (114,)},
-            "movie_keyword": {("keyword_id",): (501,)},
-            "cast_info": {("person_id", "role_id"): (1001, 13)},
+            "title": (("kind_id", "production_year"), (8, 142)),
+            "movie_companies": (("company_id", "company_type_id"), (201, 5)),
+            "movie_info": (("info_type_id",), (114,)),
+            "movie_info_idx": (("info_type_id",), (114,)),
+            "movie_keyword": (("keyword_id",), (501,)),
+            "cast_info": (("person_id", "role_id"), (1001, 13)),
         }
-        cubes = {id(c): c for _, _, s in _cube_sets(db) for c in s.values()}
-        assert sum(c.sums.nbytes for c in cubes.values()) == 172_504
-        for _, weights, s in _cube_sets(db):
-            for c in s.values():
-                assert c.sums[(-1,) * c.sums.ndim] == weights.sum()
+        weighted = list(_weighted_cubes(db))
+        assert [(t, key.cube.sums.shape) for t, key in weighted] == [("title", (8, 142))] * 5
+        assert all(not key.identity for _, key in weighted)
+        sets = list(_cube_sets(db))
+        assert sum(c.sums.nbytes for _, _, c in sets) == 172_504
+        for _, weights, c in sets:
+            assert c.sums[(-1,) * c.sums.ndim] == weights.sum()
 
     @pytest.mark.parametrize("rows", [11, 12])
-    def test_cells_past_row_count_split_per_column(self, rows):
+    def test_cells_past_row_count_build_no_cube(self, rows):
         # Columns of 3 and 4 keys share one cube of 12 cells from 12 rows
-        # on, and have a cube each below; the cells equal Python sums
-        # either way, weighted by a child's fanout too.
+        # on, whose cells equal Python sums, weighted by a child's fanout
+        # too; below, `p` has no cube at all. Counts match the nested-loop
+        # oracle either way: two predicates on one column or on two, with
+        # and without the child, which joins through `p`'s identity key.
         ids = np.arange(rows)
         parent = Table("p", [Column("id", "pk", ids), Column("a", "attr", ids % 3),
                              Column("b", "attr", (ids * 7) % 4 * 10**9)])
         fks = np.array([0, 0, 1, 5, 5, 5, rows - 1])
         db = Database([parent, Table("c", [Column("id", "pk", np.arange(fks.size)),
                                            Column("pid", "fk", fks, ref=("p", "id"))])])
-        want = [("a", "b")] if rows >= 12 else [("a",), ("b",)]
-        sets = [(w, s) for t, w, s in _cube_sets(db) if t == "p"]
-        assert len(sets) == 2
-        for weights, cubes in sets:
-            assert sorted({c.columns for c in cubes.values()}) == want
-            for columns in want:
-                np.testing.assert_array_equal(cubes[columns[0]].sums,
-                                              _brute_cube(parent, columns, weights))
+        sets = [(w, c) for t, w, c in _cube_sets(db) if t == "p"]
+        assert len(sets) == (2 if rows >= 12 else 0)
+        for weights, cube in sets:
+            assert cube.columns == ("a", "b")
+            np.testing.assert_array_equal(cube.sums, _brute_cube(parent, ("a", "b"), weights))
+        for text in ("p p##", "c c,p p#c.pid=p.id#"):
+            for predicates in ("p.a,<,2,p.a,>,0", "p.a,>,0,p.b,<,2000000000", "p.b,=,0"):
+                spec, _ = parse_query(text + predicates)
+                assert true_cardinality(db, spec) == nested_loop_count(db, spec), text + predicates
 
     def test_sums_past_float_exact_limit(self, monkeypatch):
         # A weighted chunk whose float64 sums could reach 2**53 is summed
@@ -1053,11 +1055,12 @@ class TestFanoutPrefix:
         monkeypatch.setattr(storage, "_FLOAT_EXACT_LIMIT", 2)
         for build, want in zip(builds, floats):
             db = build()
-            for (t, weights, cubes), (_, _, float_cubes) in zip(_cube_sets(db), want):
-                for name, cube in cubes.items():
-                    np.testing.assert_array_equal(cube.sums, float_cubes[name].sums)
-                    np.testing.assert_array_equal(
-                        cube.sums, _brute_cube(db.table(t), cube.columns, weights))
+            sets = list(_cube_sets(db))
+            assert len(sets) == len(want)
+            for (t, weights, cube), (_, _, float_cube) in zip(sets, want):
+                np.testing.assert_array_equal(cube.sums, float_cube.sums)
+                np.testing.assert_array_equal(
+                    cube.sums, _brute_cube(db.table(t), cube.columns, weights))
         assert weighted and not any(weighted)
 
 
