@@ -107,20 +107,16 @@ class QuerySpec:
             tuple([tuple([p for p in self.predicates if p.alias == a]) for a in aliases]),
         )
         alias_joins = [[j for j in self.joins if a in (j.left[0], j.right[0])] for a in aliases]
-        order = aliases
-        if len({t.table for t in self.tables}) < len(aliases):
-            # `tables` is sorted by (table, alias), so it is already the
-            # content order but among the aliases of one table.
-            table_of = {t.alias: t.table for t in self.tables}
+        table_of = {t.alias: t.table for t in self.tables}
 
-            def content(i):
-                ends = sorted((own, table_of.get(other, ""), other_col)
-                              for other, own, other_col in
-                              (_neighbour(j, aliases[i]) for j in alias_joins[i]))
-                preds = [(p.column, p.op, p.literal) for p in self._alias_predicates[i]]
-                return self.tables[i].table, preds, ends, aliases[i]
+        def content(i):
+            ends = sorted((own, table_of.get(other, ""), other_col)
+                          for other, own, other_col in
+                          (_neighbour(j, aliases[i]) for j in alias_joins[i]))
+            preds = [(p.column, p.op, p.literal) for p in self._alias_predicates[i]]
+            return self.tables[i].table, preds, ends, aliases[i]
 
-            order = [aliases[i] for i in sorted(range(len(aliases)), key=content)]
+        order = [aliases[i] for i in sorted(range(len(aliases)), key=content)]
         object.__setattr__(self, "content_order", tuple(order))
         for i, a in enumerate(aliases):
             if len(alias_joins[i]) > 1:

@@ -107,18 +107,39 @@ def nested_loop_count(db, spec):
     return count
 
 
+def content_key(spec, alias):
+    """What `spec` says of `alias`, as a content order sorts it: table,
+    predicates (column, operator, literal), join ends (own column, other
+    table, other column), and the name last. Read from `spec.predicates`
+    and `spec.joins` alone, not from `QuerySpec.content_order` or
+    `joins_of`, so that tests can check those against it."""
+    preds = sorted((p.column, p.op, p.literal) for p in spec.predicates if p.alias == alias)
+    ends = []
+    for j in spec.joins:
+        if alias in (j.left[0], j.right[0]):
+            own, other = (j.left, j.right) if j.left[0] == alias else (j.right, j.left)
+            ends.append((own[1], spec.table_of(other[0]), other[1]))
+    return spec.table_of(alias), preds, sorted(ends), alias
+
+
+def content_order(spec):
+    """`spec`'s aliases sorted by `content_key`."""
+    return sorted(spec.aliases, key=lambda a: content_key(spec, a))
+
+
 def loop_ibjs_estimate(db, samples, spec):
     """IBJS as a Python loop over probe values: each value's matching rows
     come from a full column scan, then the new table's full predicate mask
-    filters them. Every order follows the query's content order
-    (`QuerySpec.content_order`): the driver among equal filtered sizes,
-    each alias's neighbours in the breadth-first walk (then by columns),
-    and the tail's product. Returns (estimate, path), path being "rs"
-    (empty driver or no join), "tail" (an intermediate ran dry) or
-    "walk"."""
+    filters them. Every order follows the content order, here built by
+    `content_order` rather than read from the spec: the driver among equal
+    filtered sizes, each alias's neighbours in the breadth-first walk
+    (then by columns), and the tail's product. Returns (estimate, path),
+    path being "rs" (empty driver or no join), "tail" (an intermediate ran
+    dry) or "walk"."""
     if not spec.joins:
         return rs_estimate(db, samples, spec), "rs"
-    rank = {a: i for i, a in enumerate(spec.content_order)}
+    order = content_order(spec)
+    rank = {a: i for i, a in enumerate(order)}
     filtered = {a: _sample_scan(db, samples, spec, a)[0] for a in spec.aliases}
     driver = min(spec.aliases, key=lambda a: (filtered[a], rank[a]))
     driver_sample = samples[spec.table_of(driver)]
@@ -156,7 +177,7 @@ def loop_ibjs_estimate(db, samples, spec):
             repeats.append(matches.size)
         if not sum(repeats):
             est = float(inter[driver].size) * scale
-            for a in spec.content_order:
+            for a in order:
                 if a not in inter:
                     est *= filtered[a]
             for k, _, n, _ in walk[step:]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    content_order,
     count_and_estimates,
     fk_forests,
     join_queries,
@@ -314,3 +315,8 @@ class TestRewrites:
         samples, indexes = draw_all_samples(db, 3, seed=4), build_join_indexes(db)
         other = data.draw(rewrites(spec))
         assert count_and_estimates(db, samples, indexes, other) == count_and_estimates(db, samples, indexes, spec)
+        # The content order, and IBJS against the loop oracle, which sorts
+        # the aliases itself, on schemas with several tables.
+        for s in (spec, other):
+            assert list(s.content_order) == content_order(s)
+            assert ibjs_estimate(db, samples, indexes, s) == loop_ibjs_estimate(db, samples, s)[0]

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from helpers import content_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,24 +204,13 @@ def neighbours(spec, alias):
     return out
 
 
-def content_key(spec, alias):
-    """What `spec` says of `alias`, as its content order sorts it: table,
-    predicates, join ends (own column, other table, other column), and the
-    name last."""
-    preds = sorted((p.column, p.op, p.literal) for p in spec.predicates if p.alias == alias)
-    ends = sorted((own, spec.table_of(other), other_col)
-                  for other, own, other_col in neighbours(spec, alias))
-    return spec.table_of(alias), preds, ends, alias
-
-
 class TestWalk:
     @given(spec=join_trees())
     @settings(max_examples=200)
     def test_reaches_every_alias_once_from_any_root(self, spec):
         # Every alias has table `t`, so the content order sorts them by
         # their join ends, then by name; neighbours follow it.
-        assert list(spec.content_order) == sorted(spec.aliases,
-                                                  key=lambda a: content_key(spec, a))
+        assert list(spec.content_order) == content_order(spec)
         rank = {a: i for i, a in enumerate(spec.content_order)}
         for alias in spec.aliases:
             ends = [(rank[other], own, other_col)
