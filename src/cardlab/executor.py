@@ -55,11 +55,10 @@ the alias with the most joins, the largest among those.
   has a cube: a run covers whole value groups, so its count is read from
   the cube that fanout weights (`JoinKey.cube`), kept or excluded alike.
   A root whose children send no sums counts its selected rows, a box's
-  from its cube. Any other root that excludes sums over all of its rows and
-  subtracts the excluded rows' share, where that all-rows sum needs no
-  gather: the fanout-weighted sum of its one child's sums, or the
-  product over every row through identity keys. Otherwise, or when that
-  sum could reach 2**63, it counts its kept rows.
+  from its cube. Any other root that excludes, with one factor, counts
+  the fanout-weighted sum of that child's sums over all of its rows, less
+  the excluded rows' share; with more factors, or when that sum could
+  reach 2**63, it scans its predicate into a mask.
 - An unfiltered alias sends only its precomputed fanout vector, or
   nothing when each of its rows meets exactly one row of its parent (as
   from the fk side).
@@ -133,8 +132,9 @@ class IndexRange:
     the predicate leaves out (`select` excludes when fewer are left out
     than kept). Those rows' ids, and their codes on any join
     key with grouped codes (`storage.JoinKey`), are slices: the run, or
-    the one or two around it. Never modified (not frozen, which would
-    cost a microsecond per selection)."""
+    the one or two around it. Where an excluded range's kept rows must be
+    weighted or gathered, they are scanned into a mask (`mask`). Never
+    modified (not frozen, which would cost a microsecond per selection)."""
 
     predicate: Predicate
     column: Column
@@ -155,13 +155,6 @@ class IndexRange:
         reads a box."""
         return {self.column.name: (self.group_start, self.group_stop)}
 
-    def kept(self) -> IndexRange:
-        """The same selection, as the selected rows."""
-        if not self.excluded:
-            return self
-        return IndexRange(self.predicate, self.column, self.start, self.stop, False,
-                          self.group_start, self.group_stop)
-
     def mask(self) -> np.ndarray:
         """The same selection, as the boolean mask of a scan."""
         return predicate_mask(lambda _: self.column.values, (self.predicate,))
@@ -178,13 +171,11 @@ class IndexRange:
     def codes(self, key: JoinKey) -> np.ndarray:
         """The codes of `key`, a join key of the column's table, at the rows
         `slice` reads: a slice of its grouped codes, or, on a key without
-        them (`JoinKey.grouped`), the row ids themselves on an identity key
-        and their codes gathered by row id on a key space past int32."""
+        them (`JoinKey.grouped`), those of its row ids (`_codes`)."""
         grouped = key.grouped.get(self.column.name)
         if grouped is not None:
             return self.slice(grouped)
-        rows = self.slice(self.column.index.groups.rows)
-        return rows if key.identity else key.codes.take(rows)
+        return _codes(key, self.slice(self.column.index.groups.rows))
 
 
 @dataclass(slots=True)
@@ -274,19 +265,6 @@ def _total(w: np.ndarray) -> int:
     return int(np.count_nonzero(w)) if w.dtype == bool else int(w.sum())
 
 
-def _all_rows_total(factors: list) -> int | None:
-    """The sum over every row of the root of its factors' product, when
-    that needs no gather: the product over every row when each own key is
-    an identity key, or the fanout-weighted sum of one factor's sums. None
-    otherwise."""
-    if all(own.identity for own, _ in factors):
-        return _total(_product(factors, None))
-    if len(factors) == 1:
-        own, sums = factors[0]
-        return int(np.dot(own.fanout, sums))
-    return None
-
-
 def _sums_up(
     rows, kids: list, bound: int, own: JoinKey, up: JoinKey
 ) -> tuple[np.ndarray, int] | None:
@@ -330,9 +308,10 @@ def _count_from(
     fanout weights (`JoinKey.cube`), if any, with no gather, kept or
     excluded.
     Any other box lists its rows (`Box.rows`) to gather. Any other
-    excluded range counts as the total over every row less the excluded
-    rows' share, when that total needs no gather (`_all_rows_total`) and
-    cannot reach 2**63; otherwise as its kept rows.
+    excluded range with one factor counts as the fanout-weighted sum of
+    that factor's sums over every row less the excluded rows' share, when
+    that sum cannot reach 2**63; otherwise it is scanned into a mask
+    (`IndexRange.mask`), as `_sums_up` scans an excluded inner alias.
 
     Every other alias sends its sums (`_sums_up`), children before
     parents: one loop over the reversed walk from the root.
@@ -369,10 +348,10 @@ def _count_from(
     if isinstance(sel, Box):
         sel = sel.rows()
     if isinstance(sel, IndexRange) and sel.excluded:
-        total = _all_rows_total(factors) if bound * sel.column.size < _INT64_LIMIT else None
-        if total is not None:
-            return total - _total(_product(factors, sel))
-        sel = sel.kept()
+        if len(factors) == 1 and bound * sel.column.size < _INT64_LIMIT:
+            (key, sums), = factors
+            return int(np.dot(key.fanout, sums)) - _total(_product(factors, sel))
+        sel = sel.mask()
     return _total(_product(factors, sel))
 
 
@@ -510,25 +489,18 @@ def query_bitmaps(
     }
 
 
-def label_query(
-    db: Database, spec: QuerySpec, samples: dict[str, MaterializedSample]
-) -> LabeledQuery | None:
-    """Labeled query, or None when the result is empty."""
-    card = true_cardinality(db, spec)
-    if card == 0:
-        return None
-    return LabeledQuery(spec, card, query_bitmaps(spec, samples))
-
-
 def label_workload(
     db: Database,
     specs: list[QuerySpec],
     samples: dict[str, MaterializedSample],
 ) -> tuple[list[LabeledQuery], int]:
     """Label all queries, dropping empty results; returns (kept, dropped)."""
-    results = [label_query(db, s, samples) for s in specs]
-    kept = [r for r in results if r is not None]
-    return kept, len(results) - len(kept)
+    kept = []
+    for spec in specs:
+        card = true_cardinality(db, spec)
+        if card:
+            kept.append(LabeledQuery(spec, card, query_bitmaps(spec, samples)))
+    return kept, len(specs) - len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +578,8 @@ def read_labeled_corpus(
             alias, _, hexpart = token.partition(":")
             if not hexpart:
                 raise ParseError(f"{where}: malformed bitmap token {token!r}")
+            if alias in bitmaps:
+                raise ParseError(f"{where}: bitmap alias {alias!r} named twice")
             try:
                 bitmaps[alias] = hex_to_bitmap(hexpart, size)
             except ParseError as exc:

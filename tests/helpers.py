@@ -279,12 +279,15 @@ def count_and_estimates(db, samples, indexes, spec):
 @st.composite
 def rewrites(draw, spec):
     """`spec` rewritten (`rewritten`) with drawn alias names, none of them
-    kept, and each join drawn to flip or not."""
+    kept, each join drawn to flip or not, and its tables, joins and
+    predicates handed to `QuerySpec` in drawn orders."""
     names = draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3),
                           min_size=len(spec.aliases), max_size=len(spec.aliases), unique=True)
                  .filter(lambda new: all(n != a for n, a in zip(new, spec.aliases))))
     flips = {i for i in range(len(spec.joins)) if draw(st.booleans())}
-    return rewritten(spec, dict(zip(spec.aliases, names)), flips)
+    other = rewritten(spec, dict(zip(spec.aliases, names)), flips)
+    return QuerySpec(*(tuple(draw(st.permutations(part)))
+                       for part in (other.tables, other.joins, other.predicates)))
 
 
 def flatten_params(params):

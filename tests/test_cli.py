@@ -354,6 +354,18 @@ class TestHostileInputs:
                      "--epochs", "1", "--out", str(tmp_path / "m.bin")]) == 2
         assert f"{sidecar}:3: {message}" in capsys.readouterr().err
 
+    def test_sidecar_names_alias_twice(self, pipeline, tmp_path, capsys):
+        # Each bitmap valid and the alias set the query's, but `t` named
+        # twice: neither bitmap is taken.
+        _, db, *_ = pipeline
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("title t###5\n")
+        sidecar = tmp_path / "c.txt.bitmaps"
+        sidecar.write_text("-- sample_size=8\nt:ff,t:01\n")
+        assert main(["train", "--corpus", str(corpus), "--db", str(db), "--mode", "bitmap",
+                     "--epochs", "1", "--out", str(tmp_path / "m.bin")]) == 2
+        assert f"{sidecar}:2: bitmap alias 't' named twice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", [2**63, 2**70, -(2**63) - 1])
     def test_csv_cell_beyond_int64(self, pipeline, tmp_path, capsys, cell):
         _, db, *_ = pipeline

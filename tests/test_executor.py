@@ -644,7 +644,7 @@ class TestSelectionPaths:
                         assert isinstance(sel, IndexRange)
                         assert sel.excluded == (2 * sel.size > t.row_count)
                         rows = s.index.groups.rows
-                        got = np.sort(sel.kept().slice(rows))
+                        got = np.sort(replace(sel, excluded=False).slice(rows))
                         left_out = np.sort(replace(sel, excluded=True).slice(rows))
                         want = [i for i, v in enumerate(values) if _PY_OPS[op](v, literal)]
                         assert got.tolist() == want, (t.name, name, op, literal)
@@ -1184,3 +1184,39 @@ class TestCorpusFiles:
         bp.write_text(bp.read_text().rstrip("\n").rsplit("\n", 1)[0] + "\n")
         with pytest.raises(ParseError):
             read_labeled_corpus(cp, bp)
+
+    @pytest.fixture(scope="class")
+    def written(self, db, samples, tmp_path_factory):
+        """A small labeled corpus, written once: its queries and path."""
+        labeled, _ = label_workload(db, generate_workload(db, 12, 2, seed=23), samples)
+        cp = tmp_path_factory.mktemp("edits") / "c.txt"
+        write_labeled_corpus(labeled, cp, f"{cp}.bitmaps", sample_size=50)
+        return labeled, cp
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_token_edits(self, written, data):
+        # Drop, duplicate or move one `alias:hex` token of one sidecar line:
+        # a move reads the same bitmaps, a drop or a duplicate raises
+        # ParseError, and no other exception escapes.
+        labeled, cp = written
+        bp = cp.with_name("edited.bitmaps")
+        lines = cp.with_name("c.txt.bitmaps").read_text().splitlines()
+        i = data.draw(st.integers(1, len(lines) - 1))
+        tokens = lines[i].split(",")
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        edit = data.draw(st.sampled_from(["drop", "duplicate", "move"]))
+        token = tokens.pop(j) if edit != "duplicate" else tokens[j]
+        if edit != "drop":
+            tokens.insert(data.draw(st.integers(0, len(tokens))), token)
+        lines[i] = ",".join(tokens)
+        bp.write_text("\n".join(lines) + "\n")
+        if edit != "move":
+            with pytest.raises(ParseError):
+                read_labeled_corpus(cp, bp)
+            return
+        loaded, _ = read_labeled_corpus(cp, bp)
+        for a, b in zip(labeled, loaded):
+            assert a.bitmaps.keys() == b.bitmaps.keys()
+            for alias in a.bitmaps:
+                np.testing.assert_array_equal(a.bitmaps[alias], b.bitmaps[alias])

@@ -39,6 +39,7 @@ from cardlab.query import (
     TableRef,
     format_query,
     generate_workload,
+    parse_query,
 )
 from cardlab.storage import SynthConfig, build_join_indexes, draw_all_samples, generate_synthetic_db
 
@@ -588,6 +589,29 @@ class TestOneQueryPath:
         est = predict(model, spec, db, samples)
         rewritten_est = predict(model, other, db, samples)
         assert abs(rewritten_est - est) <= 1e-14 * est, format_query(spec)
+
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_reordered_line_keeps_estimate(
+        self, db, samples, indexes, oracle_batches, specs, data
+    ):
+        # The tables, joins and predicates of a written line, shuffled,
+        # parse to the same spec: the same line, exact count, RS and IBJS
+        # estimates, and MSCN estimate, each bit for bit.
+        catalog, _ = oracle_batches["bitmap"]
+        model = _generic_model(catalog, 64, seed=31)
+        spec = data.draw(st.sampled_from(specs))
+        line = format_query(spec)
+        tables, joins, preds, _ = (f.split(",") if f else [] for f in line.split("#"))
+        preds = [",".join(preds[i : i + 3]) for i in range(0, len(preds), 3)]  # column,op,literal
+        parts = (tables, joins, preds)
+        shuffled = "#".join(",".join(data.draw(st.permutations(p))) for p in parts) + "#"
+        other, _ = parse_query(shuffled)
+        assert other == spec and format_query(other) == line, shuffled
+        assert count_and_estimates(db, samples, indexes, other) == count_and_estimates(
+            db, samples, indexes, spec), line
+        est, other_est = predict(model, spec, db, samples), predict(model, other, db, samples)
+        assert np.float64(other_est).tobytes() == np.float64(est).tobytes(), line
 
 
 class TestPersistence:
