@@ -52,11 +52,11 @@ def _sample_scan(
 
 def _edge_distinct(db: Database, spec: QuerySpec, left, right) -> int:
     """The independence denominator of one join edge between the (alias,
-    column) pairs `left` and `right`: the larger distinct count."""
-    return max(
-        db.table(spec.table_of(alias)).column(column).distinct_count
-        for alias, column in (left, right)
-    )
+    column) pairs `left` and `right` (`Database.join_denominator`): the
+    larger distinct count. Raises ValidationError for a join that does not
+    follow a declared fk edge."""
+    (la, lc), (ra, rc) = left, right
+    return db.join_denominator((spec.table_of(la), lc), (spec.table_of(ra), rc))
 
 
 def _join_denominator(db: Database, spec: QuerySpec) -> float:
@@ -82,7 +82,8 @@ def rs_estimate(
     db: Database, samples: dict[str, MaterializedSample], spec: QuerySpec
 ) -> float:
     """Product of extrapolated filtered table sizes over the independence
-    join denominator (max distinct count per join edge), clamped to >= 1."""
+    join denominator (max distinct count per join edge), clamped to >= 1.
+    Raises ValidationError for a join that is not a declared fk edge."""
     filtered = {a: _sample_scan(db, samples, spec, a)[0] for a in spec.aliases}
     return _independence(db, spec, filtered)
 
@@ -96,7 +97,11 @@ def ibjs_estimate(
     """Walk the join tree from the most selective table, probing each next
     table's join index (see `storage.build_join_indexes`) with the join-key
     codes of the current intermediate tuples, all at once, and applying
-    that table's predicates exactly to the matched rows.
+    that table's predicates exactly to the matched rows. A step into an
+    identity key needs no index: the codes are the matched rows, and the
+    intermediate's rows are gathered again only when a predicate drops
+    some (`_matches`). A join that is not a declared fk edge raises
+    ValidationError, as `Database.join_keys` does.
 
     The final match count is scaled by the driver's inverse sampling
     fraction. Falls back to RS semantics when the driver sample is empty,
@@ -144,22 +149,45 @@ def ibjs_estimate(
     # Intermediate result: parallel arrays of full-table row indices.
     inter: dict[str, np.ndarray] = {driver: driver_rows}
     for step, (known, own_col, new, new_col) in enumerate(walk):
-        own_side = (spec.table_of(known), own_col)
         new_table = db.table(spec.table_of(new))
-        new_side = (new_table.name, new_col)
-        if (own_side, new_side) not in indexes:
-            raise ValidationError(f"missing hash index on {new_table.name}.{new_col}")
-        own_key, _ = db.join_keys(own_side, new_side)
-        positions, matches = indexes[(own_side, new_side)].probe(
-            own_key.codes[inter[known]]
+        positions, matches = _matches(
+            db, indexes, (spec.table_of(known), own_col), (new_table.name, new_col), inter[known]
         )
         keep = predicate_mask(
             lambda c: new_table.column(c).take(matches), spec.predicates_of(new)
         )
         if keep is not None:
-            positions, matches = positions[keep], matches[keep]
+            # Without positions, the mask picks the intermediate's rows.
+            positions = keep if positions is None else positions[keep]
+            matches = matches[keep]
         if not matches.size:
             return independence_tail(inter[driver].size, set(inter), walk[step:])
-        inter = {a: rows[positions] for a, rows in inter.items()}
+        if positions is not None:
+            inter = {a: rows[positions] for a, rows in inter.items()}
         inter[new] = matches
     return max(inter[driver].size * scale, 1.0)
+
+
+def _matches(
+    db: Database,
+    indexes: dict[tuple[tuple[str, str], tuple[str, str]], Groups],
+    own_side: tuple[str, str],
+    new_side: tuple[str, str],
+    rows: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Every (probe position, row) pair of one IBJS step, as `Groups.probe`
+    gives them: the rows of the (table, column) `new_side` that the rows
+    `rows` of `own_side` join. When `new_side` is an identity key, its row
+    ids are its codes, so each code probed is the one row it matches: the
+    matches are the codes, and positions, every probe position in order,
+    are None. Any other side is probed through its join index. Raises
+    ValidationError for a join that is not a declared fk edge, and for a
+    missing index."""
+    own_key, new_key = db.join_keys(own_side, new_side)
+    codes = own_key.codes[rows]
+    if new_key.identity:
+        return None, codes
+    index = indexes.get((own_side, new_side))
+    if index is None:
+        raise ValidationError(f"missing hash index on {new_side[0]}.{new_side[1]}")
+    return index.probe(codes)

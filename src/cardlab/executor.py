@@ -472,11 +472,11 @@ def true_cardinality(db: Database, spec: QuerySpec) -> int:
 def eval_predicates_on_sample(
     sample: MaterializedSample, predicates: tuple[Predicate, ...]
 ) -> np.ndarray:
-    """Boolean bitmap over the sample rows; all ones for an empty conjunction."""
-    mask = predicate_mask(lambda c: sample.rows[c], predicates)
-    if mask is None:
-        return np.ones(sample.size, dtype=bool)
-    return mask
+    """Boolean bitmap over the sample rows; for an empty conjunction, the
+    sample's one read-only all-ones bitmap (`MaterializedSample.all_rows`)."""
+    if not predicates:
+        return sample.all_rows
+    return predicate_mask(lambda c: sample.rows[c], predicates)
 
 
 def query_bitmaps(

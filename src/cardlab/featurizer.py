@@ -88,6 +88,28 @@ class EncodingCatalog:
         )
 
     @cached_property
+    def lookups(self) -> tuple[dict, dict]:
+        """What `_encode` looks up, keyed by tuples: (table, column, table,
+        column) -> join code, the written orientation before the other, and
+        (table, column) -> (column code, least value, greatest value). A
+        tuple is a key exactly when its dotted text is a key of
+        `join_index` or `column_index`: names that hold `.` or `=` may
+        split their text more than one way, and each split is a key."""
+        joins = {}
+        for forward in (False, True):
+            for text, code in self.join_index.items():
+                for left, right in _splits(text, "="):
+                    for lt, lc in _splits(left, "."):
+                        for rt, rc in _splits(right, "."):
+                            joins[(lt, lc, rt, rc) if forward else (rt, rc, lt, lc)] = code
+        columns = {
+            pair: (code, *self.column_bounds[text])
+            for text, code in self.column_index.items()
+            for pair in _splits(text, ".")
+        }
+        return joins, columns
+
+    @cached_property
     def value_cols(self) -> tuple[slice, slice, slice]:
         """The columns that may hold other values than 0 and 1: the sample
         fraction of `count` mode, in the table column after the one-hot, and
@@ -140,6 +162,15 @@ class EncodingCatalog:
             label_log_min=doc["label_log_min"],
             label_log_max=doc["label_log_max"],
         )
+
+
+def _splits(text: str, sep: str) -> list[tuple[str, str]]:
+    """Every (head, tail) whose `f"{head}{sep}{tail}"` is `text`."""
+    return [
+        (text[:i], text[i + len(sep) :])
+        for i in range(len(text))
+        if text.startswith(sep, i)
+    ]
 
 
 def _is_number(value) -> bool:
@@ -251,10 +282,12 @@ def _encode(query: LabeledQuery, catalog: EncodingCatalog, elems, rows) -> None:
     joins, predicates), starting at row `rows[k]` of `elems[k]`: the only
     code that turns a query into feature values. Requires per-table bitmaps
     of the catalog's sample size when its sample mode is `count` or
-    `bitmap`."""
+    `bitmap`. Names are looked up in the catalog's `table_index` and
+    `lookups`."""
     spec, mode = query.spec, catalog.sample_mode
     tables, joins, preds = elems
     samples, _, literal = catalog.value_cols
+    join_codes, column_codes = catalog.lookups
     for i, ref in enumerate(spec.tables, rows[0]):
         code = catalog.table_index.get(ref.table)
         if code is None:
@@ -277,22 +310,19 @@ def _encode(query: LabeledQuery, catalog: EncodingCatalog, elems, rows) -> None:
     for i, join in enumerate(spec.joins, rows[1]):
         # Either written orientation.
         (la, lc), (ra, rc) = join.left, join.right
-        lt, rt = spec.table_of(la), spec.table_of(ra)
-        code = catalog.join_index.get(f"{lt}.{lc}={rt}.{rc}")
-        if code is None:
-            code = catalog.join_index.get(f"{rt}.{rc}={lt}.{lc}")
+        code = join_codes.get((spec.table_of(la), lc, spec.table_of(ra), rc))
         if code is None:
             raise ValidationError(f"join {join} not present in catalog")
         joins[i, code] = 1.0
     n_col = len(catalog.column_index)
     for i, p in enumerate(spec.predicates, rows[2]):
-        qc = f"{spec.table_of(p.alias)}.{p.column}"
-        code = catalog.column_index.get(qc)
-        if code is None:
-            raise ValidationError(f"column {qc!r} not present in catalog")
+        table = spec.table_of(p.alias)
+        found = column_codes.get((table, p.column))
+        if found is None:
+            raise ValidationError(f"column {f'{table}.{p.column}'!r} not present in catalog")
         # The literal normalized by the column's bounds and clamped into
         # [0, 1] (0.5 for a single-valued column).
-        lo, hi = catalog.column_bounds[qc]
+        code, lo, hi = found
         norm = (p.literal - lo) / (hi - lo) if hi > lo else 0.5
         preds[i, code] = 1.0
         preds[i, n_col + OP_INDEX[p.op]] = 1.0

@@ -123,9 +123,10 @@ def mlp2_forward(
 
 
 def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ReLU(x w + b), with the bias added and the ReLU applied in place. The
-    one definition of a ReLU layer's operations and their order, which
-    `mlp2_forward` and `mscn.predict` share."""
+    """ReLU(x w + b), with the bias added and the ReLU applied in place: a
+    ReLU layer's operations in their order, which `mlp2_forward` and the
+    output module of `mscn.predict` run through here. `mscn.predict` runs
+    the same operations on the row blocks of its set modules."""
     h = x @ w
     h += b
     np.maximum(h, 0.0, out=h)

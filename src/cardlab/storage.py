@@ -7,9 +7,10 @@ into the column shares its codes, and each key column of a dense space
 stored only as its codes), materialized uniform
 samples, and rows grouped by key (`Groups`, a CSR grouping with
 int32 row ids). One builder, `group_rows`, makes every grouping: the join
-indexes (rows grouped by join-key code, one per coded column) for join
-probing, and the value indexes (rows grouped by value) of attribute
-columns for selective predicates. Each column's distinct count and index
+indexes (rows grouped by join-key code, one per coded column that is not
+an identity key, whose rows are its codes) for join probing, and the
+value indexes (rows grouped by value) of attribute columns for selective
+predicates. Each column's distinct count and index
 cost one sort. A primary key whose values are a run of consecutive
 integers in row order is held as that range, with no buffer. Each
 non-identity join key also keeps its codes in the value-index row order
@@ -116,12 +117,13 @@ class Groups:
         """Every (probe position, row) pair whose codes are equal, as two
         parallel arrays: grouped by probe position in order, rows ascending
         within a group."""
-        starts = self.offsets[codes]
-        counts = self.offsets[codes + 1] - starts
-        positions = np.repeat(np.arange(codes.size), counts)
-        # A match's place in `rows`: its group's start plus its rank in the group.
-        group_first = np.cumsum(counts) - counts
-        at = np.arange(positions.size) + np.repeat(starts - group_first, counts)
+        ends = self.offsets[1:][codes]
+        counts = ends - self.offsets[codes]
+        positions = np.arange(codes.size).repeat(counts)
+        # A match's place in `rows`: its group's end there, less its
+        # distance from its group's end in the output, which the running
+        # count of matches gives.
+        at = np.arange(positions.size) + (ends - counts.cumsum()).repeat(counts)
         return positions, self.rows[at]
 
 
@@ -525,8 +527,9 @@ class Database:
     (`JoinKey.cube`), built here too, with the unweighted one in one pass
     over the identity key's table. These are the database's only prefix
     sums. No other column pair is coded: the declared edges are the join
-    universe (`join_keys`). Per-column facts
-    live on each `Column`. Construction rewrites the storage of those key
+    universe (`join_keys`), and each of them carries its independence
+    denominator (`join_denominator`). Per-column facts live on each
+    `Column`. Construction rewrites the storage of those key
     columns in the given `Table` objects (`Column._hold`); a second
     Database built from the same tables finds them held already and codes
     the same keys.
@@ -547,6 +550,7 @@ class Database:
             if c.kind == KIND_FK
         )
         self._join_keys: dict[tuple, tuple[JoinKey, JoinKey]] = {}
+        self._denominators: dict[tuple, int] = {}
         self.cubes: dict[str, Cube | None] = {}
         self._code_fk_edges()
 
@@ -557,7 +561,8 @@ class Database:
         Every edge into the column shares its key's codes, fanout and
         grouped codes; only `matches_once` is per edge. Each key column
         of a dense space is held as its codes (`Column._hold`). The keys
-        get their cubes (`_add_cubes`) once every edge is coded."""
+        get their cubes (`_add_cubes`) once every edge is coded, and each
+        edge its denominator (`join_denominator`)."""
         children: dict[tuple[str, str], list[FkEdge]] = {}
         for e in self.fk_edges:
             pt, pc = e.parent
@@ -583,6 +588,9 @@ class Database:
         for e, (child, parent) in coded:
             self._join_keys[(e.child, e.parent)] = (child, parent)
             self._join_keys[(e.parent, e.child)] = (parent, child)
+            self._denominators[(e.child, e.parent)] = self._denominators[
+                (e.parent, e.child)
+            ] = max(self.table(t).column(c).distinct_count for t, c in (e.child, e.parent))
 
     def _add_cubes(self, coded: list[tuple[FkEdge, list[JoinKey]]]):
         """Builds every table's cubes (`_cubes`) in one pass over its rows:
@@ -637,13 +645,25 @@ class Database:
         """The precomputed keys of the declared fk edge joining the (table,
         column) pairs `left` and `right`, in that order. Raises
         ValidationError for any other pair."""
-        keys = self._join_keys.get((left, right))
-        if keys is None:
+        return self._declared(self._join_keys, left, right)
+
+    def join_denominator(self, left: tuple[str, str], right: tuple[str, str]) -> int:
+        """The independence denominator of the declared fk edge joining the
+        (table, column) pairs `left` and `right`, in either order: the
+        larger distinct count of its two columns. Raises ValidationError
+        for any other pair."""
+        return self._declared(self._denominators, left, right)
+
+    @staticmethod
+    def _declared(edges: dict, left: tuple[str, str], right: tuple[str, str]):
+        """`edges[(left, right)]`, or ValidationError naming the join."""
+        value = edges.get((left, right))
+        if value is None:
             raise ValidationError(
                 f"join {left[0]}.{left[1]}={right[0]}.{right[1]} does not follow a declared "
                 "foreign key"
             )
-        return keys
+        return value
 
     def is_fk_join(self, left: tuple[str, str], right: tuple[str, str]) -> bool:
         """Whether the (table, column) pair `left`, `right` is a declared fk
@@ -662,13 +682,20 @@ class Database:
 
 @dataclass
 class MaterializedSample:
-    """Uniform without-replacement sample of one table, kept in row order."""
+    """Uniform without-replacement sample of one table, kept in row order.
+    `all_rows` is its one read-only all-ones bitmap, the bitmap of every
+    alias of the table without predicates."""
 
     table: str
     size: int
     row_indices: np.ndarray
     rows: dict[str, np.ndarray]
     seed: int
+    all_rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.all_rows = np.ones(self.size, dtype=bool)
+        self.all_rows.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +806,11 @@ def build_join_indexes(
     db: Database,
 ) -> dict[tuple[tuple[str, str], tuple[str, str]], Groups]:
     """A join index (the indexed column's rows grouped by join-key code) on
-    both sides of every declared fk edge, keyed by (probing column, indexed
-    column), each a (table, column) pair; probe it with the probing
-    column's codes in the edge's key space."""
+    each side of every declared fk edge whose key is not an identity key,
+    keyed by (probing column, indexed column), each a (table, column) pair;
+    probe it with the probing column's codes in the edge's key space. An
+    identity key needs none: its rows are its codes, so each code probed
+    is the one row it matches (`baselines.ibjs_estimate`)."""
     indexes = {}
     # The edges into one column share its codes (`Database._code_fk_edges`),
     # and so one grouping. A column that is the child in one key space and
@@ -791,6 +820,8 @@ def build_join_indexes(
     for e in db.fk_edges:
         for probing, indexed in ((e.child, e.parent), (e.parent, e.child)):
             key = db.join_keys(probing, indexed)[1]
+            if key.identity:
+                continue
             groups = by_codes.get(id(key.codes))
             if groups is None:
                 groups = by_codes[id(key.codes)] = group_rows(key.codes, key.fanout)

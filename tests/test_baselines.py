@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import (
@@ -12,10 +14,19 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardlab import baselines
 from cardlab.baselines import ibjs_estimate, rs_estimate
 from cardlab.errors import ValidationError
 from cardlab.executor import label_workload, true_cardinality
-from cardlab.query import JoinEdge, Predicate, QuerySpec, TableRef, generate_workload
+from cardlab.query import (
+    JoinEdge,
+    Predicate,
+    QuerySpec,
+    TableRef,
+    generate_workload,
+    parse_query,
+    validate,
+)
 from cardlab.storage import (
     Column,
     Database,
@@ -25,6 +36,7 @@ from cardlab.storage import (
     draw_all_samples,
     draw_sample,
     generate_synthetic_db,
+    group_rows,
 )
 
 ROWS = {
@@ -128,6 +140,20 @@ class TestRandomSampling:
     def test_deterministic(self, db, samples):
         spec = generate_workload(db, 1, 2, seed=43)[0]
         assert rs_estimate(db, samples, spec) == rs_estimate(db, samples, spec)
+
+    def test_undeclared_join_rejected(self, db, samples, indexes):
+        # mc.company_id references nothing: `validate`, exact counting, RS
+        # and IBJS all reject the join, naming it as `Database.join_keys`
+        # does, where RS once estimated it as if it were an fk edge.
+        spec, _ = parse_query("title t,movie_companies mc#mc.company_id=t.id#")
+        # IBJS names the join in its walk's orientation.
+        message = (r"join (movie_companies\.company_id=title\.id|title\.id=movie_companies"
+                   r"\.company_id) does not follow a declared foreign key")
+        assert validate(spec, db)
+        for estimate in (true_cardinality, lambda d, q: rs_estimate(d, samples, q),
+                         lambda d, q: ibjs_estimate(d, samples, indexes, q)):
+            with pytest.raises(ValidationError, match=message):
+                estimate(db, spec)
 
 
 class TestIndexBasedJoinSampling:
@@ -244,6 +270,28 @@ class TestIbjsAgainstLoopOracle:
                 s.joins and len({p.alias for p in s.predicates}) > 1 for s in specs
             )
 
+    def test_identity_step_matches_grouping(self, db, indexes):
+        # A step into an identity key (here `title.id`) takes the codes as
+        # its matches, with no join index. The grouping built before, probed
+        # with the same codes, is the oracle: one match per code, in order.
+        rng = np.random.default_rng(49)
+        steps = Counter()
+        for e in db.fk_edges:
+            for own, new in ((e.child, e.parent), (e.parent, e.child)):
+                own_key, new_key = db.join_keys(own, new)
+                oracle = group_rows(new_key.codes, new_key.fanout)
+                n = own_key.codes.size
+                for rows in (np.arange(n), rng.integers(0, n, 40), np.zeros(0, dtype=np.int64)):
+                    positions, matches = baselines._matches(db, indexes, own, new, rows)
+                    want_positions, want = oracle.probe(own_key.codes[rows])
+                    if new_key.identity:
+                        assert positions is None
+                        positions = np.arange(rows.size)
+                    np.testing.assert_array_equal(positions, want_positions)
+                    np.testing.assert_array_equal(matches, want)
+                steps[new_key.identity] += 1
+        assert steps == {True: len(db.fk_edges), False: len(db.fk_edges)}
+
     def test_dry_intermediate_takes_independence_tail(self):
         db, samples, spec = _star_with_dry_second_step()
         want, path = loop_ibjs_estimate(db, samples, spec)
@@ -307,16 +355,46 @@ class TestRewrites:
         swapped = rewritten(spec, {"c": "c", "x": "y", "y": "x"}, flips)
         assert count_and_estimates(db, samples, indexes, swapped) == count_and_estimates(db, samples, indexes, spec)
 
-    @settings(max_examples=100)
-    @given(data=st.data())
-    def test_drawn_forests(self, data):
-        db = data.draw(fk_forests())
-        spec = data.draw(join_queries(db))
-        samples, indexes = draw_all_samples(db, 3, seed=4), build_join_indexes(db)
-        other = data.draw(rewrites(spec))
-        assert count_and_estimates(db, samples, indexes, other) == count_and_estimates(db, samples, indexes, spec)
-        # The content order, and IBJS against the loop oracle, which sorts
-        # the aliases itself, on schemas with several tables.
-        for s in (spec, other):
-            assert list(s.content_order) == content_order(s)
-            assert ibjs_estimate(db, samples, indexes, s) == loop_ibjs_estimate(db, samples, s)[0]
+    def test_drawn_forests(self, monkeypatch, capsys):
+        # Every IBJS step of the drawn queries is also checked against the
+        # grouping of its new side (`group_rows`), built whether or not
+        # `build_join_indexes` builds it, and counted by kind: identity
+        # steps, which probe no index, and grouped steps.
+        census = Counter()
+        matches_of = baselines._matches
+
+        def checked(db, indexes, own, new, rows):
+            positions, matches = matches_of(db, indexes, own, new, rows)
+            own_key, new_key = db.join_keys(own, new)
+            want_positions, want = group_rows(new_key.codes, new_key.fanout).probe(
+                own_key.codes[rows]
+            )
+            census["identity" if positions is None else "grouped"] += 1
+            np.testing.assert_array_equal(
+                np.arange(rows.size) if positions is None else positions, want_positions
+            )
+            np.testing.assert_array_equal(matches, want)
+            return positions, matches
+
+        monkeypatch.setattr(baselines, "_matches", checked)
+
+        @settings(max_examples=100)
+        @given(data=st.data())
+        def check(data):
+            db = data.draw(fk_forests())
+            spec = data.draw(join_queries(db))
+            samples, indexes = draw_all_samples(db, 3, seed=4), build_join_indexes(db)
+            other = data.draw(rewrites(spec))
+            assert count_and_estimates(db, samples, indexes, other) == count_and_estimates(
+                db, samples, indexes, spec)
+            # The content order, and IBJS against the loop oracle, which
+            # sorts the aliases itself, on schemas with several tables.
+            for s in (spec, other):
+                assert list(s.content_order) == content_order(s)
+                assert ibjs_estimate(db, samples, indexes, s) == loop_ibjs_estimate(db, samples, s)[0]
+
+        check()
+        with capsys.disabled():
+            print(f"\nIBJS steps of the drawn forests: {census['identity']} identity,"
+                  f" {census['grouped']} grouped")
+        assert census["identity"] and census["grouped"]

@@ -51,6 +51,8 @@ from cardlab.storage import (
     build_join_indexes,
     draw_all_samples,
     generate_synthetic_db,
+    load_samples,
+    save_samples,
 )
 
 ROWS = {
@@ -1039,6 +1041,23 @@ class TestSampleBitmaps:
     def test_no_predicates_all_ones(self, samples):
         bitmap = eval_predicates_on_sample(samples["title"], ())
         assert bitmap.all() and bitmap.size == 50
+
+    def test_no_predicates_share_one_read_only_bitmap(self, db, samples, tmp_path):
+        # Every alias without predicates gets its sample's one all-ones
+        # bitmap, drawn or loaded, and no caller can write into it.
+        spec, _ = parse_query(
+            "title t,title u,movie_keyword mk#mk.movie_id=t.id,mk.movie_id=u.id#mk.keyword_id,<,9#"
+        )
+        save_samples(samples, tmp_path / "samples.json")
+        for sample_set in (samples, load_samples(tmp_path / "samples.json", db)):
+            bitmaps = query_bitmaps(spec, sample_set)
+            shared = sample_set["title"].all_rows
+            assert bitmaps["t"] is bitmaps["u"] is shared
+            assert bitmaps["mk"] is not sample_set["movie_keyword"].all_rows
+            assert shared.all() and shared.size == 50 and not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bitmaps["t"][0] = False
+            assert shared.all()
 
     def test_absent_value_all_zeros(self, db, samples):
         # 9999 occurs nowhere in the column, so no sample row qualifies.

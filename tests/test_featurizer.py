@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +186,54 @@ class TestFeaturize:
         unknown_column, _ = parse_query("title t##t.zz,=,1#")
         with pytest.raises(ValidationError):
             featurize(LabeledQuery(unknown_column, None, {}), cat)
+
+    @pytest.mark.parametrize("line, message", [
+        ("elsewhere e###", "table 'elsewhere' not present in catalog"),
+        ("title t,movie_companies mc#mc.company_id=t.id#", "join mc.company_id=t.id not present in catalog"),
+        ("title t,movie_companies mc#t.id=mc.company_id#", "join t.id=mc.company_id not present in catalog"),
+        ("title t##t.zz,=,1#", "column 'title.zz' not present in catalog"),
+    ])
+    def test_unknown_names_keep_their_messages(self, db, line, message):
+        cat = build_catalog(db, [1, 10], S, "none")
+        spec, _ = parse_query(line)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            featurize(LabeledQuery(spec, None, {}), cat)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            featurize_labeled([LabeledQuery(spec, 1, {})], cat)
+
+    @settings(max_examples=200)
+    @given(
+        names=st.lists(st.text(".=ab", min_size=1, max_size=4), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_lookups_match_dotted_text(self, names, data):
+        # The tuple-keyed lookups find what the dotted text finds in the
+        # one-hot dictionaries, the written join orientation first, also
+        # for names that hold `.` or `=`.
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        joins = data.draw(st.lists(st.tuples(pair, pair), max_size=6))
+        columns = data.draw(st.lists(pair, max_size=6))
+        join_index = {}
+        for (lt, lc), (rt, rc) in joins:
+            join_index.setdefault(f"{lt}.{lc}={rt}.{rc}", len(join_index))
+        column_index = {}
+        for t, c in columns:
+            column_index.setdefault(f"{t}.{c}", len(column_index))
+        cat = EncodingCatalog(
+            table_index={}, join_index=join_index, column_index=column_index,
+            column_bounds={k: (i, 2 * i) for k, i in column_index.items()},
+            sample_size=0, sample_mode="none", label_log_min=0.0, label_log_max=1.0,
+        )
+        join_codes, column_codes = cat.lookups
+        for lt, lc, rt, rc in itertools.product(names, repeat=4):
+            want = join_index.get(f"{lt}.{lc}={rt}.{rc}")
+            if want is None:
+                want = join_index.get(f"{rt}.{rc}={lt}.{lc}")
+            assert join_codes.get((lt, lc, rt, rc)) == want
+        for t, c in itertools.product(names, repeat=2):
+            code = column_index.get(f"{t}.{c}")
+            want = None if code is None else (code, *cat.column_bounds[f"{t}.{c}"])
+            assert column_codes.get((t, c)) == want
 
     def test_out_of_range_literal_clamped(self, db):
         cat = build_catalog(db, [1, 10], S, "none")

@@ -561,6 +561,47 @@ class TestOneQueryPath:
                 outputs.append(y[0])
             assert min(outputs) < 0.5 < max(outputs), d
 
+    @pytest.mark.parametrize("mode", ["none", "count", "bitmap"])
+    def test_row_block_edges(self, db, samples, oracle_batches, mode):
+        # `predict` writes the three sets into row blocks of one buffer:
+        # blocks of one row each, a two-row first block, and blocks of
+        # three or more rows of each kind, with and without joins and
+        # predicates, keep `predict_batch`'s and the dense kernel's bits.
+        catalog, _ = oracle_batches[mode]
+        children = ("movie_companies mc", "movie_info mi", "movie_info_idx mii",
+                    "movie_keyword mk", "cast_info ci")
+
+        def star(n, preds=""):
+            aliases = [c.split()[1] for c in children[:n]]
+            joins = ",".join(f"{a}.movie_id=t.id" for a in aliases)
+            return ",".join(("title t", *children[:n])) + f"#{joins}#{preds}#"
+
+        lines = [
+            "title t###",
+            "movie_keyword mk##mk.keyword_id,<,250#",
+            star(1),
+            star(1, "t.production_year,>,1990,mc.company_type_id,<,3"),
+            "title t##t.kind_id,=,1,t.production_year,>,1950,t.production_year,<,2010#",
+            star(2),
+            star(3, "t.kind_id,<,4,mc.company_type_id,=,2,mii.info_type_id,>,3"),
+            star(5, "t.kind_id,>,1,mc.company_type_id,<,3,mi.info_type_id,>,10,"
+                    "mii.info_type_id,<,90,mk.keyword_id,>,5,ci.role_id,<,10"),
+        ]
+        specs = [parse_query(line)[0] for line in lines]
+        fqs = [featurize(LabeledQuery(s, None, query_bitmaps(s, samples)), catalog) for s in specs]
+        sizes = [(len(fq.table_elems), len(fq.join_elems), len(fq.pred_elems)) for fq in fqs]
+        assert {(1, 1, 1), (2, 1, 1), (1, 1, 3), (3, 2, 1)} <= set(sizes)
+        assert all(any(size[k] >= 3 for size in sizes) for k in range(3))
+        for d in (16, 64, 256):
+            model = _generic_model(catalog, d, seed=32)
+            for spec, fq in zip(specs, fqs):
+                est = predict(model, spec, db, samples)
+                one = make_batch([fq])
+                want = predict_batch(model, one)
+                assert np.float64(est).tobytes() == want.tobytes(), (d, format_query(spec))
+                dense = denormalize_label(dense_forward(model, one)[0], catalog)
+                assert want.tobytes() == dense.tobytes(), (d, format_query(spec))
+
     def test_scalar_tail_matches_array_path(self, catalog):
         # `predict`'s float tail against the array path. exp(-|z|) is 1.0 at
         # the subnormal, loses 1 + e to rounding near 36.8 and underflows to

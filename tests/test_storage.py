@@ -476,8 +476,12 @@ class TestHashIndex:
             rows_by_code(np.zeros(300, dtype=np.int64), 2**62)
 
     def test_build_join_indexes_scan_oracle(self, small_db):
+        # Every side of an fk edge but an identity key's gets an index:
+        # here each child side, and not `title.id`, whose rows are its codes.
         indexes = build_join_indexes(small_db)
-        assert len(indexes) == 2 * len(small_db.fk_edges)
+        sides = [s for e in small_db.fk_edges for s in ((e.child, e.parent), (e.parent, e.child))]
+        assert set(indexes) == {s for s in sides if not small_db.join_keys(*s)[1].identity}
+        assert len(indexes) == len(small_db.fk_edges)
         for (probing, indexed), index in indexes.items():
             assert index.rows.dtype == np.int32
             probe_vals = small_db.column_values(*probing)
@@ -667,8 +671,10 @@ class TestSharedKeySpaces:
         for key in rest:
             assert np.shares_memory(key.codes, first.codes)
             assert np.shares_memory(key.fanout, first.fanout)
+        # `title.id` is an identity key, which needs no join index.
+        assert first.identity
         indexes = build_join_indexes(small_db)
-        assert len({id(indexes[(e.child, e.parent)]) for e in small_db.fk_edges}) == 1
+        assert not any((e.child, e.parent) in indexes for e in small_db.fk_edges)
         assert len({id(indexes[(e.parent, e.child)]) for e in small_db.fk_edges}) == 5
 
     @staticmethod
@@ -725,11 +731,13 @@ class TestSharedKeySpaces:
         assert not np.shares_memory(keys["a"][1].fanout, keys["x"][1].fanout)
         assert keys["x"][1].base == 0 and keys["x"][1].fanout.size == 3001
         assert not keys["x"][1].identity and keys["x"][1].grouped
+        # `p.id` (ids 1-5, codes 0-4) is an identity key, which needs no
+        # join index; `s.id` is not.
+        assert keys["a"][1].identity
         indexes = build_join_indexes(db)
-        parent_side = {e.child[0]: indexes[(e.child, e.parent)] for e in db.fk_edges}
-        assert parent_side["a"] is parent_side["b"]
-        assert parent_side["x"] is parent_side["y"]
-        assert parent_side["a"] is not parent_side["x"]
+        parent_side = {e.child[0]: indexes.get((e.child, e.parent)) for e in db.fk_edges}
+        assert parent_side["a"] is parent_side["b"] is None
+        assert parent_side["x"] is parent_side["y"] is not None
 
     def test_later_edges_code_only_their_child(self, monkeypatch):
         # A later edge into a column makes no coder call of its own: its
@@ -790,20 +798,22 @@ class TestSharedKeySpaces:
     def test_reference_byte_budget(self):
         # Unique buffers of every array the reference database keeps
         # (columns, value indexes, join key spaces, their grouped codes and
-        # cubes) and of its join indexes: 27.67 MiB and 8.77 MiB. The
+        # cubes) and of its join indexes: 27.67 MiB and 7.63 MiB. The
         # grouped codes take 5.34 MiB and the cubes 0.16 MiB; the five
-        # child ids, held as ranges, no longer take 7.63 MiB. With each
-        # child id stored and no grouped codes they were 29.79 MiB, with
-        # each key column stored as values and as codes 38.18 MiB, and
-        # with a copy of `title.id`'s key space and join index per edge
-        # 44.28 MiB and 13.35 MiB.
+        # child ids, held as ranges, no longer take 7.63 MiB. The join
+        # indexes are the five children's; `title.id`, an identity key,
+        # has none, where its grouping took 1.14 MiB. With each child id
+        # stored and no grouped codes they were 29.79 MiB, with each key
+        # column stored as values and as codes 38.18 MiB, and with a copy
+        # of `title.id`'s key space and join index per edge 44.28 MiB and
+        # 13.35 MiB.
         db = generate_synthetic_db()
         arrays = _kept_arrays(db)
         cubes = [c.sums for _, _, c in _cube_sets(db)]
         assert all(any(a is c for a in arrays) for c in cubes)
         assert _unique_bytes(arrays) <= 28 * 2**20
         groups = build_join_indexes(db).values()
-        assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 9 * 2**20
+        assert _unique_bytes([a for g in groups for a in (g.rows, g.offsets)]) <= 8 * 2**20
 
 
 def _kept_arrays(obj, seen=None) -> list:
